@@ -356,7 +356,7 @@ impl AnalysisState {
     /// other pair's cached facts are reused verbatim (they are functions
     /// of spec parts the delta cannot change).
     pub fn evaluate(&self, delta: &Delta) -> Result<AdmissionVerdict, DeltaError> {
-        Ok(self.evaluate_candidate(delta)?.2)
+        Ok(self.evaluate_candidate(delta)?.verdict)
     }
 
     /// Evaluate `delta` and, **iff admitted**, commit the candidate spec,
@@ -364,34 +364,46 @@ impl AnalysisState {
     /// delta leaves the state bit-for-bit untouched — the non-disruptive
     /// reject path of the admission contract.
     pub fn apply(&mut self, delta: &Delta) -> Result<AdmissionVerdict, DeltaError> {
-        let (spec, facts, verdict) = self.evaluate_candidate(delta)?;
-        if let AdmissionVerdict::Admit(report) = &verdict {
-            self.spec = spec;
-            self.facts = facts;
-            self.report = report.clone();
-        }
-        Ok(verdict)
+        let candidate = self.evaluate_candidate(delta)?;
+        Ok(self.commit(candidate))
     }
 
-    fn candidate_report(spec: &DeploySpec, facts: &Facts) -> Report {
-        assemble_report(spec, facts)
-    }
-
-    fn evaluate_candidate(
-        &self,
-        delta: &Delta,
-    ) -> Result<(DeploySpec, Facts, AdmissionVerdict), DeltaError> {
+    fn evaluate_candidate(&self, delta: &Delta) -> Result<Candidate, DeltaError> {
         let (spec, g) = self.candidate_spec(delta)?;
         let mut facts = self.facts.clone();
         facts.recompute_gateway(&spec, g, &self.opts);
-        let report = Self::candidate_report(&spec, &facts);
+        let report = assemble_report(&spec, &facts);
         let verdict = if report.is_accepted() {
             AdmissionVerdict::Admit(report)
         } else {
             AdmissionVerdict::Reject(report)
         };
-        Ok((spec, facts, verdict))
+        Ok(Candidate {
+            spec,
+            facts,
+            verdict,
+        })
     }
+
+    /// The one commit step of [`AnalysisState::apply`] and
+    /// [`AdmissionController::request`]: an admitted candidate becomes the
+    /// committed baseline as evaluated, a rejected one is dropped.
+    fn commit(&mut self, candidate: Candidate) -> AdmissionVerdict {
+        if let AdmissionVerdict::Admit(report) = &candidate.verdict {
+            self.spec = candidate.spec;
+            self.facts = candidate.facts;
+            self.report = report.clone();
+        }
+        candidate.verdict
+    }
+}
+
+/// An evaluated delta: the candidate spec, its facts and the verdict on
+/// them, held until [`AnalysisState::commit`] takes or drops it.
+struct Candidate {
+    spec: DeploySpec,
+    facts: Facts,
+    verdict: AdmissionVerdict,
 }
 
 /// Parse a `--delta` admission script: a JSON object with a `deltas`
@@ -590,6 +602,10 @@ impl AdmissionController {
     /// the monitor re-arming also relies on). `monitor`, when given, is
     /// re-armed with the updated τ̂/γ bounds after an admitted splice.
     ///
+    /// The delta is evaluated exactly once. An admitted candidate (spec,
+    /// facts, report) is held across the splice and then committed as
+    /// evaluated, through the same step as [`AnalysisState::apply`].
+    ///
     /// On [`AdmissionVerdict::Reject`] the method returns *before any
     /// platform interaction*: the system, the committed spec and every
     /// admitted stream's bounds are untouched.
@@ -600,10 +616,10 @@ impl AdmissionController {
         delta: &Delta,
         monitor: Option<&mut Monitor>,
     ) -> Result<AdmissionOutcome, AdmissionError> {
-        let verdict = self.state.evaluate(delta)?;
-        if !verdict.is_admitted() {
+        let candidate = self.state.evaluate_candidate(delta)?;
+        if !candidate.verdict.is_admitted() {
             return Ok(AdmissionOutcome {
-                verdict,
+                verdict: candidate.verdict,
                 window: None,
                 fifos: None,
                 stream_index: None,
@@ -632,7 +648,7 @@ impl AdmissionController {
                         &old,
                         &with,
                         self.state.report().gamma,
-                        verdict.report().gamma,
+                        candidate.verdict.report().gamma,
                     )
                     .total(),
                 )
@@ -670,10 +686,9 @@ impl AdmissionController {
             }
         };
 
-        // Commit the analysis state. The candidate is the same one the
-        // evaluate above admitted, so this cannot reject.
-        let verdict = self.state.apply(delta)?;
-        debug_assert!(verdict.is_admitted());
+        // The splice above read the old committed state; only now does
+        // the evaluated candidate replace it.
+        let verdict = self.state.commit(candidate);
 
         if let Some(m) = monitor {
             m.rearm(monitor_config_for(

@@ -73,5 +73,5 @@ pub use rules::{
 };
 pub use spec::{
     ChainStage, DeploySpec, GatewayDeploy, GatewayView, MultiBuiltSystem, ProcessorDeploy,
-    RingLayout, StreamDeploy, StreamMode, StreamModes, TaskDeploy, ToDeploySpec,
+    RingLayout, StreamDeploy, StreamMode, StreamModes, TaskDeploy, ToDeploySpec, MU_TERM_LIMIT,
 };

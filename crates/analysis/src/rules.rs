@@ -20,7 +20,7 @@
 //! window (A13).
 
 use crate::diag::{Diagnostic, Location, Report, RuleId, Severity, StreamBounds};
-use crate::spec::{DeploySpec, GatewayView, StreamDeploy};
+use crate::spec::{DeploySpec, GatewayView, StreamDeploy, MU_TERM_LIMIT};
 use streamgate_core::{fig5_csdf, minimum_stream_buffers, Fig5Params, SharingProblem};
 use streamgate_ilp::Rational;
 
@@ -582,7 +582,7 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                 .flat_map(|w| w.streams.iter().map(move |s| (w, s)))
                 .enumerate()
             {
-                if gi == flat || !s.mu.is_positive() || s.eta_in == 0 || gamma_w[gi] == 0 {
+                if gi == flat || !s.rate_in_range() || s.eta_in == 0 || gamma_w[gi] == 0 {
                     continue;
                 }
                 let gw = gamma_w[gi];
@@ -865,6 +865,18 @@ fn check_structure(
                 message: format!("required throughput mu = {} must be positive", s.mu),
             });
             ok[i] = false;
+        } else if !s.rate_in_range() {
+            diags.push(Diagnostic {
+                rule: RuleId::A3Throughput,
+                severity: Severity::Error,
+                location: stream_loc(view, offset, i),
+                message: format!(
+                    "required throughput mu = {} is outside the modelled range: its \
+                     numerator and denominator must each be at most {MU_TERM_LIMIT} (2^40)",
+                    s.mu
+                ),
+            });
+            ok[i] = false;
         }
     }
     ok
@@ -887,7 +899,7 @@ fn check_throughput(
     if view.streams.is_empty() {
         return ok;
     }
-    if view.streams.iter().any(|s| !s.mu.is_positive()) {
+    if view.streams.iter().any(|s| !s.rate_in_range()) {
         // Structural error already reported; utilisation is meaningless.
         ok.iter_mut().for_each(|v| *v = false);
         return ok;
@@ -994,7 +1006,7 @@ fn check_buffers(
             });
             continue;
         }
-        if !s.mu.is_positive() || !throughput_ok[i] {
+        if !s.rate_in_range() || !throughput_ok[i] {
             continue; // no meaningful throughput-driven sizing
         }
         // Influx during one worst-case round: the producer keeps writing at
@@ -1041,12 +1053,15 @@ fn check_buffers(
                 // Fig. 8 non-monotone trap: would a LARGER block size need
                 // LESS buffer? Probe a few bigger etas.
                 let eta = etas[i];
-                let candidates = [
+                // Non-decreasing, so `dedup` drops every repeat (for η ≤ 3
+                // the first three coincide); a repeat never changes `best`.
+                let mut candidates = vec![
                     eta + 1,
                     eta + eta.div_ceil(4),
                     eta + eta.div_ceil(2),
                     2 * eta,
                 ];
+                candidates.dedup();
                 let mut best: Option<(u64, u64)> = None;
                 for &cand in &candidates {
                     if cand <= eta || cand > 2 * EXACT_BUFFER_ETA_LIMIT {
@@ -1456,7 +1471,7 @@ fn check_system_round(
         if members.iter().all(|w| w.streams.is_empty())
             || members
                 .iter()
-                .any(|w| w.streams.iter().any(|s| !s.mu.is_positive()))
+                .any(|w| w.streams.iter().any(|s| !s.rate_in_range()))
         {
             continue;
         }
@@ -1500,7 +1515,7 @@ fn check_system_round(
         .flat_map(|v| v.streams.iter().map(move |s| (v, s)))
         .enumerate()
     {
-        if !s.mu.is_positive() || gamma_sys[gi] == gamma_local[gi] {
+        if !s.rate_in_range() || gamma_sys[gi] == gamma_local[gi] {
             continue;
         }
         let lhs = Rational::new(s.eta_in as i128, gamma_sys[gi] as i128);
@@ -1588,7 +1603,7 @@ fn check_ring(
         || views.iter().any(|v| {
             v.streams
                 .iter()
-                .any(|s| !s.mu.is_positive() || s.eta_in == 0)
+                .any(|s| !s.rate_in_range() || s.eta_in == 0)
         })
     {
         return; // structural errors already reported
@@ -1881,7 +1896,7 @@ fn check_latency(
         let Some(budget) = s.max_latency else {
             continue;
         };
-        if !s.mu.is_positive() || s.eta_in == 0 {
+        if !s.rate_in_range() || s.eta_in == 0 {
             continue; // structural errors already reported
         }
         let fill = (s.mu.recip() * Rational::from_int(s.eta_in as i128 - 1))

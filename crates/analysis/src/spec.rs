@@ -46,6 +46,26 @@ pub struct StreamDeploy {
     pub max_latency: Option<u64>,
 }
 
+/// Largest numerator or denominator of a stream rate μ the analyzer
+/// models: 2⁴⁰ ≈ 1.1·10¹² (one sample per ~6 minutes at 3 GHz). A larger
+/// term is a structural A3 error. The bound keeps ⌊1/μ⌋ inside `u64`, the
+/// A2 cycle weights `q·dur − p·delay` inside `i128`, and a single stream's
+/// Algorithm 1 solve inside the exact simplex's `i128` range. It does not
+/// cover several streams with large, pairwise coprime denominators on one
+/// pair: the simplex multiplies them and can still overflow.
+pub const MU_TERM_LIMIT: i128 = 1 << 40;
+
+impl StreamDeploy {
+    /// True iff μ is positive with numerator and denominator at most
+    /// [`MU_TERM_LIMIT`]: the rates the rules model. Any other rate is a
+    /// structural error, and the rules skip the stream.
+    pub(crate) fn rate_in_range(&self) -> bool {
+        self.mu.is_positive()
+            && self.mu.numer() <= MU_TERM_LIMIT
+            && self.mu.denom() <= MU_TERM_LIMIT
+    }
+}
+
 /// One software task in a processor tile's TDM slot table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskDeploy {

@@ -17,8 +17,8 @@ mod common;
 use common::{fast_options, random_multi_spec, Rng};
 use proptest::prelude::*;
 use streamgate_analysis::{
-    analyze_with, AdmissionController, AnalysisState, Delta, DeploySpec, StreamDeploy, StreamMode,
-    StreamModes,
+    analyze_with, AdmissionController, AnalysisOptions, AnalysisState, Delta, DeploySpec, RuleId,
+    Severity, StreamDeploy, StreamMode, StreamModes,
 };
 use streamgate_ilp::Rational;
 
@@ -324,4 +324,102 @@ fn admit_during_reconfig_window() {
         gw.stream(idx).blocks_done >= 1,
         "spliced stream ran a block"
     );
+}
+
+/// Pinned regression: `AdmissionController::request` commits the candidate
+/// its one evaluation admitted. Four requests on a running pal2 with a
+/// cruise/eco mode table: an η = 2 join (the exact A2 buffer search runs),
+/// its removal, a cruise → eco switch and an A8-infeasible join. After
+/// each, the committed report equals a full analysis of the committed
+/// spec, and the reject leaves spec and report untouched.
+#[test]
+fn request_commits_what_it_evaluated() {
+    let opts = AnalysisOptions::default();
+    let mut spec = DeploySpec::pal2();
+    let cruise = spec.gateways[0].streams[0].clone();
+    let mut eco = cruise.clone();
+    eco.reconfig -= 16;
+    spec.modes = vec![StreamModes {
+        gateway: 0,
+        stream: cruise.name.clone(),
+        modes: vec![
+            StreamMode {
+                name: "cruise".into(),
+                config: cruise.clone(),
+            },
+            StreamMode {
+                name: "eco".into(),
+                config: eco,
+            },
+        ],
+        transitions: vec![],
+    }];
+    let mut built = spec.build_multi_platform();
+    let gateways = built.gateways.clone();
+    let mut ctrl = AdmissionController::new(spec, opts);
+
+    let join = |name: &str, mu: Rational, eta: u64| StreamDeploy {
+        name: name.into(),
+        mu,
+        eta_in: eta,
+        eta_out: eta,
+        reconfig: 20,
+        input_capacity: 4 * eta,
+        output_capacity: 4 * eta,
+        max_latency: None,
+    };
+    let requests = [
+        (
+            Delta::AddStream {
+                gateway: 1,
+                stream: join("small", Rational::new(1, 20_000), 2),
+            },
+            true,
+        ),
+        (
+            Delta::RemoveStream {
+                gateway: 1,
+                stream: "small".into(),
+            },
+            true,
+        ),
+        (
+            Delta::ModeSwitch {
+                gateway: 0,
+                stream: cruise.name.clone(),
+                mode: "eco".into(),
+            },
+            true,
+        ),
+        (
+            Delta::AddStream {
+                gateway: 1,
+                stream: join("hog", Rational::new(1, 2), 128),
+            },
+            false,
+        ),
+    ];
+    for (delta, admit) in requests {
+        let spec_before = ctrl.spec().clone();
+        let report_before = ctrl.report().clone();
+        let outcome = ctrl
+            .request(&mut built.system, &gateways, &delta, None)
+            .expect("well-formed request");
+        let what = delta.describe();
+        assert_eq!(outcome.verdict.is_admitted(), admit, "{what}");
+        assert_eq!(ctrl.report(), &analyze_with(ctrl.spec(), &opts), "{what}");
+        if admit {
+            assert_eq!(ctrl.report(), outcome.verdict.report(), "{what}");
+        } else {
+            assert!(
+                outcome
+                    .verdict
+                    .report()
+                    .has(RuleId::A8SystemRound, Severity::Error),
+                "{what}"
+            );
+            assert_eq!(ctrl.spec(), &spec_before, "{what}");
+            assert_eq!(ctrl.report(), &report_before, "{what}");
+        }
+    }
 }

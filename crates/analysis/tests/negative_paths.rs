@@ -10,7 +10,10 @@ mod common;
 
 use common::{fast_options, run_saturated, run_saturated_multi};
 use streamgate_analysis::{analyze, analyze_with, ChainStage, DeploySpec, StreamDeploy};
-use streamgate_analysis::{RuleId, Severity};
+use streamgate_analysis::{
+    parse_delta_script, AnalysisOptions, AnalysisState, Delta, Report, RuleId, Severity,
+    MU_TERM_LIMIT,
+};
 use streamgate_core::system_metrics;
 use streamgate_ilp::Rational;
 use streamgate_platform::StepMode;
@@ -334,4 +337,72 @@ fn impossible_latency_budget_a10_error_pins_the_floor() {
     spec.gateways[0].streams[0].max_latency = Some(10_000);
     let report = analyze(&spec);
     assert!(report.is_accepted(), "{}", report.render_text());
+}
+
+/// The A3 structural Error an out-of-range rate must produce, naming the
+/// limit.
+fn assert_mu_range_error(report: &Report) {
+    let err = report
+        .diagnostics
+        .iter()
+        .find(|d| d.rule == RuleId::A3Throughput && d.severity == Severity::Error)
+        .expect("A3 error");
+    assert!(
+        err.message
+            .contains(&format!("must each be at most {MU_TERM_LIMIT} (2^40)")),
+        "{}",
+        err.message
+    );
+    assert!(!report.is_accepted());
+}
+
+/// Fault 8 — out-of-range rate in an admission request: μ = 1/10²⁰ has a
+/// denominator above `MU_TERM_LIMIT`. Its Algorithm 1 solve would overflow
+/// the exact simplex. Expected: **A3 Error** and a Reject, not a panic.
+/// μ = 1/2⁴⁰, exactly at the limit, is still modelled, down to the exact
+/// A2 buffer search, and admitted.
+#[test]
+fn out_of_range_mu_delta_is_rejected_not_a_panic() {
+    let deltas = parse_delta_script(
+        r#"{"deltas": [{"op": "add", "gateway": 1, "stream": {"name": "slow",
+            "mu": [1, 100000000000000000000], "eta_in": 8, "eta_out": 8,
+            "reconfig": 20, "input_capacity": 64, "output_capacity": 64}}]}"#,
+    )
+    .expect("the script parses");
+    let state = AnalysisState::new(DeploySpec::pal2(), AnalysisOptions::default());
+    let verdict = state.evaluate(&deltas[0]).expect("well-formed delta");
+    assert!(!verdict.is_admitted());
+    assert_mu_range_error(verdict.report());
+
+    let Delta::AddStream { stream, .. } = &deltas[0] else {
+        unreachable!("the script holds one add");
+    };
+    let at_limit = Delta::AddStream {
+        gateway: 1,
+        stream: StreamDeploy {
+            mu: Rational::new(1, MU_TERM_LIMIT),
+            ..stream.clone()
+        },
+    };
+    let verdict = state.evaluate(&at_limit).expect("well-formed delta");
+    assert!(verdict.is_admitted(), "{}", verdict.report().render_text());
+}
+
+/// The same fault in a spec-JSON document: the baseline's s1 demands
+/// μ = 1/10²⁰. Expected: it parses, and the analyzer rejects it with the
+/// A3 range Error.
+#[test]
+fn out_of_range_mu_spec_json_is_rejected_not_a_panic() {
+    let spec = DeploySpec::from_json_text(
+        r#"{"name": "negative-mu-range", "chain": [{"name": "acc", "rho": 2}],
+            "epsilon": 3, "delta": 1, "ni_depth": 2, "check_for_space": true,
+            "streams": [
+              {"name": "s0", "mu": [1, 40], "eta_in": 8, "eta_out": 8, "reconfig": 10,
+               "input_capacity": 48, "output_capacity": 64},
+              {"name": "s1", "mu": [1, 100000000000000000000], "eta_in": 8, "eta_out": 8,
+               "reconfig": 10, "input_capacity": 48, "output_capacity": 64}],
+            "processors": []}"#,
+    )
+    .expect("the fixture parses");
+    assert_mu_range_error(&analyze(&spec));
 }

@@ -7,17 +7,23 @@
 //! firing (consumption from the back edge at start) and *released* when the
 //! consumer finishes one (production on the back edge at end).
 //!
-//! Feasibility of a capacity assignment is decided exactly with the MCM
-//! analysis of [`crate::mcm`]: the reference actor's steady-state period must
-//! not exceed the target. Capacity feasibility is monotone per channel
+//! Feasibility of a capacity assignment is decided exactly with one
+//! parametric cycle test of [`crate::mcm`]: the reference actor's
+//! steady-state period `MCM / f` (with `f` its firings per iteration) meets
+//! the target iff no cycle ratio exceeds `target · f`, so [`feasible`] never
+//! computes the period itself. [`period_with_capacities`] does, via the
+//! exact MCM, and is the reference the tests compare [`feasible`] against.
+//! Capacity feasibility is monotone per channel
 //! (adding space never slows a self-timed execution down — dataflow
 //! monotonicity), so per-channel minima are found by doubling + binary
 //! search. **Total** capacity, however, is *not* monotone in the block size
 //! of the application model — the paper demonstrates this in Fig. 8, and
 //! experiment E3 reproduces it with this module.
 
-use crate::graph::{CsdfGraph, EdgeId, GraphError, Time};
-use crate::mcm::{mcm_period, McmError};
+use crate::graph::{CsdfGraph, EdgeId, Time};
+use crate::mcm::{
+    expand_to_hsdf, has_cycle_ratio_above, has_zero_delay_cycle, mcm_period, McmError,
+};
 use crate::repetition::repetition_vector;
 use streamgate_ilp::Rational;
 
@@ -76,7 +82,7 @@ pub fn with_capacities(g: &CsdfGraph, channels: &[EdgeId], caps: &[u64]) -> Csdf
 pub fn period_with_capacities(
     p: &BufferProblem,
     caps: &[u64],
-) -> Result<Option<Rational>, GraphError> {
+) -> Result<Option<Rational>, McmError> {
     let g = with_capacities(&p.graph, &p.channels, caps);
     let rep = repetition_vector(&g)?;
     let f = rep.firings_of(&g, p.reference);
@@ -84,16 +90,26 @@ pub fn period_with_capacities(
         Ok(Some(mcm)) => Ok(Some(mcm / Rational::from_int(f as i128))),
         Ok(None) => Ok(Some(Rational::ZERO)),
         Err(McmError::ZeroDelayCycle) => Ok(None),
-        Err(McmError::Graph(e)) => Err(e),
+        Err(e) => Err(e),
     }
 }
 
-/// True iff the capacities meet the problem's period target.
-pub fn feasible(p: &BufferProblem, caps: &[u64]) -> Result<bool, GraphError> {
-    Ok(match period_with_capacities(p, caps)? {
-        Some(period) => period <= p.target_period,
-        None => false,
-    })
+/// True iff the capacities meet the problem's period target — exactly
+/// `period_with_capacities(p, caps)? <= target_period`, with a deadlock
+/// infeasible, decided by one positive-cycle test at
+/// `λ = target_period · firings(reference)` instead of the MCM bisection.
+pub fn feasible(p: &BufferProblem, caps: &[u64]) -> Result<bool, McmError> {
+    let g = with_capacities(&p.graph, &p.channels, caps);
+    let f = repetition_vector(&g)?.firings_of(&g, p.reference);
+    let h = expand_to_hsdf(&g)?;
+    if has_zero_delay_cycle(&h) {
+        return Ok(false);
+    }
+    let lambda = p
+        .target_period
+        .checked_mul(&Rational::from_int(f as i128))
+        .ok_or(McmError::Overflow)?;
+    Ok(!has_cycle_ratio_above(&h, lambda)?)
 }
 
 /// The maximum throughput period of the *unbounded* graph — the tightest
@@ -115,11 +131,11 @@ pub fn min_buffer_for_period(
     channel_idx: usize,
     others: &[u64],
     cap_limit: u64,
-) -> Result<Option<u64>, GraphError> {
+) -> Result<Option<u64>, McmError> {
     let floor = min_meaningful_capacity(&p.graph, p.channels[channel_idx]);
     let mut caps = others.to_vec();
 
-    let try_cap = |c: u64, caps: &mut Vec<u64>| -> Result<bool, GraphError> {
+    let try_cap = |c: u64, caps: &mut Vec<u64>| -> Result<bool, McmError> {
         caps[channel_idx] = c;
         feasible(p, caps)
     };
@@ -168,7 +184,7 @@ pub fn min_meaningful_capacity(g: &CsdfGraph, e: EdgeId) -> u64 {
 pub fn min_buffers_for_period(
     p: &BufferProblem,
     cap_limit: u64,
-) -> Result<Option<BufferResult>, GraphError> {
+) -> Result<Option<BufferResult>, McmError> {
     let k = p.channels.len();
     assert!(k >= 1, "no channels to size");
     assert!(k <= 4, "exhaustive buffer search limited to 4 channels");
@@ -225,7 +241,7 @@ pub fn min_buffers_for_max_throughput(
     channels: Vec<EdgeId>,
     reference: crate::graph::ActorId,
     cap_limit: u64,
-) -> Result<Option<BufferResult>, GraphError> {
+) -> Result<Option<BufferResult>, McmError> {
     let target = match unbounded_period(graph, reference) {
         Ok(Some(t)) => t,
         Ok(None) => Rational::from_int(
@@ -236,7 +252,7 @@ pub fn min_buffers_for_max_throughput(
                 .unwrap_or(1) as i128,
         ),
         Err(McmError::ZeroDelayCycle) => return Ok(None),
-        Err(McmError::Graph(e)) => return Err(e),
+        Err(e) => return Err(e),
     };
     let p = BufferProblem {
         graph: graph.clone(),
@@ -389,6 +405,25 @@ mod tests {
         let b = g.add_sdf_actor("B", 1);
         let e = g.add_sdf_edge("ab", a, 1, b, 1, 3);
         let _ = with_capacities(&g, &[e], &[2]);
+    }
+
+    #[test]
+    fn zero_duration_deadlock_is_infeasible() {
+        // With zero durations the deadlocked cycle has weight 0, which the
+        // positive-cycle test alone would accept; the deadlock check must not.
+        let mut g = CsdfGraph::new();
+        let a = g.add_sdf_actor("A", 0);
+        let b = g.add_sdf_actor("B", 0);
+        let e = g.add_sdf_edge("ab", a, 1, b, 1, 0);
+        let p = BufferProblem {
+            graph: g,
+            channels: vec![e],
+            reference: b,
+            target_period: rat(1, 1),
+        };
+        assert_eq!(period_with_capacities(&p, &[0]).unwrap(), None);
+        assert!(!feasible(&p, &[0]).unwrap());
+        assert!(feasible(&p, &[1]).unwrap());
     }
 
     #[test]

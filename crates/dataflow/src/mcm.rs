@@ -12,10 +12,14 @@
 //!    homogeneous graph whose nodes are the individual firings of one graph
 //!    iteration, with inter-firing precedence arcs annotated with iteration
 //!    distances (delays). Sequencing arcs encode the implicit self-edge.
-//! 2. [`max_cycle_ratio`] computes `max over cycles (Σ durations / Σ delays)`
-//!    exactly, via a parametric positive-cycle test (Bellman–Ford) combined
-//!    with binary search and a final Stern–Brocot rounding step that recovers
-//!    the exact rational from the isolating interval.
+//! 2. `has_cycle_ratio_above` decides `MCM > λ` for one rational `λ = p/q`
+//!    with a single positive-cycle test (Bellman–Ford) over the integer arc
+//!    weights `q·dur(src) − p·delay`, in checked `i128`. Deciding whether a
+//!    target period is met needs nothing more.
+//! 3. [`max_cycle_ratio`] computes `max over cycles (Σ durations / Σ delays)`
+//!    exactly where a period *value* is needed, by binary search over that
+//!    same test and a final Stern–Brocot rounding step that recovers the
+//!    exact rational from the isolating interval.
 
 use crate::graph::{CsdfGraph, GraphError, Time};
 use crate::repetition::repetition_vector;
@@ -41,6 +45,9 @@ pub enum McmError {
     Graph(GraphError),
     /// A dependency cycle with zero total delay: the graph deadlocks.
     ZeroDelayCycle,
+    /// An integer cycle weight or path sum of a ratio test left the `i128`
+    /// range (durations, delays or `λ` too large to compare exactly).
+    Overflow,
 }
 
 impl From<GraphError> for McmError {
@@ -54,6 +61,7 @@ impl std::fmt::Display for McmError {
         match self {
             McmError::Graph(g) => write!(f, "{g}"),
             McmError::ZeroDelayCycle => write!(f, "zero-delay dependency cycle (deadlock)"),
+            McmError::Overflow => write!(f, "cycle-ratio arithmetic overflows i128"),
         }
     }
 }
@@ -175,37 +183,53 @@ pub fn expand_to_hsdf(g: &CsdfGraph) -> Result<Hsdf, McmError> {
 
 /// True iff the HSDF graph has a cycle whose ratio `Σ dur / Σ delay`
 /// strictly exceeds `lambda`. Arc weight is the *source* node's duration.
-fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> bool {
+///
+/// With `lambda = p/q` (`q > 0`), a cycle's ratio exceeds `lambda` iff its
+/// integer weight `Σ (q·dur(src) − p·delay)` is positive, so one
+/// longest-path Bellman–Ford over those weights decides it exactly. Every
+/// product and path sum is checked; leaving `i128` is an error, never a
+/// wrap.
+pub(crate) fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> Result<bool, McmError> {
     let n = h.durations.len();
     if n == 0 {
-        return false;
+        return Ok(false);
     }
+    let (p, q) = (lambda.numer(), lambda.denom());
+    let weights = h
+        .arcs
+        .iter()
+        .map(|&(s, _, delay)| {
+            let dur = q.checked_mul(h.durations[s] as i128);
+            let tokens = p.checked_mul(delay as i128);
+            dur.zip(tokens)
+                .and_then(|(d, t)| d.checked_sub(t))
+                .ok_or(McmError::Overflow)
+        })
+        .collect::<Result<Vec<i128>, McmError>>()?;
     // Longest-path relaxation; a still-relaxable arc after n rounds implies a
-    // positive-weight cycle for weights w = dur(src) - lambda * delay.
-    let mut dist = vec![Rational::ZERO; n];
+    // positive-weight cycle.
+    let mut dist = vec![0i128; n];
     for round in 0..=n {
         let mut changed = false;
-        for &(s, d, delay) in &h.arcs {
-            let w = Rational::from_int(h.durations[s] as i128)
-                - lambda * Rational::from_int(delay as i128);
-            let cand = dist[s] + w;
+        for (&(s, d, _), &w) in h.arcs.iter().zip(&weights) {
+            let cand = dist[s].checked_add(w).ok_or(McmError::Overflow)?;
             if cand > dist[d] {
                 dist[d] = cand;
                 changed = true;
             }
         }
         if !changed {
-            return false;
+            return Ok(false);
         }
         if round == n {
-            return true;
+            return Ok(true);
         }
     }
     unreachable!()
 }
 
 /// Detect a cycle with zero total delay (deadlock) via DFS on zero-delay arcs.
-fn has_zero_delay_cycle(h: &Hsdf) -> bool {
+pub(crate) fn has_zero_delay_cycle(h: &Hsdf) -> bool {
     let n = h.durations.len();
     let mut adj = vec![Vec::new(); n];
     for &(s, d, delay) in &h.arcs {
@@ -286,8 +310,9 @@ fn simplest_in_co(lo: Rational, hi: Rational) -> Rational {
 /// Exact maximum cycle ratio `max over cycles (Σ durations / Σ delays)` of an
 /// HSDF graph; this is the minimum feasible steady-state period (MCM).
 ///
-/// Returns `Ok(None)` for an acyclic graph (no steady-state constraint) and
-/// `Err(ZeroDelayCycle)` for a deadlocked one.
+/// Returns `Ok(None)` for an acyclic graph (no steady-state constraint),
+/// `Err(ZeroDelayCycle)` for a deadlocked one and `Err(Overflow)` when a
+/// ratio test of the bisection leaves `i128`.
 pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     if has_zero_delay_cycle(h) {
         return Err(McmError::ZeroDelayCycle);
@@ -299,7 +324,7 @@ pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     }
     let mut lo = Rational::ZERO; // invariant: MCM > lo or graph "acyclic-ish"
     let mut hi = Rational::from_int(total_dur as i128 + 1); // MCM <= hi
-    if !has_cycle_ratio_above(h, lo) {
+    if !has_cycle_ratio_above(h, lo)? {
         // No cycle has positive duration => every cycle ratio is 0; with all
         // durations >= 0 this means cycles of zero duration.
         return Ok(Some(Rational::ZERO));
@@ -310,7 +335,7 @@ pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     let eps = (d * d).recip();
     while hi - lo > eps {
         let mid = (lo + hi) * Rational::new(1, 2);
-        if has_cycle_ratio_above(h, mid) {
+        if has_cycle_ratio_above(h, mid)? {
             lo = mid;
         } else {
             hi = mid;
@@ -319,7 +344,7 @@ pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     // MCM is the unique rational in (lo, hi] with denominator <= total_delay,
     // which is the simplest rational in that interval.
     let r = simplest_in(lo, hi);
-    debug_assert!(!has_cycle_ratio_above(h, r));
+    debug_assert_eq!(has_cycle_ratio_above(h, r), Ok(false));
     Ok(Some(r))
 }
 
@@ -438,6 +463,20 @@ mod tests {
         assert_eq!(mcm, rat(6, 1));
         let t = crate::simulate::simulate(&g, 40).unwrap();
         assert_eq!(t.period_estimate(b).unwrap(), rat(6, 1));
+    }
+
+    #[test]
+    fn ratio_test_overflow_is_an_error() {
+        let h = Hsdf {
+            durations: vec![u64::MAX],
+            arcs: vec![(0, 0, 1)],
+            labels: vec!["A#0".into()],
+        };
+        assert_eq!(has_cycle_ratio_above(&h, rat(1, 2)), Ok(true));
+        assert_eq!(
+            has_cycle_ratio_above(&h, rat(1, 1 << 70)),
+            Err(McmError::Overflow)
+        );
     }
 
     #[test]

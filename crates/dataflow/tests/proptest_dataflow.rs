@@ -10,7 +10,9 @@
 //!   refinement the paper builds on;
 //! * MCM equals the simulated steady-state period on strongly-connected
 //!   graphs;
-//! * buffer feasibility is monotone in capacity.
+//! * buffer feasibility is monotone in capacity;
+//! * the one-cycle-test buffer feasibility agrees with the exact period
+//!   under the same capacities, at the boundary and through deadlock.
 
 use proptest::prelude::*;
 use streamgate_dataflow::{
@@ -166,5 +168,37 @@ proptest! {
         let f1 = feasible(&p, &[cap]).unwrap();
         let f2 = feasible(&p, &[cap + 1]).unwrap();
         prop_assert!(!f1 || f2, "feasible at {cap} but not at {}", cap + 1);
+    }
+
+    #[test]
+    fn feasible_matches_exact_period((g, _) in two_actor_cycle(), cap in 0u64..=12) {
+        use streamgate_dataflow::buffer::{feasible, period_with_capacities, BufferProblem};
+        use streamgate_ilp::Rational;
+        // Bound the multirate channel A -> B: below p + c - gcd(p, c)
+        // locations it deadlocks, above that the period falls with room.
+        let ab = g.edge_by_name("ab").unwrap();
+        let b = g.edge(ab).dst;
+        let mut p = BufferProblem {
+            graph: g,
+            channels: vec![ab],
+            reference: b,
+            target_period: Rational::ZERO,
+        };
+        let exact = period_with_capacities(&p, &[cap]).unwrap();
+        let targets = match exact {
+            // Exactly at the period (the cycle ratio equals λ: feasible),
+            // just below it and just above it.
+            Some(per) => vec![per, per - Rational::new(1, 1000), per + Rational::new(1, 1000)],
+            None => vec![Rational::ONE, Rational::from_int(1_000_000)],
+        };
+        for target in targets {
+            p.target_period = target;
+            let want = exact.is_some_and(|per| per <= target);
+            prop_assert_eq!(
+                feasible(&p, &[cap]).unwrap(),
+                want,
+                "cap {} target {} exact period {:?}", cap, target, exact
+            );
+        }
     }
 }
