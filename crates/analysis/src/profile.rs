@@ -118,6 +118,12 @@ fn parse_curve(v: &Json, windows: &[u64], ctx: &str) -> Result<EmpiricalCurve, S
             "{ctx}: curve length does not match the window list"
         ));
     }
+    if let Some(i) = (0..windows.len()).find(|&i| min_count[i] > max_count[i]) {
+        return Err(format!(
+            "{ctx}: curve min {} exceeds max {} at window {}",
+            min_count[i], max_count[i], windows[i]
+        ));
+    }
     Ok(EmpiricalCurve {
         windows: windows.to_vec(),
         max_count,
@@ -141,7 +147,9 @@ fn parse_hops(v: &Json, key: &str, windows: &[u64]) -> Result<Vec<HopProfile>, S
 }
 
 /// Parse a [`RunProfile`] from the deterministic JSON
-/// `streamgate_core::profile::RunProfile::to_json_text` emits.
+/// `streamgate_core::profile::RunProfile::to_json_text` emits. A window
+/// list that is not strictly increasing from 1 to `cycles + 1`, or a curve
+/// with a min count above its max, is an error.
 pub fn parse_profile(text: &str) -> Result<RunProfile, String> {
     let v = crate::json::parse(text)?;
     // Accept-or-warn on the artifact schema version: cross-PR CI compares
@@ -159,7 +167,18 @@ pub fn parse_profile(text: &str) -> Result<RunProfile, String> {
         ),
         Some(_) => {}
     }
+    let cycles = req_u64(&v, "cycles", "profile")?;
     let windows = u64_list(&v, "windows", "profile")?;
+    // The shape `log_windows(cycles + 1)` emits; anything else would feed
+    // the envelope windows the run never observed.
+    if windows.first() != Some(&1)
+        || windows.last().copied() != cycles.checked_add(1)
+        || windows.windows(2).any(|p| p[0] >= p[1])
+    {
+        return Err(format!(
+            "profile: `windows` must rise strictly from 1 to cycles + 1 ({cycles} + 1)"
+        ));
+    }
     let streams = req(&v, "streams", "profile")?
         .as_array()
         .ok_or("profile: `streams` is not an array")?
@@ -232,7 +251,7 @@ pub fn parse_profile(text: &str) -> Result<RunProfile, String> {
     Ok(RunProfile {
         deployment: req_str(&v, "deployment", "profile")?,
         mode: req_str(&v, "mode", "profile")?,
-        cycles: req_u64(&v, "cycles", "profile")?,
+        cycles,
         ring_nodes: req_usize(&v, "ring_nodes", "profile")?,
         data_hops: parse_hops(&v, "data_hops", &windows)?,
         credit_hops: parse_hops(&v, "credit_hops", &windows)?,
@@ -361,17 +380,19 @@ impl RingEnvelope {
         }
     }
 
+    /// Saturating throughout: a `RunProfile` built in code can carry any
+    /// window size, and the result is capped at `delta` anyway.
     fn bound(&self, terms: &[HopTerm], delta: u64) -> u64 {
-        let jitter = 2 * self.nodes as u64;
-        let sum: u64 = terms
+        let span = delta.saturating_add(2 * self.nodes as u64);
+        terms
             .iter()
             .map(|t| {
-                let bursts = (delta + jitter) / t.spacing + 2;
-                let per_burst = t.flits.min((delta + jitter) / t.pace + 1);
-                per_burst * bursts + t.slack
+                let bursts = (span / t.spacing).saturating_add(2);
+                let per_burst = t.flits.min((span / t.pace).saturating_add(1));
+                per_burst.saturating_mul(bursts).saturating_add(t.slack)
             })
-            .sum();
-        sum.min(delta)
+            .fold(0, u64::saturating_add)
+            .min(delta)
     }
 
     /// Predicted max flits crossing data hop `hop` in any `delta`-cycle
@@ -565,7 +586,7 @@ pub fn analyze_profiled(
         };
         match witness {
             Some(w) => {
-                let measured_upper = w + gamma_g;
+                let measured_upper = w.saturating_add(gamma_g);
                 let (severity, verdict) = match st.max_latency {
                     Some(budget) if measured_upper > budget => (
                         Severity::Warning,

@@ -184,3 +184,22 @@ fn delta_mode_exits_two_when_final_state_rejected() {
     let out = analyze(&["--delta", script.to_str().unwrap(), "pal2"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+#[test]
+fn malformed_profile_exits_two_not_a_crash() {
+    // The pal golden profile with its last window at u64::MAX: the list
+    // no longer ends at cycles + 1, so the parser rejects it.
+    let golden = include_str!("golden/pal_profile.json");
+    let bad = golden.replacen("32768,40001]", "32768,18446744073709551615]", 1);
+    assert_ne!(bad, golden, "fixture must change the window list");
+
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("bad-windows-profile.json");
+    std::fs::write(&file, bad).unwrap();
+
+    let out = analyze(&["--profile", file.to_str().unwrap(), "pal"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("cannot parse profile"), "{err}");
+}

@@ -11,8 +11,8 @@ mod common;
 use common::{fast_options, run_saturated, run_saturated_multi};
 use streamgate_analysis::{analyze, analyze_with, ChainStage, DeploySpec, StreamDeploy};
 use streamgate_analysis::{
-    parse_delta_script, AnalysisOptions, AnalysisState, Delta, Report, RuleId, Severity,
-    MU_TERM_LIMIT,
+    analyze_profiled, json, parse_delta_script, parse_profile, AnalysisOptions, AnalysisState,
+    Delta, Json, Report, RuleId, Severity, MU_TERM_LIMIT,
 };
 use streamgate_core::system_metrics;
 use streamgate_ilp::Rational;
@@ -405,4 +405,75 @@ fn out_of_range_mu_spec_json_is_rejected_not_a_panic() {
     )
     .expect("the fixture parses");
     assert_mu_range_error(&analyze(&spec));
+}
+
+/// The `pal` preset's measured profile (see `profile_feedback.rs`).
+const PAL_PROFILE: &str = include_str!("golden/pal_profile.json");
+
+/// The pal golden profile with one top-level integer replaced: `cycles`
+/// (`index` = `None`) or entry `index` of `field`.
+fn pal_profile_with(field: &str, index: Option<usize>, value: u64) -> String {
+    let mut v = json::parse(PAL_PROFILE).expect("the golden parses");
+    let Json::Object(m) = &mut v else {
+        unreachable!("a profile is an object");
+    };
+    let slot = match (index, m.get_mut(field).expect("the golden has the field")) {
+        (Some(i), Json::Array(a)) => &mut a[i],
+        (_, slot) => slot,
+    };
+    *slot = Json::Int(value.into());
+    v.to_text()
+}
+
+/// Fault 9 — a malformed profile window list: each `windows` entry and
+/// `cycles` of the pal golden, replaced with u64::MAX and with 0, so the
+/// list no longer rises strictly from 1 to `cycles + 1`. Unchecked, a
+/// u64::MAX window reaches the A7 envelope arithmetic. Expected:
+/// `parse_profile` rejects every variant.
+#[test]
+fn malformed_profile_windows_are_rejected_not_a_panic() {
+    let windows = parse_profile(PAL_PROFILE).expect("golden").windows.len();
+    let fields = (0..windows)
+        .map(|i| ("windows", Some(i)))
+        .chain([("cycles", None)]);
+    for (field, index) in fields {
+        for value in [u64::MAX, 0] {
+            let err = parse_profile(&pal_profile_with(field, index, value))
+                .expect_err(&format!("{field}[{index:?}] = {value} parsed"));
+            assert!(
+                err.contains("`windows`"),
+                "{field}[{index:?}] = {value}: {err}"
+            );
+        }
+    }
+
+    // A curve whose trough exceeds its peak is rejected too.
+    let text = PAL_PROFILE.replacen("\"min\":[0,", "\"min\":[2,", 1);
+    assert_ne!(text, PAL_PROFILE);
+    let err = parse_profile(&text).expect_err("min > max parsed");
+    assert!(err.contains("exceeds max"), "{err}");
+}
+
+/// A `RunProfile` built in code skips the parser's checks, so the
+/// analyzer's window arithmetic saturates instead: every window at
+/// u64::MAX overflows neither the A7 envelope nor A10's measured figure.
+#[test]
+fn code_built_profile_with_extreme_windows_does_not_overflow() {
+    let mut p = parse_profile(PAL_PROFILE).expect("golden");
+    p.cycles = u64::MAX;
+    let curves = p
+        .data_hops
+        .iter_mut()
+        .chain(&mut p.credit_hops)
+        .map(|h| &mut h.curve)
+        .chain(p.streams.iter_mut().flat_map(|s| {
+            std::iter::once(&mut s.completions).chain(s.arrival.as_mut().map(|a| &mut a.curve))
+        }));
+    for c in curves {
+        c.windows.fill(u64::MAX);
+    }
+    p.windows.fill(u64::MAX);
+    let spec = DeploySpec::pal_scaled();
+    let report = analyze_profiled(&spec, &AnalysisOptions::default(), Some(&p));
+    assert!(report.is_accepted(), "{}", report.render_text());
 }

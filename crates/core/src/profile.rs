@@ -156,24 +156,31 @@ impl EmpiricalCurve {
             // Min: the count over [t, t+w) can only *decrease* as t passes
             // an event, so every minimal plateau starts at t = 0 or at
             // t = e + 1 for some event e; probing those (plus the last
-            // valid start) finds the true minimum.
+            // valid start) finds the true minimum. The probes ascend, so
+            // both window edges advance monotonically (two-pointer).
             if w >= len {
                 min_count.push(n as u64);
                 continue;
             }
             let last_start = len - w;
-            let count_at = |t: u64| -> u64 {
-                let lo = events.partition_point(|&e| e < t);
-                let hi = events.partition_point(|&e| e < t + w);
-                (hi - lo) as u64
-            };
-            let mut m = count_at(0).min(count_at(last_start));
-            for &e in events {
-                let t = e + 1;
-                if t <= last_start {
-                    m = m.min(count_at(t));
-                }
-            }
+            let past_events = events
+                .iter()
+                .take_while(|&&e| e < last_start)
+                .map(|&e| e + 1);
+            let (mut lo, mut hi) = (0usize, 0usize);
+            let m = std::iter::once(0)
+                .chain(past_events)
+                .chain(std::iter::once(last_start))
+                .map(|t| {
+                    while lo < n && events[lo] < t {
+                        lo += 1;
+                    }
+                    while hi < n && events[hi] < t + w {
+                        hi += 1;
+                    }
+                    (hi - lo) as u64
+                })
+                .fold(n as u64, u64::min);
             min_count.push(m);
         }
         EmpiricalCurve {
