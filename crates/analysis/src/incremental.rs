@@ -40,6 +40,7 @@ use crate::profile::monitor_config_for;
 use crate::rules::{assemble_report, transition_delay_bound, AnalysisOptions, Facts, ModeReport};
 use crate::spec::{stream_from_json, stream_kernels, DeploySpec, StreamDeploy};
 use crate::{json, Json};
+use std::cell::Cell;
 use streamgate_core::Monitor;
 use streamgate_platform::{CFifo, FifoId, StreamConfig, System};
 
@@ -203,19 +204,36 @@ pub struct AnalysisState {
     opts: AnalysisOptions,
     facts: Facts,
     report: Report,
+    /// Work counter: per-pair A1–A6 fact computations so far.
+    pair_facts_computed: Cell<u64>,
 }
 
 impl AnalysisState {
     /// Run the full analysis once and cache every intermediate fact.
     pub fn new(spec: DeploySpec, opts: AnalysisOptions) -> AnalysisState {
-        let facts = Facts::compute(&spec, &opts);
+        let mut computed = 0;
+        let facts = Facts::compute(&spec, &opts, &mut computed);
         let report = assemble_report(&spec, &facts);
         AnalysisState {
             spec,
             opts,
             facts,
             report,
+            pair_facts_computed: Cell::new(computed),
         }
+    }
+
+    /// How many times this state has computed one gateway pair's A1–A6
+    /// facts (the expensive per-pair rules), the initial full analysis and
+    /// every evaluated delta included, admitted or not. A work counter: it
+    /// is not part of any [`Report`].
+    ///
+    /// The full analysis computes one per gateway pair plus one per
+    /// declared mode whose configuration differs from the committed one.
+    /// A delta computes one for the gateway it touches, plus one per such
+    /// mode declared on that gateway.
+    pub fn pair_facts_computed(&self) -> u64 {
+        self.pair_facts_computed.get()
     }
 
     /// The committed deployment.
@@ -371,7 +389,10 @@ impl AnalysisState {
     fn evaluate_candidate(&self, delta: &Delta) -> Result<Candidate, DeltaError> {
         let (spec, g) = self.candidate_spec(delta)?;
         let mut facts = self.facts.clone();
-        facts.recompute_gateway(&spec, g, &self.opts);
+        let mut computed = 0;
+        facts.recompute_gateway(&spec, g, &self.opts, &mut computed);
+        self.pair_facts_computed
+            .set(self.pair_facts_computed.get() + computed);
         let report = assemble_report(&spec, &facts);
         let verdict = if report.is_accepted() {
             AdmissionVerdict::Admit(report)
@@ -1017,6 +1038,60 @@ mod tests {
         let fresh = crate::rules::mode_reports(&spec, &opts);
         assert_eq!(cached.len(), 2);
         assert_eq!(cached, fresh);
+    }
+
+    #[test]
+    fn each_delta_computes_only_the_pair_facts_it_can_change() {
+        let opts = AnalysisOptions {
+            exact_buffers: false,
+        };
+        let add = |gateway, name: &str| Delta::AddStream {
+            gateway,
+            stream: probe(name),
+        };
+        // No mode table: one computation per pair, then one per delta,
+        // admitted, rejected or only evaluated.
+        let mut st = AnalysisState::new(DeploySpec::pal2(), opts);
+        assert_eq!(st.pair_facts_computed(), 2);
+        assert!(st.apply(&add(1, "aux")).unwrap().is_admitted());
+        assert_eq!(st.pair_facts_computed(), 3);
+        let hog = Delta::AddStream {
+            gateway: 0,
+            stream: StreamDeploy {
+                mu: Rational::new(1, 2),
+                ..probe("hog")
+            },
+        };
+        assert!(!st.evaluate(&hog).unwrap().is_admitted());
+        assert_eq!(st.pair_facts_computed(), 4);
+
+        // Modes on gateway 0: "slow" is the committed configuration and
+        // takes the base facts, "fast" costs one computation.
+        let (spec, name) = pal2_with_modes();
+        let mut st = AnalysisState::new(spec, opts);
+        assert_eq!(st.pair_facts_computed(), 3);
+        // A delta on gateway 1 reuses both cached candidates.
+        assert!(st.apply(&add(1, "aux")).unwrap().is_admitted());
+        assert_eq!(st.pair_facts_computed(), 4);
+        // A delta on gateway 0 recomputes the pair and "fast".
+        assert!(st.apply(&add(0, "aux0")).unwrap().is_admitted());
+        assert_eq!(st.pair_facts_computed(), 6);
+        // After a switch to "fast", "slow" is the one that differs.
+        let switch = Delta::ModeSwitch {
+            gateway: 0,
+            stream: name,
+            mode: "fast".into(),
+        };
+        assert!(st.apply(&switch).unwrap().is_admitted());
+        assert_eq!(st.pair_facts_computed(), 8);
+        assert!(st.apply(&add(1, "aux1")).unwrap().is_admitted());
+        assert_eq!(st.pair_facts_computed(), 9);
+        // The reused candidates still give the reports a fresh analysis
+        // of the committed spec gives.
+        assert_eq!(
+            st.mode_reports(),
+            crate::rules::mode_reports(st.spec(), &opts)
+        );
     }
 
     #[test]

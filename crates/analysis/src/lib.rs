@@ -73,5 +73,6 @@ pub use rules::{
 };
 pub use spec::{
     ChainStage, DeploySpec, GatewayDeploy, GatewayView, MultiBuiltSystem, ProcessorDeploy,
-    RingLayout, StreamDeploy, StreamMode, StreamModes, TaskDeploy, ToDeploySpec, MU_TERM_LIMIT,
+    RingLayout, StreamDeploy, StreamMode, StreamModes, TaskDeploy, ToDeploySpec, ETA_LIMIT,
+    MU_TERM_LIMIT,
 };

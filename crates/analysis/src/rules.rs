@@ -3,9 +3,8 @@
 //! Every rule checks a compile-time property the paper derives for the
 //! gateway architecture (see DESIGN.md §8 for the rule ↔ equation/figure
 //! map). None of them executes a simulated platform cycle: A1 runs the
-//! *analytical* self-timed execution of the per-stream CSDF model (the
-//! `dataflow` machinery of Fig. 5), everything else is arithmetic over the
-//! deployment description.
+//! *analytical* self-timed execution of the per-stream CSDF model of
+//! Fig. 5, everything else is arithmetic over the deployment description.
 //!
 //! Rules A1–A6 are *per gateway pair*: they run once per
 //! [`GatewayView`], so a multi-gateway spec gets each pair checked in
@@ -20,8 +19,8 @@
 //! window (A13).
 
 use crate::diag::{Diagnostic, Location, Report, RuleId, Severity, StreamBounds};
-use crate::spec::{DeploySpec, GatewayView, StreamDeploy, MU_TERM_LIMIT};
-use streamgate_core::{fig5_csdf, minimum_stream_buffers, Fig5Params, SharingProblem};
+use crate::spec::{DeploySpec, GatewayView, StreamDeploy, ETA_LIMIT, MU_TERM_LIMIT};
+use streamgate_core::{minimum_stream_buffers, run_fig5, Fig5Params, SharingProblem};
 use streamgate_ilp::Rational;
 
 /// Largest block size for which the exact MCM-based minimum-buffer search
@@ -57,7 +56,7 @@ pub fn analyze(spec: &DeploySpec) -> Report {
 
 /// Run every rule over `spec` and collect the findings into a [`Report`].
 pub fn analyze_with(spec: &DeploySpec, opts: &AnalysisOptions) -> Report {
-    assemble_report(spec, &Facts::compute(spec, opts))
+    assemble_report(spec, &Facts::compute(spec, opts, &mut 0))
 }
 
 /// Cached per-pair facts: everything the *expensive* per-gateway rules
@@ -196,10 +195,12 @@ pub(crate) struct Facts {
 }
 
 impl Facts {
-    /// Full evaluation of every cached fact (the expensive path).
-    pub(crate) fn compute(spec: &DeploySpec, opts: &AnalysisOptions) -> Facts {
+    /// Full evaluation of every cached fact (the expensive path). Adds the
+    /// number of [`PairFacts`] it computes to `computed`.
+    pub(crate) fn compute(spec: &DeploySpec, opts: &AnalysisOptions, computed: &mut u64) -> Facts {
         let views = spec.gateway_views();
         let layout = spec.ring_layout();
+        *computed += views.len() as u64;
         let mut facts = Facts {
             pairs: views
                 .iter()
@@ -216,31 +217,33 @@ impl Facts {
             },
             modes: Vec::new(),
         };
-        let modes = compute_mode_facts(spec, opts, &facts);
-        facts.modes = modes;
+        facts.modes = compute_mode_facts(spec, opts, &facts, None, computed);
         facts
     }
 
     /// Re-evaluate the cached facts of gateway `g` only — the
     /// O(affected-gateways) path. `spec` must differ from the spec these
-    /// facts were computed from in gateway `g`'s stream list alone.
+    /// facts were computed from in gateway `g`'s stream list alone. Adds
+    /// the number of [`PairFacts`] it computes to `computed`.
     ///
-    /// Mode facts are refreshed for *every* declaration: a per-mode
-    /// candidate substitutes into the whole system (its report spans all
-    /// gateways), so each refresh still costs only one gateway
-    /// re-evaluation per declared mode, never a full [`Facts::compute`].
+    /// Mode reports are re-assembled for *every* declaration, because a
+    /// per-mode candidate substitutes into the whole system (its report
+    /// spans all gateways). A declaration on another gateway keeps its
+    /// cached candidate facts; one on `g` recomputes them (see
+    /// [`compute_mode_facts`]).
     pub(crate) fn recompute_gateway(
         &mut self,
         spec: &DeploySpec,
         g: usize,
         opts: &AnalysisOptions,
+        computed: &mut u64,
     ) {
         let views = spec.gateway_views();
         let layout = spec.ring_layout();
         self.pairs[g] = PairFacts::compute(spec, &views[g], opts);
         self.ring[g] = RingContrib::compute(&layout, &views[g]);
-        let modes = compute_mode_facts(spec, opts, self);
-        self.modes = modes;
+        *computed += 1;
+        self.modes = compute_mode_facts(spec, opts, self, Some(g), computed);
     }
 }
 
@@ -255,6 +258,11 @@ pub(crate) struct ModeFacts {
     /// report of its equivalent single-mode candidate spec. Empty when the
     /// declaration is structurally invalid.
     pub(crate) reports: Vec<(String, Report)>,
+    /// Per declared mode (declaration order): the candidate's facts at the
+    /// declaring gateway. They depend on that gateway's streams alone, so
+    /// a delta on another gateway reuses them. Empty when the declaration
+    /// is structurally invalid.
+    pub(crate) candidates: Vec<(PairFacts, RingContrib)>,
 }
 
 /// The A12 closed-form worst-case transition-delay bound, decomposed into
@@ -338,10 +346,10 @@ pub struct ModeReport {
 
 /// The per-mode A11 candidate reports of every structurally valid
 /// declaration in `spec.modes`, computed through the incremental facts
-/// cache (each mode costs one gateway re-evaluation, not a full
+/// cache (each mode costs at most one gateway re-evaluation, not a full
 /// analysis).
 pub fn mode_reports(spec: &DeploySpec, opts: &AnalysisOptions) -> Vec<ModeReport> {
-    let facts = Facts::compute(spec, opts);
+    let facts = Facts::compute(spec, opts, &mut 0);
     spec.modes
         .iter()
         .zip(&facts.modes)
@@ -358,10 +366,21 @@ pub fn mode_reports(spec: &DeploySpec, opts: &AnalysisOptions) -> Vec<ModeReport
 
 /// Evaluate rules A11–A13 for every [`DeploySpec::modes`] declaration
 /// against the cached base facts. Each declared mode is analysed as the
-/// equivalent single-mode candidate spec by cloning the base facts and
-/// re-evaluating only the owning gateway — the incremental path that makes
-/// N declared modes cost N gateway re-evaluations instead of N full runs.
-fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -> Vec<ModeFacts> {
+/// equivalent single-mode candidate spec: the base facts with the owning
+/// gateway's entry replaced by the candidate's, assembled into a report.
+///
+/// The candidate's facts at the owning gateway cost one [`PairFacts`]
+/// computation (added to `computed`) at most. A mode whose configuration
+/// is the committed one takes the base facts. When `touched` names the
+/// only gateway a delta changed and the declaration sits on another one,
+/// the candidates cached in `base.modes` still hold and are reused.
+fn compute_mode_facts(
+    spec: &DeploySpec,
+    opts: &AnalysisOptions,
+    base: &Facts,
+    touched: Option<usize>,
+    computed: &mut u64,
+) -> Vec<ModeFacts> {
     if spec.modes.is_empty() {
         return Vec::new();
     }
@@ -409,7 +428,11 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                         views.len()
                     ),
                 });
-                return ModeFacts { diags, reports };
+                return ModeFacts {
+                    diags,
+                    reports,
+                    candidates: Vec::new(),
+                };
             }
             let v = &views[g];
             let Some(local) = v.streams.iter().position(|s| s.name == decl.stream) else {
@@ -422,7 +445,11 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                         decl.stream
                     ),
                 });
-                return ModeFacts { diags, reports };
+                return ModeFacts {
+                    diags,
+                    reports,
+                    candidates: Vec::new(),
+                };
             };
             let flat = offsets[g] + local;
             let loc = Location::Stream {
@@ -466,28 +493,49 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                 }
             }
             if !structural_ok {
-                return ModeFacts { diags, reports };
+                return ModeFacts {
+                    diags,
+                    reports,
+                    candidates: Vec::new(),
+                };
             }
 
             // A11 — per-mode candidate reports from the cached base facts:
-            // clone, re-evaluate the one owning gateway, assemble.
-            let mut mode_taus = Vec::new();
-            let mut mode_rings = Vec::new();
-            for m in &decl.modes {
+            // substitute the owning gateway's candidate facts, assemble.
+            let cached = match touched {
+                Some(t) if t != g => Some(&base.modes[di].candidates),
+                _ => None,
+            };
+            let layout = spec.ring_layout();
+            let mut candidates = Vec::with_capacity(decl.modes.len());
+            for (mi, m) in decl.modes.iter().enumerate() {
                 let candidate = spec
                     .single_mode_candidate(g, &decl.stream, &m.config)
                     .expect("declaration validated above");
+                let cv = candidate.gateway_views();
+                let facts = if let Some(cached) = cached {
+                    cached[mi].clone()
+                } else if cv[g].streams[local] == v.streams[local] {
+                    (base.pairs[g].clone(), base.ring[g].clone())
+                } else {
+                    *computed += 1;
+                    (
+                        PairFacts::compute(&candidate, &cv[g], opts),
+                        RingContrib::compute(&layout, &cv[g]),
+                    )
+                };
                 let mut cf = Facts {
                     pairs: base.pairs.clone(),
                     ring: base.ring.clone(),
                     tdm: base.tdm.clone(),
                     modes: Vec::new(),
                 };
-                cf.recompute_gateway(&candidate, g, opts);
-                mode_taus.push(cf.pairs[g].taus[local]);
-                mode_rings.push(cf.ring[g].clone());
+                (cf.pairs[g], cf.ring[g]) = facts.clone();
                 reports.push((m.name.clone(), assemble_report(&candidate, &cf)));
+                candidates.push(facts);
             }
+            let mode_taus: Vec<u64> = candidates.iter().map(|(p, _)| p.taus[local]).collect();
+            let mode_rings: Vec<&RingContrib> = candidates.iter().map(|(_, r)| r).collect();
             let mut all_admissible = true;
             for (name, r) in &reports {
                 if !r.is_accepted() {
@@ -622,7 +670,6 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                     });
                 }
             }
-            let layout = spec.ring_layout();
             let mut worst_ring = base.ring[g].clone();
             for c in &mode_rings {
                 for h in 0..layout.nodes {
@@ -680,7 +727,11 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                     ),
                 });
             }
-            ModeFacts { diags, reports }
+            ModeFacts {
+                diags,
+                reports,
+                candidates,
+            }
         })
         .collect()
 }
@@ -834,6 +885,19 @@ fn check_structure(
             ok[i] = false;
             continue;
         }
+        if s.eta_in > ETA_LIMIT {
+            diags.push(Diagnostic {
+                rule: RuleId::A1Liveness,
+                severity: Severity::Error,
+                location: stream_loc(view, offset, i),
+                message: format!(
+                    "eta_in = {} is outside the modelled range: rule A1 evaluates the \
+                     Fig. 5 model for block sizes up to {ETA_LIMIT} (2^20)",
+                    s.eta_in
+                ),
+            });
+            ok[i] = false;
+        }
         if s.eta_out > s.eta_in {
             diags.push(Diagnostic {
                 rule: RuleId::A1Liveness,
@@ -942,8 +1006,10 @@ fn check_throughput(
     }
     if ok.iter().all(|&v| v) {
         // Report the Algorithm 1 minimum for context: how much slack the
-        // configured block sizes leave.
-        if let Ok(min) = streamgate_core::solve_blocksizes_checked(prob) {
+        // configured block sizes leave. The least fixpoint is the minimum
+        // (the ILP cross-checks it in tests); a solve that overflows or
+        // gives up near saturation leaves it out.
+        if let Ok(min) = streamgate_core::solve_blocksizes_fixpoint(prob) {
             diags.push(Diagnostic {
                 rule: RuleId::A3Throughput,
                 severity: Severity::Info,
@@ -1347,9 +1413,10 @@ fn check_credits(spec: &DeploySpec, view: &GatewayView, diags: &mut Vec<Diagnost
     }
 }
 
-/// A1 — liveness of the per-stream Fig. 5 CSDF model, checked with the
-/// `dataflow` machinery: consistency (repetition vector) and deadlock-free
-/// self-timed execution of two blocks.
+/// A1 — liveness of the per-stream Fig. 5 CSDF model: deadlock-free
+/// self-timed execution of two blocks, evaluated by
+/// [`streamgate_core::run_fig5`] (the model is consistent by construction:
+/// every actor fires η times per block).
 fn check_liveness(
     spec: &DeploySpec,
     view: &GatewayView,
@@ -1403,34 +1470,28 @@ fn check_liveness(
             alpha3: alpha3_scaled,
             ni_depth: spec.ni_depth as u64,
         };
-        let model = fig5_csdf(&p);
-        match streamgate_dataflow::simulate(&model.graph, 2) {
-            Err(e) => diags.push(Diagnostic {
-                rule: RuleId::A1Liveness,
-                severity: Severity::Error,
-                location: stream_loc(view, offset, i),
-                message: format!("the Fig. 5 CSDF model is inconsistent: {e:?}"),
-            }),
-            Ok(trace) if trace.deadlocked => diags.push(Diagnostic {
+        let run = run_fig5(&p, 2);
+        diags.push(if run.deadlocked {
+            Diagnostic {
                 rule: RuleId::A1Liveness,
                 severity: Severity::Error,
                 location: stream_loc(view, offset, i),
                 message: "self-timed execution of the Fig. 5 model deadlocks before \
                           completing two blocks"
                     .into(),
-            }),
-            Ok(trace) => diags.push(Diagnostic {
+            }
+        } else {
+            Diagnostic {
                 rule: RuleId::A1Liveness,
                 severity: Severity::Info,
                 location: stream_loc(view, offset, i),
                 message: format!(
                     "per-stream CSDF model is consistent and live: two blocks \
                      ({} consumer firings) complete by t = {}",
-                    trace.firing_count(model.v_c),
-                    trace.end_time
+                    run.consumer_firings, run.end_time
                 ),
-            }),
-        }
+            }
+        });
     }
 }
 

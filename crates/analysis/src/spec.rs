@@ -49,11 +49,17 @@ pub struct StreamDeploy {
 /// Largest numerator or denominator of a stream rate μ the analyzer
 /// models: 2⁴⁰ ≈ 1.1·10¹² (one sample per ~6 minutes at 3 GHz). A larger
 /// term is a structural A3 error. The bound keeps ⌊1/μ⌋ inside `u64`, the
-/// A2 cycle weights `q·dur − p·delay` inside `i128`, and a single stream's
-/// Algorithm 1 solve inside the exact simplex's `i128` range. It does not
-/// cover several streams with large, pairwise coprime denominators on one
-/// pair: the simplex multiplies them and can still overflow.
+/// A2 cycle weights `q·dur − p·delay` inside `i128`. Several streams with
+/// large, pairwise coprime denominators on one pair can still overflow the
+/// exact utilisation sum.
 pub const MU_TERM_LIMIT: i128 = 1 << 40;
+
+/// Largest block size `eta_in` the rules model. Rule A1 evaluates the
+/// Fig. 5 model with [`streamgate_core::run_fig5`], whose time grows with
+/// η where the chain reaches no steady state within a block (about 0.2 s
+/// at this limit); a larger block is a structural A1 error, and rule A1
+/// skips the stream. Far above the paper's largest block (PAL's 10 136).
+pub const ETA_LIMIT: u64 = 1 << 20;
 
 impl StreamDeploy {
     /// True iff μ is positive with numerator and denominator at most

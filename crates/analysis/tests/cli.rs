@@ -203,3 +203,29 @@ fn malformed_profile_exits_two_not_a_crash() {
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("cannot parse profile"), "{err}");
 }
+
+#[test]
+fn huge_block_size_exits_two_not_a_crash() {
+    // fig6 with η = 2³²: above the modelled block size, so A1 rejects it
+    // instead of building (and allocating) an η-phase model.
+    let mut spec = streamgate_analysis::DeploySpec::fig6();
+    let s = &mut spec.streams[0];
+    s.eta_in = 1 << 32;
+    s.eta_out = 1 << 32;
+    s.input_capacity = 1 << 34;
+    s.output_capacity = 1 << 34;
+
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("huge-eta.json");
+    std::fs::write(&file, spec.to_json_text()).unwrap();
+
+    let out = analyze(&["--spec", file.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{text}");
+    assert!(text.contains("verdict: REJECTED"), "{text}");
+    assert!(
+        text.contains("eta_in = 4294967296 is outside the modelled range"),
+        "{text}"
+    );
+}

@@ -12,7 +12,7 @@ use common::{fast_options, run_saturated, run_saturated_multi};
 use streamgate_analysis::{analyze, analyze_with, ChainStage, DeploySpec, StreamDeploy};
 use streamgate_analysis::{
     analyze_profiled, json, parse_delta_script, parse_profile, AnalysisOptions, AnalysisState,
-    Delta, Json, Report, RuleId, Severity, MU_TERM_LIMIT,
+    Delta, Json, Report, RuleId, Severity, ETA_LIMIT, MU_TERM_LIMIT,
 };
 use streamgate_core::system_metrics;
 use streamgate_ilp::Rational;
@@ -476,4 +476,58 @@ fn code_built_profile_with_extreme_windows_does_not_overflow() {
     let spec = DeploySpec::pal_scaled();
     let report = analyze_profiled(&spec, &AnalysisOptions::default(), Some(&p));
     assert!(report.is_accepted(), "{}", report.render_text());
+}
+
+/// The `fig6` preset scaled to block size `eta`, both buffers at 4η.
+fn fig6_with_eta(eta: u64) -> DeploySpec {
+    let mut spec = DeploySpec::fig6();
+    let s = &mut spec.streams[0];
+    s.eta_in = eta;
+    s.eta_out = eta;
+    s.input_capacity = 4 * eta;
+    s.output_capacity = 4 * eta;
+    spec
+}
+
+/// Fault 10 — a block the generic CSDF run could not finish: at η = 4096
+/// the free-running producer used to spend `simulate`'s firing cap
+/// (Σ targets + 1000) first, and A1's Info claimed two blocks complete
+/// after 7958 consumer firings. Expected: A1 counts both blocks, 8192
+/// firings.
+#[test]
+fn a1_reports_two_real_blocks_at_large_eta() {
+    let report = analyze_with(&fig6_with_eta(4096), &fast_options());
+    assert!(report.is_accepted(), "{}", report.render_text());
+    let a1 = report
+        .diagnostics
+        .iter()
+        .find(|d| d.rule == RuleId::A1Liveness && d.severity == Severity::Info)
+        .expect("A1 info");
+    assert!(
+        a1.message.contains("two blocks (8192 consumer firings)"),
+        "{}",
+        a1.message
+    );
+}
+
+/// Fault 11 — a block size above `ETA_LIMIT`: A1's evaluation time grows
+/// with η, and the generic run allocated η-long phase tables (32 GiB at
+/// η = 2³²). Expected: a structural **A1 Error** and a rejection.
+#[test]
+fn eta_above_the_limit_is_an_a1_error_not_an_allocation() {
+    for eta in [ETA_LIMIT + 1, 1 << 32] {
+        let report = analyze_with(&fig6_with_eta(eta), &fast_options());
+        assert!(!report.is_accepted());
+        let err = report
+            .diagnostics
+            .iter()
+            .find(|d| d.rule == RuleId::A1Liveness && d.severity == Severity::Error)
+            .expect("A1 error");
+        assert!(
+            err.message
+                .contains(&format!("block sizes up to {ETA_LIMIT}")),
+            "{}",
+            err.message
+        );
+    }
 }

@@ -12,12 +12,14 @@
 //!
 //! * [`solve_blocksizes_ilp`] — the literal ILP, handed to the exact
 //!   branch-and-bound solver of `streamgate-ilp`;
-//! * [`solve_blocksizes_fixpoint`] — a Kleene iteration on the monotone
-//!   operator `F(η)_s = ⌈μ_s (c0 Σ(η_i + 2) + c1)⌉`: starting from all-ones
-//!   it converges to the least fixpoint, which is the componentwise-minimal
-//!   feasible vector and therefore also the Σ-minimal one.
+//! * [`solve_blocksizes_fixpoint`] — the least fixpoint of the monotone
+//!   operator `F(η)_s = max(1, ⌈μ_s (c0 Σ(η_i + 2) + c1)⌉)`, which is the
+//!   componentwise-minimal feasible vector and therefore also the
+//!   Σ-minimal one, by Kleene iteration from the ceiling-free relaxation
+//!   (two rounds for one stream, whose minimum has a closed form).
 //!
-//! Agreement of the two is asserted in tests and in experiment E5.
+//! The analyzer runs the fixpoint. Agreement of the two is asserted in
+//! tests and in experiment E5 ([`solve_blocksizes_checked`]).
 
 use crate::params::SharingProblem;
 use streamgate_ilp::{solve_ilp, IlpOptions, IlpStatus, LinExpr, Problem, Rational, Sense};
@@ -37,8 +39,11 @@ pub enum BlockSizeError {
     /// No block sizes can satisfy the throughput constraints
     /// (`c0 · Σ μ_s ≥ 1`).
     Infeasible,
-    /// The ILP solver gave up (node limit) — never observed for sane inputs.
+    /// A solver gave up: the ILP's node limit, or the fixpoint's round
+    /// limit within about 2⁻¹⁶ of saturation.
     SolverLimit,
+    /// The exact `i128` arithmetic would overflow.
+    Overflow,
 }
 
 impl std::fmt::Display for BlockSizeError {
@@ -47,7 +52,8 @@ impl std::fmt::Display for BlockSizeError {
             BlockSizeError::Infeasible => {
                 write!(f, "throughput constraints infeasible: c0 · Σ μ_s ≥ 1")
             }
-            BlockSizeError::SolverLimit => write!(f, "ILP node limit exhausted"),
+            BlockSizeError::SolverLimit => write!(f, "solver iteration limit exhausted"),
+            BlockSizeError::Overflow => write!(f, "exact arithmetic overflows i128"),
         }
     }
 }
@@ -109,36 +115,96 @@ pub fn solve_blocksizes_ilp(prob: &SharingProblem) -> Result<BlockSizes, BlockSi
     }
 }
 
-/// Solve Algorithm 1 by least-fixpoint iteration (independent cross-check).
+/// Rounds after which [`solve_blocksizes_fixpoint`] gives up. Each round
+/// costs one integer pass over the streams, so the cap bounds the solve to
+/// a few milliseconds; several streams reach it only within about 2⁻¹⁶ of
+/// saturation.
+const FIXPOINT_ROUND_LIMIT: u32 = 1 << 16;
+
+/// Solve Algorithm 1 by least-fixpoint iteration, in exact `i128`
+/// arithmetic. This is the solver the analyzer runs; [`solve_blocksizes_ilp`]
+/// is its cross-check.
+///
+/// With `Σ = Σ_i η_i`, the operator is `F(η)_s = max(1, ⌈μ_s(c0(Σ + 2n) +
+/// c1)⌉)`, so its least fixpoint is the least fixpoint `Σ*` of the scalar
+/// map `G(Σ) = Σ_s F_s(Σ)`. The iteration starts from the fixpoint of the
+/// ceiling-free relaxation, `Σ_lo = (2n·U + c1·Σμ)/(1 − U)` with
+/// `U = c0·Σμ`, which no fixpoint undercuts. One stream then needs two
+/// rounds: its minimum is the closed form `max(1, ⌈μ(2c0 + c1)/(1 − c0μ)⌉)
+/// = max(1, ⌈Σ_lo⌉)`. Several streams give up with
+/// [`BlockSizeError::SolverLimit`] after 2¹⁶ rounds. Overflow is
+/// [`BlockSizeError::Overflow`], never a panic.
 pub fn solve_blocksizes_fixpoint(prob: &SharingProblem) -> Result<BlockSizes, BlockSizeError> {
-    if !prob.is_feasible() {
+    let util = prob.checked_utilisation().ok_or(BlockSizeError::Overflow)?;
+    if util >= Rational::ONE {
         return Err(BlockSizeError::Infeasible);
     }
-    let n = prob.streams.len();
-    let c0 = Rational::from_int(prob.params.c0() as i128);
-    let c1 = Rational::from_int(prob.c1() as i128);
-    let mut eta: Vec<u64> = vec![1; n];
-    // The least fixpoint exists (feasibility checked); iterate to it.
-    // Each round only increases η, and η is bounded by the feasible point,
-    // so termination is guaranteed; the cap is a belt-and-braces guard.
-    for _round in 0..10_000_000 {
-        let sum: u64 = eta.iter().map(|e| e + 2).sum();
-        let base = c0 * Rational::from_int(sum as i128) + c1;
-        let mut changed = false;
-        for (e, stream) in eta.iter_mut().zip(&prob.streams) {
-            let need = stream.mu * base;
-            let want = need.ceil().max(1) as u64;
-            if want > *e {
-                *e = want;
-                changed = true;
-            }
+    let etas = least_fixpoint(prob, util)?
+        .into_iter()
+        .map(|eta| u64::try_from(eta).ok())
+        .collect::<Option<Vec<u64>>>()
+        .ok_or(BlockSizeError::Overflow)?;
+    let c0 = prob.params.c0();
+    let gamma = prob
+        .streams
+        .iter()
+        .zip(&etas)
+        .try_fold(0u64, |acc, (s, &eta)| {
+            let tau = eta
+                .checked_add(2)?
+                .checked_mul(c0)?
+                .checked_add(s.reconfig)?;
+            acc.checked_add(tau)
+        })
+        .ok_or(BlockSizeError::Overflow)?;
+    Ok(BlockSizes { etas, gamma })
+}
+
+/// The least fixpoint of Algorithm 1's operator for a feasible problem of
+/// utilisation `util < 1` (see [`solve_blocksizes_fixpoint`]).
+fn least_fixpoint(prob: &SharingProblem, util: Rational) -> Result<Vec<i128>, BlockSizeError> {
+    let n = prob.streams.len() as i128;
+    let c0 = prob.params.c0() as i128;
+    let c1: i128 = prob.streams.iter().map(|s| s.reconfig as i128).sum();
+    // F_s at Σ: max(1, ⌈p(c0(Σ + 2n) + c1)/q⌉) for μ_s = p/q.
+    let f = |sum: i128| -> Option<Vec<i128>> {
+        let base = sum.checked_add(2 * n)?.checked_mul(c0)?.checked_add(c1)?;
+        prob.streams
+            .iter()
+            .map(|s| Some(ceil_div(s.mu.numer().checked_mul(base)?, s.mu.denom()).max(1)))
+            .collect()
+    };
+    let lo = prob
+        .streams
+        .iter()
+        .try_fold(Rational::ZERO, |acc, s| acc.checked_add(&s.mu))
+        .and_then(|mu_sum| {
+            let fill = Rational::from_int(2 * n).checked_mul(&util)?;
+            let reconfig = Rational::from_int(c1).checked_mul(&mu_sum)?;
+            let slack = Rational::ONE.checked_add(&-util)?;
+            fill.checked_add(&reconfig)?.checked_mul(&slack.recip())
+        })
+        .ok_or(BlockSizeError::Overflow)?;
+    // Kleene iteration from below: G is monotone and G(Σ) ≥ Σ for every
+    // Σ ≤ Σ_lo, so the iterates rise to the least fixpoint.
+    let mut sum = lo.floor();
+    for _ in 0..FIXPOINT_ROUND_LIMIT {
+        let etas = f(sum).ok_or(BlockSizeError::Overflow)?;
+        let next = etas
+            .iter()
+            .try_fold(0i128, |acc, &e| acc.checked_add(e))
+            .ok_or(BlockSizeError::Overflow)?;
+        if next <= sum {
+            return Ok(etas);
         }
-        if !changed {
-            let gamma = prob.gamma(&eta);
-            return Ok(BlockSizes { etas: eta, gamma });
-        }
+        sum = next;
     }
-    unreachable!("fixpoint iteration diverged on a feasible problem")
+    Err(BlockSizeError::SolverLimit)
+}
+
+/// `⌈a / b⌉` for `b > 0`.
+fn ceil_div(a: i128, b: i128) -> i128 {
+    a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
 }
 
 /// Solve with both methods and assert they agree (used by E5 and tests).
@@ -188,20 +254,49 @@ mod tests {
         assert!(!prob.satisfies_throughput(&[1]), "η−1 must violate");
     }
 
+    /// A seeded xorshift generator for the random problems below.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(12345);
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Both solvers agree on `prob`, and every component of the answer is
+    /// tight (reducing any η by 1 violates some constraint).
+    fn assert_solvers_agree(prob: &SharingProblem, case: &str) {
+        assert!(prob.is_feasible(), "{case}");
+        let r = solve_blocksizes_checked(prob).unwrap();
+        assert!(prob.satisfies_throughput(&r.etas), "{case}");
+        for s in 0..r.etas.len() {
+            if r.etas[s] > 1 {
+                let mut smaller = r.etas.clone();
+                smaller[s] -= 1;
+                assert!(
+                    !prob.satisfies_throughput(&smaller),
+                    "{case}: η[{s}] not minimal: {:?}",
+                    r.etas
+                );
+            }
+        }
+    }
+
     #[test]
     fn solvers_agree_on_random_problems() {
+        // The ILP (the paper's formulation) cross-checks the least fixpoint
+        // the analyzer runs, on 1–4 streams from chain utilisation
+        // c0·Σμ ≤ 0.01 up to 1 − 2⁻¹².
+        //
+        // Low utilisation, each stream with its own denominator: η* is 1–2,
+        // so the max(1, ·) clamp and the iteration's start below n decide.
         for seed in 0..30u64 {
-            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(12345);
-            let mut rng = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
+            let mut rng = xorshift(seed);
             let n = 1 + (rng() % 4) as usize;
             let c0 = 1 + (rng() % 20);
             let reconfig = rng() % 5000;
-            // Keep total utilisation below 1.
             let mus: Vec<(i128, i128)> = (0..n)
                 .map(|_| {
                     let d = 100 + (rng() % 900) as i128;
@@ -209,23 +304,84 @@ mod tests {
                 })
                 .collect();
             let prob = small_problem(&mus, reconfig, c0);
-            assert!(prob.is_feasible(), "seed {seed}");
-            let r = solve_blocksizes_checked(&prob).unwrap();
-            // Minimality: every component is tight (reducing any η by 1
-            // violates some constraint).
-            assert!(prob.satisfies_throughput(&r.etas), "seed {seed}");
-            for s in 0..n {
-                if r.etas[s] > 1 {
-                    let mut smaller = r.etas.clone();
-                    smaller[s] -= 1;
-                    assert!(
-                        !prob.satisfies_throughput(&smaller),
-                        "seed {seed}: η[{s}] not minimal: {:?}",
-                        r.etas
-                    );
-                }
+            assert!(prob.utilisation() <= rat(1, 100), "low seed {seed}");
+            assert_solvers_agree(&prob, &format!("low seed {seed}"));
+        }
+        // Near saturation: c0·Σμ = (1 − 2⁻ᵏ)·(1 − Σj/((2ᵏ − 1)·W)) for
+        // weights w_s and small reductions j_s < w_s. The streams share one
+        // denominator, so the exact simplex stays inside i128.
+        for seed in 0..60u64 {
+            let mut rng = xorshift(seed);
+            let n = 1 + (rng() % 4) as usize;
+            let c0 = 1 + (rng() % 20);
+            let reconfig = rng() % 5000;
+            let k = 1 + rng() % 12;
+            let weights: Vec<i128> = (0..n).map(|_| 1 + (rng() % 100) as i128).collect();
+            let w: i128 = weights.iter().sum();
+            let den = (1i128 << k) * c0 as i128 * w;
+            let mus: Vec<(i128, i128)> = weights
+                .iter()
+                .map(|&ws| {
+                    (
+                        ((1i128 << k) - 1) * ws - (rng() % 2) as i128 * (rng() as i128 % ws),
+                        den,
+                    )
+                })
+                .collect();
+            let prob = small_problem(&mus, reconfig, c0);
+            assert_solvers_agree(&prob, &format!("saturated seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn near_saturation_single_stream_is_closed_form() {
+        // c0 = 15, R = 200, c0·μ = 1 − 2⁻ᵏ: η* = ⌈(2ᵏ − 1)·(2c0 + R)/15⌉.
+        for (k, want) in [(20, 16_078_150u64), (24, 257_250_630)] {
+            let prob = small_problem(&[((1 << k) - 1, 15 << k)], 200, 15);
+            let r = solve_blocksizes_fixpoint(&prob).unwrap();
+            assert_eq!(r.etas, vec![want], "1 - 2^-{k}");
+            assert_eq!(r.gamma, prob.gamma(&r.etas));
+            assert!(prob.satisfies_throughput(&r.etas));
+            assert!(!prob.satisfies_throughput(&[want - 1]));
+        }
+        // The ILP agrees once its optimum is far above the costs.
+        let prob = small_problem(&[((1 << 20) - 1, 15 << 20)], 200, 15);
+        assert_eq!(
+            solve_blocksizes_checked(&prob).unwrap().etas,
+            vec![16_078_150]
+        );
+    }
+
+    #[test]
+    fn near_saturation_several_streams_end_or_give_up() {
+        // Two and three streams within 2⁻²⁴ of saturation: the least
+        // fixpoint when the bounded iteration reaches it, else SolverLimit.
+        for n in 2..=3i128 {
+            let mus: Vec<(i128, i128)> = (0..n).map(|_| ((1 << 24) - 1, (15 * n) << 24)).collect();
+            let prob = small_problem(&mus, 200, 15);
+            match solve_blocksizes_fixpoint(&prob) {
+                Ok(r) => assert!(prob.satisfies_throughput(&r.etas), "{n} streams"),
+                Err(e) => assert_eq!(e, BlockSizeError::SolverLimit, "{n} streams"),
             }
         }
+    }
+
+    #[test]
+    fn overflow_is_an_error_not_a_panic() {
+        // Four rates with pairwise coprime denominators near 2⁴⁰: their
+        // exact sum needs about 2¹⁶⁰.
+        let dens = [
+            (1i128 << 40) - 87,
+            (1 << 40) - 167,
+            (1 << 40) - 195,
+            (1 << 40) - 203,
+        ];
+        let mus: Vec<(i128, i128)> = dens.iter().map(|&d| (1, d)).collect();
+        let prob = small_problem(&mus, 100, 10);
+        assert_eq!(
+            solve_blocksizes_fixpoint(&prob),
+            Err(BlockSizeError::Overflow)
+        );
     }
 
     #[test]

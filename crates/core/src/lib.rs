@@ -61,7 +61,7 @@ pub use buffers::{fig8_example, minimum_stream_buffers, sufficient_stream_buffer
 pub use chain::{build_shared_system, AccelDef, BuiltSystem, StreamDef, SystemSpec};
 pub use deploy::{build_pal_system, PalSystem, PalSystemConfig};
 pub use metrics::{gateway_metrics, BlockMeasurement, GatewayMetrics, StreamMetrics};
-pub use model::{fig5_csdf, fig6_schedule, Fig5Model, Fig5Params};
+pub use model::{fig5_csdf, fig6_schedule, run_fig5, Fig5Model, Fig5Params, Fig5Run};
 pub use monitor::{
     GatewayMonitorConfig, Monitor, MonitorConfig, StreamMonitorConfig, Violation, ViolationKind,
 };

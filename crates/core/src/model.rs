@@ -154,6 +154,327 @@ pub fn fig5_csdf(p: &Fig5Params) -> Fig5Model {
     }
 }
 
+/// What a self-timed execution of the Fig. 5 model reports: the three
+/// fields rule A1 reads from a [`streamgate_dataflow::SimTrace`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fig5Run {
+    /// True if no actor could make progress before the last block
+    /// completed.
+    pub deadlocked: bool,
+    /// Firings of v_C, counting one still in flight when the run stops.
+    pub consumer_firings: u64,
+    /// Time of the last event, in-flight firings included.
+    pub end_time: u64,
+}
+
+/// Execute the Fig. 5 model self-timed until every actor has completed
+/// `blocks` blocks (η firings each), without building the η-phase graph.
+///
+/// The five actors and nine edges of [`fig5_csdf`] become token counters
+/// and one in-flight slot per actor; the loop is the event loop of
+/// [`streamgate_dataflow::simulate()`]: start every enabled actor, stop once
+/// all targets are met, else complete every firing that ends next. The
+/// result equals that run's `deadlocked`, `firing_count(v_c)` and
+/// `end_time` whenever its `max_total_firings` cap does not stop it. This
+/// run has no cap: the model cannot livelock, because every v_P firing
+/// needs input-buffer space and every block ends with v_G1's last phase.
+///
+/// Two shortcuts keep the cost low without changing the result. Runs of
+/// v_P firings that complete before any other actor's next event are taken
+/// in one step. And once the chain v_G0 → v_A → v_G1 → v_C repeats its
+/// state from one v_G0 firing to the next inside a block, the rest of the
+/// block's regular phases are taken in one step. A block then costs its
+/// pipeline fill and drain, not η; without a steady state (a consumer
+/// slower than the chain) the cost grows with η. Needs η ≥ 1; α₀ or α₃
+/// below η deadlocks.
+pub fn run_fig5(p: &Fig5Params, blocks: u64) -> Fig5Run {
+    assert!(p.eta >= 1, "block size must be at least 1");
+    // The chain actors, indices into `busy`, `end` and `fired`.
+    const G0: usize = 0;
+    const A: usize = 1;
+    const G1: usize = 2;
+    const C: usize = 3;
+    let eta = p.eta as u64;
+    let target = blocks.saturating_mul(eta);
+    let first_phase = p.omega.saturating_add(p.reconfig).saturating_add(p.epsilon);
+    let mut vp = Producer {
+        rho: p.rho_p,
+        busy: false,
+        end: 0,
+        fired: 0,
+        b: 0,
+        b_space: p.alpha0,
+    };
+    // Tokens on the other edges, named as in `fig5_csdf`.
+    let (mut g0_a, mut a_g0_space) = (0u64, p.ni_depth);
+    let (mut a_g1, mut g1_a_space) = (0u64, p.ni_depth);
+    let (mut d, mut d_space) = (0u64, p.alpha3);
+    let mut idle = 1u64;
+    let (mut g0_phase, mut g1_phase) = (0u64, 0u64);
+    let mut busy = [false; 4];
+    let mut end = [0u64; 4];
+    let mut fired = [0u64; 4];
+    let mut now = 0u64;
+    let mut deadlocked = false;
+    // The chain's state right after v_G0's previous completion.
+    let mut last: Option<ChainState> = None;
+    let mut g0_completed = false;
+    loop {
+        // Start every enabled actor. Starting only consumes tokens on the
+        // actor's own input edges, so one pass in any order suffices.
+        if !vp.busy && vp.b_space >= 1 {
+            vp.b_space -= 1;
+            vp.busy = true;
+            vp.end = now.saturating_add(vp.rho);
+        }
+        if !busy[G0]
+            && a_g0_space >= 1
+            && (g0_phase > 0 || (vp.b >= eta && d_space >= eta && idle >= 1))
+        {
+            a_g0_space -= 1;
+            let dur = if g0_phase == 0 {
+                vp.b -= eta;
+                d_space -= eta;
+                idle -= 1;
+                first_phase
+            } else {
+                p.epsilon
+            };
+            busy[G0] = true;
+            end[G0] = now.saturating_add(dur);
+        }
+        if !busy[A] && g0_a >= 1 && g1_a_space >= 1 {
+            g0_a -= 1;
+            g1_a_space -= 1;
+            busy[A] = true;
+            end[A] = now.saturating_add(p.rho_a);
+        }
+        if !busy[G1] && a_g1 >= 1 {
+            a_g1 -= 1;
+            busy[G1] = true;
+            end[G1] = now.saturating_add(p.delta);
+        }
+        if !busy[C] && d >= 1 {
+            d -= 1;
+            busy[C] = true;
+            end[C] = now.saturating_add(p.rho_c);
+        }
+        if vp.fired >= target && fired.iter().all(|&f| f >= target) {
+            break;
+        }
+
+        // Steady state: if the chain's tokens and remaining firing times
+        // equal those one v_G0 completion ago, and that step ran regular
+        // phases only (neither v_G0's first phase, whose completion frees
+        // input space, nor its last, after which the first starts), every
+        // later step repeats it, one firing per chain actor, until v_G0
+        // would start its first phase again. v_G1 and v_C trail v_G0 in
+        // the same block, so v_G1's last phase does not come up either.
+        // The jump also stops one v_C firing short of the target, so the
+        // run ends through the loop. That cap is defensive: v_C does not
+        // trail a repeating chain by a block in any run the oracle tests
+        // reach. v_P only feeds the next block meanwhile; it catches up to
+        // the new time at once, so v_G0 sees its tokens as the generic run
+        // would.
+        if g0_completed {
+            let here = ChainState {
+                now,
+                tokens: [g0_a, a_g0_space, a_g1, g1_a_space, d],
+                left: [G0, A, G1, C].map(|a| busy[a].then(|| end[a] - now)),
+                fired,
+                g0_phase,
+            };
+            match last {
+                Some(prev)
+                    if prev.g0_phase >= 1
+                        && here.g0_phase == prev.g0_phase + 1
+                        && here.tokens == prev.tokens
+                        && here.left == prev.left
+                        && (0..4).all(|a| here.fired[a] == prev.fired[a] + 1) =>
+                {
+                    let steps = (eta - 1 - g0_phase).min(target.saturating_sub(fired[C] + 1));
+                    let shift = steps.saturating_mul(now - prev.now);
+                    now = now.saturating_add(shift);
+                    for a in [G0, A, G1, C] {
+                        if busy[a] {
+                            end[a] = end[a].saturating_add(shift);
+                        }
+                        fired[a] += steps;
+                    }
+                    g0_phase += steps;
+                    g1_phase += steps;
+                    d_space = d_space.saturating_add(steps);
+                    vp.advance(now, u64::MAX);
+                    last = None;
+                }
+                _ => last = Some(here),
+            }
+        }
+
+        // v_P completions strictly before every other actor's next event
+        // change only `b`, so they are taken together, as long as none
+        // lifts `b` to the η that an idle v_G0 waits for in its first
+        // phase; if v_P runs out of input space on the way, its last
+        // completion sets the clock. With no chain actor busy and v_G0 not
+        // waiting on `b`, nothing v_P does enables anyone: it fires until
+        // its input space runs out, and the run deadlocks. Reaching the
+        // targets needs v_G0's last first phase, which needs every v_P
+        // target token, so no skipped completion can end the run.
+        let next_other = [G0, A, G1, C]
+            .into_iter()
+            .filter(|&a| busy[a])
+            .map(|a| end[a])
+            .min();
+        let by_block = if !busy[G0] && g0_phase == 0 && vp.b < eta {
+            eta - 1 - vp.b
+        } else {
+            u64::MAX
+        };
+        let ran_out = match next_other {
+            None if by_block == u64::MAX => vp.drain(),
+            _ => next_other
+                .unwrap_or(u64::MAX)
+                .checked_sub(1)
+                .and_then(|before| vp.advance(before, by_block)),
+        };
+        if let Some(t) = ran_out {
+            now = t;
+        }
+
+        // Complete every firing that ends next.
+        let Some(t) = [G0, A, G1, C]
+            .into_iter()
+            .filter(|&a| busy[a])
+            .map(|a| end[a])
+            .chain(vp.busy.then_some(vp.end))
+            .min()
+        else {
+            deadlocked = true;
+            break;
+        };
+        now = t;
+        if vp.busy && vp.end == t {
+            vp.busy = false;
+            vp.fired = vp.fired.saturating_add(1);
+            vp.b = vp.b.saturating_add(1);
+        }
+        g0_completed = busy[G0] && end[G0] == t;
+        for a in [G0, A, G1, C] {
+            if !busy[a] || end[a] != t {
+                continue;
+            }
+            busy[a] = false;
+            fired[a] += 1;
+            match a {
+                G0 => {
+                    g0_a += 1;
+                    if g0_phase == 0 {
+                        vp.b_space = vp.b_space.saturating_add(eta);
+                    }
+                    g0_phase = (g0_phase + 1) % eta;
+                }
+                A => {
+                    a_g0_space += 1;
+                    a_g1 += 1;
+                }
+                G1 => {
+                    g1_a_space += 1;
+                    d += 1;
+                    if g1_phase == eta - 1 {
+                        idle += 1;
+                    }
+                    g1_phase = (g1_phase + 1) % eta;
+                }
+                _ => d_space = d_space.saturating_add(1),
+            }
+        }
+    }
+    // Like `simulate`, count the firings still in flight and end at the
+    // last of them.
+    let end_time = [G0, A, G1, C]
+        .into_iter()
+        .filter(|&a| busy[a])
+        .map(|a| end[a])
+        .chain(vp.busy.then_some(vp.end))
+        .fold(now, u64::max);
+    Fig5Run {
+        deadlocked,
+        consumer_firings: fired[C] + u64::from(busy[C]),
+        end_time,
+    }
+}
+
+/// v_P of [`run_fig5`] with its output edge `b` and input-space edge
+/// `b_space`.
+struct Producer {
+    rho: u64,
+    busy: bool,
+    end: u64,
+    fired: u64,
+    b: u64,
+    b_space: u64,
+}
+
+impl Producer {
+    /// Complete at most `max` firings that end by `t`, each followed by a
+    /// restart while input space lasts. Returns the time of the last
+    /// completion if v_P ran out of input space.
+    fn advance(&mut self, t: u64, max: u64) -> Option<u64> {
+        if !self.busy || self.end > t {
+            return None;
+        }
+        let by_time = match self.rho {
+            0 => u64::MAX,
+            rho => (t - self.end) / rho + 1,
+        };
+        self.complete(by_time.min(max))
+    }
+
+    /// Complete every firing input space still allows, whenever they end.
+    /// Returns the time of the last one.
+    fn drain(&mut self) -> Option<u64> {
+        if self.busy {
+            self.complete(u64::MAX)
+        } else {
+            None
+        }
+    }
+
+    /// Complete the in-flight firing and up to `n − 1` back-to-back
+    /// restarts; returns the time of the last completion if input space
+    /// ran out first.
+    fn complete(&mut self, n: u64) -> Option<u64> {
+        let n = n.min(self.b_space.saturating_add(1));
+        if n == 0 {
+            return None;
+        }
+        let restarts = n.min(self.b_space);
+        self.b = self.b.saturating_add(n);
+        self.fired = self.fired.saturating_add(n);
+        self.b_space -= restarts;
+        let last = self.end.saturating_add((n - 1).saturating_mul(self.rho));
+        if restarts == n {
+            self.end = last.saturating_add(self.rho);
+            None
+        } else {
+            self.busy = false;
+            Some(last)
+        }
+    }
+}
+
+/// The chain's state right after a v_G0 completion in [`run_fig5`]:
+/// tokens on its five inner edges, each actor's remaining firing time
+/// (`None` when idle), completed firings and v_G0's next phase.
+#[derive(Clone, Copy)]
+struct ChainState {
+    now: u64,
+    tokens: [u64; 5],
+    left: [Option<u64>; 4],
+    fired: [u64; 4],
+    g0_phase: u64,
+}
+
 /// Execute the Fig. 5 model self-timed for `blocks` blocks and return the
 /// Gantt chart of Fig. 6 (rows v_P, v_G0, v_A, v_G1, v_C).
 pub fn fig6_schedule(p: &Fig5Params, blocks: u64) -> (Fig5Model, Gantt) {
@@ -270,6 +591,108 @@ mod tests {
         let t = simulate(&m.graph, 1).unwrap();
         let first = &t.firings[m.v_g0.index()][0];
         assert_eq!(first.end - first.start, 100 + 10 + 3);
+    }
+
+    #[test]
+    fn run_fig5_matches_the_generic_simulation() {
+        let slow_consumer = Fig5Params {
+            rho_c: 50,
+            alpha3: 4,
+            ..small()
+        };
+        let waiting = Fig5Params {
+            omega: 100,
+            ni_depth: 1,
+            ..small()
+        };
+        let no_ni_space = Fig5Params {
+            ni_depth: 0,
+            ..small()
+        };
+        // Zero durations but Ω: the chain repeats from the first phase on,
+        // and the next block's first phase starts only if v_P refills its
+        // output at the time the jump lands on.
+        let zero_times = Fig5Params {
+            eta: 18,
+            epsilon: 0,
+            rho_a: 0,
+            delta: 0,
+            reconfig: 0,
+            omega: 3,
+            rho_p: 0,
+            rho_c: 0,
+            alpha0: 19,
+            alpha3: 76,
+            ni_depth: 3,
+        };
+        for p in [small(), slow_consumer, waiting, no_ni_space, zero_times] {
+            let m = fig5_csdf(&p);
+            for blocks in 1..5 {
+                let t = simulate(&m.graph, blocks).unwrap();
+                let run = run_fig5(&p, blocks);
+                assert_eq!(run.deadlocked, t.deadlocked, "{p:?}, {blocks} blocks");
+                assert_eq!(run.consumer_firings, t.firing_count(m.v_c) as u64);
+                assert_eq!(run.end_time, t.end_time, "{p:?}, {blocks} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn run_fig5_completes_two_blocks_where_the_generic_cap_stops() {
+        // The fig6 stream scaled to η = 4096 with both buffers at 4η: the
+        // free-running producer spends the generic run's firing cap
+        // (Σ targets + 1000) before the consumer's 8192th firing.
+        let p = Fig5Params {
+            eta: 4096,
+            epsilon: 3,
+            rho_a: 1,
+            delta: 1,
+            reconfig: 12,
+            omega: 0,
+            rho_p: 6,
+            rho_c: 1,
+            alpha0: 4 * 4096,
+            alpha3: 4 * 4096,
+            ni_depth: 2,
+        };
+        let m = fig5_csdf(&p);
+        let capped = simulate(&m.graph, 2).unwrap();
+        assert!((capped.firing_count(m.v_c) as u64) < 8192);
+        let run = run_fig5(&p, 2);
+        assert!(!run.deadlocked);
+        assert_eq!(run.consumer_firings, 8192);
+    }
+
+    #[test]
+    fn run_fig5_stays_bounded_when_time_overflows() {
+        // No NI space deadlocks the chain at once, and a slow producer
+        // with 2⁶³ (or u64::MAX) input slots would fire past u64 time: v_P
+        // drains its space in one step. A first phase near u64::MAX
+        // saturates every later firing time and still completes both
+        // blocks.
+        let stuck = Fig5Params {
+            rho_p: 1 << 20,
+            alpha0: 1 << 63,
+            ni_depth: 0,
+            ..small()
+        };
+        for alpha0 in [1 << 63, u64::MAX] {
+            let run = run_fig5(&Fig5Params { alpha0, ..stuck }, 2);
+            assert!(run.deadlocked);
+            assert_eq!(run.consumer_firings, 0);
+        }
+        let late = Fig5Params {
+            reconfig: u64::MAX - 5,
+            ..stuck
+        };
+        let late = Fig5Params {
+            ni_depth: 2,
+            ..late
+        };
+        let run = run_fig5(&late, 2);
+        assert!(!run.deadlocked);
+        assert_eq!(run.consumer_firings, 8);
+        assert_eq!(run.end_time, u64::MAX);
     }
 
     #[test]

@@ -91,13 +91,22 @@ impl SharingProblem {
     /// `c0 · Σ_s μ_s < 1` — each sample of each stream occupies the chain
     /// for `c0` cycles regardless of blocking, and reconfiguration overhead
     /// only adds to that.
+    ///
+    /// Panics where exact `i128` arithmetic overflows; see
+    /// [`SharingProblem::checked_utilisation`].
     pub fn utilisation(&self) -> Rational {
+        self.checked_utilisation()
+            .expect("utilisation c0·Σμ overflows i128")
+    }
+
+    /// [`SharingProblem::utilisation`], or `None` where exact `i128`
+    /// arithmetic overflows (rates with large, pairwise coprime
+    /// denominators).
+    pub fn checked_utilisation(&self) -> Option<Rational> {
         let c0 = Rational::from_int(self.params.c0() as i128);
-        let mut acc = Rational::ZERO;
-        for s in &self.streams {
-            acc += c0 * s.mu;
-        }
-        acc
+        self.streams.iter().try_fold(Rational::ZERO, |acc, s| {
+            acc.checked_add(&c0.checked_mul(&s.mu)?)
+        })
     }
 
     /// True if the utilisation bound admits a solution.

@@ -107,9 +107,10 @@ impl Tableau {
         rc
     }
 
-    /// Run simplex iterations minimising `costs` with Bland's rule.
-    /// Returns `false` if unbounded.
-    fn optimise(&mut self, costs: &[Rational], max_pivots: usize) -> bool {
+    /// Run simplex iterations minimising `costs` with Bland's rule, letting
+    /// only columns `0..entering` enter the basis. Returns `false` if
+    /// unbounded.
+    fn optimise(&mut self, costs: &[Rational], entering: usize, max_pivots: usize) -> bool {
         loop {
             assert!(
                 self.pivots <= max_pivots,
@@ -117,7 +118,7 @@ impl Tableau {
             );
             let rc = self.reduced_costs(costs);
             // Bland: entering column = smallest index with negative reduced cost.
-            let enter = match (0..self.cols()).find(|&j| rc[j].is_negative()) {
+            let enter = match (0..entering).find(|&j| rc[j].is_negative()) {
                 Some(j) => j,
                 None => return true, // optimal
             };
@@ -258,7 +259,7 @@ pub fn solve_lp(problem: &Problem) -> LpSolution {
     for c in phase1.iter_mut().skip(art_base) {
         *c = Rational::ONE;
     }
-    let bounded = t.optimise(&phase1, max_pivots);
+    let bounded = t.optimise(&phase1, n_total, max_pivots);
     assert!(bounded, "phase-1 objective is bounded below by zero");
     if t.objective(&phase1).is_positive() {
         return LpSolution {
@@ -275,10 +276,9 @@ pub fn solve_lp(problem: &Problem) -> LpSolution {
                 t.pivot(r, j);
             }
             // If the whole row is zero the constraint was redundant; the
-            // artificial stays basic at value zero, which is harmless as long
-            // as it can never re-enter (phase-2 costs keep it at zero and we
-            // forbid entering artificial columns by giving them +inf-like
-            // cost: simply exclude via large positive cost below).
+            // artificial stays basic at value zero. Every pivot leaves that
+            // row zero outside the artificial columns, and phase 2 lets no
+            // artificial column enter, so it stays at zero.
         }
     }
 
@@ -291,24 +291,9 @@ pub fn solve_lp(problem: &Problem) -> LpSolution {
             Sense::Maximize => -coef,
         };
     }
-    // Forbid artificials from re-entering: give them a cost strictly worse
-    // than any reduced-cost improvement — since their columns are unit
-    // columns only in their own row and they sit at zero, a large positive
-    // cost keeps their reduced cost positive.
-    let big = {
-        let mut maxabs = Rational::ONE;
-        for c in &costs {
-            if c.abs() > maxabs {
-                maxabs = c.abs();
-            }
-        }
-        maxabs * Rational::from_int(1_000_000)
-    };
-    for c in costs.iter_mut().skip(art_base) {
-        *c = big;
-    }
-
-    if !t.optimise(&costs, max_pivots) {
+    // Artificial columns never re-enter: a basis holding one at a positive
+    // value is not a point of the feasible region.
+    if !t.optimise(&costs, art_base, max_pivots) {
         return LpSolution {
             status: LpStatus::Unbounded,
             objective: Rational::ZERO,

@@ -148,3 +148,32 @@ proptest! {
         prop_assert!(p.check_feasible(&ilp.values).is_none());
     }
 }
+
+/// Algorithm 1's one-stream block-size ILP at chain utilisation
+/// c0·μ = 1 − 2⁻²⁰ (c0 = 15, R = 200): minimise η subject to
+/// η − c0·μ·(η + 2) ≥ μ·R, η ≥ 1. Its optimum, 16 078 150, is far above
+/// any finite cost an artificial column could be given, so phase 2 must
+/// keep artificial columns out of the basis or it stops at an infeasible
+/// point (η = 1).
+#[test]
+fn optimum_far_above_the_costs_is_feasible() {
+    let util = rat((1 << 20) - 1, 1 << 20);
+    let mu = util * rat(1, 15);
+    let mut p = Problem::new();
+    let eta = p.add_int_var("eta");
+    let mut e = LinExpr::var(eta);
+    e.add_term(eta, -util);
+    let e = e + LinExpr::constant(-(util * rat(2, 1)));
+    p.ge(e, mu * rat(200, 1));
+    p.ge(LinExpr::var(eta), Rational::ONE);
+    p.set_objective(Sense::Minimize, LinExpr::var(eta));
+
+    let lp = solve_lp(&p);
+    assert_eq!(lp.status, LpStatus::Optimal);
+    assert!(p.check_feasible(&lp.values).is_none(), "{:?}", lp.values);
+    assert_eq!(lp.values[eta.index()], rat(16_078_150, 1));
+
+    let ilp = solve_ilp(&p, IlpOptions::default());
+    assert_eq!(ilp.status, IlpStatus::Optimal);
+    assert_eq!(ilp.values[eta.index()], rat(16_078_150, 1));
+}
