@@ -369,9 +369,12 @@ pub struct StreamBounds {
     pub stream: String,
     /// Configured block size η_s (input samples).
     pub eta_in: u64,
-    /// Worst-case block time τ̂_s = R_s + (η_s + 2)·c0 (Eq. 2), cycles.
+    /// Worst-case block time τ̂_s = R_s + (η_s + 2)·c0 (Eq. 2), cycles;
+    /// `u64::MAX` where it overflows (the report then carries a structural
+    /// Error).
     pub tau_hat: u64,
-    /// Worst-case waiting time Ω̂_s = Σ_{i≠s} τ̂_i (Eq. 3), cycles.
+    /// Worst-case waiting time Ω̂_s = Σ_{i≠s} τ̂_i (Eq. 3), cycles;
+    /// `u64::MAX` where the stream's round bound overflows.
     pub omega_hat: u64,
     /// Required throughput μ_s as an exact fraction (numerator, denominator)
     /// in samples/cycle.
@@ -432,10 +435,13 @@ pub struct Report {
     /// All findings, grouped by rule then severity (most severe first
     /// within a rule).
     pub diagnostics: Vec<Diagnostic>,
-    /// Worst-case round time γ = Σ_s τ̂_s (Eq. 4), cycles.
+    /// Worst-case round time γ = Σ_s τ̂_s (Eq. 4), cycles; `u64::MAX`
+    /// where a round bound overflows (the report then carries a structural
+    /// Error).
     pub gamma: u64,
     /// Aggregate chain utilisation c0·Σ_s μ_s as a fraction
     /// (numerator, denominator); must be < 1 for any block sizes to work.
+    /// The maximum over the pairs whose exact sum fits `i128`.
     pub utilisation: (i128, i128),
     /// Per-stream computed bounds.
     pub bounds: Vec<StreamBounds>,

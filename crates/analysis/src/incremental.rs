@@ -829,7 +829,7 @@ impl AdmissionController {
         stream: &str,
     ) -> Result<(u64, usize), AdmissionError> {
         let gamma = self.state.report().gamma.max(1);
-        let budget = self.idle_rounds * gamma + 4000;
+        let budget = self.idle_rounds.saturating_mul(gamma).saturating_add(4000);
         for _ in 0..8 {
             let idle = system.gateways[sysg].is_idle()
                 || system.run_until(budget, |s| s.gateways[sysg].is_idle());

@@ -73,9 +73,11 @@ pub(crate) struct PairFacts {
     pub(crate) diags: Vec<Diagnostic>,
     /// τ̂ per local stream: `R_s + (η_s + 2)·c0` (Eq. 2) with the pair's
     /// own `c0` — the input the system-scope round rule A8 consumes.
-    pub(crate) taus: Vec<u64>,
-    /// Aggregate chain utilisation `c0·Σμ` of the pair (Eq. 8).
-    pub(crate) util: Rational,
+    /// `None` where it overflows `u64` (a structural error).
+    pub(crate) taus: Vec<Option<u64>>,
+    /// Aggregate chain utilisation `c0·Σμ` of the pair (Eq. 8), `None`
+    /// where the exact sum overflows `i128` (a structural error).
+    pub(crate) util: Option<Rational>,
 }
 
 impl PairFacts {
@@ -87,14 +89,29 @@ impl PairFacts {
         let mut diags = Vec::new();
         let prob = view.sharing_problem();
         let etas = view.etas();
-        let gamma = if view.streams.is_empty() {
-            0
-        } else {
-            prob.gamma(&etas)
-        };
-        let util = prob.utilisation();
+        let taus: Vec<Option<u64>> = (0..etas.len())
+            .map(|i| prob.checked_tau_hat(i, etas[i]))
+            .collect();
+        let gamma = check_round_fits(view, &prob, &taus, &mut diags);
+        let util = prob.checked_utilisation();
+        if util.is_none() && view.streams.iter().all(StreamDeploy::rate_in_range) {
+            diags.push(rate_sum_overflow(
+                RuleId::A3Throughput,
+                gw_loc(spec, view),
+                "the aggregate chain utilisation c0*sum(mu) (Eq. 8)",
+            ));
+        }
         let structurally_ok = check_structure(spec, view, 0, &mut diags);
-        let throughput_ok = check_throughput(spec, view, 0, &prob, &etas, gamma, &util, &mut diags);
+        let throughput_ok = check_throughput(
+            spec,
+            view,
+            0,
+            &prob,
+            &etas,
+            gamma,
+            util.as_ref(),
+            &mut diags,
+        );
         check_buffers(
             spec,
             view,
@@ -108,14 +125,63 @@ impl PairFacts {
         );
         check_space_check(spec, view, 0, &mut diags);
         check_credits(spec, view, &mut diags);
-        check_liveness(spec, view, 0, &prob, &etas, structurally_ok, &mut diags);
-        let c0 = view.c0();
-        let taus = view
-            .streams
-            .iter()
-            .map(|s| s.reconfig + (s.eta_in + 2) * c0)
-            .collect();
+        check_liveness(spec, view, 0, &taus, gamma, structurally_ok, &mut diags);
         PairFacts { diags, taus, util }
+    }
+}
+
+/// Eq. 2–4 in `u64`: the pair's round `γ = Σ τ̂`, or `None` with one
+/// structural Error naming the stream whose τ̂, or whose addition to the
+/// sum, overflows. The rules that need γ skip the pair then, rather than
+/// quote a wrapped bound.
+fn check_round_fits(
+    view: &GatewayView,
+    prob: &SharingProblem,
+    taus: &[Option<u64>],
+    diags: &mut Vec<Diagnostic>,
+) -> Option<u64> {
+    let mut gamma = 0u64;
+    for (i, (s, tau)) in view.streams.iter().zip(taus).enumerate() {
+        let what = match tau {
+            None => format!(
+                "tau-hat = R + (eta_in + 2)*c0 = {} + ({} + 2)*{}",
+                s.reconfig,
+                s.eta_in,
+                prob.params.c0()
+            ),
+            Some(t) => match gamma.checked_add(*t) {
+                Some(g) => {
+                    gamma = g;
+                    continue;
+                }
+                None => format!("the pair's round gamma = sum of tau-hat, adding tau-hat = {t},"),
+            },
+        };
+        diags.push(Diagnostic {
+            rule: RuleId::A3Throughput,
+            severity: Severity::Error,
+            location: stream_loc(view, 0, i),
+            message: format!(
+                "{what} overflows u64: the round bounds (Eq. 2-4) cannot be computed, \
+                 so the rules that need gamma skip this pair"
+            ),
+        });
+        return None;
+    }
+    Some(gamma)
+}
+
+/// The structural Error for an exact rate sum that overflows `i128`:
+/// rates with large, pairwise coprime denominators.
+fn rate_sum_overflow(rule: RuleId, location: Location, what: &str) -> Diagnostic {
+    Diagnostic {
+        rule,
+        severity: Severity::Error,
+        location,
+        message: format!(
+            "{what} overflows i128: the rates' denominators are too large and \
+             coprime to sum exactly, so the rule cannot be checked"
+        ),
     }
 }
 
@@ -137,6 +203,9 @@ pub(crate) struct RingContrib {
     pub(crate) credit_max: Vec<Rational>,
     /// Data-ring hops this pair's blocks cross (deduplicated).
     pub(crate) hops: Vec<usize>,
+    /// False where an exact per-hop sum overflowed `i128`: the loads are
+    /// partial, and the ring rules report the overflow instead.
+    pub(crate) exact: bool,
 }
 
 impl RingContrib {
@@ -148,6 +217,7 @@ impl RingContrib {
             credit_min: vec![zero; layout.nodes],
             credit_max: vec![zero; layout.nodes],
             hops: Vec::new(),
+            exact: true,
         };
         let segs = layout.segments(view.index);
         for s in view.streams {
@@ -157,21 +227,34 @@ impl RingContrib {
                 Rational::new(s.eta_out as i128, s.eta_in as i128)
             };
             for (k, &(src, dst)) in segs.iter().enumerate() {
-                let wmin = if k == 0 { s.mu } else { s.mu * ratio };
+                let wmin = if k == 0 {
+                    Some(s.mu)
+                } else {
+                    s.mu.checked_mul(&ratio)
+                };
                 for h in layout.data_hops(src, dst) {
-                    c.data_min[h] += wmin;
-                    c.data_max[h] += s.mu;
+                    add_exact(&mut c.data_min[h], wmin, &mut c.exact);
+                    add_exact(&mut c.data_max[h], Some(s.mu), &mut c.exact);
                     if !c.hops.contains(&h) {
                         c.hops.push(h);
                     }
                 }
                 for h in layout.credit_hops(src, dst) {
-                    c.credit_min[h] += wmin;
-                    c.credit_max[h] += s.mu;
+                    add_exact(&mut c.credit_min[h], wmin, &mut c.exact);
+                    add_exact(&mut c.credit_max[h], Some(s.mu), &mut c.exact);
                 }
             }
         }
         c
+    }
+}
+
+/// `*acc += term` in exact arithmetic, or clear `exact` (leaving `acc`
+/// as it was) where the term is unknown or the sum overflows `i128`.
+fn add_exact(acc: &mut Rational, term: Option<Rational>, exact: &mut bool) {
+    match term.and_then(|t| acc.checked_add(&t)) {
+        Some(sum) => *acc = sum,
+        None => *exact = false,
     }
 }
 
@@ -290,9 +373,12 @@ pub struct TransitionBound {
 
 impl TransitionBound {
     /// Total worst-case cycles from the switch request to the new mode's
-    /// steady state.
+    /// steady state (saturating, like every phase).
     pub fn total(&self) -> u64 {
-        self.drain + self.align + self.save_restore + self.ramp
+        self.drain
+            .saturating_add(self.align)
+            .saturating_add(self.save_restore)
+            .saturating_add(self.ramp)
     }
 }
 
@@ -320,11 +406,19 @@ pub fn transition_delay_bound(
     } else {
         crate::profile::tau_margin(spec)
     };
+    // Saturating: a γ near `u64::MAX` (or the saturated γ of a report
+    // whose round bound overflows) must not wrap to a small bound.
     TransitionBound {
-        drain: 8 * (8 * gamma_old + 4000 + p),
+        drain: gamma_old
+            .saturating_mul(8)
+            .saturating_add(4000)
+            .saturating_add(p)
+            .saturating_mul(8),
         align: p,
-        save_restore: old.reconfig + new.reconfig,
-        ramp: gamma_new + margin * v.streams.len() as u64 + 16,
+        save_restore: old.reconfig.saturating_add(new.reconfig),
+        ramp: gamma_new
+            .saturating_add(margin.saturating_mul(v.streams.len() as u64))
+            .saturating_add(16),
     }
 }
 
@@ -534,7 +628,8 @@ fn compute_mode_facts(
                 reports.push((m.name.clone(), assemble_report(&candidate, &cf)));
                 candidates.push(facts);
             }
-            let mode_taus: Vec<u64> = candidates.iter().map(|(p, _)| p.taus[local]).collect();
+            let mode_taus: Vec<Option<u64>> =
+                candidates.iter().map(|(p, _)| p.taus[local]).collect();
             let mode_rings: Vec<&RingContrib> = candidates.iter().map(|(_, r)| r).collect();
             let mut all_admissible = true;
             for (name, r) in &reports {
@@ -614,26 +709,31 @@ fn compute_mode_facts(
             // worst-of-modes τ̂ of the switcher, and the additive A7 ring
             // loads stay under one flit/cycle with the switcher's
             // worst-of-modes contribution substituted in.
+            // A mode whose τ̂ overflows is inadmissible (A11): the
+            // worst case, and the windows it bounds, are unknown.
             let worst_tau = mode_taus
                 .iter()
                 .copied()
                 .chain([base.pairs[g].taus[local]])
-                .max()
-                .unwrap();
-            let mut taus_w: Vec<Vec<u64>> = base.pairs.iter().map(|p| p.taus.clone()).collect();
+                .try_fold(0u64, |m, t| Some(m.max(t?)));
+            let mut taus_w: Vec<Vec<Option<u64>>> =
+                base.pairs.iter().map(|p| p.taus.clone()).collect();
             taus_w[g][local] = worst_tau;
-            let tau_refs: Vec<&[u64]> = taus_w.iter().map(|t| t.as_slice()).collect();
+            let tau_refs: Vec<&[Option<u64>]> = taus_w.iter().map(|t| t.as_slice()).collect();
             let (gamma_w, _) = system_round_bounds_from_taus(&views, &tau_refs);
-            let mut interference_free = true;
+            let mut interference_free = worst_tau.is_some();
             for (gi, (_, s)) in views
                 .iter()
                 .flat_map(|w| w.streams.iter().map(move |s| (w, s)))
                 .enumerate()
             {
-                if gi == flat || !s.rate_in_range() || s.eta_in == 0 || gamma_w[gi] == 0 {
+                if gi == flat || !s.rate_in_range() || s.eta_in == 0 {
                     continue;
                 }
-                let gw = gamma_w[gi];
+                let (Some(gw), Some(worst_tau)) = (gamma_w[gi].filter(|&gw| gw != 0), worst_tau)
+                else {
+                    continue;
+                };
                 let sloc = Location::Stream {
                     index: gi,
                     name: s.name.clone(),
@@ -681,6 +781,8 @@ fn compute_mode_facts(
                     }
                 }
             }
+            let mut exact = mode_rings.iter().all(|c| c.exact)
+                && views.iter().all(|w| base.ring[w.index].exact);
             for ring_name in ["data", "credit"] {
                 for h in 0..layout.nodes {
                     let mut load = Rational::from_int(0);
@@ -690,13 +792,14 @@ fn compute_mode_facts(
                         } else {
                             &base.ring[w.index]
                         };
-                        load += if ring_name == "data" {
+                        let term = if ring_name == "data" {
                             c.data_min[h]
                         } else {
                             c.credit_min[h]
                         };
+                        add_exact(&mut load, Some(term), &mut exact);
                     }
-                    if load > Rational::ONE {
+                    if exact && load > Rational::ONE {
                         interference_free = false;
                         diags.push(Diagnostic {
                             rule: RuleId::A13TransitionInterference,
@@ -713,6 +816,17 @@ fn compute_mode_facts(
                         });
                     }
                 }
+            }
+            if !exact {
+                interference_free = false;
+                diags.push(rate_sum_overflow(
+                    RuleId::A13TransitionInterference,
+                    Location::Deployment,
+                    &format!(
+                        "a worst-of-modes ring load while '{}' transitions",
+                        decl.stream
+                    ),
+                ));
             }
             if interference_free {
                 diags.push(Diagnostic {
@@ -768,8 +882,8 @@ pub(crate) fn assemble_report(spec: &DeploySpec, facts: &Facts) -> Report {
     let mut offset = 0;
     for v in &views {
         let pf = &facts.pairs[v.index];
-        if pf.util > util_max {
-            util_max = pf.util;
+        if let Some(u) = pf.util.filter(|&u| u > util_max) {
+            util_max = u;
         }
         for d in &pf.diags {
             let mut d = d.clone();
@@ -788,7 +902,7 @@ pub(crate) fn assemble_report(spec: &DeploySpec, facts: &Facts) -> Report {
     }
 
     // System-scope rules A7–A10.
-    let taus: Vec<&[u64]> = facts.pairs.iter().map(|p| p.taus.as_slice()).collect();
+    let taus: Vec<&[Option<u64>]> = facts.pairs.iter().map(|p| p.taus.as_slice()).collect();
     let gamma_sys = check_system_round(spec, &views, &taus, &mut diags);
     check_ring(spec, &views, &facts.ring, &mut diags);
     check_config_bus(spec, &views, &mut diags);
@@ -803,12 +917,16 @@ pub(crate) fn assemble_report(spec: &DeploySpec, facts: &Facts) -> Report {
     let mut gi = 0;
     for v in &views {
         for (i, s) in v.streams.iter().enumerate() {
+            // Saturated where a bound overflows (a structural error).
             let tau_hat = facts.pairs[v.index].taus[i];
             bounds.push(StreamBounds {
                 stream: s.name.clone(),
                 eta_in: s.eta_in,
-                tau_hat,
-                omega_hat: gamma_sys[gi].saturating_sub(tau_hat),
+                tau_hat: tau_hat.unwrap_or(u64::MAX),
+                omega_hat: match (gamma_sys[gi], tau_hat) {
+                    (Some(g), Some(t)) => g.saturating_sub(t),
+                    _ => u64::MAX,
+                },
                 mu: (s.mu.numer(), s.mu.denom()),
             });
             gi += 1;
@@ -818,7 +936,11 @@ pub(crate) fn assemble_report(spec: &DeploySpec, facts: &Facts) -> Report {
     Report {
         deployment: spec.name.clone(),
         diagnostics: diags,
-        gamma: gamma_sys.iter().copied().max().unwrap_or(0),
+        gamma: gamma_sys
+            .iter()
+            .map(|g| g.unwrap_or(u64::MAX))
+            .max()
+            .unwrap_or(0),
         utilisation: (util_max.numer(), util_max.denom()),
         bounds,
     }
@@ -955,19 +1077,23 @@ fn check_throughput(
     offset: usize,
     prob: &SharingProblem,
     etas: &[u64],
-    gamma: u64,
-    util: &Rational,
+    gamma: Option<u64>,
+    util: Option<&Rational>,
     diags: &mut Vec<Diagnostic>,
 ) -> Vec<bool> {
     let mut ok = vec![true; view.streams.len()];
     if view.streams.is_empty() {
         return ok;
     }
-    if view.streams.iter().any(|s| !s.rate_in_range()) {
+    let (Some(gamma), Some(util), true) = (
+        gamma,
+        util,
+        view.streams.iter().all(StreamDeploy::rate_in_range),
+    ) else {
         // Structural error already reported; utilisation is meaningless.
         ok.iter_mut().for_each(|v| *v = false);
         return ok;
-    }
+    };
     if *util >= Rational::ONE {
         diags.push(Diagnostic {
             rule: RuleId::A3Throughput,
@@ -1036,12 +1162,11 @@ fn check_buffers(
     offset: usize,
     prob: &SharingProblem,
     etas: &[u64],
-    gamma: u64,
+    gamma: Option<u64>,
     throughput_ok: Vec<bool>,
     opts: &AnalysisOptions,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let gamma_r = Rational::from_int(gamma as i128);
     for (i, s) in view.streams.iter().enumerate() {
         if s.eta_in == 0 || s.eta_out == 0 {
             continue; // structural error already reported
@@ -1072,13 +1197,14 @@ fn check_buffers(
             });
             continue;
         }
-        if !s.rate_in_range() || !throughput_ok[i] {
+        // A3 passes only with γ known and every rate in range.
+        let (Some(gamma), true) = (gamma, throughput_ok[i]) else {
             continue; // no meaningful throughput-driven sizing
-        }
+        };
         // Influx during one worst-case round: the producer keeps writing at
         // μ while the round (γ cycles) serves every stream once.
-        let influx = (s.mu * gamma_r).ceil().max(0) as u64;
-        let sustained_in = s.eta_in + influx;
+        let influx = (s.mu * Rational::from_int(gamma as i128)).ceil().max(0) as u64;
+        let sustained_in = s.eta_in.saturating_add(influx);
         if s.input_capacity < sustained_in {
             diags.push(Diagnostic {
                 rule: RuleId::A2BufferCapacity,
@@ -1421,15 +1547,15 @@ fn check_liveness(
     spec: &DeploySpec,
     view: &GatewayView,
     offset: usize,
-    prob: &SharingProblem,
-    etas: &[u64],
+    taus: &[Option<u64>],
+    gamma: Option<u64>,
     structurally_ok: Vec<bool>,
     diags: &mut Vec<Diagnostic>,
 ) {
     for (i, s) in view.streams.iter().enumerate() {
-        if !structurally_ok[i] {
+        let (true, Some(gamma), Some(tau_hat)) = (structurally_ok[i], gamma, taus[i]) else {
             continue;
-        }
+        };
         // In the Fig. 5 model everything is counted in *input* samples;
         // scale the output capacity up-front (conservatively, floor).
         let alpha3_scaled = if s.eta_out <= s.eta_in {
@@ -1450,8 +1576,7 @@ fn check_liveness(
             });
             continue;
         }
-        let tau_hat = prob.tau_hat(i, etas[i]);
-        let omega = prob.gamma(etas) - tau_hat;
+        let omega = gamma - tau_hat;
         let rho_p = if s.mu.is_positive() {
             (s.mu.recip().floor().max(1)) as u64
         } else {
@@ -1514,9 +1639,9 @@ fn check_system_round(
     views: &[GatewayView],
     // τ̂ per view per local stream (Eq. 2 with the view's own c0), from
     // the cached per-pair facts.
-    taus: &[&[u64]],
+    taus: &[&[Option<u64>]],
     diags: &mut Vec<Diagnostic>,
-) -> Vec<u64> {
+) -> Vec<Option<u64>> {
     let (gamma_sys, gamma_local) = system_round_bounds_from_taus(views, taus);
 
     // Group utilisation: each admitted block claims the shared chain for
@@ -1530,18 +1655,32 @@ fn check_system_round(
         group_checked.push(v.group);
         let members: Vec<_> = views.iter().filter(|w| w.group == v.group).collect();
         if members.iter().all(|w| w.streams.is_empty())
-            || members
-                .iter()
-                .any(|w| w.streams.iter().any(|s| !s.rate_in_range()))
+            || members.iter().any(|w| {
+                w.streams
+                    .iter()
+                    .any(|s| !s.rate_in_range() || s.eta_in == 0)
+                    || taus[w.index].iter().any(Option::is_none)
+            })
         {
+            continue; // structural errors already reported
+        }
+        let util = members.iter().try_fold(Rational::ZERO, |acc, w| {
+            w.streams
+                .iter()
+                .zip(taus[w.index])
+                .try_fold(acc, |acc, (s, t)| {
+                    let t = Rational::new((*t)? as i128, s.eta_in as i128);
+                    acc.checked_add(&s.mu.checked_mul(&t)?)
+                })
+        });
+        let Some(util) = util else {
+            diags.push(rate_sum_overflow(
+                RuleId::A8SystemRound,
+                gw_loc(spec, v),
+                "the group's chain claim sum(mu*tau-hat/eta) (Eq. 3-4)",
+            ));
             continue;
-        }
-        let mut util = Rational::from_int(0);
-        for w in &members {
-            for (i, s) in w.streams.iter().enumerate() {
-                util += s.mu * Rational::new(taus[w.index][i] as i128, s.eta_in as i128);
-            }
-        }
+        };
         let shared = members.len() > 1;
         if util > Rational::ONE {
             diags.push(Diagnostic {
@@ -1576,10 +1715,13 @@ fn check_system_round(
         .flat_map(|v| v.streams.iter().map(move |s| (v, s)))
         .enumerate()
     {
-        if !s.rate_in_range() || gamma_sys[gi] == gamma_local[gi] {
+        let (Some(gamma_s), true) = (gamma_sys[gi], s.rate_in_range()) else {
+            continue;
+        };
+        if Some(gamma_s) == gamma_local[gi] {
             continue;
         }
-        let lhs = Rational::new(s.eta_in as i128, gamma_sys[gi] as i128);
+        let lhs = Rational::new(s.eta_in as i128, gamma_s as i128);
         if lhs < s.mu {
             diags.push(Diagnostic {
                 rule: RuleId::A8SystemRound,
@@ -1590,23 +1732,23 @@ fn check_system_round(
                 },
                 message: format!(
                     "throughput infeasible at system scope (Eq. 5): eta/gamma_s \
-                     = {}/{} < mu = {} once the co-owning pairs' claims on the \
+                     = {}/{gamma_s} < mu = {} once the co-owning pairs' claims on the \
                      shared chain are charged to {}'s round",
-                    s.eta_in, gamma_sys[gi], s.mu, v.name
+                    s.eta_in, s.mu, v.name
                 ),
             });
         }
     }
 
-    if !gamma_sys.is_empty() {
+    let known: Option<Vec<u64>> = gamma_sys.iter().copied().collect();
+    if let Some(max) = known.and_then(|g| g.into_iter().max()) {
         diags.push(Diagnostic {
             rule: RuleId::A8SystemRound,
             severity: Severity::Info,
             location: Location::Deployment,
             message: format!(
-                "system round bounds: max gamma_s = {} cycles over {} stream(s) \
+                "system round bounds: max gamma_s = {max} cycles over {} stream(s) \
                  on {} gateway pair(s)",
-                gamma_sys.iter().max().unwrap(),
                 gamma_sys.len(),
                 views.len()
             ),
@@ -1620,29 +1762,46 @@ fn check_system_round(
 /// assignment. Shared by rule A8 (committed τ̂) and rule A13
 /// (worst-of-modes τ̂ during a transition window). Returns
 /// `(gamma_sys, gamma_local)`.
-fn system_round_bounds_from_taus(views: &[GatewayView], taus: &[&[u64]]) -> (Vec<u64>, Vec<u64>) {
+///
+/// A bound is `None` where an input τ̂ is unknown or the sum overflows
+/// `u64`.
+fn system_round_bounds_from_taus(
+    views: &[GatewayView],
+    taus: &[&[Option<u64>]],
+) -> (Vec<Option<u64>>, Vec<Option<u64>>) {
     let mut gamma_sys = Vec::new();
     let mut gamma_local = Vec::new();
     for v in views {
-        let own: u64 = taus[v.index].iter().sum();
+        let own = sum_taus(taus[v.index]);
         let n_g = v.streams.len() as u64;
-        let mut interference = 0u64;
+        let mut interference = Some(0u64);
         for w in views {
             if w.index == v.index || w.group != v.group || w.streams.is_empty() {
                 continue;
             }
             let claims = n_g + 1;
-            let max_t = *taus[w.index].iter().max().unwrap();
-            let sum_t: u64 = taus[w.index].iter().sum();
             let n_h = w.streams.len() as u64;
-            interference += (claims * max_t).min(claims.div_ceil(n_h) * sum_t);
+            // The cheaper of the two charges; one that overflows is not it.
+            let charge = sum_taus(taus[w.index]).and_then(|sum_t| {
+                let max_t = taus[w.index].iter().flatten().copied().max()?;
+                let by_claims = claims.checked_mul(max_t);
+                let by_rounds = claims.div_ceil(n_h).checked_mul(sum_t);
+                by_claims.into_iter().chain(by_rounds).min()
+            });
+            interference = interference.zip(charge).and_then(|(a, b)| a.checked_add(b));
         }
+        let total = own.zip(interference).and_then(|(a, b)| a.checked_add(b));
         for _ in v.streams {
-            gamma_sys.push(own + interference);
+            gamma_sys.push(total);
             gamma_local.push(own);
         }
     }
     (gamma_sys, gamma_local)
+}
+
+/// `Σ τ̂` in `u64`, `None` where a τ̂ is unknown or the sum overflows.
+fn sum_taus(taus: &[Option<u64>]) -> Option<u64> {
+    taus.iter().try_fold(0u64, |acc, t| acc.checked_add((*t)?))
 }
 
 /// A7 — cross-gateway ring contention on the [`DeploySpec::ring_layout`]
@@ -1680,17 +1839,27 @@ fn check_ring(
 
     // Sum the cached per-pair contributions (view order, exact rationals —
     // identical to walking every stream of every pair directly).
+    let mut exact = true;
     for v in views {
         let c = &contribs[v.index];
+        exact &= c.exact;
         for h in 0..layout.nodes {
-            data_min[h] += c.data_min[h];
-            data_max[h] += c.data_max[h];
-            credit_min[h] += c.credit_min[h];
-            credit_max[h] += c.credit_max[h];
+            add_exact(&mut data_min[h], Some(c.data_min[h]), &mut exact);
+            add_exact(&mut data_max[h], Some(c.data_max[h]), &mut exact);
+            add_exact(&mut credit_min[h], Some(c.credit_min[h]), &mut exact);
+            add_exact(&mut credit_max[h], Some(c.credit_max[h]), &mut exact);
         }
         for &h in &c.hops {
             hop_users[h].push(v.index);
         }
+    }
+    if !exact {
+        diags.push(rate_sum_overflow(
+            RuleId::A7RingContention,
+            Location::Deployment,
+            "a ring hop's sustained load sum(mu)",
+        ));
+        return;
     }
 
     let mut worst = Rational::from_int(0);
@@ -1946,7 +2115,7 @@ fn check_config_bus(spec: &DeploySpec, views: &[GatewayView], diags: &mut Vec<Di
 fn check_latency(
     _spec: &DeploySpec,
     views: &[GatewayView],
-    gamma_sys: &[u64],
+    gamma_sys: &[Option<u64>],
     diags: &mut Vec<Diagnostic>,
 ) {
     for (gi, (v, s)) in views
@@ -1960,11 +2129,21 @@ fn check_latency(
         if !s.rate_in_range() || s.eta_in == 0 {
             continue; // structural errors already reported
         }
+        // Sums that do not fit u64 are rejected elsewhere: η above
+        // `ETA_LIMIT` (A1), or a τ̂ or γ so large that A3 fails.
         let fill = (s.mu.recip() * Rational::from_int(s.eta_in as i128 - 1))
             .ceil()
-            .max(0) as u64;
-        let lower = fill + s.reconfig + (s.eta_in - 1) * v.params.epsilon;
-        let upper = fill.saturating_add(gamma_sys[gi]);
+            .max(0);
+        let dma = (s.eta_in - 1).checked_mul(v.params.epsilon);
+        let (Ok(fill), Some(dma)) = (u64::try_from(fill), dma) else {
+            continue;
+        };
+        let Some(lower) = fill
+            .checked_add(s.reconfig)
+            .and_then(|l| l.checked_add(dma))
+        else {
+            continue;
+        };
         let loc = Location::Stream {
             index: gi,
             name: s.name.clone(),
@@ -1977,21 +2156,25 @@ fn check_latency(
                 message: format!(
                     "latency budget impossible: even on an idle chain the last \
                      output sample needs >= {lower} cycles (fill {fill} + R {} \
-                     + DMA {}) > max_latency {budget}",
+                     + DMA {dma}) > max_latency {budget}",
                     s.reconfig,
-                    (s.eta_in - 1) * v.params.epsilon
                 ),
             });
-        } else if upper > budget {
+            continue;
+        }
+        let Some(gamma_s) = gamma_sys[gi] else {
+            continue; // the round bound overflowed: a structural error
+        };
+        let upper = fill.saturating_add(gamma_s);
+        if upper > budget {
             diags.push(Diagnostic {
                 rule: RuleId::A10EndToEndLatency,
                 severity: Severity::Warning,
                 location: loc,
                 message: format!(
                     "latency budget not guaranteed: Fig. 7 worst case fill + \
-                     gamma_s = {fill} + {} = {upper} > max_latency {budget} \
+                     gamma_s = {fill} + {gamma_s} = {upper} > max_latency {budget} \
                      (admission can wait a whole round behind the other streams)",
-                    gamma_sys[gi]
                 ),
             });
         } else {
@@ -2000,9 +2183,8 @@ fn check_latency(
                 severity: Severity::Info,
                 location: loc,
                 message: format!(
-                    "latency guaranteed: fill + gamma_s = {fill} + {} = {upper} \
+                    "latency guaranteed: fill + gamma_s = {fill} + {gamma_s} = {upper} \
                      <= max_latency {budget} cycles (Fig. 7 single-actor bound)",
-                    gamma_sys[gi]
                 ),
             });
         }

@@ -50,8 +50,9 @@ pub struct StreamDeploy {
 /// models: 2⁴⁰ ≈ 1.1·10¹² (one sample per ~6 minutes at 3 GHz). A larger
 /// term is a structural A3 error. The bound keeps ⌊1/μ⌋ inside `u64`, the
 /// A2 cycle weights `q·dur − p·delay` inside `i128`. Several streams with
-/// large, pairwise coprime denominators on one pair can still overflow the
-/// exact utilisation sum.
+/// large, pairwise coprime denominators can still overflow an exact rate
+/// sum (A3's utilisation, the A7 ring loads, A8's group claim); that is a
+/// structural Error of the rule, not a panic.
 pub const MU_TERM_LIMIT: i128 = 1 << 40;
 
 /// Largest block size `eta_in` the rules model. Rule A1 evaluates the

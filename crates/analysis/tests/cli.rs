@@ -229,3 +229,92 @@ fn huge_block_size_exits_two_not_a_crash() {
         "{text}"
     );
 }
+
+/// `pal2` plus four `gw-back` streams of rate `1/d` for each `d` in
+/// `denoms`: the four largest primes below `MU_TERM_LIMIT`, whose exact
+/// rate sum overflows `i128`, or (`above_limit`) the denominators of a
+/// reported crash, each above the limit.
+fn pal2_with_slow_streams(above_limit: bool) -> streamgate_analysis::DeploySpec {
+    let denoms: [i128; 4] = if above_limit {
+        [8796093022151, 8796093022141, 8796093022129, 8796093022117]
+    } else {
+        [1099511627689, 1099511627609, 1099511627581, 1099511627573]
+    };
+    let mut spec = streamgate_analysis::DeploySpec::pal2();
+    let template = spec.gateways[1].streams[0].clone();
+    for (k, d) in denoms.into_iter().enumerate() {
+        let mut s = template.clone();
+        s.name = format!("slow{k}");
+        s.mu = streamgate_ilp::Rational::new(1, d);
+        s.eta_in = 96;
+        s.eta_out = 12;
+        s.input_capacity = 4 * 96;
+        s.max_latency = None;
+        spec.gateways[1].streams.push(s);
+    }
+    spec
+}
+
+#[test]
+fn exact_rate_overflow_exits_two_not_a_crash() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for above_limit in [false, true] {
+        let file = dir.join(format!("slow-streams-{above_limit}.json"));
+        std::fs::write(&file, pal2_with_slow_streams(above_limit).to_json_text()).unwrap();
+        let out = analyze(&["--spec", file.to_str().unwrap()]);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(2), "{text}");
+        assert!(text.contains("verdict: REJECTED"), "{text}");
+        let why = if above_limit {
+            "must each be at most"
+        } else {
+            "overflows i128"
+        };
+        assert!(text.contains(why), "{text}");
+    }
+
+    // The same streams as admission requests: two fit, the third and
+    // fourth overflow and are rejected, and the final state is accepted.
+    let script = dir.join("slow-deltas.json");
+    let adds: Vec<String> = pal2_with_slow_streams(false).gateways[1].streams[2..]
+        .iter()
+        .map(|s| {
+            format!(
+                r#"{{"op": "add", "gateway": 1, "stream": {{"name": "{}", "mu": [1, {}],
+                 "eta_in": 96, "eta_out": 12, "reconfig": {}, "input_capacity": 384,
+                 "output_capacity": {}}}}}"#,
+                s.name,
+                s.mu.denom(),
+                s.reconfig,
+                s.output_capacity
+            )
+        })
+        .collect();
+    std::fs::write(&script, format!(r#"{{"deltas": [{}]}}"#, adds.join(","))).unwrap();
+    let out = analyze(&["--delta", script.to_str().unwrap(), "pal2"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    for (k, verdict) in ["admit", "admit", "reject", "reject"].iter().enumerate() {
+        assert!(
+            text.contains(&format!("delta {k}: add slow{k} @ gateway 1 -> {verdict}")),
+            "{text}"
+        );
+    }
+}
+
+#[test]
+fn tau_hat_overflow_exits_two_not_a_crash() {
+    let mut spec = streamgate_analysis::DeploySpec::pal2();
+    let s = &mut spec.gateways[1].streams[0];
+    s.eta_in = u64::MAX / 4;
+    s.eta_out = s.eta_in / 8;
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("tau-hat-overflow.json");
+    std::fs::write(&file, spec.to_json_text()).unwrap();
+    let out = analyze(&["--spec", file.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{text}");
+    assert!(text.contains("overflows u64"), "{text}");
+}

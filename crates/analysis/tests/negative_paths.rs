@@ -11,8 +11,9 @@ mod common;
 use common::{fast_options, run_saturated, run_saturated_multi};
 use streamgate_analysis::{analyze, analyze_with, ChainStage, DeploySpec, StreamDeploy};
 use streamgate_analysis::{
-    analyze_profiled, json, parse_delta_script, parse_profile, AnalysisOptions, AnalysisState,
-    Delta, Json, Report, RuleId, Severity, ETA_LIMIT, MU_TERM_LIMIT,
+    analyze_profiled, json, parse_delta_script, parse_profile, AdmissionController,
+    AnalysisOptions, AnalysisState, Delta, Json, Report, RuleId, Severity, ETA_LIMIT,
+    MU_TERM_LIMIT,
 };
 use streamgate_core::system_metrics;
 use streamgate_ilp::Rational;
@@ -530,4 +531,133 @@ fn eta_above_the_limit_is_an_a1_error_not_an_allocation() {
             err.message
         );
     }
+}
+
+/// The rate denominators of a reported crash: each is above
+/// `MU_TERM_LIMIT`, and four of them on one pair used to overflow the
+/// exact utilisation sum before the range check could reject them.
+const ABOVE_LIMIT_DENOMS: [i128; 4] = [8796093022151, 8796093022141, 8796093022129, 8796093022117];
+
+/// The four largest primes below `MU_TERM_LIMIT`: every rate is modelled,
+/// but their exact sum needs a common denominator near 2¹⁶⁰.
+const COPRIME_DENOMS: [i128; 4] = [1099511627689, 1099511627609, 1099511627581, 1099511627573];
+
+/// A `gw-back` stream of rate `1/denom` with η = 96.
+fn slow_stream(k: usize, denom: i128) -> StreamDeploy {
+    let mut s = DeploySpec::pal2().gateways[1].streams[0].clone();
+    s.name = format!("slow{k}");
+    s.mu = Rational::new(1, denom);
+    s.eta_in = 96;
+    s.eta_out = 12;
+    s.input_capacity = 4 * 96;
+    s.output_capacity = 64;
+    s.max_latency = None;
+    s
+}
+
+/// `pal2` plus one slow stream on `gw-back` per denominator.
+fn pal2_with_slow_streams(denoms: &[i128]) -> DeploySpec {
+    let mut spec = DeploySpec::pal2();
+    for (k, &d) in denoms.iter().enumerate() {
+        spec.gateways[1].streams.push(slow_stream(k, d));
+    }
+    spec
+}
+
+/// The structural Error an exact-rate overflow must produce.
+fn assert_rate_overflow_error(report: &Report) {
+    assert!(!report.is_accepted());
+    assert!(
+        report
+            .with_severity(Severity::Error)
+            .any(|d| d.message.contains("overflows i128")),
+        "{}",
+        report.render_text()
+    );
+}
+
+/// Fault 12 — exact rate sums that overflow `i128`. Four streams with
+/// large, pairwise coprime rate denominators on one pair: A3's utilisation
+/// `c0·Σμ`, the A7 ring-load sums and A8's group sum cannot be held
+/// exactly. Expected: a structural Error and a rejection, never a panic,
+/// through a full analysis, `evaluate` and `request`.
+#[test]
+fn exact_rate_overflow_is_a_diagnostic_not_a_panic() {
+    let report = analyze_with(
+        &pal2_with_slow_streams(&ABOVE_LIMIT_DENOMS),
+        &fast_options(),
+    );
+    assert_mu_range_error(&report);
+    assert_rate_overflow_error(&analyze_with(
+        &pal2_with_slow_streams(&COPRIME_DENOMS),
+        &fast_options(),
+    ));
+
+    // Two coprime slow streams still fit; the third request overflows.
+    let base = pal2_with_slow_streams(&COPRIME_DENOMS[..2]);
+    let mut ctrl = AdmissionController::new(base.clone(), fast_options());
+    assert!(
+        ctrl.report().is_accepted(),
+        "{}",
+        ctrl.report().render_text()
+    );
+    let mut built = base.build_multi_platform();
+    for (k, &d) in COPRIME_DENOMS.iter().enumerate().skip(2) {
+        let add = Delta::AddStream {
+            gateway: 1,
+            stream: slow_stream(k, d),
+        };
+        let verdict = ctrl.evaluate(&add).expect("well-formed delta");
+        assert_rate_overflow_error(verdict.report());
+        let outcome = ctrl
+            .request(&mut built.system, &built.gateways, &add, None)
+            .expect("a rejection is not an error");
+        assert!(!outcome.verdict.is_admitted());
+        assert_eq!(built.system.cycle(), 0, "a rejection touches no platform");
+    }
+    for (k, &d) in ABOVE_LIMIT_DENOMS.iter().enumerate() {
+        let add = Delta::AddStream {
+            gateway: 1,
+            stream: slow_stream(COPRIME_DENOMS.len() + k, d),
+        };
+        assert_mu_range_error(ctrl.evaluate(&add).expect("well-formed delta").report());
+    }
+}
+
+/// Fault 13 — a block size whose worst-case block time τ̂ = R + (η + 2)·c0
+/// does not fit `u64`. A release build used to print the wrapped γ in A3
+/// and A10 messages; a debug build panicked before A1's `ETA_LIMIT` check
+/// could reject the stream. Expected: one structural Error naming the
+/// stream, no rule quoting a wrapped γ, and a rejection.
+#[test]
+fn tau_hat_overflow_is_a_diagnostic_not_a_wrapped_gamma() {
+    let mut spec = DeploySpec::pal2();
+    let s = &mut spec.gateways[1].streams[0];
+    s.eta_in = u64::MAX / 4;
+    s.eta_out = s.eta_in / 8;
+    let name = s.name.clone();
+    let report = analyze_with(&spec, &fast_options());
+    assert!(!report.is_accepted());
+    let overflow: Vec<_> = report
+        .with_severity(Severity::Error)
+        .filter(|d| d.message.contains("tau-hat") && d.message.contains("overflows u64"))
+        .collect();
+    assert_eq!(overflow.len(), 1, "{}", report.render_text());
+    assert!(
+        matches!(&overflow[0].location, streamgate_analysis::Location::Stream { name: n, .. } if *n == name),
+        "{:?}",
+        overflow[0].location
+    );
+    let text = report.render_text();
+    let wrapped = (u64::MAX / 4 + 2).wrapping_mul(15).wrapping_add(4100);
+    assert!(!text.contains(&wrapped.to_string()), "{text}");
+    // The rules that need this pair's γ skip it.
+    assert!(
+        !report.diagnostics.iter().any(|d| matches!(
+            d.rule,
+            RuleId::A2BufferCapacity | RuleId::A10EndToEndLatency
+        ) && d.message.contains("gamma")
+            && d.location.to_string().contains(&name)),
+        "{text}"
+    );
 }

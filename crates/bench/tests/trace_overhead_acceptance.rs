@@ -11,8 +11,9 @@
 //! ```
 
 use std::time::Instant;
+use streamgate_core::{build_pal_system, PalSystemConfig};
 use streamgate_platform::{
-    AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, StreamConfig, System,
+    AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, StepMode, StreamConfig, System,
 };
 
 const CYCLES: u64 = 50_000;
@@ -26,6 +27,15 @@ const MAX_OVERHEAD: f64 = 1.35;
 /// production, so it may not cost more than 5 % — it keeps the event-driven
 /// engine's span fast path and only bounds the event buffer.
 const MAX_RECORDER_OVERHEAD: f64 = 1.05;
+/// On the per-cycle engines the recorder observes every cycle, and that
+/// observation must not grow with FIFOs nobody touches: a run with this
+/// many idle FIFOs added (an admission session that has spliced streams
+/// in and out keeps their FIFOs) may cost at most `MAX_IDLE_FIFO_RATIO`
+/// times the same run without them.
+const IDLE_FIFOS: usize = 72;
+const MAX_IDLE_FIFO_RATIO: f64 = 1.15;
+/// Cycles of the PAL system per timed run on the exhaustive engine.
+const PAL_CYCLES: u64 = 300_000;
 
 /// What a timed run switches on.
 #[derive(Clone, Copy, PartialEq)]
@@ -80,6 +90,23 @@ fn time_run(observe: Observe) -> f64 {
     sys.run(CYCLES);
     let elapsed = start.elapsed().as_secs_f64();
     // Keep the run observable so nothing is optimised away.
+    assert!(sys.gateways[0].blocks.len() > 10);
+    elapsed
+}
+
+/// Time `PAL_CYCLES` cycles of the PAL system on the exhaustive engine
+/// with the flight recorder on, after adding `idle` FIFOs.
+fn time_pal_recorder(idle: usize) -> f64 {
+    let mut pal = build_pal_system(&PalSystemConfig::scaled_default());
+    let sys = &mut pal.system;
+    for k in 0..idle {
+        sys.add_fifo(CFifo::new(format!("idle{k}"), 64));
+    }
+    sys.step_mode = StepMode::Exhaustive;
+    sys.enable_flight_recorder(4096);
+    let start = Instant::now();
+    sys.run(PAL_CYCLES);
+    let elapsed = start.elapsed().as_secs_f64();
     assert!(sys.gateways[0].blocks.len() > 10);
     elapsed
 }
@@ -143,5 +170,35 @@ fn flight_recorder_overhead_within_acceptance_threshold() {
         "recorder-overhead",
         Observe::Recorder,
         MAX_RECORDER_OVERHEAD,
+    );
+}
+
+/// Observation cost follows changes, not the number of components: the
+/// exhaustive engine with the recorder on runs the PAL system plus
+/// `IDLE_FIFOS` idle FIFOs within `MAX_IDLE_FIFO_RATIO` of PAL alone.
+#[test]
+#[ignore = "timing acceptance; run in release via CI"]
+fn recorder_cost_on_the_exhaustive_engine_ignores_idle_fifos() {
+    time_pal_recorder(0);
+    time_pal_recorder(IDLE_FIFOS);
+    let mut plain = Vec::with_capacity(RUNS);
+    let mut wide = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        plain.push(time_pal_recorder(0));
+        wide.push(time_pal_recorder(IDLE_FIFOS));
+    }
+    let (p, w) = (median(plain), median(wide));
+    let ratio = w / p;
+    println!(
+        "idle-fifo acceptance: PAL {:.3} ms, PAL + {IDLE_FIFOS} idle FIFOs {:.3} ms, ratio {:.3} \
+         (max {MAX_IDLE_FIFO_RATIO})",
+        p * 1e3,
+        w * 1e3,
+        ratio
+    );
+    assert!(
+        ratio <= MAX_IDLE_FIFO_RATIO,
+        "{IDLE_FIFOS} idle FIFOs cost {ratio:.3}x on the exhaustive engine with the recorder on, \
+         above the {MAX_IDLE_FIFO_RATIO}x threshold (medians {p:.6}s and {w:.6}s)"
     );
 }

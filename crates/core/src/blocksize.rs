@@ -144,17 +144,9 @@ pub fn solve_blocksizes_fixpoint(prob: &SharingProblem) -> Result<BlockSizes, Bl
         .map(|eta| u64::try_from(eta).ok())
         .collect::<Option<Vec<u64>>>()
         .ok_or(BlockSizeError::Overflow)?;
-    let c0 = prob.params.c0();
-    let gamma = prob
-        .streams
-        .iter()
-        .zip(&etas)
-        .try_fold(0u64, |acc, (s, &eta)| {
-            let tau = eta
-                .checked_add(2)?
-                .checked_mul(c0)?
-                .checked_add(s.reconfig)?;
-            acc.checked_add(tau)
+    let gamma = (0..etas.len())
+        .try_fold(0u64, |acc, i| {
+            acc.checked_add(prob.checked_tau_hat(i, etas[i])?)
         })
         .ok_or(BlockSizeError::Overflow)?;
     Ok(BlockSizes { etas, gamma })

@@ -117,18 +117,33 @@ impl SharingProblem {
     /// `τ̂_s = R_s + (η_s + 2) · c0` (Eq. 2): worst-case time to process one
     /// block of `η_s` samples, including pipeline fill/flush (+2) and
     /// reconfiguration.
+    ///
+    /// Panics where the result overflows `u64`; see
+    /// [`SharingProblem::checked_tau_hat`].
     pub fn tau_hat(&self, stream: usize, eta: u64) -> u64 {
-        self.streams[stream].reconfig + (eta + 2) * self.params.c0()
+        self.checked_tau_hat(stream, eta)
+            .expect("tau-hat R + (eta + 2)·c0 overflows u64")
+    }
+
+    /// [`SharingProblem::tau_hat`], or `None` where it overflows `u64`.
+    pub fn checked_tau_hat(&self, stream: usize, eta: u64) -> Option<u64> {
+        eta.checked_add(2)?
+            .checked_mul(self.params.c0())?
+            .checked_add(self.streams[stream].reconfig)
     }
 
     /// `γ_s = Σ_{i∈S} τ̂_i` (Eq. 4): worst-case time from a block of stream
     /// `s` being queued to its completion, when every other stream gets one
     /// block in between (round-robin).
+    ///
+    /// Panics where a τ̂ or the sum overflows `u64` (the analyzer checks
+    /// both with [`SharingProblem::checked_tau_hat`]).
     pub fn gamma(&self, etas: &[u64]) -> u64 {
         assert_eq!(etas.len(), self.streams.len());
         (0..self.streams.len())
             .map(|i| self.tau_hat(i, etas[i]))
-            .sum()
+            .try_fold(0u64, u64::checked_add)
+            .expect("gamma = sum of tau-hat overflows u64")
     }
 
     /// Throughput check (Eq. 5): `η_s / γ_s ≥ μ_s` for every stream.

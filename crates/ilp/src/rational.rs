@@ -243,9 +243,28 @@ impl Ord for Rational {
         let g_den = gcd(self.den, other.den);
         let (an, ad) = (self.num / g_num.max(1), self.den / g_den);
         let (bn, bd) = (other.num / g_num.max(1), other.den / g_den);
-        let lhs = an.checked_mul(bd).expect("rational cmp overflow");
-        let rhs = bn.checked_mul(ad).expect("rational cmp overflow");
-        lhs.cmp(&rhs)
+        match (an.checked_mul(bd), bn.checked_mul(ad)) {
+            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+            _ => cmp_fractions(an, ad, bn, bd),
+        }
+    }
+}
+
+/// `a/b` against `c/d` for `b, d > 0`, in terms that never grow: equal
+/// integer parts defer to the remainders, and `r/b ? s/d` is `d/s ? b/r`
+/// (Euclid's algorithm on both fractions at once). The fallback of
+/// [`Rational::cmp`] where cross-multiplying would overflow.
+fn cmp_fractions(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
+    loop {
+        let (qa, ra) = (a.div_euclid(b), a.rem_euclid(b));
+        let (qc, rc) = (c.div_euclid(d), c.rem_euclid(d));
+        match (qa.cmp(&qc), ra, rc) {
+            (Ordering::Equal, 0, 0) => return Ordering::Equal,
+            (Ordering::Equal, 0, _) => return Ordering::Less,
+            (Ordering::Equal, _, 0) => return Ordering::Greater,
+            (Ordering::Equal, _, _) => (a, b, c, d) = (d, rc, b, ra),
+            (o, _, _) => return o,
+        }
     }
 }
 
@@ -369,6 +388,32 @@ mod tests {
         assert!(rat(-1, 2) < rat(-1, 3));
         assert_eq!(rat(2, 4), rat(1, 2));
         assert!(rat(7, 1) > rat(13, 2));
+    }
+
+    #[test]
+    fn ordering_never_overflows() {
+        // Coprime terms near 2^126: cross-multiplying overflows i128.
+        let big = 1i128 << 126;
+        let (a, b) = (rat(big - 1, big - 3), rat(big - 5, big - 7));
+        assert_eq!((a.cmp(&b), b.cmp(&a)), (Ordering::Less, Ordering::Greater));
+        assert!(rat(-(big - 1), big - 3) > rat(-(big - 5), big - 7));
+        assert!(rat(big - 1, 3) > rat(big - 3, 5));
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+        // The fallback agrees with cross-multiplication wherever that fits.
+        let terms = [-7i128, -3, -1, 0, 1, 2, 3, 5, 8, 13];
+        for &n1 in &terms {
+            for &n2 in &terms {
+                for d1 in 1..7i128 {
+                    for d2 in 1..7i128 {
+                        assert_eq!(
+                            cmp_fractions(n1, d1, n2, d2),
+                            (n1 * d2).cmp(&(n2 * d1)),
+                            "{n1}/{d1} vs {n2}/{d2}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

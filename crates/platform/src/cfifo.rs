@@ -14,10 +14,36 @@
 
 use crate::types::Sample;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Identifier of a C-FIFO in the [`crate::system::System`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FifoId(pub usize);
+
+/// A counter of high-water-mark growths, shared by a
+/// [`crate::system::System`] with every FIFO it holds: a push that raises
+/// a FIFO's mark bumps it, so the system learns that some mark moved
+/// without reading every FIFO. An `Arc` (not an `Rc`) keeps [`CFifo`] and
+/// the system `Send`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct HwmGrowth(Arc<AtomicU64>);
+
+impl HwmGrowth {
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Growths signalled so far.
+    pub(crate) fn count(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// True if `self` and `other` are the same counter.
+    pub(crate) fn is(&self, other: &HwmGrowth) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
 
 /// A bounded software FIFO.
 #[derive(Clone, Debug)]
@@ -38,6 +64,8 @@ pub struct CFifo {
     /// Maximum occupancy ever reached (always maintained — one compare per
     /// push — so the observability layer can report buffer sizing margins).
     hwm: usize,
+    /// Growth counter of the system holding this FIFO (see [`HwmGrowth`]).
+    growth: Option<HwmGrowth>,
 }
 
 impl CFifo {
@@ -59,6 +87,7 @@ impl CFifo {
             trace: None,
             trace_dropped: 0,
             hwm: 0,
+            growth: None,
         }
     }
 
@@ -87,6 +116,14 @@ impl CFifo {
     /// Highest occupancy ever reached.
     pub fn high_water(&self) -> usize {
         self.hwm
+    }
+
+    /// Signal every later high-water growth, and this FIFO's drop, to
+    /// `growth` (replacing any counter attached before).
+    pub(crate) fn attach_growth(&mut self, growth: &HwmGrowth) {
+        if !self.growth.as_ref().is_some_and(|g| g.is(growth)) {
+            self.growth = Some(growth.clone());
+        }
     }
 
     /// Capacity in samples.
@@ -125,7 +162,12 @@ impl CFifo {
         }
         self.buf.push_back(s);
         self.pushed += 1;
-        self.hwm = self.hwm.max(self.buf.len());
+        if self.buf.len() > self.hwm {
+            self.hwm = self.buf.len();
+            if let Some(g) = &self.growth {
+                g.bump();
+            }
+        }
         if let Some(t) = &mut self.trace {
             if t.len() >= 2 * Self::TRACE_WINDOW {
                 t.drain(..Self::TRACE_WINDOW);
@@ -148,6 +190,16 @@ impl CFifo {
     /// Peek without consuming.
     pub fn peek(&self) -> Option<&Sample> {
         self.buf.front()
+    }
+}
+
+impl Drop for CFifo {
+    /// A FIFO leaving its system (replaced in place or removed) is a change
+    /// to the FIFO set the system cannot otherwise see.
+    fn drop(&mut self) {
+        if let Some(g) = &self.growth {
+            g.bump();
+        }
     }
 }
 

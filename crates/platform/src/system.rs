@@ -24,10 +24,10 @@
 //!   counters and trace logs.
 
 use crate::accel::{AccelId, AcceleratorTile};
-use crate::cfifo::{CFifo, FifoId};
+use crate::cfifo::{CFifo, FifoId, HwmGrowth};
 use crate::gateway::{GatewayPair, StreamConfig};
 use crate::processor::ProcessorTile;
-use crate::trace::{self, TraceEvent, TraceNames, Tracer};
+use crate::trace::{self, HwmRead, TraceEvent, TraceNames, Tracer};
 use crate::types::Sample;
 use streamgate_ring::DualRing;
 
@@ -61,9 +61,10 @@ impl StepMode {
     }
 }
 
-/// How the event-driven engine spent the simulated cycles (all three
-/// counters sum to the cycles run). Useful for validating that a workload
-/// actually benefits from time-skipping and for benchmark reports.
+/// How the event-driven engine spent the simulated cycles (the first three
+/// counters sum to the cycles run), plus the observation work done while
+/// tracing. Useful for validating that a workload actually benefits from
+/// time-skipping and for benchmark reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Cycles on which at least one tile acted: full lock-step steps in
@@ -74,6 +75,10 @@ pub struct EngineStats {
     pub ring_only_cycles: u64,
     /// Cycles jumped over entirely (bulk bookkeeping, no stepping).
     pub skipped_cycles: u64,
+    /// Observed cycles that read every FIFO's high-water mark: one per
+    /// cycle in which a mark grew, the FIFO set changed or the tracer was
+    /// replaced, not one per observed cycle.
+    pub high_water_scans: u64,
 }
 
 /// A complete simulated MPSoC.
@@ -100,6 +105,10 @@ pub struct System {
     /// Last observed per-accelerator activity status (for change-driven
     /// trace emission).
     accel_active_seen: Vec<bool>,
+    /// Counts high-water growths of every FIFO in `fifos` (attached by
+    /// [`System::add_fifo`], or by [`System::observe`] to FIFOs pushed
+    /// onto `fifos` directly).
+    hwm_growth: HwmGrowth,
     cycle: u64,
 }
 
@@ -179,6 +188,7 @@ impl System {
             step_mode: StepMode::default(),
             engine_stats: EngineStats::default(),
             accel_active_seen: Vec::new(),
+            hwm_growth: HwmGrowth::default(),
             cycle: 0,
         }
     }
@@ -234,7 +244,8 @@ impl System {
     }
 
     /// Add a C-FIFO; returns its id.
-    pub fn add_fifo(&mut self, f: CFifo) -> FifoId {
+    pub fn add_fifo(&mut self, mut f: CFifo) -> FifoId {
+        f.attach_growth(&self.hwm_growth);
         self.fifos.push(f);
         FifoId(self.fifos.len() - 1)
     }
@@ -330,6 +341,14 @@ impl System {
     /// Change-driven: accelerator activity and high-water marks are
     /// emitted only when they actually changed, which also makes skipped
     /// intervals (where state is provably frozen) observation-free.
+    ///
+    /// The FIFO marks are read only when something could have raised one
+    /// past what the tracer reported: a push grew a mark (the FIFOs bump
+    /// the system's growth counter), the number of FIFOs changed or one was
+    /// dropped, or this tracer has not read this system's marks at the
+    /// current count (it is new, or was swapped in). Otherwise every mark
+    /// is at most what the tracer saw, so a read would emit nothing. The
+    /// cost therefore follows the growths, not the number of FIFOs.
     fn observe(&mut self, now: u64) {
         if self.accel_active_seen.len() < self.accels.len() {
             self.accel_active_seen.resize(self.accels.len(), false);
@@ -341,8 +360,22 @@ impl System {
                 self.tracer.accel_edge(i, active, now);
             }
         }
-        for (i, f) in self.fifos.iter().enumerate() {
-            self.tracer.fifo_high_water(i, f.high_water(), now);
+        let nf = self.fifos.len();
+        if !self
+            .tracer
+            .hwm_read()
+            .is_some_and(|r| r.is_current(&self.hwm_growth, nf))
+        {
+            self.engine_stats.high_water_scans += 1;
+            for (i, f) in self.fifos.iter_mut().enumerate() {
+                f.attach_growth(&self.hwm_growth);
+                self.tracer.fifo_high_water(i, f.high_water(), now);
+            }
+            self.tracer.set_hwm_read(HwmRead {
+                growth: self.hwm_growth.clone(),
+                count: self.hwm_growth.count(),
+                fifos: nf,
+            });
         }
         let interval = self.tracer.sample_interval();
         if interval > 0 && now.is_multiple_of(interval) {

@@ -35,6 +35,7 @@
 //! [`chrome_trace_json`] renders an event log in the Chrome trace-event
 //! format, viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 
+use crate::cfifo::HwmGrowth;
 use std::fmt;
 
 /// Why a component could not make progress this cycle.
@@ -237,6 +238,24 @@ struct AccelWindow {
     open: bool,
 }
 
+/// Where a tracer last read every FIFO high-water mark of a system: that
+/// system's growth counter, its count at the time, and the number of
+/// FIFOs. While all three still hold, no mark can have grown past what the
+/// tracer reported, so the system skips the read (see `System::observe`).
+#[derive(Clone, Debug)]
+pub(crate) struct HwmRead {
+    pub(crate) growth: HwmGrowth,
+    pub(crate) count: u64,
+    pub(crate) fifos: usize,
+}
+
+impl HwmRead {
+    /// True if nothing this read covers has changed since.
+    pub(crate) fn is_current(&self, growth: &HwmGrowth, fifos: usize) -> bool {
+        self.growth.is(growth) && self.count == growth.count() && self.fifos == fifos
+    }
+}
+
 /// Internal state of an enabled tracer (boxed so a disabled [`Tracer`] is
 /// one word).
 #[derive(Debug, Default)]
@@ -252,6 +271,9 @@ struct TraceData {
     accel_active: Vec<Option<AccelWindow>>,
     /// Last high-water mark already reported, per FIFO.
     fifo_hwm_seen: Vec<u32>,
+    /// The system state at this tracer's last full read of the marks
+    /// (see [`HwmRead`]); `None` until the first read.
+    hwm_read: Option<HwmRead>,
     /// Period of `FifoLevel`/`RingCounters` samples in cycles.
     sample_interval: u64,
     /// Flight-recorder bound: keep at most this many recent events
@@ -493,6 +515,20 @@ impl Tracer {
                 cycle: now,
                 level: hwm as u32,
             });
+        }
+    }
+
+    /// The system state at this tracer's last full read of the FIFO
+    /// high-water marks (`None` when disabled or never read).
+    pub(crate) fn hwm_read(&self) -> Option<&HwmRead> {
+        self.data.as_ref().and_then(|d| d.hwm_read.as_ref())
+    }
+
+    /// Record a full read of the FIFO high-water marks (no-op when
+    /// disabled).
+    pub(crate) fn set_hwm_read(&mut self, read: HwmRead) {
+        if let Some(d) = &mut self.data {
+            d.hwm_read = Some(read);
         }
     }
 
