@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use streamgate_analysis::{
     analyze_profiled, analyze_with, parse_delta_script, parse_profile, render_postmortem,
-    AnalysisOptions, AnalysisState, DeploySpec,
+    AnalysisOptions, AnalysisState, DeploySpec, Json,
 };
 
 const USAGE: &str = "usage: streamgate-analyze [--json] [--profile FILE] [--postmortem FILE] [--delta FILE] [--timing FILE] [--spec FILE | PRESET]\n\
@@ -265,17 +265,19 @@ fn run_deltas(spec: DeploySpec, file: &str, timing: Option<&str>, json: bool) ->
             let t1 = Instant::now();
             let _full = analyze_with(state.spec(), &opts);
             let full_ns = t1.elapsed().as_nanos();
-            rows.push(format!(
-                "    {{\"delta\": {i}, \"op\": \"{}\", \"decision\": \"{decision}\", \
-                 \"incremental_ns\": {inc_ns}, \"full_ns\": {full_ns}, \"speedup\": {:.2}}}",
-                delta.describe(),
-                full_ns as f64 / inc_ns.max(1) as f64,
-            ));
+            rows.push(Json::obj([
+                ("delta", i.into()),
+                ("op", delta.describe().into()),
+                ("decision", decision.into()),
+                ("incremental_ns", Json::Int(inc_ns as i128)),
+                ("full_ns", Json::Int(full_ns as i128)),
+                ("speedup", (full_ns as f64 / inc_ns.max(1) as f64).into()),
+            ]));
         }
     }
 
     if let Some(out) = timing {
-        let body = format!("{{\n  \"deltas\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
+        let body = Json::obj([("deltas", Json::Array(rows))]).to_text() + "\n";
         if let Err(e) = std::fs::write(out, body) {
             eprintln!("cannot write timing file {out}: {e}");
             return ExitCode::from(2);

@@ -157,14 +157,6 @@ pub fn check_blame_conformance(
 // Postmortem rendering for `streamgate-analyze --postmortem`.
 // ---------------------------------------------------------------------------
 
-fn j_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key).and_then(Json::as_u64)
-}
-
-fn j_str<'a>(v: &'a Json, key: &str) -> Option<&'a str> {
-    v.get(key).and_then(Json::as_str)
-}
-
 /// Render a `postmortem.json` dump (written by a simulator binary's
 /// flight recorder on a monitor violation or failed `run_until`) against
 /// the spec's predicted bounds: which stream tripped, how far over budget
@@ -174,19 +166,17 @@ fn j_str<'a>(v: &'a Json, key: &str) -> Option<&'a str> {
 /// Errors only on an unusable dump (not valid postmortem JSON); a dump
 /// describing a clean run renders fine.
 pub fn render_postmortem(spec: &DeploySpec, report: &Report, pm: &Json) -> Result<String, String> {
-    let deployment = j_str(pm, "deployment").ok_or("postmortem: missing `deployment`")?;
-    let mode = j_str(pm, "mode").ok_or("postmortem: missing `mode`")?;
-    let cycle = j_u64(pm, "cycle").ok_or("postmortem: missing `cycle`")?;
-    let retained = pm
-        .get("recent_events")
-        .and_then(Json::as_array)
-        .map_or(0, <[Json]>::len);
+    let field = |e| format!("postmortem: {e}");
+    let deployment: &str = pm.req("deployment").map_err(field)?;
+    let mode: &str = pm.req("mode").map_err(field)?;
+    let cycle: u64 = pm.req("cycle").map_err(field)?;
+    let retained = pm.at::<&[Json]>("recent_events").map_or(0, <[Json]>::len);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "postmortem of deployment `{deployment}` ({mode} engine, cycle {cycle})"
     );
-    match j_u64(pm, "schema_version") {
+    match pm.at::<u64>("schema_version") {
         Some(sv) if sv == streamgate_core::profile::SCHEMA_VERSION => {}
         Some(sv) => {
             let _ = writeln!(
@@ -209,52 +199,49 @@ pub fn render_postmortem(spec: &DeploySpec, report: &Report, pm: &Json) -> Resul
     let _ = writeln!(
         out,
         "recorder: {retained} recent event(s) retained, {} evicted; monitor missed {} event(s)",
-        j_u64(pm, "events_dropped").unwrap_or(0),
-        j_u64(pm, "monitor_missed").unwrap_or(0)
+        pm.at::<u64>("events_dropped").unwrap_or(0),
+        pm.at::<u64>("monitor_missed").unwrap_or(0)
     );
-    let violations = pm.get("violations").and_then(Json::as_array).unwrap_or(&[]);
+    let violations = pm.at::<&[Json]>("violations").unwrap_or(&[]);
     let _ = writeln!(out, "violations ({}):", violations.len());
     for v in violations {
         let _ = writeln!(
             out,
             "  [{}] cycle {} gateway `{}` stream `{}`: {}",
-            j_str(v, "kind").unwrap_or("?"),
-            j_u64(v, "cycle").unwrap_or(0),
-            j_str(v, "gateway_name").unwrap_or(""),
-            j_str(v, "stream_name").unwrap_or(""),
-            j_str(v, "message").unwrap_or("")
+            v.at::<&str>("kind").unwrap_or("?"),
+            v.at::<u64>("cycle").unwrap_or(0),
+            v.at::<&str>("gateway_name").unwrap_or(""),
+            v.at::<&str>("stream_name").unwrap_or(""),
+            v.at::<&str>("message").unwrap_or("")
         );
     }
-    let opens = pm
-        .get("open_stalls")
-        .and_then(Json::as_array)
-        .unwrap_or(&[]);
+    let opens = pm.at::<&[Json]>("open_stalls").unwrap_or(&[]);
     for s in opens {
         let _ = writeln!(
             out,
             "open stall: gateway {} `{}` since cycle {} (still stalled at {})",
-            j_u64(s, "gateway").unwrap_or(0),
-            j_str(s, "cause").unwrap_or("?"),
-            j_u64(s, "start").unwrap_or(0),
-            j_u64(s, "last").unwrap_or(0)
+            s.at::<u64>("gateway").unwrap_or(0),
+            s.at::<&str>("cause").unwrap_or("?"),
+            s.at::<u64>("start").unwrap_or(0),
+            s.at::<u64>("last").unwrap_or(0)
         );
     }
     let Some(blame) = pm.get("blame").filter(|b| !matches!(b, Json::Null)) else {
         let _ = writeln!(out, "no block attribution in the dump");
         return Ok(out);
     };
-    let stream_name = j_str(blame, "stream_name").unwrap_or("");
+    let stream_name = blame.at::<&str>("stream_name").unwrap_or("");
     let block = blame
         .get("block")
         .ok_or("postmortem: blame without `block`")?;
-    let start = j_u64(block, "start").unwrap_or(0);
-    let tau = j_u64(block, "tau").unwrap_or(0);
-    let completed = matches!(block.get("completed"), Some(Json::Bool(true)));
+    let start = block.at::<u64>("start").unwrap_or(0);
+    let tau = block.at::<u64>("tau").unwrap_or(0);
+    let completed = block.at::<bool>("completed") == Some(true);
     let _ = writeln!(
         out,
         "blame: gateway `{}` stream `{stream_name}`, block admitted at cycle {start}, \
          {} {tau} cycle(s)",
-        j_str(blame, "gateway_name").unwrap_or(""),
+        blame.at::<&str>("gateway_name").unwrap_or(""),
         if completed {
             "completed in"
         } else {
@@ -266,7 +253,9 @@ pub fn render_postmortem(spec: &DeploySpec, report: &Report, pm: &Json) -> Resul
     let components = block.get("components");
     let mut top: Option<(&'static str, u64)> = None;
     for cause in BlameCause::ALL {
-        let measured = components.and_then(|c| j_u64(c, cause.name())).unwrap_or(0);
+        let measured = components
+            .and_then(|c| c.at::<u64>(cause.name()))
+            .unwrap_or(0);
         if top.is_none_or(|(_, t)| measured > t) {
             top = Some((cause.name(), measured));
         }

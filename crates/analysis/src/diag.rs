@@ -214,50 +214,28 @@ impl fmt::Display for Location {
 }
 
 impl Location {
+    /// Keys are listed alphabetically.
     fn to_json(&self) -> Json {
-        match self {
-            Location::Deployment => Json::obj(vec![("kind", Json::Str("deployment".into()))]),
-            Location::Gateway { index, name } => Json::obj(vec![
-                ("kind", Json::Str("gateway".into())),
-                ("index", Json::Int(*index as i128)),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Location::Stream { index, name } => Json::obj(vec![
-                ("kind", Json::Str("stream".into())),
-                ("index", Json::Int(*index as i128)),
-                ("name", Json::Str(name.clone())),
-            ]),
+        let (kind, index, name, task) = match self {
+            Location::Deployment => ("deployment", None, None, None),
+            Location::Gateway { index, name } => ("gateway", Some(index), Some(name), None),
+            Location::Stream { index, name } => ("stream", Some(index), Some(name), None),
             Location::Processor { index, name, task } => {
-                let mut pairs = vec![
-                    ("kind", Json::Str("processor".into())),
-                    ("index", Json::Int(*index as i128)),
-                    ("name", Json::Str(name.clone())),
-                ];
-                if let Some(t) = task {
-                    pairs.push(("task", Json::Str(t.clone())));
-                }
-                Json::obj(pairs)
+                ("processor", Some(index), Some(name), task.as_ref())
             }
-        }
+        };
+        Json::obj_some([
+            ("index", index.map(|&i| i.into())),
+            ("kind", Some(kind.into())),
+            ("name", name.map(|n| n.clone().into())),
+            ("task", task.map(|t| t.clone().into())),
+        ])
     }
 
     fn from_json(v: &Json) -> Result<Location, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("location without kind")?;
-        let index = || {
-            v.get("index")
-                .and_then(Json::as_int)
-                .map(|i| i as usize)
-                .ok_or_else(|| "location without index".to_string())
-        };
-        let name = || {
-            v.get("name")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| "location without name".to_string())
-        };
+        let kind: &str = v.req("kind").map_err(|e| format!("location: {e}"))?;
+        let index = || v.req("index").map_err(|e| format!("location: {e}"));
+        let name = || v.req("name").map_err(|e| format!("location: {e}"));
         match kind {
             "deployment" => Ok(Location::Deployment),
             "gateway" => Ok(Location::Gateway {
@@ -271,7 +249,7 @@ impl Location {
             "processor" => Ok(Location::Processor {
                 index: index()?,
                 name: name()?,
-                task: v.get("task").and_then(Json::as_str).map(str::to_string),
+                task: v.at("task"),
             }),
             other => Err(format!("unknown location kind {other:?}")),
         }
@@ -292,33 +270,28 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
+    /// Keys are listed alphabetically.
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rule", Json::Str(self.rule.code().into())),
-            ("severity", Json::Str(self.severity.name().into())),
+        Json::obj([
             ("location", self.location.to_json()),
-            ("message", Json::Str(self.message.clone())),
+            ("message", self.message.clone().into()),
+            ("rule", self.rule.code().into()),
+            ("severity", self.severity.name().into()),
         ])
     }
 
     fn from_json(v: &Json) -> Result<Diagnostic, String> {
         Ok(Diagnostic {
             rule: v
-                .get("rule")
-                .and_then(Json::as_str)
+                .at("rule")
                 .and_then(RuleId::from_code)
                 .ok_or("diagnostic without valid rule")?,
             severity: v
-                .get("severity")
-                .and_then(Json::as_str)
+                .at("severity")
                 .and_then(Severity::from_name)
                 .ok_or("diagnostic without valid severity")?,
-            location: Location::from_json(v.get("location").ok_or("diagnostic without location")?)?,
-            message: v
-                .get("message")
-                .and_then(Json::as_str)
-                .ok_or("diagnostic without message")?
-                .to_string(),
+            location: Location::from_json(v.req("location")?)?,
+            message: v.req("message")?,
         })
     }
 }
@@ -382,46 +355,32 @@ pub struct StreamBounds {
 }
 
 impl StreamBounds {
+    /// Keys are listed alphabetically.
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("stream", Json::Str(self.stream.clone())),
-            ("eta_in", Json::Int(self.eta_in as i128)),
-            ("tau_hat", Json::Int(self.tau_hat as i128)),
-            ("omega_hat", Json::Int(self.omega_hat as i128)),
+        Json::obj([
+            ("eta_in", self.eta_in.into()),
             (
                 "mu",
                 Json::Array(vec![Json::Int(self.mu.0), Json::Int(self.mu.1)]),
             ),
+            ("omega_hat", self.omega_hat.into()),
+            ("stream", self.stream.clone().into()),
+            ("tau_hat", self.tau_hat.into()),
         ])
     }
 
     fn from_json(v: &Json) -> Result<StreamBounds, String> {
-        let mu = v
-            .get("mu")
-            .and_then(Json::as_array)
-            .filter(|a| a.len() == 2)
-            .ok_or("bounds without mu")?;
+        let Some([num, den]) = v.at::<&[Json]>("mu") else {
+            return Err("bounds without mu".to_string());
+        };
         Ok(StreamBounds {
-            stream: v
-                .get("stream")
-                .and_then(Json::as_str)
-                .ok_or("bounds without stream")?
-                .to_string(),
-            eta_in: v
-                .get("eta_in")
-                .and_then(Json::as_u64)
-                .ok_or("bounds without eta_in")?,
-            tau_hat: v
-                .get("tau_hat")
-                .and_then(Json::as_u64)
-                .ok_or("bounds without tau_hat")?,
-            omega_hat: v
-                .get("omega_hat")
-                .and_then(Json::as_u64)
-                .ok_or("bounds without omega_hat")?,
+            stream: v.req("stream")?,
+            eta_in: v.req("eta_in")?,
+            tau_hat: v.req("tau_hat")?,
+            omega_hat: v.req("omega_hat")?,
             mu: (
-                mu[0].as_int().ok_or("bad mu numerator")?,
-                mu[1].as_int().ok_or("bad mu denominator")?,
+                num.as_int().ok_or("bad mu numerator")?,
+                den.as_int().ok_or("bad mu denominator")?,
             ),
         })
     }
@@ -511,26 +470,27 @@ impl Report {
         out
     }
 
-    /// Serialise to a JSON tree (see [`Report::to_json_text`]).
+    /// Serialise to a JSON tree (see [`Report::to_json_text`]). Keys are
+    /// listed alphabetically.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("deployment", Json::Str(self.deployment.clone())),
-            ("accepted", Json::Bool(self.is_accepted())),
-            ("gamma", Json::Int(self.gamma as i128)),
+        Json::obj([
+            ("accepted", self.is_accepted().into()),
+            (
+                "bounds",
+                self.bounds.iter().map(StreamBounds::to_json).collect(),
+            ),
+            ("deployment", self.deployment.clone().into()),
+            (
+                "diagnostics",
+                self.diagnostics.iter().map(Diagnostic::to_json).collect(),
+            ),
+            ("gamma", self.gamma.into()),
             (
                 "utilisation",
                 Json::Array(vec![
                     Json::Int(self.utilisation.0),
                     Json::Int(self.utilisation.1),
                 ]),
-            ),
-            (
-                "bounds",
-                Json::Array(self.bounds.iter().map(StreamBounds::to_json).collect()),
-            ),
-            (
-                "diagnostics",
-                Json::Array(self.diagnostics.iter().map(Diagnostic::to_json).collect()),
             ),
         ])
     }
@@ -544,39 +504,18 @@ impl Report {
     /// [`Report::to_json_text`] — the machine-readable round trip.
     pub fn from_json_text(text: &str) -> Result<Report, String> {
         let v = json::parse(text)?;
-        let util = v
-            .get("utilisation")
-            .and_then(Json::as_array)
-            .filter(|a| a.len() == 2)
-            .ok_or("report without utilisation")?;
+        let Some([num, den]) = v.at::<&[Json]>("utilisation") else {
+            return Err("report without utilisation".to_string());
+        };
         Ok(Report {
-            deployment: v
-                .get("deployment")
-                .and_then(Json::as_str)
-                .ok_or("report without deployment")?
-                .to_string(),
-            diagnostics: v
-                .get("diagnostics")
-                .and_then(Json::as_array)
-                .ok_or("report without diagnostics")?
-                .iter()
-                .map(Diagnostic::from_json)
-                .collect::<Result<_, _>>()?,
-            gamma: v
-                .get("gamma")
-                .and_then(Json::as_u64)
-                .ok_or("report without gamma")?,
+            deployment: v.req("deployment")?,
+            diagnostics: v.items("diagnostics", Diagnostic::from_json)?,
+            gamma: v.req("gamma")?,
             utilisation: (
-                util[0].as_int().ok_or("bad utilisation numerator")?,
-                util[1].as_int().ok_or("bad utilisation denominator")?,
+                num.as_int().ok_or("bad utilisation numerator")?,
+                den.as_int().ok_or("bad utilisation denominator")?,
             ),
-            bounds: v
-                .get("bounds")
-                .and_then(Json::as_array)
-                .ok_or("report without bounds")?
-                .iter()
-                .map(StreamBounds::from_json)
-                .collect::<Result<_, _>>()?,
+            bounds: v.items("bounds", StreamBounds::from_json)?,
         })
     }
 }

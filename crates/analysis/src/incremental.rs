@@ -439,68 +439,35 @@ struct Candidate {
 /// `input_capacity`, `output_capacity`, optional `max_latency`).
 /// `gateway` defaults to 0.
 pub fn parse_delta_script(text: &str) -> Result<Vec<Delta>, String> {
-    let top = json::parse(text)?;
-    let arr = top
-        .get("deltas")
-        .and_then(Json::as_array)
-        .ok_or("delta script without a deltas array")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let op = d
-                .get("op")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("delta {i} without an op"))?;
-            let gateway = d.get("gateway").and_then(Json::as_u64).unwrap_or(0) as usize;
-            match op {
-                "add" => Ok(Delta::AddStream {
-                    gateway,
-                    stream: stream_from_json(
-                        d.get("stream")
-                            .ok_or_else(|| format!("delta {i}: add without a stream object"))?,
-                    )?,
-                }),
-                "remove" => Ok(Delta::RemoveStream {
-                    gateway,
-                    stream: d
-                        .get("stream")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("delta {i}: remove without a stream name"))?
-                        .to_string(),
-                }),
-                "retune" => {
-                    let with =
-                        stream_from_json(d.get("stream").ok_or_else(|| {
-                            format!("delta {i}: retune without a stream object")
-                        })?)?;
-                    let target = d
-                        .get("target")
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| with.name.clone());
-                    Ok(Delta::RetuneStream {
-                        gateway,
-                        stream: target,
-                        with,
-                    })
-                }
-                "switch" => Ok(Delta::ModeSwitch {
-                    gateway,
-                    stream: d
-                        .get("stream")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("delta {i}: switch without a stream name"))?
-                        .to_string(),
-                    mode: d
-                        .get("mode")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("delta {i}: switch without a mode name"))?
-                        .to_string(),
-                }),
-                other => Err(format!("delta {i}: unknown op {other:?}")),
-            }
-        })
-        .collect()
+    json::parse(text)?.items("deltas", parse_delta)
+}
+
+fn parse_delta(d: &Json) -> Result<Delta, String> {
+    let gateway = d.at("gateway").unwrap_or(0);
+    match d.req("op")? {
+        "add" => Ok(Delta::AddStream {
+            gateway,
+            stream: stream_from_json(d.req("stream")?)?,
+        }),
+        "remove" => Ok(Delta::RemoveStream {
+            gateway,
+            stream: d.req("stream")?,
+        }),
+        "retune" => {
+            let with = stream_from_json(d.req("stream")?)?;
+            Ok(Delta::RetuneStream {
+                gateway,
+                stream: d.at("target").unwrap_or_else(|| with.name.clone()),
+                with,
+            })
+        }
+        "switch" => Ok(Delta::ModeSwitch {
+            gateway,
+            stream: d.req("stream")?,
+            mode: d.req("mode")?,
+        }),
+        other => Err(format!("unknown op {other:?}")),
+    }
 }
 
 /// Why a run-time admission attempt failed beyond the analysis itself.

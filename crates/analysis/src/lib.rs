@@ -49,7 +49,6 @@
 pub mod blame;
 pub mod diag;
 pub mod incremental;
-pub mod json;
 pub mod profile;
 pub mod rules;
 pub mod spec;
@@ -62,7 +61,6 @@ pub use incremental::{
     parse_delta_script, AdmissionController, AdmissionError, AdmissionOutcome, AdmissionVerdict,
     AnalysisState, Delta, DeltaError,
 };
-pub use json::Json;
 pub use profile::{
     analyze_profiled, monitor_config_for, monitor_for, multi_tau_margin, parse_profile,
     round_margin, tau_margin, RingEnvelope,
@@ -76,3 +74,4 @@ pub use spec::{
     RingLayout, StreamDeploy, StreamMode, StreamModes, TaskDeploy, ToDeploySpec, ETA_LIMIT,
     MU_TERM_LIMIT,
 };
+pub use streamgate_platform::json::{self, Json};

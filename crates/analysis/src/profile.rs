@@ -5,7 +5,8 @@
 //! distributions, input burstiness, round samples. This module closes the
 //! loop:
 //!
-//! * [`parse_profile`] reads the profile's deterministic JSON back;
+//! * `streamgate_core::parse_profile` reads the profile's JSON back
+//!   (re-exported here and at the crate root);
 //! * [`RingEnvelope`] computes the analyzer's *predicted* per-hop arrival
 //!   curve from the spec alone — the curve every measured hop curve must
 //!   stay under if rule A7's reasoning is sound;
@@ -27,14 +28,11 @@
 //! measured ones everywhere, and the monitor must stay silent.
 
 use crate::diag::{Diagnostic, Location, Report, RuleId, Severity};
-use crate::json::Json;
 use crate::rules::{analyze_with, AnalysisOptions};
 use crate::spec::DeploySpec;
 use streamgate_core::monitor::{Monitor, MonitorConfig};
-use streamgate_core::profile::{
-    ArrivalProfile, EmpiricalCurve, FifoProfile, GatewayProfile, HopProfile, RunProfile,
-    StallProfile, StreamProfile,
-};
+pub use streamgate_core::profile::parse_profile;
+use streamgate_core::profile::{HopProfile, RunProfile};
 use streamgate_platform::System;
 
 // ---------------------------------------------------------------------------
@@ -69,197 +67,6 @@ pub fn multi_tau_margin(spec: &DeploySpec, view_chain_len: u64, c0: u64) -> u64 
 /// per-block margin.
 pub fn round_margin(spec: &DeploySpec) -> u64 {
     tau_margin(spec) * spec.streams.len() as u64 + 16
-}
-
-// ---------------------------------------------------------------------------
-// Profile JSON parsing.
-// ---------------------------------------------------------------------------
-
-fn req<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing `{key}`"))
-}
-
-fn req_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    req(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not an unsigned integer"))
-}
-
-fn req_usize(v: &Json, key: &str, ctx: &str) -> Result<usize, String> {
-    Ok(req_u64(v, key, ctx)? as usize)
-}
-
-fn req_str(v: &Json, key: &str, ctx: &str) -> Result<String, String> {
-    Ok(req(v, key, ctx)?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not a string"))?
-        .to_string())
-}
-
-fn u64_list(v: &Json, key: &str, ctx: &str) -> Result<Vec<u64>, String> {
-    req(v, key, ctx)?
-        .as_array()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not an array"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("{ctx}: `{key}` holds a non-integer"))
-        })
-        .collect()
-}
-
-/// Curves share the profile-wide window list and serialise only their
-/// max/min count arrays.
-fn parse_curve(v: &Json, windows: &[u64], ctx: &str) -> Result<EmpiricalCurve, String> {
-    let max_count = u64_list(v, "max", ctx)?;
-    let min_count = u64_list(v, "min", ctx)?;
-    if max_count.len() != windows.len() || min_count.len() != windows.len() {
-        return Err(format!(
-            "{ctx}: curve length does not match the window list"
-        ));
-    }
-    if let Some(i) = (0..windows.len()).find(|&i| min_count[i] > max_count[i]) {
-        return Err(format!(
-            "{ctx}: curve min {} exceeds max {} at window {}",
-            min_count[i], max_count[i], windows[i]
-        ));
-    }
-    Ok(EmpiricalCurve {
-        windows: windows.to_vec(),
-        max_count,
-        min_count,
-    })
-}
-
-fn parse_hops(v: &Json, key: &str, windows: &[u64]) -> Result<Vec<HopProfile>, String> {
-    req(v, key, "profile")?
-        .as_array()
-        .ok_or_else(|| format!("profile: `{key}` is not an array"))?
-        .iter()
-        .map(|h| {
-            Ok(HopProfile {
-                hop: req_usize(h, "hop", key)?,
-                flits: req_u64(h, "flits", key)?,
-                curve: parse_curve(h, windows, key)?,
-            })
-        })
-        .collect()
-}
-
-/// Parse a [`RunProfile`] from the deterministic JSON
-/// `streamgate_core::profile::RunProfile::to_json_text` emits. A window
-/// list that is not strictly increasing from 1 to `cycles + 1`, or a curve
-/// with a min count above its max, is an error.
-pub fn parse_profile(text: &str) -> Result<RunProfile, String> {
-    let v = crate::json::parse(text)?;
-    // Accept-or-warn on the artifact schema version: cross-PR CI compares
-    // artifacts from adjacent revisions, so a version skew must not make
-    // the comparison impossible — it just stops being authoritative.
-    match v.get("schema_version").and_then(Json::as_u64) {
-        None => eprintln!(
-            "warning: profile carries no schema_version (pre-v{} artifact); \
-             parsing best-effort",
-            streamgate_core::profile::SCHEMA_VERSION
-        ),
-        Some(sv) if sv != streamgate_core::profile::SCHEMA_VERSION => eprintln!(
-            "warning: profile schema_version {sv} != supported {}; parsing best-effort",
-            streamgate_core::profile::SCHEMA_VERSION
-        ),
-        Some(_) => {}
-    }
-    let cycles = req_u64(&v, "cycles", "profile")?;
-    let windows = u64_list(&v, "windows", "profile")?;
-    // The shape `log_windows(cycles + 1)` emits; anything else would feed
-    // the envelope windows the run never observed.
-    if windows.first() != Some(&1)
-        || windows.last().copied() != cycles.checked_add(1)
-        || windows.windows(2).any(|p| p[0] >= p[1])
-    {
-        return Err(format!(
-            "profile: `windows` must rise strictly from 1 to cycles + 1 ({cycles} + 1)"
-        ));
-    }
-    let streams = req(&v, "streams", "profile")?
-        .as_array()
-        .ok_or("profile: `streams` is not an array")?
-        .iter()
-        .map(|s| {
-            let arrival = match req(s, "arrival", "stream")? {
-                Json::Null => None,
-                a => Some(ArrivalProfile {
-                    samples: req_u64(a, "samples", "arrival")?,
-                    max_fill: req_usize(a, "max_fill", "arrival")?,
-                    curve: parse_curve(a, &windows, "arrival")?,
-                }),
-            };
-            Ok(StreamProfile {
-                gateway: req_usize(s, "gateway", "stream")?,
-                stream: req_usize(s, "stream", "stream")?,
-                gateway_name: req_str(s, "gateway_name", "stream")?,
-                name: req_str(s, "name", "stream")?,
-                blocks: req_u64(s, "blocks", "stream")?,
-                tau_min: req_u64(s, "tau_min", "stream")?,
-                tau_max: req_u64(s, "tau_max", "stream")?,
-                tau_sum: req_u64(s, "tau_sum", "stream")?,
-                tau_hist: u64_list(s, "tau_hist", "stream")?,
-                completions: parse_curve(req(s, "completions", "stream")?, &windows, "stream")?,
-                arrival,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let gateways = req(&v, "gateways", "profile")?
-        .as_array()
-        .ok_or("profile: `gateways` is not an array")?
-        .iter()
-        .map(|g| {
-            let stalls = req(g, "stalls", "gateway")?
-                .as_array()
-                .ok_or("gateway: `stalls` is not an array")?
-                .iter()
-                .map(|st| {
-                    Ok(StallProfile {
-                        cause: req_str(st, "cause", "stall")?,
-                        windows: req_u64(st, "windows", "stall")?,
-                        cycles: req_u64(st, "cycles", "stall")?,
-                        hist: u64_list(st, "hist", "stall")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(GatewayProfile {
-                gateway: req_usize(g, "gateway", "gateway")?,
-                name: req_str(g, "name", "gateway")?,
-                round_count: req_u64(g, "round_count", "gateway")?,
-                round_max: req_u64(g, "round_max", "gateway")?,
-                rounds: u64_list(g, "rounds", "gateway")?,
-                stalls,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let fifos = req(&v, "fifos", "profile")?
-        .as_array()
-        .ok_or("profile: `fifos` is not an array")?
-        .iter()
-        .map(|f| {
-            Ok(FifoProfile {
-                index: req_usize(f, "index", "fifo")?,
-                name: req_str(f, "name", "fifo")?,
-                capacity: req_usize(f, "capacity", "fifo")?,
-                high_water: req_usize(f, "high_water", "fifo")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(RunProfile {
-        deployment: req_str(&v, "deployment", "profile")?,
-        mode: req_str(&v, "mode", "profile")?,
-        cycles,
-        ring_nodes: req_usize(&v, "ring_nodes", "profile")?,
-        data_hops: parse_hops(&v, "data_hops", &windows)?,
-        credit_hops: parse_hops(&v, "credit_hops", &windows)?,
-        windows,
-        streams,
-        gateways,
-        fifos,
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -1308,7 +1308,16 @@ fn check_tdm(spec: &DeploySpec, diags: &mut Vec<Diagnostic>) {
             });
             continue;
         }
-        let period: u64 = p.tasks.iter().map(|t| t.budget).sum();
+        let mut budgets = p.tasks.iter().map(|t| t.budget);
+        let Some(period) = budgets.try_fold(0u64, u64::checked_add) else {
+            diags.push(Diagnostic {
+                rule: RuleId::A4TdmSchedule,
+                severity: Severity::Error,
+                location: loc(None),
+                message: "the slot budgets sum past u64: no replication interval".into(),
+            });
+            continue;
+        };
         if let Some(declared) = p.declared_period {
             if declared != period {
                 diags.push(Diagnostic {
@@ -1350,7 +1359,19 @@ fn check_tdm(spec: &DeploySpec, diags: &mut Vec<Diagnostic>) {
             }
             // Sustainable rate is budget/period ticks per cycle; the task
             // needs 1/interval.
-            if t.budget * interval < period {
+            let Some(supply) = t.budget.checked_mul(interval) else {
+                diags.push(Diagnostic {
+                    rule: RuleId::A4TdmSchedule,
+                    severity: Severity::Error,
+                    location: loc(Some(t.name.clone())),
+                    message: format!(
+                        "budget {} x required interval {interval} overflows u64",
+                        t.budget
+                    ),
+                });
+                continue;
+            };
+            if supply < period {
                 diags.push(Diagnostic {
                     rule: RuleId::A4TdmSchedule,
                     severity: Severity::Error,
@@ -1360,10 +1381,10 @@ fn check_tdm(spec: &DeploySpec, diags: &mut Vec<Diagnostic>) {
                          cycles but gets only {}/{period} of the tile — sustained \
                          rate falls short by a factor of {:.2}",
                         t.budget,
-                        period as f64 / (t.budget * interval) as f64
+                        period as f64 / supply as f64
                     ),
                 });
-            } else if t.budget * interval == period {
+            } else if supply == period {
                 diags.push(Diagnostic {
                     rule: RuleId::A4TdmSchedule,
                     severity: Severity::Warning,
@@ -1506,7 +1527,18 @@ fn check_credits(spec: &DeploySpec, view: &GatewayView, diags: &mut Vec<Diagnost
         1
     };
     let round_trip = 2 * d_max;
-    let window = spec.ni_depth as u64 * c0.max(1);
+    let Some(window) = (spec.ni_depth as u64).checked_mul(c0.max(1)) else {
+        diags.push(Diagnostic {
+            rule: RuleId::A6CreditWindow,
+            severity: Severity::Error,
+            location: gw_loc(spec, view),
+            message: format!(
+                "credit window NI depth {} x c0 = {c0} overflows u64",
+                spec.ni_depth
+            ),
+        });
+        return;
+    };
     if window < round_trip {
         diags.push(Diagnostic {
             rule: RuleId::A6CreditWindow,
@@ -1559,9 +1591,22 @@ fn check_liveness(
         // In the Fig. 5 model everything is counted in *input* samples;
         // scale the output capacity up-front (conservatively, floor).
         let alpha3_scaled = if s.eta_out <= s.eta_in {
-            s.output_capacity * (s.eta_in / s.eta_out)
+            s.output_capacity.checked_mul(s.eta_in / s.eta_out)
         } else {
-            s.output_capacity
+            Some(s.output_capacity)
+        };
+        let Some(alpha3_scaled) = alpha3_scaled else {
+            diags.push(Diagnostic {
+                rule: RuleId::A1Liveness,
+                severity: Severity::Error,
+                location: stream_loc(view, offset, i),
+                message: format!(
+                    "output capacity {} x eta_in/eta_out = {} overflows u64 input-samples",
+                    s.output_capacity,
+                    s.eta_in / s.eta_out
+                ),
+            });
+            continue;
         };
         if s.input_capacity < s.eta_in || alpha3_scaled < s.eta_in {
             diags.push(Diagnostic {
@@ -1933,8 +1978,10 @@ fn check_ring(
                 }
             }
         }
+        // A window past u64 is A6's structural Error, not a tight one.
+        let window = (spec.ni_depth as u64).checked_mul(v.c0());
         if !interferers.is_empty()
-            && (spec.ni_depth as u64) * v.c0() < 2 * d_max + interferers.len() as u64
+            && window.is_some_and(|w| w < 2 * d_max + interferers.len() as u64)
         {
             diags.push(Diagnostic {
                 rule: RuleId::A7RingContention,
@@ -2015,15 +2062,14 @@ fn check_config_bus(spec: &DeploySpec, views: &[GatewayView], diags: &mut Vec<Di
             });
             continue;
         }
-        if off + len > period {
+        if off.checked_add(len).is_none_or(|end| end > period) {
             structurally_ok = false;
             diags.push(Diagnostic {
                 rule: RuleId::A9SlotConflict,
                 severity: Severity::Error,
                 location: gw_loc(spec, v),
                 message: format!(
-                    "config_slot [{off}, {}) exceeds the bus period {period}",
-                    off + len
+                    "config_slot [{off}, {off} + {len}) exceeds the bus period {period}"
                 ),
             });
             continue;
@@ -2079,8 +2125,9 @@ fn check_config_bus(spec: &DeploySpec, views: &[GatewayView], diags: &mut Vec<Di
             });
         }
     }
-    let covered: u64 = slots.iter().map(|&(_, _, l)| l).sum();
-    if structurally_ok && covered < period {
+    // `None` when the lengths sum past u64, which covers any period.
+    let covered = slots.iter().map(|s| s.2).try_fold(0u64, u64::checked_add);
+    if let (true, Some(covered)) = (structurally_ok, covered.filter(|&c| c < period)) {
         diags.push(Diagnostic {
             rule: RuleId::A9SlotConflict,
             severity: Severity::Info,

@@ -9,7 +9,7 @@
 //! that a support library knows but the built platform no longer exposes
 //! (required rates μ_s, declared TDM periods).
 
-use crate::json::{self, Json};
+use crate::json::{self, FromJson, Json};
 use streamgate_core::{GatewayParams, SharingProblem, StreamSpec};
 use streamgate_ilp::Rational;
 
@@ -647,150 +647,92 @@ impl DeploySpec {
         self.streams.iter().map(|s| s.eta_in).collect()
     }
 
-    /// Serialise to a JSON tree (machine-readable spec interchange).
+    /// Serialise to a JSON tree (machine-readable spec interchange). Keys
+    /// are listed alphabetically.
     ///
     /// Multi-gateway-only keys (`gateways`, `config_bus_period`, per-stream
     /// `max_latency`) are omitted when empty/unset, so single-gateway specs
-    /// re-emit byte-identically to the PR-3 format.
+    /// keep the single-gateway document shape byte for byte.
     pub fn to_json(&self) -> Json {
-        let mut top = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("chain", chain_to_json(&self.chain)),
-            ("epsilon", Json::Int(self.epsilon as i128)),
-            ("delta", Json::Int(self.delta as i128)),
-            ("ni_depth", Json::Int(self.ni_depth as i128)),
-            ("check_for_space", Json::Bool(self.check_for_space)),
-            ("streams", streams_to_json(&self.streams)),
+        let task = |t: &TaskDeploy| {
+            Json::obj_some([
+                ("budget", Some(t.budget.into())),
+                ("name", Some(t.name.clone().into())),
+                ("required_interval", t.required_interval.map(Json::from)),
+            ])
+        };
+        let processor = |p: &ProcessorDeploy| {
+            Json::obj_some([
+                ("declared_period", p.declared_period.map(Json::from)),
+                ("name", Some(p.name.clone().into())),
+                ("tasks", Some(p.tasks.iter().map(task).collect())),
+            ])
+        };
+        let gateway = |g: &GatewayDeploy| {
+            Json::obj_some([
+                ("chain", Some(chain_to_json(&g.chain))),
+                (
+                    "config_slot",
+                    g.config_slot
+                        .map(|(off, len)| Json::Array(vec![off.into(), len.into()])),
+                ),
+                ("name", Some(g.name.clone().into())),
+                ("shares_chain_with", g.shares_chain_with.map(Json::from)),
+                ("streams", Some(streams_to_json(&g.streams))),
+            ])
+        };
+        let station_map = |m: &StationMap| {
+            let arr = |v: &[usize]| -> Json { v.iter().copied().collect() };
+            Json::obj([
+                (
+                    "chain_nodes",
+                    m.chain_nodes.iter().map(|c| arr(c)).collect(),
+                ),
+                ("entries", arr(&m.entries)),
+                ("exits", arr(&m.exits)),
+                ("nodes", m.nodes.into()),
+            ])
+        };
+        let stream_modes = |m: &StreamModes| {
+            let mode = |md: &StreamMode| {
+                Json::obj([
+                    ("config", stream_to_json(&md.config)),
+                    ("name", md.name.clone().into()),
+                ])
+            };
+            let edge =
+                |(f, t): &(String, String)| Json::Array(vec![f.clone().into(), t.clone().into()]);
+            Json::obj([
+                ("gateway", m.gateway.into()),
+                ("modes", m.modes.iter().map(mode).collect()),
+                ("stream", m.stream.clone().into()),
+                ("transitions", m.transitions.iter().map(edge).collect()),
+            ])
+        };
+        let non_empty = |v: Vec<Json>| (!v.is_empty()).then_some(Json::Array(v));
+        Json::obj_some([
+            ("chain", Some(chain_to_json(&self.chain))),
+            ("check_for_space", Some(self.check_for_space.into())),
+            ("config_bus_period", self.config_bus_period.map(Json::from)),
+            ("delta", Some(self.delta.into())),
+            ("epsilon", Some(self.epsilon.into())),
+            (
+                "gateways",
+                non_empty(self.gateways.iter().map(gateway).collect()),
+            ),
+            (
+                "modes",
+                non_empty(self.modes.iter().map(stream_modes).collect()),
+            ),
+            ("name", Some(self.name.clone().into())),
+            ("ni_depth", Some(self.ni_depth.into())),
             (
                 "processors",
-                Json::Array(
-                    self.processors
-                        .iter()
-                        .map(|p| {
-                            let mut pairs = vec![("name", Json::Str(p.name.clone()))];
-                            if let Some(d) = p.declared_period {
-                                pairs.push(("declared_period", Json::Int(d as i128)));
-                            }
-                            pairs.push((
-                                "tasks",
-                                Json::Array(
-                                    p.tasks
-                                        .iter()
-                                        .map(|t| {
-                                            let mut tp = vec![
-                                                ("name", Json::Str(t.name.clone())),
-                                                ("budget", Json::Int(t.budget as i128)),
-                                            ];
-                                            if let Some(i) = t.required_interval {
-                                                tp.push((
-                                                    "required_interval",
-                                                    Json::Int(i as i128),
-                                                ));
-                                            }
-                                            Json::obj(tp)
-                                        })
-                                        .collect(),
-                                ),
-                            ));
-                            Json::obj(pairs)
-                        })
-                        .collect(),
-                ),
+                Some(self.processors.iter().map(processor).collect()),
             ),
-        ];
-        if !self.gateways.is_empty() {
-            top.push((
-                "gateways",
-                Json::Array(
-                    self.gateways
-                        .iter()
-                        .map(|g| {
-                            let mut pairs = vec![
-                                ("name", Json::Str(g.name.clone())),
-                                ("chain", chain_to_json(&g.chain)),
-                            ];
-                            if let Some(o) = g.shares_chain_with {
-                                pairs.push(("shares_chain_with", Json::Int(o as i128)));
-                            }
-                            pairs.push(("streams", streams_to_json(&g.streams)));
-                            if let Some((off, len)) = g.config_slot {
-                                pairs.push((
-                                    "config_slot",
-                                    Json::Array(vec![
-                                        Json::Int(off as i128),
-                                        Json::Int(len as i128),
-                                    ]),
-                                ));
-                            }
-                            Json::obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if let Some(p) = self.config_bus_period {
-            top.push(("config_bus_period", Json::Int(p as i128)));
-        }
-        if let Some(m) = &self.station_map {
-            let arr = |v: &[usize]| Json::Array(v.iter().map(|&s| Json::Int(s as i128)).collect());
-            top.push((
-                "station_map",
-                Json::obj(vec![
-                    ("nodes", Json::Int(m.nodes as i128)),
-                    ("entries", arr(&m.entries)),
-                    ("exits", arr(&m.exits)),
-                    (
-                        "chain_nodes",
-                        Json::Array(m.chain_nodes.iter().map(|c| arr(c)).collect()),
-                    ),
-                ]),
-            ));
-        }
-        if !self.modes.is_empty() {
-            top.push((
-                "modes",
-                Json::Array(
-                    self.modes
-                        .iter()
-                        .map(|m| {
-                            Json::obj(vec![
-                                ("gateway", Json::Int(m.gateway as i128)),
-                                ("stream", Json::Str(m.stream.clone())),
-                                (
-                                    "modes",
-                                    Json::Array(
-                                        m.modes
-                                            .iter()
-                                            .map(|md| {
-                                                Json::obj(vec![
-                                                    ("name", Json::Str(md.name.clone())),
-                                                    ("config", stream_to_json(&md.config)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "transitions",
-                                    Json::Array(
-                                        m.transitions
-                                            .iter()
-                                            .map(|(f, t)| {
-                                                Json::Array(vec![
-                                                    Json::Str(f.clone()),
-                                                    Json::Str(t.clone()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        Json::obj(top)
+            ("station_map", self.station_map.as_ref().map(station_map)),
+            ("streams", Some(streams_to_json(&self.streams))),
+        ])
     }
 
     /// Serialise to compact JSON text.
@@ -799,212 +741,146 @@ impl DeploySpec {
     }
 
     /// Parse a spec from the JSON produced by [`DeploySpec::to_json_text`]
-    /// (either shape; PR-3 single-gateway documents still parse).
+    /// (either shape; single-gateway documents without `gateways` still
+    /// parse). An `ni_depth` outside `u32` is an error, not a truncation.
     pub fn from_json_text(text: &str) -> Result<DeploySpec, String> {
         let v = json::parse(text)?;
-        let chain = chain_from_json(v.get("chain").ok_or("missing chain")?)?;
-        let streams = streams_from_json(v.get("streams").ok_or("missing streams")?)?;
-        let processors = match v.get("processors").and_then(Json::as_array) {
-            None => Vec::new(),
-            Some(ps) => ps
-                .iter()
-                .map(|p| {
-                    let tasks = p
-                        .get("tasks")
-                        .and_then(Json::as_array)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|t| {
-                            Ok(TaskDeploy {
-                                name: j_str(t, "name")?,
-                                budget: j_u64(t, "budget")?,
-                                required_interval: t
-                                    .get("required_interval")
-                                    .and_then(Json::as_u64),
-                            })
-                        })
-                        .collect::<Result<_, String>>()?;
-                    Ok(ProcessorDeploy {
-                        name: j_str(p, "name")?,
-                        declared_period: p.get("declared_period").and_then(Json::as_u64),
-                        tasks,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
+        let task = |t: &Json| {
+            Ok(TaskDeploy {
+                name: t.req("name")?,
+                budget: t.req("budget")?,
+                required_interval: t.at("required_interval"),
+            })
         };
-        let gateways = match v.get("gateways").and_then(Json::as_array) {
-            None => Vec::new(),
-            Some(gs) => gs
-                .iter()
-                .map(|g| {
-                    let config_slot = match g.get("config_slot").and_then(Json::as_array) {
-                        None => None,
-                        Some(a) if a.len() == 2 => {
-                            let off = a[0].as_u64().ok_or("bad config_slot offset")?;
-                            let len = a[1].as_u64().ok_or("bad config_slot length")?;
-                            Some((off, len))
-                        }
-                        Some(_) => return Err("config_slot must be [offset, length]".into()),
-                    };
-                    Ok(GatewayDeploy {
-                        name: j_str(g, "name")?,
-                        chain: chain_from_json(g.get("chain").ok_or("gateway without chain")?)?,
-                        shares_chain_with: g
-                            .get("shares_chain_with")
-                            .and_then(Json::as_u64)
-                            .map(|o| o as usize),
-                        streams: streams_from_json(
-                            g.get("streams").ok_or("gateway without streams")?,
-                        )?,
-                        config_slot,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
+        let processor = |p: &Json| {
+            Ok(ProcessorDeploy {
+                name: p.req("name")?,
+                declared_period: p.at("declared_period"),
+                tasks: section(p, "tasks")
+                    .iter()
+                    .map(task)
+                    .collect::<Result<_, String>>()?,
+            })
         };
-        let station_map = match v.get("station_map") {
-            None => None,
-            Some(m) => {
-                let list = |k: &str| -> Result<Vec<usize>, String> {
-                    m.get(k)
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| format!("station_map without {k} array"))?
-                        .iter()
-                        .map(|s| s.as_u64().map(|x| x as usize).ok_or("bad station".into()))
-                        .collect()
-                };
-                Some(StationMap {
-                    nodes: j_u64(m, "nodes")? as usize,
-                    entries: list("entries")?,
-                    exits: list("exits")?,
-                    chain_nodes: m
-                        .get("chain_nodes")
-                        .and_then(Json::as_array)
-                        .ok_or("station_map without chain_nodes array")?
-                        .iter()
-                        .map(|c| {
-                            c.as_array()
-                                .ok_or("chain_nodes entry must be an array")?
-                                .iter()
-                                .map(|s| s.as_u64().map(|x| x as usize).ok_or("bad station".into()))
-                                .collect()
-                        })
-                        .collect::<Result<_, String>>()?,
-                })
-            }
+        let gateway = |g: &Json| {
+            let config_slot = match g.at::<&[Json]>("config_slot") {
+                None => None,
+                Some([off, len]) => Some((
+                    off.as_u64().ok_or("bad config_slot offset")?,
+                    len.as_u64().ok_or("bad config_slot length")?,
+                )),
+                Some(_) => return Err("config_slot must be [offset, length]".to_string()),
+            };
+            Ok(GatewayDeploy {
+                name: g.req("name")?,
+                chain: chain_from_json(g.req("chain")?)?,
+                shares_chain_with: g.at("shares_chain_with"),
+                streams: streams_from_json(g.req("streams")?)?,
+                config_slot,
+            })
         };
-        let modes = match v.get("modes").and_then(Json::as_array) {
-            None => Vec::new(),
-            Some(ms) => ms
-                .iter()
-                .map(|m| {
-                    let modes = m
-                        .get("modes")
-                        .and_then(Json::as_array)
-                        .ok_or("mode declaration without modes array")?
-                        .iter()
-                        .map(|md| {
-                            Ok(StreamMode {
-                                name: j_str(md, "name")?,
-                                config: stream_from_json(
-                                    md.get("config").ok_or("mode without config")?,
-                                )?,
-                            })
-                        })
-                        .collect::<Result<_, String>>()?;
-                    let transitions = match m.get("transitions").and_then(Json::as_array) {
-                        None => Vec::new(),
-                        Some(ts) => ts
-                            .iter()
-                            .map(|t| {
-                                let pair = t
-                                    .as_array()
-                                    .filter(|a| a.len() == 2)
-                                    .ok_or("transition must be [from, to]")?;
-                                let f = pair[0].as_str().ok_or("bad transition from")?;
-                                let to = pair[1].as_str().ok_or("bad transition to")?;
-                                Ok((f.to_string(), to.to_string()))
-                            })
-                            .collect::<Result<_, String>>()?,
-                    };
-                    Ok(StreamModes {
-                        gateway: j_u64(m, "gateway")? as usize,
-                        stream: j_str(m, "stream")?,
-                        modes,
-                        transitions,
-                    })
+        let station_map = |m: &Json| -> Result<StationMap, String> {
+            let stations = |a: &Json| -> Result<Vec<usize>, String> {
+                a.as_array()
+                    .and_then(|a| a.iter().map(usize::from_json).collect())
+                    .ok_or_else(|| "station_map lists must hold station indices".to_string())
+            };
+            Ok(StationMap {
+                nodes: m.req("nodes")?,
+                entries: stations(m.req("entries")?)?,
+                exits: stations(m.req("exits")?)?,
+                chain_nodes: m.items("chain_nodes", stations)?,
+            })
+        };
+        let stream_modes = |m: &Json| {
+            let mode = |md: &Json| {
+                Ok(StreamMode {
+                    name: md.req("name")?,
+                    config: stream_from_json(md.req("config")?)?,
                 })
-                .collect::<Result<_, String>>()?,
+            };
+            let edge = |t: &Json| match t.as_array() {
+                Some([from, to]) => Ok((
+                    from.as_str().ok_or("bad transition from")?.to_string(),
+                    to.as_str().ok_or("bad transition to")?.to_string(),
+                )),
+                _ => Err("transition must be [from, to]".to_string()),
+            };
+            Ok(StreamModes {
+                gateway: m.req("gateway")?,
+                stream: m.req("stream")?,
+                modes: m.items("modes", mode)?,
+                transitions: section(m, "transitions")
+                    .iter()
+                    .map(edge)
+                    .collect::<Result<_, String>>()?,
+            })
         };
         Ok(DeploySpec {
-            name: j_str(&v, "name")?,
-            chain,
-            epsilon: j_u64(&v, "epsilon")?,
-            delta: j_u64(&v, "delta")?,
-            ni_depth: j_u64(&v, "ni_depth")? as u32,
-            check_for_space: v
-                .get("check_for_space")
-                .and_then(Json::as_bool)
-                .unwrap_or(true),
-            streams,
-            processors,
-            gateways,
-            config_bus_period: v.get("config_bus_period").and_then(Json::as_u64),
-            station_map,
-            modes,
+            name: v.req("name")?,
+            chain: chain_from_json(v.req("chain")?)?,
+            epsilon: v.req("epsilon")?,
+            delta: v.req("delta")?,
+            ni_depth: v.req("ni_depth")?,
+            check_for_space: v.at("check_for_space").unwrap_or(true),
+            streams: streams_from_json(v.req("streams")?)?,
+            processors: section(&v, "processors")
+                .iter()
+                .map(processor)
+                .collect::<Result<_, String>>()?,
+            gateways: section(&v, "gateways")
+                .iter()
+                .map(gateway)
+                .collect::<Result<_, String>>()?,
+            config_bus_period: v.at("config_bus_period"),
+            station_map: v.get("station_map").map(station_map).transpose()?,
+            modes: section(&v, "modes")
+                .iter()
+                .map(stream_modes)
+                .collect::<Result<_, String>>()?,
         })
     }
-}
-
-fn j_str(v: &Json, k: &str) -> Result<String, String> {
-    v.get(k)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {k:?}"))
-}
-
-fn j_u64(v: &Json, k: &str) -> Result<u64, String> {
-    v.get(k)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer field {k:?}"))
 }
 
 fn chain_to_json(chain: &[ChainStage]) -> Json {
     Json::Array(
         chain
             .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("name", Json::Str(c.name.clone())),
-                    ("rho", Json::Int(c.rho as i128)),
-                ])
-            })
+            .map(|c| Json::obj([("name", c.name.clone().into()), ("rho", c.rho.into())]))
             .collect(),
     )
 }
 
 fn streams_to_json(streams: &[StreamDeploy]) -> Json {
-    Json::Array(streams.iter().map(stream_to_json).collect())
+    streams.iter().map(stream_to_json).collect()
 }
 
 /// Serialise one stream object of the spec-JSON `streams` encoding —
-/// shared with the per-mode `config` encoding.
+/// shared with the per-mode `config` encoding. Keys are listed
+/// alphabetically.
 fn stream_to_json(s: &StreamDeploy) -> Json {
-    let mut pairs = vec![
-        ("name", Json::Str(s.name.clone())),
+    Json::obj_some([
+        ("eta_in", Some(s.eta_in.into())),
+        ("eta_out", Some(s.eta_out.into())),
+        ("input_capacity", Some(s.input_capacity.into())),
+        ("max_latency", s.max_latency.map(Json::from)),
         (
             "mu",
-            Json::Array(vec![Json::Int(s.mu.numer()), Json::Int(s.mu.denom())]),
+            Some(Json::Array(vec![
+                Json::Int(s.mu.numer()),
+                Json::Int(s.mu.denom()),
+            ])),
         ),
-        ("eta_in", Json::Int(s.eta_in as i128)),
-        ("eta_out", Json::Int(s.eta_out as i128)),
-        ("reconfig", Json::Int(s.reconfig as i128)),
-        ("input_capacity", Json::Int(s.input_capacity as i128)),
-        ("output_capacity", Json::Int(s.output_capacity as i128)),
-    ];
-    if let Some(l) = s.max_latency {
-        pairs.push(("max_latency", Json::Int(l as i128)));
-    }
-    Json::obj(pairs)
+        ("name", Some(s.name.clone().into())),
+        ("output_capacity", Some(s.output_capacity.into())),
+        ("reconfig", Some(s.reconfig.into())),
+    ])
+}
+
+/// An optional array section of a spec document: absent (or not an
+/// array) reads as empty.
+fn section<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    v.at(key).unwrap_or(&[])
 }
 
 fn chain_from_json(v: &Json) -> Result<Vec<ChainStage>, String> {
@@ -1013,8 +889,8 @@ fn chain_from_json(v: &Json) -> Result<Vec<ChainStage>, String> {
         .iter()
         .map(|c| {
             Ok(ChainStage {
-                name: j_str(c, "name")?,
-                rho: j_u64(c, "rho")?,
+                name: c.req("name")?,
+                rho: c.req("rho")?,
             })
         })
         .collect()
@@ -1031,25 +907,23 @@ fn streams_from_json(v: &Json) -> Result<Vec<StreamDeploy>, String> {
 /// Parse one stream object of the spec-JSON `streams` encoding — shared
 /// with the `--delta` admission-script parser.
 pub(crate) fn stream_from_json(s: &Json) -> Result<StreamDeploy, String> {
-    let mu = s
-        .get("mu")
-        .and_then(Json::as_array)
-        .filter(|a| a.len() == 2)
-        .ok_or("stream without mu [num, den]")?;
-    let num = mu[0].as_int().ok_or("bad mu numerator")?;
-    let den = mu[1].as_int().ok_or("bad mu denominator")?;
+    let Some([num, den]) = s.at::<&[Json]>("mu") else {
+        return Err("stream without mu [num, den]".to_string());
+    };
+    let num = num.as_int().ok_or("bad mu numerator")?;
+    let den = den.as_int().ok_or("bad mu denominator")?;
     if den == 0 {
         return Err("mu denominator is zero".to_string());
     }
     Ok(StreamDeploy {
-        name: j_str(s, "name")?,
+        name: s.req("name")?,
         mu: Rational::new(num, den),
-        eta_in: j_u64(s, "eta_in")?,
-        eta_out: j_u64(s, "eta_out")?,
-        reconfig: j_u64(s, "reconfig")?,
-        input_capacity: j_u64(s, "input_capacity")?,
-        output_capacity: j_u64(s, "output_capacity")?,
-        max_latency: s.get("max_latency").and_then(Json::as_u64),
+        eta_in: s.req("eta_in")?,
+        eta_out: s.req("eta_out")?,
+        reconfig: s.req("reconfig")?,
+        input_capacity: s.req("input_capacity")?,
+        output_capacity: s.req("output_capacity")?,
+        max_latency: s.at("max_latency"),
     })
 }
 

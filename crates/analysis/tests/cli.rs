@@ -126,6 +126,42 @@ fn delta_mode_replays_churn_and_reports_final_state() {
     assert!(timing_text.contains("\"speedup\""), "{timing_text}");
 }
 
+/// `--timing` writes valid JSON whatever the stream is called: a name
+/// with quotes used to land unescaped in the `op` field.
+#[test]
+fn timing_file_escapes_stream_names() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-timing-names");
+    std::fs::create_dir_all(&dir).unwrap();
+    let script = dir.join("deltas.json");
+    let timing = dir.join("t.json");
+    std::fs::write(
+        &script,
+        r#"{"deltas": [
+            {"op": "add", "gateway": 1, "stream": {"name": "aux \"meter\"", "mu": [1, 1000000],
+             "eta_in": 8, "eta_out": 8, "reconfig": 20,
+             "input_capacity": 64, "output_capacity": 64}}
+        ]}"#,
+    )
+    .unwrap();
+    let out = analyze(&[
+        "--delta",
+        script.to_str().unwrap(),
+        "--timing",
+        timing.to_str().unwrap(),
+        "pal2",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&timing).unwrap();
+    let doc = streamgate_analysis::json::parse(&text).expect("the timing file is JSON");
+    let rows = doc.req::<&[streamgate_analysis::Json]>("deltas").unwrap();
+    assert_eq!(rows.len(), 1, "{text}");
+    assert_eq!(
+        rows[0].req::<&str>("op"),
+        Ok(r#"add aux "meter" @ gateway 1"#),
+        "{text}"
+    );
+}
+
 #[test]
 fn postmortem_mode_renders_dump_against_spec_bounds() {
     // Produce a real flight-recorder dump: the Fig. 9 wedge observed with
@@ -202,6 +238,24 @@ fn malformed_profile_exits_two_not_a_crash() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("cannot parse profile"), "{err}");
+}
+
+/// Every JSON input is parsed with bounded nesting: a deeply nested
+/// document used to overflow the parser's stack and abort (exit 134).
+#[test]
+fn deeply_nested_json_exits_two_not_a_crash() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("deep.json");
+    let depth = 200_000;
+    std::fs::write(&file, "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+    let path = file.to_str().unwrap();
+    for flag in ["--spec", "--profile", "--postmortem", "--delta"] {
+        let out = analyze(&[flag, path, "pal2"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains("nesting deeper than"), "{flag}: {err}");
+    }
 }
 
 #[test]

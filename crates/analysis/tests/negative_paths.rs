@@ -418,7 +418,11 @@ fn pal_profile_with(field: &str, index: Option<usize>, value: u64) -> String {
     let Json::Object(m) = &mut v else {
         unreachable!("a profile is an object");
     };
-    let slot = match (index, m.get_mut(field).expect("the golden has the field")) {
+    let (_, slot) = m
+        .iter_mut()
+        .find(|(k, _)| k == field)
+        .expect("the golden has the field");
+    let slot = match (index, slot) {
         (Some(i), Json::Array(a)) => &mut a[i],
         (_, slot) => slot,
     };

@@ -11,30 +11,33 @@
 use streamgate_bench::{parse_args, write_trace};
 use streamgate_core::{fig6_schedule, Fig5Params};
 use streamgate_dataflow::Gantt;
+use streamgate_platform::{chrome_trace_text, Json};
 
 /// Render a model Gantt chart in Chrome trace-event JSON: one thread per
 /// actor row, one complete ("X") span per firing segment.
 fn gantt_chrome_json(gantt: &Gantt) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut lines = Vec::new();
-    for (tid, row) in gantt.rows.iter().enumerate() {
-        lines.push(format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            row.actor
-        ));
-        for s in &row.segments {
-            lines.push(format!(
-                "{{\"ph\":\"X\",\"cat\":\"firing\",\"name\":\"{} phase {}\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{}}}",
-                row.actor,
-                s.phase,
-                s.start,
-                s.end - s.start
-            ));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    let events = gantt.rows.iter().enumerate().flat_map(|(tid, row)| {
+        let name = Json::obj([
+            ("ph", "M".into()),
+            ("name", "thread_name".into()),
+            ("pid", 0u32.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", row.actor.clone().into())])),
+        ]);
+        let firings = row.segments.iter().map(move |s| {
+            Json::obj([
+                ("ph", "X".into()),
+                ("cat", "firing".into()),
+                ("name", format!("{} phase {}", row.actor, s.phase).into()),
+                ("pid", 0u32.into()),
+                ("tid", tid.into()),
+                ("ts", s.start.into()),
+                ("dur", (s.end - s.start).into()),
+            ])
+        });
+        std::iter::once(name).chain(firings)
+    });
+    chrome_trace_text(events)
 }
 
 fn main() {

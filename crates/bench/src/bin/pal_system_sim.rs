@@ -16,12 +16,12 @@
 //! and write the measured throughput and speedup as machine-readable JSON.
 
 use std::time::Instant;
-use streamgate_bench::{parse_args, print_table, write_trace};
+use streamgate_bench::{parse_args, print_table, write_artifact, write_trace};
 use streamgate_core::{
     build_pal_system, solve_blocksizes_checked, system_metrics, PalSystem, PalSystemConfig,
 };
 use streamgate_dsp::{decode_stereo, rms_error, snr_db, tone_power, PalStereoSource};
-use streamgate_platform::{AccelId, StallCause, StepMode};
+use streamgate_platform::{AccelId, Json, StallCause, StepMode};
 
 /// Observability level of one simulated run.
 #[derive(Clone, Copy, PartialEq)]
@@ -66,53 +66,52 @@ fn simulate(
 /// busy) plus the engine's own cycle classes. The exhaustive and event
 /// engines must agree on every tile-level figure — only the engine stats
 /// (how the clock was advanced) may differ.
-fn accounting_json(sys: &streamgate_platform::System) -> String {
-    let gws: Vec<String> = sys
-        .gateways
-        .iter()
-        .map(|g| {
-            format!(
-                "{{\"idle_cycles\": {}, \"reconfig_cycles\": {}, \"dma_busy_cycles\": {}}}",
-                g.idle_cycles, g.reconfig_cycles_total, g.dma_busy_cycles
-            )
-        })
-        .collect();
-    let accs: Vec<String> = sys
-        .accels
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"busy_cycles\": {}, \"samples_in\": {}, \"samples_out\": {}}}",
-                a.busy_cycles, a.samples_in, a.samples_out
-            )
-        })
-        .collect();
-    let procs: Vec<String> = sys
+fn accounting_json(sys: &streamgate_platform::System) -> Json {
+    let gateways = sys.gateways.iter().map(|g| {
+        Json::obj([
+            ("idle_cycles", g.idle_cycles.into()),
+            ("reconfig_cycles", g.reconfig_cycles_total.into()),
+            ("dma_busy_cycles", g.dma_busy_cycles.into()),
+        ])
+    });
+    let accelerators = sys.accels.iter().map(|a| {
+        Json::obj([
+            ("busy_cycles", a.busy_cycles.into()),
+            ("samples_in", a.samples_in.into()),
+            ("samples_out", a.samples_out.into()),
+        ])
+    });
+    let processors = sys
         .processors
         .iter()
-        .map(|p| format!("{{\"busy_cycles\": {}}}", p.busy_cycles))
-        .collect();
+        .map(|p| Json::obj([("busy_cycles", p.busy_cycles.into())]));
     let e = sys.engine_stats;
-    format!(
-        "{{\n      \"engine\": {{\"full_steps\": {}, \"ring_only_cycles\": {}, \"skipped_cycles\": {}}},\n      \"gateways\": [{}],\n      \"accelerators\": [{}],\n      \"processors\": [{}]\n    }}",
-        e.full_steps,
-        e.ring_only_cycles,
-        e.skipped_cycles,
-        gws.join(", "),
-        accs.join(", "),
-        procs.join(", "),
-    )
+    Json::obj([
+        (
+            "engine",
+            Json::obj([
+                ("full_steps", e.full_steps.into()),
+                ("ring_only_cycles", e.ring_only_cycles.into()),
+                ("skipped_cycles", e.skipped_cycles.into()),
+            ]),
+        ),
+        ("gateways", gateways.collect()),
+        ("accelerators", accelerators.collect()),
+        ("processors", processors.collect()),
+    ])
 }
 
-fn mode_json(wall: f64, cycles: u64, stats: streamgate_platform::EngineStats) -> String {
-    format!(
-        "{{\"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \"full_steps\": {}, \"ring_only_cycles\": {}, \"skipped_cycles\": {}}}",
-        wall,
-        cycles as f64 / wall.max(1e-9),
-        stats.full_steps,
-        stats.ring_only_cycles,
-        stats.skipped_cycles,
-    )
+fn mode_json(wall: f64, cycles: u64, stats: streamgate_platform::EngineStats) -> Json {
+    Json::obj([
+        ("wall_seconds", wall.into()),
+        (
+            "cycles_per_sec",
+            ((cycles as f64 / wall.max(1e-9)).round() as u64).into(),
+        ),
+        ("full_steps", stats.full_steps.into()),
+        ("ring_only_cycles", stats.ring_only_cycles.into()),
+        ("skipped_cycles", stats.skipped_cycles.into()),
+    ])
 }
 
 /// `--churn`: online admission control on the two-gateway PAL deployment
@@ -614,16 +613,23 @@ fn main() {
             cycles as f64 / wall_exh.max(1e-9) / 1e6
         );
         println!("  speedup: {speedup:.2}×");
-        let json = format!(
-            "{{\n  \"bench\": \"pal_system_sim\",\n  \"cycles\": {cycles},\n  \"modes\": {{\n    \"event\": {},\n    \"exhaustive\": {}\n  }},\n  \"speedup\": {speedup:.3}\n}}\n",
-            mode_json(wall_event, cycles, ev),
-            mode_json(wall_exh, cycles, pal_ex.system.engine_stats),
-        );
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("benchmark results written to {path}");
+        let doc = Json::obj([
+            ("bench", "pal_system_sim".into()),
+            ("cycles", cycles.into()),
+            (
+                "modes",
+                Json::obj([
+                    ("event", mode_json(wall_event, cycles, ev)),
+                    (
+                        "exhaustive",
+                        mode_json(wall_exh, cycles, pal_ex.system.engine_stats),
+                    ),
+                ]),
+            ),
+            ("speedup", speedup.into()),
+        ]);
+        let done = format!("benchmark results written to {path}");
+        write_artifact(path, &(doc.to_text() + "\n"), &done);
 
         if let Some(acct_path) = &args.accounting_json {
             let se = &pal_ev.system;
@@ -641,18 +647,23 @@ fn main() {
                 .iter()
                 .zip(&sx.processors)
                 .all(|(a, b)| a.busy_cycles == b.busy_cycles);
-            let acct = format!(
-                "{{\n  \"bench\": \"pal_system_sim\",\n  \"cycles\": {cycles},\n  \"engines\": {{\n    \"event\": {},\n    \"exhaustive\": {}\n  }},\n  \"tile_accounting_identical\": {identical}\n}}\n",
-                accounting_json(se),
-                accounting_json(sx),
+            let doc = Json::obj([
+                ("bench", "pal_system_sim".into()),
+                ("cycles", cycles.into()),
+                (
+                    "engines",
+                    Json::obj([
+                        ("event", accounting_json(se)),
+                        ("exhaustive", accounting_json(sx)),
+                    ]),
+                ),
+                ("tile_accounting_identical", identical.into()),
+            ]);
+            let done = format!(
+                "per-phase cycle accounting written to {acct_path} \
+                 (tile counters identical: {identical})"
             );
-            if let Err(e) = std::fs::write(acct_path, &acct) {
-                eprintln!("failed to write {acct_path}: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "per-phase cycle accounting written to {acct_path} (tile counters identical: {identical})"
-            );
+            write_artifact(acct_path, &(doc.to_text() + "\n"), &done);
             assert!(
                 identical,
                 "exhaustive and event engines disagree on tile-level cycle accounting"

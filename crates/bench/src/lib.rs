@@ -1,8 +1,8 @@
 //! # streamgate-bench
 //!
-//! Experiment harnesses and Criterion benches that regenerate every table
-//! and figure of the paper's evaluation (see DESIGN.md §4 for the index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results).
+//! Experiment harnesses that regenerate every table and figure of the
+//! paper's evaluation (see DESIGN.md §4 for the index and EXPERIMENTS.md
+//! for recorded paper-vs-measured results).
 //!
 //! Binaries (run with `cargo run -p streamgate-bench --bin <name>`):
 //!
@@ -213,21 +213,25 @@ pub fn preflight_analyze(
     state
 }
 
+/// Write an artifact's text to `path` and print `done`; a failed write
+/// exits 1.
+pub fn write_artifact(path: &str, text: &str, done: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("{done}");
+}
+
 /// Collect the measured [`streamgate_core::RunProfile`] of a finished
 /// profiled run and write its deterministic JSON to `path` (the system
 /// must have been prepared with `System::enable_profiling`).
 pub fn write_profile(path: &str, system: &mut streamgate_platform::System, deployment: &str) {
     let profile = streamgate_core::collect_profile(system, deployment);
-    match std::fs::write(path, profile.to_json_text()) {
-        Ok(()) => println!(
-            "\nprofile written to {path} — feed it back with \
-             `streamgate-analyze --profile {path}`"
-        ),
-        Err(e) => {
-            eprintln!("failed to write profile {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let done = format!(
+        "\nprofile written to {path} — feed it back with `streamgate-analyze --profile {path}`"
+    );
+    write_artifact(path, &profile.to_json_text(), &done);
 }
 
 /// Collect the causal latency attribution ([`streamgate_core::BlameReport`])
@@ -236,13 +240,8 @@ pub fn write_profile(path: &str, system: &mut streamgate_platform::System, deplo
 /// `System::enable_tracing`).
 pub fn write_blame(path: &str, system: &mut streamgate_platform::System, deployment: &str) {
     let blame = streamgate_core::collect_blame(system, deployment);
-    match std::fs::write(path, blame.to_json_text()) {
-        Ok(()) => println!("\nblame report written to {path}"),
-        Err(e) => {
-            eprintln!("failed to write blame report {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let done = format!("\nblame report written to {path}");
+    write_artifact(path, &blame.to_json_text(), &done);
 }
 
 /// Dump a flight-recorder postmortem of a failed run to `path` and print
@@ -255,16 +254,10 @@ pub fn write_postmortem(
     deployment: &str,
 ) {
     let pm = streamgate_core::collect_postmortem(system, monitor, deployment);
-    match std::fs::write(path, pm.to_json_text()) {
-        Ok(()) => println!(
-            "postmortem written to {path} — explain it with \
-             `streamgate-analyze --postmortem {path}`"
-        ),
-        Err(e) => {
-            eprintln!("failed to write postmortem {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let done = format!(
+        "postmortem written to {path} — explain it with `streamgate-analyze --postmortem {path}`"
+    );
+    write_artifact(path, &pm.to_json_text(), &done);
 }
 
 /// Print a two-column table with a title.
@@ -299,15 +292,10 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Write a Chrome trace JSON string to `path` and print how to view it.
 pub fn write_trace(path: &str, json: &str) {
-    match std::fs::write(path, json) {
-        Ok(()) => println!(
-            "\ntrace written to {path} — open it in https://ui.perfetto.dev or chrome://tracing"
-        ),
-        Err(e) => {
-            eprintln!("failed to write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let done = format!(
+        "\ntrace written to {path} — open it in https://ui.perfetto.dev or chrome://tracing"
+    );
+    write_artifact(path, json, &done);
 }
 
 /// Format a percentage delta between paper and measured values.

@@ -39,8 +39,8 @@
 
 use crate::metrics::gateway_metrics;
 use crate::monitor::Monitor;
-use crate::profile::{esc, log2_histogram, nums, SCHEMA_VERSION};
-use streamgate_platform::{StallCause, System, TraceEvent};
+use crate::profile::{log2_histogram, SCHEMA_VERSION};
+use streamgate_platform::{Json, StallCause, System, TraceEvent};
 
 /// One cause a cycle of a block's τ is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -518,84 +518,68 @@ pub fn collect_blame(system: &mut System, deployment: &str) -> BlameReport {
     }
 }
 
-fn block_blame_json(b: &BlockBlame) -> String {
-    let comps: Vec<String> = BlameCause::ALL
-        .iter()
-        .map(|c| format!("\"{}\":{}", c.name(), b.components[c.index()]))
-        .collect();
-    let path: Vec<String> = b
-        .critical_path
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"cause\":\"{}\",\"from\":{},\"to\":{}}}",
-                s.cause.name(),
-                s.from,
-                s.to
-            )
-        })
-        .collect();
-    format!(
-        "{{\"stream\":{},\"start\":{},\"end\":{},\"tau\":{},\"completed\":{},\
-         \"top_cause\":\"{}\",\"components\":{{{}}},\"critical_path\":[{}]}}",
-        b.stream,
-        b.start,
-        b.end,
-        b.tau(),
-        b.completed,
-        b.top_cause().0.name(),
-        comps.join(","),
-        path.join(",")
-    )
+impl BlockBlame {
+    /// The block's attribution as a JSON object.
+    fn to_json(&self) -> Json {
+        let components = BlameCause::ALL
+            .iter()
+            .map(|c| (c.name(), self.components[c.index()].into()));
+        let path = self.critical_path.iter().map(|s| {
+            Json::obj([
+                ("cause", s.cause.name().into()),
+                ("from", s.from.into()),
+                ("to", s.to.into()),
+            ])
+        });
+        Json::obj([
+            ("stream", self.stream.into()),
+            ("start", self.start.into()),
+            ("end", self.end.into()),
+            ("tau", self.tau().into()),
+            ("completed", self.completed.into()),
+            ("top_cause", self.top_cause().0.name().into()),
+            ("components", Json::obj(components)),
+            ("critical_path", path.collect()),
+        ])
+    }
 }
 
 impl BlameReport {
-    /// Render as deterministic compact JSON (stable key order, no floats).
+    /// The report as a JSON tree: stable key order, no floats.
+    pub fn to_json(&self) -> Json {
+        let stream = |s: &StreamBlame| {
+            let components = BlameCause::ALL.iter().map(|c| {
+                let i = c.index();
+                Json::obj([
+                    ("cause", c.name().into()),
+                    ("cycles", s.totals[i].into()),
+                    ("max", s.maxima[i].into()),
+                    ("hist", s.hists[i].as_slice().into()),
+                ])
+            });
+            Json::obj([
+                ("gateway", s.gateway.into()),
+                ("stream", s.stream.into()),
+                ("gateway_name", s.gateway_name.clone().into()),
+                ("name", s.name.clone().into()),
+                ("blocks", s.blocks.into()),
+                ("tau_sum", s.tau_sum.into()),
+                ("components", components.collect()),
+                ("worst", s.worst.as_ref().map(BlockBlame::to_json).into()),
+            ])
+        };
+        Json::obj([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("deployment", self.deployment.clone().into()),
+            ("mode", self.mode.clone().into()),
+            ("cycles", self.cycles.into()),
+            ("streams", self.streams.iter().map(stream).collect()),
+        ])
+    }
+
+    /// Render as compact JSON text (see [`BlameReport::to_json`]).
     pub fn to_json_text(&self) -> String {
-        let streams: Vec<String> = self
-            .streams
-            .iter()
-            .map(|s| {
-                let comps: Vec<String> = BlameCause::ALL
-                    .iter()
-                    .map(|c| {
-                        let i = c.index();
-                        format!(
-                            "{{\"cause\":\"{}\",\"cycles\":{},\"max\":{},\"hist\":{}}}",
-                            c.name(),
-                            s.totals[i],
-                            s.maxima[i],
-                            nums(&s.hists[i])
-                        )
-                    })
-                    .collect();
-                let worst = s
-                    .worst
-                    .as_ref()
-                    .map_or_else(|| "null".to_string(), block_blame_json);
-                format!(
-                    "{{\"gateway\":{},\"stream\":{},\"gateway_name\":\"{}\",\
-                     \"name\":\"{}\",\"blocks\":{},\"tau_sum\":{},\
-                     \"components\":[{}],\"worst\":{}}}",
-                    s.gateway,
-                    s.stream,
-                    esc(&s.gateway_name),
-                    esc(&s.name),
-                    s.blocks,
-                    s.tau_sum,
-                    comps.join(","),
-                    worst
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"deployment\":\"{}\",\
-             \"mode\":\"{}\",\"cycles\":{},\"streams\":[{}]}}",
-            esc(&self.deployment),
-            esc(&self.mode),
-            self.cycles,
-            streams.join(",")
-        )
+        self.to_json().to_text()
     }
 }
 
@@ -850,64 +834,80 @@ pub fn collect_postmortem(system: &System, monitor: &Monitor, deployment: &str) 
     }
 }
 
-fn event_json(e: &TraceEvent) -> String {
+fn event_json(e: &TraceEvent) -> Json {
+    let kind = |k: &'static str| ("type", Json::from(k));
     match *e {
         TraceEvent::BlockStart {
             gateway,
             stream,
             cycle,
-        } => format!(
-            "{{\"type\":\"block-start\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"cycle\":{cycle}}}"
-        ),
+        } => Json::obj([
+            kind("block-start"),
+            ("gateway", gateway.into()),
+            ("stream", stream.into()),
+            ("cycle", cycle.into()),
+        ]),
         TraceEvent::ReconfigWindow {
             gateway,
             stream,
             start,
             end,
-        } => format!(
-            "{{\"type\":\"reconfig-window\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"start\":{start},\"end\":{end}}}"
-        ),
+        }
+        | TraceEvent::DrainPhase {
+            gateway,
+            stream,
+            start,
+            end,
+        } => Json::obj([
+            kind(if matches!(e, TraceEvent::ReconfigWindow { .. }) {
+                "reconfig-window"
+            } else {
+                "drain-phase"
+            }),
+            ("gateway", gateway.into()),
+            ("stream", stream.into()),
+            ("start", start.into()),
+            ("end", end.into()),
+        ]),
         TraceEvent::ConfigSave {
             gateway,
             stream,
             accel,
             cycle,
             words,
-        } => format!(
-            "{{\"type\":\"config-save\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"accel\":{accel},\"cycle\":{cycle},\"words\":{words}}}"
-        ),
-        TraceEvent::ConfigRestore {
+        }
+        | TraceEvent::ConfigRestore {
             gateway,
             stream,
             accel,
             cycle,
             words,
-        } => format!(
-            "{{\"type\":\"config-restore\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"accel\":{accel},\"cycle\":{cycle},\"words\":{words}}}"
-        ),
+        } => Json::obj([
+            kind(if matches!(e, TraceEvent::ConfigSave { .. }) {
+                "config-save"
+            } else {
+                "config-restore"
+            }),
+            ("gateway", gateway.into()),
+            ("stream", stream.into()),
+            ("accel", accel.into()),
+            ("cycle", cycle.into()),
+            ("words", words.into()),
+        ]),
         TraceEvent::DmaPhase {
             gateway,
             stream,
             start,
             end,
             samples,
-        } => format!(
-            "{{\"type\":\"dma-phase\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"start\":{start},\"end\":{end},\"samples\":{samples}}}"
-        ),
-        TraceEvent::DrainPhase {
-            gateway,
-            stream,
-            start,
-            end,
-        } => format!(
-            "{{\"type\":\"drain-phase\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"start\":{start},\"end\":{end}}}"
-        ),
+        } => Json::obj([
+            kind("dma-phase"),
+            ("gateway", gateway.into()),
+            ("stream", stream.into()),
+            ("start", start.into()),
+            ("end", end.into()),
+            ("samples", samples.into()),
+        ]),
         TraceEvent::BlockEnd {
             gateway,
             stream,
@@ -917,105 +917,115 @@ fn event_json(e: &TraceEvent) -> String {
             drain_end,
             dma_stall,
             exit_stall,
-        } => format!(
-            "{{\"type\":\"block-end\",\"gateway\":{gateway},\"stream\":{stream},\
-             \"start\":{start},\"reconfig_end\":{reconfig_end},\"stream_end\":{stream_end},\
-             \"drain_end\":{drain_end},\"dma_stall\":{dma_stall},\"exit_stall\":{exit_stall}}}"
-        ),
+        } => Json::obj([
+            kind("block-end"),
+            ("gateway", gateway.into()),
+            ("stream", stream.into()),
+            ("start", start.into()),
+            ("reconfig_end", reconfig_end.into()),
+            ("stream_end", stream_end.into()),
+            ("drain_end", drain_end.into()),
+            ("dma_stall", dma_stall.into()),
+            ("exit_stall", exit_stall.into()),
+        ]),
         TraceEvent::StallWindow {
             gateway,
             cause,
             start,
             end,
-        } => format!(
-            "{{\"type\":\"stall-window\",\"gateway\":{gateway},\"cause\":\"{}\",\
-             \"start\":{start},\"end\":{end}}}",
-            cause.name()
-        ),
-        TraceEvent::AccelActive { accel, start, end } => format!(
-            "{{\"type\":\"accel-active\",\"accel\":{accel},\"start\":{start},\"end\":{end}}}"
-        ),
-        TraceEvent::FifoLevel { fifo, cycle, level } => format!(
-            "{{\"type\":\"fifo-level\",\"fifo\":{fifo},\"cycle\":{cycle},\"level\":{level}}}"
-        ),
-        TraceEvent::FifoHighWater { fifo, cycle, level } => format!(
-            "{{\"type\":\"fifo-high-water\",\"fifo\":{fifo},\"cycle\":{cycle},\
-             \"level\":{level}}}"
-        ),
+        } => Json::obj([
+            kind("stall-window"),
+            ("gateway", gateway.into()),
+            ("cause", cause.name().into()),
+            ("start", start.into()),
+            ("end", end.into()),
+        ]),
+        TraceEvent::AccelActive { accel, start, end } => Json::obj([
+            kind("accel-active"),
+            ("accel", accel.into()),
+            ("start", start.into()),
+            ("end", end.into()),
+        ]),
+        TraceEvent::FifoLevel { fifo, cycle, level }
+        | TraceEvent::FifoHighWater { fifo, cycle, level } => Json::obj([
+            kind(if matches!(e, TraceEvent::FifoLevel { .. }) {
+                "fifo-level"
+            } else {
+                "fifo-high-water"
+            }),
+            ("fifo", fifo.into()),
+            ("cycle", cycle.into()),
+            ("level", level.into()),
+        ]),
         TraceEvent::RingCounters {
             cycle,
             data_delivered,
             data_stalls,
             credit_delivered,
-        } => format!(
-            "{{\"type\":\"ring-counters\",\"cycle\":{cycle},\"data_delivered\":{data_delivered},\
-             \"data_stalls\":{data_stalls},\"credit_delivered\":{credit_delivered}}}"
-        ),
+        } => Json::obj([
+            kind("ring-counters"),
+            ("cycle", cycle.into()),
+            ("data_delivered", data_delivered.into()),
+            ("data_stalls", data_stalls.into()),
+            ("credit_delivered", credit_delivered.into()),
+        ]),
     }
 }
 
 impl Postmortem {
-    /// Render as deterministic compact JSON (stable key order, no floats).
+    /// The dump as a JSON tree: stable key order, no floats.
+    pub fn to_json(&self) -> Json {
+        let open = |&(g, c, s, last): &(u32, StallCause, u64, u64)| {
+            Json::obj([
+                ("gateway", g.into()),
+                ("cause", c.name().into()),
+                ("start", s.into()),
+                ("last", last.into()),
+            ])
+        };
+        let violation = |v: &crate::monitor::Violation| {
+            Json::obj([
+                ("kind", v.kind.name().into()),
+                ("cycle", v.cycle.into()),
+                ("gateway", v.gateway.into()),
+                ("gateway_name", v.gateway_name.clone().into()),
+                ("stream", v.stream.into()),
+                ("stream_name", v.stream_name.clone().into()),
+                ("fifo", v.fifo.into()),
+                ("message", v.message.clone().into()),
+            ])
+        };
+        let blame = self.blame.as_ref().map(|b| {
+            Json::obj([
+                ("gateway", b.gateway.into()),
+                ("gateway_name", b.gateway_name.clone().into()),
+                ("stream_name", b.stream_name.clone().into()),
+                ("block", b.block.to_json()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("deployment", self.deployment.clone().into()),
+            ("mode", self.mode.clone().into()),
+            ("cycle", self.cycle.into()),
+            ("events_dropped", self.events_dropped.into()),
+            ("monitor_missed", self.monitor_missed.into()),
+            (
+                "recent_events",
+                self.recent_events.iter().map(event_json).collect(),
+            ),
+            ("open_stalls", self.open_stalls.iter().map(open).collect()),
+            (
+                "violations",
+                self.violations.iter().map(violation).collect(),
+            ),
+            ("blame", blame.into()),
+        ])
+    }
+
+    /// Render as compact JSON text (see [`Postmortem::to_json`]).
     pub fn to_json_text(&self) -> String {
-        let events: Vec<String> = self.recent_events.iter().map(event_json).collect();
-        let opens: Vec<String> = self
-            .open_stalls
-            .iter()
-            .map(|&(g, c, s, last)| {
-                format!(
-                    "{{\"gateway\":{g},\"cause\":\"{}\",\"start\":{s},\"last\":{last}}}",
-                    c.name()
-                )
-            })
-            .collect();
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                let opt =
-                    |o: Option<usize>| o.map_or_else(|| "null".to_string(), |x| x.to_string());
-                format!(
-                    "{{\"kind\":\"{}\",\"cycle\":{},\"gateway\":{},\"gateway_name\":\"{}\",\
-                     \"stream\":{},\"stream_name\":\"{}\",\"fifo\":{},\"message\":\"{}\"}}",
-                    v.kind.name(),
-                    v.cycle,
-                    opt(v.gateway),
-                    esc(&v.gateway_name),
-                    opt(v.stream),
-                    esc(&v.stream_name),
-                    opt(v.fifo),
-                    esc(&v.message)
-                )
-            })
-            .collect();
-        let blame = self.blame.as_ref().map_or_else(
-            || "null".to_string(),
-            |b| {
-                format!(
-                    "{{\"gateway\":{},\"gateway_name\":\"{}\",\"stream_name\":\"{}\",\
-                     \"block\":{}}}",
-                    b.gateway,
-                    esc(&b.gateway_name),
-                    esc(&b.stream_name),
-                    block_blame_json(&b.block)
-                )
-            },
-        );
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"deployment\":\"{}\",\"mode\":\"{}\",\
-             \"cycle\":{},\"events_dropped\":{},\"monitor_missed\":{},\
-             \"recent_events\":[{}],\"open_stalls\":[{}],\"violations\":[{}],\
-             \"blame\":{}}}",
-            esc(&self.deployment),
-            esc(&self.mode),
-            self.cycle,
-            self.events_dropped,
-            self.monitor_missed,
-            events.join(","),
-            opens.join(","),
-            violations.join(","),
-            blame
-        )
+        self.to_json().to_text()
     }
 }
 

@@ -67,8 +67,8 @@ pub use monitor::{
 };
 pub use params::{GatewayParams, SharingProblem, StreamSpec};
 pub use profile::{
-    collect_profile, log2_histogram, log_windows, ArrivalProfile, EmpiricalCurve, FifoProfile,
-    GatewayProfile, HopProfile, RunProfile, StallProfile, StreamProfile,
+    collect_profile, log2_histogram, log_windows, parse_profile, ArrivalProfile, EmpiricalCurve,
+    FifoProfile, GatewayProfile, HopProfile, RunProfile, StallProfile, StreamProfile,
 };
 pub use validate::{
     max_round_time, measure_block_times, measured_transition_delay, system_metrics,

@@ -25,10 +25,11 @@
 //! up to the `mode` field, because every profiled source is append-only at
 //! sites the event-driven engine's skips never touch.
 //!
-//! The analyzer side (`streamgate-analysis`) parses this JSON back and
-//! feeds measured burstiness into rules A7/A10.
+//! [`parse_profile`] reads that JSON back, beside its writer; the analyzer
+//! (`streamgate-analysis`) feeds the parsed measurements into rules A7/A10.
 
 use crate::metrics::gateway_metrics;
+use streamgate_platform::json::{self, Json};
 use streamgate_platform::{StallCause, System, TraceEvent};
 
 /// Round-time samples kept per gateway (the count and maximum are always
@@ -483,7 +484,7 @@ pub fn collect_profile(system: &mut System, deployment: &str) -> RunProfile {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic JSON encoding (no external dependencies; key order fixed).
+// JSON encoding and parsing (through `streamgate_platform::json`).
 // ---------------------------------------------------------------------------
 
 /// Schema version stamped into every serialized observability artifact
@@ -492,143 +493,218 @@ pub fn collect_profile(system: &mut System, deployment: &str) -> RunProfile {
 /// (rather than fail) on mismatch.
 pub const SCHEMA_VERSION: u64 = 1;
 
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn nums(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn curve_fields(c: &EmpiricalCurve) -> String {
-    // Window sizes are shared profile-wide and not repeated per curve.
-    format!(
-        "\"max\":{},\"min\":{}",
-        nums(&c.max_count),
-        nums(&c.min_count)
-    )
+/// A curve's count arrays. The window sizes are shared profile-wide and
+/// not repeated per curve.
+fn curve_json(c: &EmpiricalCurve) -> [(&'static str, Json); 2] {
+    [
+        ("max", c.max_count.as_slice().into()),
+        ("min", c.min_count.as_slice().into()),
+    ]
 }
 
 impl RunProfile {
-    /// Render as deterministic compact JSON (stable key order, no floats).
-    pub fn to_json_text(&self) -> String {
-        let hops = |hs: &[HopProfile]| -> String {
-            let items: Vec<String> = hs
-                .iter()
-                .map(|h| {
-                    format!(
-                        "{{\"hop\":{},\"flits\":{},{}}}",
-                        h.hop,
-                        h.flits,
-                        curve_fields(&h.curve)
-                    )
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
-        let streams: Vec<String> = self
-            .streams
-            .iter()
-            .map(|s| {
-                let arrival = match &s.arrival {
-                    None => "null".to_string(),
-                    Some(a) => format!(
-                        "{{\"samples\":{},\"max_fill\":{},{}}}",
-                        a.samples,
-                        a.max_fill,
-                        curve_fields(&a.curve)
-                    ),
-                };
-                format!(
-                    "{{\"gateway\":{},\"stream\":{},\"gateway_name\":\"{}\",\"name\":\"{}\",\
-                     \"blocks\":{},\"tau_min\":{},\"tau_max\":{},\"tau_sum\":{},\
-                     \"tau_hist\":{},\"completions\":{{{}}},\"arrival\":{}}}",
-                    s.gateway,
-                    s.stream,
-                    esc(&s.gateway_name),
-                    esc(&s.name),
-                    s.blocks,
-                    s.tau_min,
-                    s.tau_max,
-                    s.tau_sum,
-                    nums(&s.tau_hist),
-                    curve_fields(&s.completions),
-                    arrival
-                )
-            })
-            .collect();
-        let gateways: Vec<String> = self
-            .gateways
-            .iter()
-            .map(|g| {
-                let stalls: Vec<String> = g
-                    .stalls
-                    .iter()
-                    .map(|st| {
-                        format!(
-                            "{{\"cause\":\"{}\",\"windows\":{},\"cycles\":{},\"hist\":{}}}",
-                            esc(&st.cause),
-                            st.windows,
-                            st.cycles,
-                            nums(&st.hist)
-                        )
+    /// The profile as a JSON tree: stable key order, no floats.
+    pub fn to_json(&self) -> Json {
+        let hops = |hs: &[HopProfile]| {
+            Json::Array(
+                hs.iter()
+                    .map(|h| {
+                        let head = [("hop", h.hop.into()), ("flits", h.flits.into())];
+                        Json::obj(head.into_iter().chain(curve_json(&h.curve)))
                     })
-                    .collect();
-                format!(
-                    "{{\"gateway\":{},\"name\":\"{}\",\"round_count\":{},\"round_max\":{},\
-                     \"rounds\":{},\"stalls\":[{}]}}",
-                    g.gateway,
-                    esc(&g.name),
-                    g.round_count,
-                    g.round_max,
-                    nums(&g.rounds),
-                    stalls.join(",")
-                )
-            })
-            .collect();
-        let fifos: Vec<String> = self
-            .fifos
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"index\":{},\"name\":\"{}\",\"capacity\":{},\"high_water\":{}}}",
-                    f.index,
-                    esc(&f.name),
-                    f.capacity,
-                    f.high_water
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"deployment\":\"{}\",\"mode\":\"{}\",\
-             \"cycles\":{},\"ring_nodes\":{},\
-             \"windows\":{},\"data_hops\":{},\"credit_hops\":{},\"streams\":[{}],\
-             \"gateways\":[{}],\"fifos\":[{}]}}",
-            esc(&self.deployment),
-            esc(&self.mode),
-            self.cycles,
-            self.ring_nodes,
-            nums(&self.windows),
-            hops(&self.data_hops),
-            hops(&self.credit_hops),
-            streams.join(","),
-            gateways.join(","),
-            fifos.join(",")
-        )
+                    .collect(),
+            )
+        };
+        let stream = |s: &StreamProfile| {
+            let arrival = s.arrival.as_ref().map(|a| {
+                let head = [
+                    ("samples", a.samples.into()),
+                    ("max_fill", a.max_fill.into()),
+                ];
+                Json::obj(head.into_iter().chain(curve_json(&a.curve)))
+            });
+            Json::obj([
+                ("gateway", s.gateway.into()),
+                ("stream", s.stream.into()),
+                ("gateway_name", s.gateway_name.clone().into()),
+                ("name", s.name.clone().into()),
+                ("blocks", s.blocks.into()),
+                ("tau_min", s.tau_min.into()),
+                ("tau_max", s.tau_max.into()),
+                ("tau_sum", s.tau_sum.into()),
+                ("tau_hist", s.tau_hist.as_slice().into()),
+                ("completions", Json::obj(curve_json(&s.completions))),
+                ("arrival", arrival.into()),
+            ])
+        };
+        let stall = |st: &StallProfile| {
+            Json::obj([
+                ("cause", st.cause.clone().into()),
+                ("windows", st.windows.into()),
+                ("cycles", st.cycles.into()),
+                ("hist", st.hist.as_slice().into()),
+            ])
+        };
+        let gateway = |g: &GatewayProfile| {
+            Json::obj([
+                ("gateway", g.gateway.into()),
+                ("name", g.name.clone().into()),
+                ("round_count", g.round_count.into()),
+                ("round_max", g.round_max.into()),
+                ("rounds", g.rounds.as_slice().into()),
+                ("stalls", g.stalls.iter().map(stall).collect()),
+            ])
+        };
+        let fifo = |f: &FifoProfile| {
+            Json::obj([
+                ("index", f.index.into()),
+                ("name", f.name.clone().into()),
+                ("capacity", f.capacity.into()),
+                ("high_water", f.high_water.into()),
+            ])
+        };
+        Json::obj([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("deployment", self.deployment.clone().into()),
+            ("mode", self.mode.clone().into()),
+            ("cycles", self.cycles.into()),
+            ("ring_nodes", self.ring_nodes.into()),
+            ("windows", self.windows.as_slice().into()),
+            ("data_hops", hops(&self.data_hops)),
+            ("credit_hops", hops(&self.credit_hops)),
+            ("streams", self.streams.iter().map(stream).collect()),
+            ("gateways", self.gateways.iter().map(gateway).collect()),
+            ("fifos", self.fifos.iter().map(fifo).collect()),
+        ])
     }
+
+    /// Render as compact JSON text (see [`RunProfile::to_json`]).
+    pub fn to_json_text(&self) -> String {
+        self.to_json().to_text()
+    }
+}
+
+/// Parse a [`RunProfile`] from the JSON [`RunProfile::to_json_text`]
+/// emits. A window list that is not strictly increasing from 1 to
+/// `cycles + 1`, or a curve with a min count above its max, is an error.
+pub fn parse_profile(text: &str) -> Result<RunProfile, String> {
+    let v = json::parse(text)?;
+    // Accept-or-warn on the artifact schema version: cross-PR CI compares
+    // artifacts from adjacent revisions, so a version skew must not make
+    // the comparison impossible — it just stops being authoritative.
+    match v.at::<u64>("schema_version") {
+        None => eprintln!(
+            "warning: profile carries no schema_version (pre-v{SCHEMA_VERSION} artifact); \
+             parsing best-effort"
+        ),
+        Some(sv) if sv != SCHEMA_VERSION => eprintln!(
+            "warning: profile schema_version {sv} != supported {SCHEMA_VERSION}; \
+             parsing best-effort"
+        ),
+        Some(_) => {}
+    }
+    profile_from_json(&v).map_err(|e| format!("profile: {e}"))
+}
+
+fn profile_from_json(v: &Json) -> Result<RunProfile, String> {
+    let cycles: u64 = v.req("cycles")?;
+    let windows: Vec<u64> = v.req("windows")?;
+    // The shape `log_windows(cycles + 1)` emits; anything else would feed
+    // the analyzer's envelope windows the run never observed.
+    if windows.first() != Some(&1)
+        || windows.last().copied() != cycles.checked_add(1)
+        || windows.windows(2).any(|p| p[0] >= p[1])
+    {
+        return Err(format!(
+            "`windows` must rise strictly from 1 to cycles + 1 ({cycles} + 1)"
+        ));
+    }
+    let curve = |c: &Json| -> Result<EmpiricalCurve, String> {
+        let max_count: Vec<u64> = c.req("max")?;
+        let min_count: Vec<u64> = c.req("min")?;
+        if max_count.len() != windows.len() || min_count.len() != windows.len() {
+            return Err("curve length does not match the window list".into());
+        }
+        if let Some(i) = (0..windows.len()).find(|&i| min_count[i] > max_count[i]) {
+            return Err(format!(
+                "curve min {} exceeds max {} at window {}",
+                min_count[i], max_count[i], windows[i]
+            ));
+        }
+        Ok(EmpiricalCurve {
+            windows: windows.clone(),
+            max_count,
+            min_count,
+        })
+    };
+    let hop = |h: &Json| {
+        Ok(HopProfile {
+            hop: h.req("hop")?,
+            flits: h.req("flits")?,
+            curve: curve(h)?,
+        })
+    };
+    let stream = |s: &Json| {
+        let arrival = match s.req::<&Json>("arrival")? {
+            Json::Null => None,
+            a => Some(ArrivalProfile {
+                samples: a.req("samples")?,
+                max_fill: a.req("max_fill")?,
+                curve: curve(a)?,
+            }),
+        };
+        Ok(StreamProfile {
+            gateway: s.req("gateway")?,
+            stream: s.req("stream")?,
+            gateway_name: s.req("gateway_name")?,
+            name: s.req("name")?,
+            blocks: s.req("blocks")?,
+            tau_min: s.req("tau_min")?,
+            tau_max: s.req("tau_max")?,
+            tau_sum: s.req("tau_sum")?,
+            tau_hist: s.req("tau_hist")?,
+            completions: curve(s.req("completions")?)?,
+            arrival,
+        })
+    };
+    let stall = |st: &Json| {
+        Ok(StallProfile {
+            cause: st.req("cause")?,
+            windows: st.req("windows")?,
+            cycles: st.req("cycles")?,
+            hist: st.req("hist")?,
+        })
+    };
+    let gateway = |g: &Json| {
+        Ok(GatewayProfile {
+            gateway: g.req("gateway")?,
+            name: g.req("name")?,
+            round_count: g.req("round_count")?,
+            round_max: g.req("round_max")?,
+            rounds: g.req("rounds")?,
+            stalls: g.items("stalls", stall)?,
+        })
+    };
+    let fifo = |f: &Json| {
+        Ok(FifoProfile {
+            index: f.req("index")?,
+            name: f.req("name")?,
+            capacity: f.req("capacity")?,
+            high_water: f.req("high_water")?,
+        })
+    };
+    Ok(RunProfile {
+        deployment: v.req("deployment")?,
+        mode: v.req("mode")?,
+        cycles,
+        ring_nodes: v.req("ring_nodes")?,
+        data_hops: v.items("data_hops", hop)?,
+        credit_hops: v.items("credit_hops", hop)?,
+        streams: v.items("streams", stream)?,
+        gateways: v.items("gateways", gateway)?,
+        fifos: v.items("fifos", fifo)?,
+        windows,
+    })
 }
 
 #[cfg(test)]

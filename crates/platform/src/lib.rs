@@ -20,6 +20,7 @@
 pub mod accel;
 pub mod cfifo;
 pub mod gateway;
+pub mod json;
 pub mod processor;
 pub mod system;
 pub mod trace;
@@ -28,9 +29,10 @@ pub mod types;
 pub use accel::{AccelId, AcceleratorTile};
 pub use cfifo::{CFifo, FifoId};
 pub use gateway::{BlockRecord, GatewayPair, StreamConfig};
+pub use json::Json;
 pub use processor::{
     ProcessorTile, RateSource, SinkTask, SoftwareTask, StereoMatrixTask, TaskWake,
 };
 pub use system::{EngineStats, StepMode, System};
-pub use trace::{chrome_trace_json, StallCause, TraceEvent, TraceNames, Tracer};
+pub use trace::{chrome_trace_json, chrome_trace_text, StallCause, TraceEvent, TraceNames, Tracer};
 pub use types::{DownsampleKernel, PassthroughKernel, Sample, ScaleKernel, StreamKernel};

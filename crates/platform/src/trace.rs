@@ -20,9 +20,9 @@
 //! Tracing is strictly **opt-in**: a disabled tracer is a single `Option`
 //! check per emission site (the event constructor closures are never run),
 //! so `System::run` with tracing off costs the same as before the layer
-//! existed — `crates/bench/benches/bench_platform.rs` measures exactly
-//! that, and `trace_overhead_is_negligible` in this module enforces
-//! behavioural equality.
+//! existed — `crates/bench/tests/trace_overhead_acceptance.rs` gates the
+//! cost of every tracing level, and `trace_overhead_is_negligible` in
+//! this module enforces behavioural equality.
 //!
 //! Between "off" and "full" sits the **flight recorder**
 //! ([`Tracer::flight_recorder`]): the same emission sites feed a bounded
@@ -36,6 +36,7 @@
 //! format, viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use crate::cfifo::HwmGrowth;
+use crate::json::Json;
 use std::fmt;
 
 /// Why a component could not make progress this cycle.
@@ -629,19 +630,6 @@ impl TraceNames {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Process-id blocks used in the Chrome export: gateways are pids
 /// `0..1000`, accelerators live in pid 1000, counters in pid 2000.
 const PID_ACCELS: u32 = 1000;
@@ -650,6 +638,216 @@ const PID_COUNTERS: u32 = 2000;
 /// Thread ids within a gateway pid: streams use their index; stall tracks
 /// sit above them.
 const TID_STALL_BASE: u32 = 900;
+
+/// Stream trace-event objects into the Chrome trace-event envelope, one
+/// event per line. Each event is written and dropped in turn, so a long
+/// trace never exists as one tree.
+pub fn chrome_trace_text(events: impl Iterator<Item = Json>) -> String {
+    let (lo, hi) = events.size_hint();
+    let mut out = String::with_capacity(hi.unwrap_or(lo) * 96 + 1024);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    for (i, e) in events.enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        e.write_to(&mut out);
+    }
+    out.push_str("\n]}\n");
+    out
+}
+
+/// A metadata ("M") event naming a process (`tid` = `None`) or a thread.
+fn name_event(pid: u32, tid: Option<u32>, name: String) -> Json {
+    let kind = tid.map_or("process_name", |_| "thread_name");
+    Json::obj_some([
+        ("ph", Some("M".into())),
+        ("name", Some(kind.into())),
+        ("pid", Some(pid.into())),
+        ("tid", tid.map(Json::from)),
+        ("args", Some(Json::obj([("name", name.into())]))),
+    ])
+}
+
+/// A complete ("X") span.
+fn span(
+    cat: &'static str,
+    name: String,
+    pid: u32,
+    tid: u32,
+    ts: u64,
+    dur: u64,
+    args: Option<Json>,
+) -> Json {
+    Json::obj_some([
+        ("ph", Some("X".into())),
+        ("cat", Some(cat.into())),
+        ("name", Some(name.into())),
+        ("pid", Some(pid.into())),
+        ("tid", Some(tid.into())),
+        ("ts", Some(ts.into())),
+        ("dur", Some(dur.into())),
+        ("args", args),
+    ])
+}
+
+/// A process-scoped instant ("i") on the configuration bus.
+fn config_bus_instant(name: String, pid: u32, tid: u32, ts: u64, words: u32) -> Json {
+    Json::obj([
+        ("ph", "i".into()),
+        ("cat", "configbus".into()),
+        ("name", name.into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("ts", ts.into()),
+        ("s", "p".into()),
+        ("args", Json::obj([("words", words.into())])),
+    ])
+}
+
+/// A counter ("C") sample.
+fn counter(name: String, ts: u64, args: Json) -> Json {
+    Json::obj([
+        ("ph", "C".into()),
+        ("name", name.into()),
+        ("pid", PID_COUNTERS.into()),
+        ("ts", ts.into()),
+        ("args", args),
+    ])
+}
+
+/// One trace event as Chrome trace events (`BlockStart` has none: the
+/// block span is drawn by `BlockEnd`; it stays in the log for streaming
+/// consumers).
+fn chrome_event(e: &TraceEvent, names: &TraceNames) -> Option<Json> {
+    Some(match *e {
+        TraceEvent::ReconfigWindow {
+            gateway,
+            stream,
+            start,
+            end,
+        }
+        | TraceEvent::DrainPhase {
+            gateway,
+            stream,
+            start,
+            end,
+        } => {
+            let (cat, name) = match e {
+                TraceEvent::ReconfigWindow { .. } => ("reconfig", "R_s"),
+                _ => ("drain", "drain δ-phase"),
+            };
+            let dur = end.saturating_sub(start);
+            span(cat, name.into(), gateway, stream, start, dur, None)
+        }
+        TraceEvent::DmaPhase {
+            gateway,
+            stream,
+            start,
+            end,
+            samples,
+        } => span(
+            "dma",
+            "dma ε-phase".into(),
+            gateway,
+            stream,
+            start,
+            end.saturating_sub(start),
+            Some(Json::obj([("samples", samples.into())])),
+        ),
+        TraceEvent::BlockEnd {
+            gateway,
+            stream,
+            start,
+            drain_end,
+            dma_stall,
+            exit_stall,
+            ..
+        } => {
+            let tau = drain_end.saturating_sub(start);
+            span(
+                "block",
+                format!("block {}", names.stream(gateway, stream)),
+                gateway,
+                stream,
+                start,
+                tau,
+                Some(Json::obj([
+                    ("tau", tau.into()),
+                    ("dma_stall", dma_stall.into()),
+                    ("exit_stall", exit_stall.into()),
+                ])),
+            )
+        }
+        TraceEvent::ConfigSave {
+            gateway,
+            stream,
+            accel,
+            cycle,
+            words,
+        }
+        | TraceEvent::ConfigRestore {
+            gateway,
+            stream,
+            accel,
+            cycle,
+            words,
+        } => {
+            let verb = match e {
+                TraceEvent::ConfigSave { .. } => "save",
+                _ => "restore",
+            };
+            let (s, a) = (names.stream(gateway, stream), names.accel(accel));
+            config_bus_instant(format!("{verb} {s}→{a}"), gateway, stream, cycle, words)
+        }
+        TraceEvent::StallWindow {
+            gateway,
+            cause,
+            start,
+            end,
+        } => span(
+            "stall",
+            cause.name().into(),
+            gateway,
+            TID_STALL_BASE + cause as u32,
+            start,
+            end - start + 1,
+            None,
+        ),
+        TraceEvent::AccelActive { accel, start, end } => span(
+            "accel",
+            names.accel(accel),
+            PID_ACCELS,
+            accel,
+            start,
+            end - start + 1,
+            None,
+        ),
+        TraceEvent::FifoLevel { fifo, cycle, level }
+        | TraceEvent::FifoHighWater { fifo, cycle, level } => {
+            let (track, arg) = match e {
+                TraceEvent::FifoLevel { .. } => ("fifo", "level"),
+                _ => ("hwm", "high_water"),
+            };
+            let name = format!("{track} {}", names.fifo(fifo));
+            counter(name, cycle, Json::obj([(arg, level.into())]))
+        }
+        TraceEvent::RingCounters {
+            cycle,
+            data_delivered,
+            data_stalls,
+            credit_delivered,
+        } => counter(
+            "ring".into(),
+            cycle,
+            Json::obj([
+                ("data_delivered", data_delivered.into()),
+                ("data_stalls", data_stalls.into()),
+                ("credit_delivered", credit_delivered.into()),
+            ]),
+        ),
+        TraceEvent::BlockStart { .. } => return None,
+    })
+}
 
 /// Render an event log in the Chrome trace-event JSON format
 /// (`chrome://tracing` / Perfetto). One platform cycle maps to one
@@ -660,17 +858,6 @@ const TID_STALL_BASE: u32 = 900;
 /// thread per stall cause; accelerators share a process of activity spans;
 /// FIFO occupancy and ring statistics are counter tracks.
 pub fn chrome_trace_json(events: &[TraceEvent], names: &TraceNames) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 1024);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: String| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&line);
-    };
-
     // Metadata: process and thread names for every entity that appears.
     let mut seen_gw: Vec<u32> = Vec::new();
     let mut seen_streams: Vec<(u32, u32)> = Vec::new();
@@ -716,140 +903,22 @@ pub fn chrome_trace_json(events: &[TraceEvent], names: &TraceNames) -> String {
             }
         }
     }
+    let mut meta = Vec::new();
     for &g in &seen_gw {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{g},\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&names.gateway(g))
-        ),
-        );
+        meta.push(name_event(g, None, names.gateway(g)));
         for cause in StallCause::ALL {
-            push(&mut out, &mut first, format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{g},\"tid\":{},\"args\":{{\"name\":\"stall:{}\"}}}}",
-                TID_STALL_BASE + cause as u32,
-                cause.name()
-            ));
+            let tid = TID_STALL_BASE + cause as u32;
+            meta.push(name_event(g, Some(tid), format!("stall:{}", cause.name())));
         }
     }
     for &(g, s) in &seen_streams {
-        push(&mut out, &mut first, format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{g},\"tid\":{s},\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&names.stream(g, s))
-        ));
+        meta.push(name_event(g, Some(s), names.stream(g, s)));
     }
     if seen_accel {
-        push(&mut out, &mut first, format!(
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{PID_ACCELS},\"args\":{{\"name\":\"accelerators\"}}}}"
-        ));
+        meta.push(name_event(PID_ACCELS, None, "accelerators".into()));
     }
-
-    for e in events {
-        match *e {
-            TraceEvent::ReconfigWindow {
-                gateway,
-                stream,
-                start,
-                end,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"X\",\"cat\":\"reconfig\",\"name\":\"R_s\",\"pid\":{gateway},\"tid\":{stream},\"ts\":{start},\"dur\":{}}}",
-                end.saturating_sub(start)
-            )),
-            TraceEvent::DmaPhase {
-                gateway,
-                stream,
-                start,
-                end,
-                samples,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"X\",\"cat\":\"dma\",\"name\":\"dma ε-phase\",\"pid\":{gateway},\"tid\":{stream},\"ts\":{start},\"dur\":{},\"args\":{{\"samples\":{samples}}}}}",
-                end.saturating_sub(start)
-            )),
-            TraceEvent::DrainPhase {
-                gateway,
-                stream,
-                start,
-                end,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"X\",\"cat\":\"drain\",\"name\":\"drain δ-phase\",\"pid\":{gateway},\"tid\":{stream},\"ts\":{start},\"dur\":{}}}",
-                end.saturating_sub(start)
-            )),
-            TraceEvent::BlockEnd {
-                gateway,
-                stream,
-                start,
-                drain_end,
-                dma_stall,
-                exit_stall,
-                ..
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"X\",\"cat\":\"block\",\"name\":\"block {}\",\"pid\":{gateway},\"tid\":{stream},\"ts\":{start},\"dur\":{},\"args\":{{\"tau\":{},\"dma_stall\":{dma_stall},\"exit_stall\":{exit_stall}}}}}",
-                json_escape(&names.stream(gateway, stream)),
-                drain_end.saturating_sub(start),
-                drain_end.saturating_sub(start)
-            )),
-            TraceEvent::ConfigSave {
-                gateway,
-                stream,
-                accel,
-                cycle,
-                words,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"i\",\"cat\":\"configbus\",\"name\":\"save {}→{}\",\"pid\":{gateway},\"tid\":{stream},\"ts\":{cycle},\"s\":\"p\",\"args\":{{\"words\":{words}}}}}",
-                json_escape(&names.stream(gateway, stream)),
-                json_escape(&names.accel(accel))
-            )),
-            TraceEvent::ConfigRestore {
-                gateway,
-                stream,
-                accel,
-                cycle,
-                words,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"i\",\"cat\":\"configbus\",\"name\":\"restore {}→{}\",\"pid\":{gateway},\"tid\":{stream},\"ts\":{cycle},\"s\":\"p\",\"args\":{{\"words\":{words}}}}}",
-                json_escape(&names.stream(gateway, stream)),
-                json_escape(&names.accel(accel))
-            )),
-            TraceEvent::StallWindow {
-                gateway,
-                cause,
-                start,
-                end,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"X\",\"cat\":\"stall\",\"name\":\"{}\",\"pid\":{gateway},\"tid\":{},\"ts\":{start},\"dur\":{}}}",
-                cause.name(),
-                TID_STALL_BASE + cause as u32,
-                end - start + 1
-            )),
-            TraceEvent::AccelActive { accel, start, end } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"X\",\"cat\":\"accel\",\"name\":\"{}\",\"pid\":{PID_ACCELS},\"tid\":{accel},\"ts\":{start},\"dur\":{}}}",
-                json_escape(&names.accel(accel)),
-                end - start + 1
-            )),
-            TraceEvent::FifoLevel { fifo, cycle, level } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"C\",\"name\":\"fifo {}\",\"pid\":{PID_COUNTERS},\"ts\":{cycle},\"args\":{{\"level\":{level}}}}}",
-                json_escape(&names.fifo(fifo))
-            )),
-            TraceEvent::FifoHighWater { fifo, cycle, level } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"C\",\"name\":\"hwm {}\",\"pid\":{PID_COUNTERS},\"ts\":{cycle},\"args\":{{\"high_water\":{level}}}}}",
-                json_escape(&names.fifo(fifo))
-            )),
-            TraceEvent::RingCounters {
-                cycle,
-                data_delivered,
-                data_stalls,
-                credit_delivered,
-            } => push(&mut out, &mut first, format!(
-                "{{\"ph\":\"C\",\"name\":\"ring\",\"pid\":{PID_COUNTERS},\"ts\":{cycle},\"args\":{{\"data_delivered\":{data_delivered},\"data_stalls\":{data_stalls},\"credit_delivered\":{credit_delivered}}}}}"
-            )),
-            // BlockStart carries no duration of its own: the block span is
-            // drawn by BlockEnd. Kept in the log for streaming consumers.
-            TraceEvent::BlockStart { .. } => {}
-        }
-    }
-    out.push_str("\n]}\n");
-    out
+    let spans = events.iter().filter_map(|e| chrome_event(e, names));
+    chrome_trace_text(meta.into_iter().chain(spans))
 }
 
 #[cfg(test)]
