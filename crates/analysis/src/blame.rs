@@ -85,14 +85,20 @@ pub fn component_ceilings(spec: &DeploySpec, report: &Report) -> Vec<ComponentCe
                 bound.stream, st.name,
                 "report bounds out of step with the spec's stream order"
             );
-            let eta = st.eta_in;
-            let dma_floor = eta.saturating_sub(1) * spec.epsilon + 2;
-            let slack = (bound.tau_hat + margin).saturating_sub(dma_floor);
+            // Saturating: a spec whose τ̂ overflowed reports it as
+            // `u64::MAX`, and its ceilings stay unbounded rather than wrap.
+            let dma_floor = st
+                .eta_in
+                .saturating_sub(1)
+                .saturating_mul(spec.epsilon)
+                .saturating_add(2);
+            let tau_budget = bound.tau_hat.saturating_add(margin);
+            let slack = tau_budget.saturating_sub(dma_floor);
             let mut ceilings = [0u64; 7];
             ceilings[BlameCause::Reconfig.index()] = st.reconfig;
             ceilings[BlameCause::TdmSlotWait.index()] = 0;
             ceilings[BlameCause::DmaCreditWait.index()] = slack;
-            ceilings[BlameCause::DmaTransfer.index()] = dma_floor + 1;
+            ceilings[BlameCause::DmaTransfer.index()] = dma_floor.saturating_add(1);
             ceilings[BlameCause::HeadOfLine.index()] = if spec.check_for_space { 0 } else { slack };
             ceilings[BlameCause::RingTransit.index()] = ring_dist;
             ceilings[BlameCause::AccelService.index()] = slack;
@@ -101,7 +107,7 @@ pub fn component_ceilings(spec: &DeploySpec, report: &Report) -> Vec<ComponentCe
                 stream: s,
                 name: st.name.clone(),
                 ceilings,
-                tau_budget: bound.tau_hat + margin,
+                tau_budget,
             });
             gi += 1;
         }

@@ -44,10 +44,13 @@ use streamgate_platform::System;
 /// `(η+2)·c0` models the paper's three-stage pipeline (entry, one
 /// accelerator, exit); a k-stage chain fills `k−1` further stages, and the
 /// ring adds constant per-block transport (hops + NI handshakes),
-/// independent of η.
+/// independent of η. Saturates at `u64::MAX` (no bound) on spec integers
+/// too large to measure against.
 pub fn tau_margin(spec: &DeploySpec) -> u64 {
     let k = spec.chain.len() as u64;
-    k.saturating_sub(1) * spec.c0() + 16 + 8 * k
+    k.saturating_sub(1)
+        .saturating_mul(spec.c0())
+        .saturating_add(16 + 8 * k)
 }
 
 /// Per-block measurement margin for one pair of a multi-gateway system:
@@ -60,13 +63,18 @@ pub fn multi_tau_margin(spec: &DeploySpec, view_chain_len: u64, c0: u64) -> u64 
             .iter()
             .map(|g| g.chain.len() as u64)
             .sum::<u64>();
-    view_chain_len.saturating_sub(1) * c0 + 16 + 8 * view_chain_len + 2 * ring
+    view_chain_len
+        .saturating_sub(1)
+        .saturating_mul(c0)
+        .saturating_add(16 + 8 * view_chain_len + 2 * ring)
 }
 
 /// Round measurement margin: every block of the round carries the
 /// per-block margin.
 pub fn round_margin(spec: &DeploySpec) -> u64 {
-    tau_margin(spec) * spec.streams.len() as u64 + 16
+    tau_margin(spec)
+        .saturating_mul(spec.streams.len() as u64)
+        .saturating_add(16)
 }
 
 // ---------------------------------------------------------------------------
@@ -133,14 +141,14 @@ impl RingEnvelope {
             }
             let eta_in = v.streams.iter().map(|s| s.eta_in).max().unwrap_or(0);
             let eta_out = v.streams.iter().map(|s| s.eta_out).max().unwrap_or(0);
-            let spacing = (v
+            let spacing = v
                 .streams
                 .iter()
-                .map(|s| s.eta_in.saturating_sub(1) * spec.epsilon)
+                .map(|s| s.eta_in.saturating_sub(1).saturating_mul(spec.epsilon))
                 .min()
                 .unwrap_or(0)
-                + v.streams.iter().map(|s| s.reconfig).min().unwrap_or(0))
-            .max(1);
+                .saturating_add(v.streams.iter().map(|s| s.reconfig).min().unwrap_or(0))
+                .max(1);
             let credit_slack = spec.ni_depth as u64 * (v.chain.len() as u64 + 1);
             let segs = layout.segments(v.index);
             let last = segs.len() - 1;
@@ -386,7 +394,7 @@ pub fn analyze_profiled(
             .zip(&arr.curve.max_count)
             .find(|&(_, &c)| c >= st.eta_in)
             .map(|(&w, _)| w);
-        let gamma_g = bounds.tau_hat + bounds.omega_hat;
+        let gamma_g = bounds.tau_hat.saturating_add(bounds.omega_hat);
         let loc = Location::Stream {
             index: fi,
             name: st.name.clone(),

@@ -10,6 +10,7 @@
 //! (required rates μ_s, declared TDM periods).
 
 use crate::json::{self, FromJson, Json};
+use streamgate_core::profile::SCHEMA_VERSION;
 use streamgate_core::{GatewayParams, SharingProblem, StreamSpec};
 use streamgate_ilp::Rational;
 
@@ -730,6 +731,7 @@ impl DeploySpec {
                 "processors",
                 Some(self.processors.iter().map(processor).collect()),
             ),
+            ("schema_version", Some(SCHEMA_VERSION.into())),
             ("station_map", self.station_map.as_ref().map(station_map)),
             ("streams", Some(streams_to_json(&self.streams))),
         ])
@@ -743,8 +745,12 @@ impl DeploySpec {
     /// Parse a spec from the JSON produced by [`DeploySpec::to_json_text`]
     /// (either shape; single-gateway documents without `gateways` still
     /// parse). An `ni_depth` outside `u32` is an error, not a truncation.
+    /// A missing or different `schema_version` only warns, as for profiles.
     pub fn from_json_text(text: &str) -> Result<DeploySpec, String> {
         let v = json::parse(text)?;
+        if v.at::<u64>("schema_version") != Some(SCHEMA_VERSION) {
+            eprintln!("warning: spec schema_version is not {SCHEMA_VERSION}; parsing best-effort");
+        }
         let task = |t: &Json| {
             Ok(TaskDeploy {
                 name: t.req("name")?,
@@ -1400,6 +1406,18 @@ mod tests {
             let back = DeploySpec::from_json_text(&text).unwrap();
             assert_eq!(back, spec);
             assert_eq!(back.to_json_text(), text);
+        }
+    }
+
+    #[test]
+    fn spec_json_carries_schema_version_and_accepts_others() {
+        let spec = DeploySpec::fig6();
+        let text = spec.to_json_text();
+        let stamp = format!("\"schema_version\":{SCHEMA_VERSION},");
+        assert!(text.contains(&stamp), "{text}");
+        for other in [String::new(), "\"schema_version\":99,".to_string()] {
+            let back = DeploySpec::from_json_text(&text.replace(&stamp, &other));
+            assert_eq!(back, Ok(spec.clone()), "{other:?}");
         }
     }
 

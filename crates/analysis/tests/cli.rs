@@ -372,3 +372,54 @@ fn tau_hat_overflow_exits_two_not_a_crash() {
     assert_eq!(out.status.code(), Some(2), "{text}");
     assert!(text.contains("overflows u64"), "{text}");
 }
+
+/// Write `spec` with its first stream's `eta_in` set to `eta_in` and
+/// return the file path.
+fn spec_with_first_eta_in(
+    mut spec: streamgate_analysis::DeploySpec,
+    eta_in: u64,
+    file: &str,
+) -> std::path::PathBuf {
+    spec.streams[0].eta_in = eta_in;
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(file);
+    std::fs::write(&path, spec.to_json_text()).unwrap();
+    path
+}
+
+/// A τ̂ that overflows saturates at `u64::MAX`; the profile checks built
+/// on it (the ring envelope's burst spacing, A10's measured latency)
+/// saturate too instead of overflowing.
+#[test]
+fn profile_against_overflowing_spec_exits_two_not_a_crash() {
+    let spec = spec_with_first_eta_in(
+        streamgate_analysis::DeploySpec::pal_scaled(),
+        (1 << 62) - 1,
+        "pal-eta-2-62.json",
+    );
+    let profile = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/pal_profile.json");
+    let out = analyze(&["--profile", profile, "--spec", spec.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(text.contains("verdict: REJECTED"), "{text}");
+}
+
+/// The postmortem's per-component ceilings saturate on a spec whose
+/// bounds overflow, so the dump still renders.
+#[test]
+fn postmortem_against_overflowing_spec_renders_not_a_crash() {
+    let spec = spec_with_first_eta_in(
+        streamgate_analysis::DeploySpec::fig9(false),
+        (1 << 63) - 1,
+        "fig9-eta-2-63.json",
+    );
+    let dump = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/fig9_postmortem.json"
+    );
+    let out = analyze(&["--postmortem", dump, "--spec", spec.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(text.contains("head-of-line"), "{text}");
+}

@@ -8,6 +8,7 @@
 //! a different subset of it, so the per-binary dead-code lint is off.
 #![allow(dead_code)]
 
+use std::path::PathBuf;
 use streamgate_analysis::{
     AnalysisOptions, ChainStage, DeploySpec, GatewayDeploy, MultiBuiltSystem, StreamDeploy,
 };
@@ -344,3 +345,28 @@ pub fn multi_clean_cycles(spec: &DeploySpec) -> u64 {
 // keeps reading from one definition.
 #[allow(unused_imports)] // each test binary uses a different subset
 pub use streamgate_analysis::{multi_tau_margin, round_margin, tau_margin};
+
+/// Compare `actual` with the golden file `tests/golden/<name>`, or write
+/// it there when `GOLDEN_UPDATE` is set. Goldens pin the exact bytes of an
+/// artifact other tools parse, so any diff is a deliberate format or
+/// measurement change: re-record and review it like an API change.
+pub fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("GOLDEN_UPDATE").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {}: {e} (run with GOLDEN_UPDATE=1)",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "{name} diverged from the golden file — if the change is \
+         intentional, re-record with GOLDEN_UPDATE=1"
+    );
+}

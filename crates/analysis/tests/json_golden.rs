@@ -5,33 +5,10 @@
 //! format change: rerun with `GOLDEN_UPDATE=1` to re-record, and review
 //! the diff like an API change.
 
-use std::path::PathBuf;
+mod common;
+
+use common::check_golden;
 use streamgate_analysis::{analyze, DeploySpec};
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("GOLDEN_UPDATE").is_some() {
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e} (run with GOLDEN_UPDATE=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "JSON report for {name} diverged from the golden file — if the \
-         change is intentional, re-record with GOLDEN_UPDATE=1"
-    );
-}
 
 /// The rejected counterpart: pal2 with gw-back's configuration slot moved
 /// onto gw-front's (A9 Error) and ch1-front's latency budget cut below the

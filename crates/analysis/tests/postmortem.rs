@@ -11,8 +11,12 @@
 //!
 //! Both dumps must round-trip through `render_postmortem` (the
 //! `streamgate-analyze --postmortem` path) with the exceeded component
-//! called out against its analytic ceiling.
+//! called out against its analytic ceiling, and both are pinned
+//! byte-for-byte by golden files (re-record with `GOLDEN_UPDATE=1`).
 
+mod common;
+
+use common::check_golden;
 use streamgate_analysis::{
     analyze, analyze_with, monitor_for, render_postmortem, AnalysisOptions, ChainStage, DeploySpec,
     StreamDeploy,
@@ -54,6 +58,7 @@ fn fig9_wedge_postmortem_names_head_of_line_on_s1() {
     );
 
     let pm = collect_postmortem(&b.system, &monitor, &spec.name);
+    check_golden("fig9_postmortem.json", &pm.to_json_text());
     let blame = pm.blame.as_ref().expect("wedged block must be attributed");
     assert_eq!(blame.stream_name, "s1", "blame must pin the wedged stream");
     assert_eq!(
@@ -147,6 +152,7 @@ fn forced_transition_overrun_postmortem_names_reconfig() {
     );
 
     let pm = collect_postmortem(&b.system, &monitor, &spec.name);
+    check_golden("overrun_postmortem.json", &pm.to_json_text());
     let blame = pm.blame.as_ref().expect("overrun block must be attributed");
     assert_eq!(blame.stream_name, "s0");
     assert!(

@@ -5,14 +5,16 @@
 //!   stream and cycle) and can stop `run_until` at the first violation;
 //! * a clean check-for-space-enabled run keeps the monitor silent;
 //! * `RunProfile` JSON round-trips bit-exactly through `parse_profile`;
-//! * the profile JSON schema for the `pal` preset is pinned by a golden
-//!   file (re-record with `GOLDEN_UPDATE=1`).
+//! * the profile and blame JSON of one `pal` run are pinned by golden
+//!   files (re-record with `GOLDEN_UPDATE=1`).
 
-use std::path::PathBuf;
+mod common;
+
+use common::check_golden;
 use streamgate_analysis::{
     analyze, analyze_profiled, monitor_for, parse_profile, AnalysisOptions, DeploySpec,
 };
-use streamgate_core::{collect_profile, ViolationKind};
+use streamgate_core::{collect_blame, collect_profile, ViolationKind};
 use streamgate_platform::{StallCause, StepMode, System};
 
 const ENGINES: [StepMode; 2] = [StepMode::Exhaustive, StepMode::EventDriven];
@@ -144,43 +146,35 @@ fn profile_json_roundtrips_through_parser() {
     assert_eq!(back.to_json_text(), text);
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
+/// The golden `pal` run: a fixed 40 000-cycle exhaustive saturated run.
+fn pal_golden_run() -> streamgate_core::BuiltSystem {
+    let mut b = saturated_profiled(&DeploySpec::pal_scaled(), StepMode::Exhaustive);
+    b.system.run(40_000);
+    b
 }
 
-/// The profile JSON schema for the `pal` preset, pinned byte-for-byte: a
-/// fixed 40 000-cycle exhaustive saturated run of the pal deployment. Any
-/// diff is a deliberate schema/measurement change — re-record with
-/// `GOLDEN_UPDATE=1` and review it like an API change.
+/// The profile JSON schema for the `pal` preset, pinned byte-for-byte on
+/// [`pal_golden_run`]. Any diff is a deliberate schema/measurement change
+/// — re-record with `GOLDEN_UPDATE=1` and review it like an API change.
 #[test]
 fn pal_profile_json_matches_golden() {
     let spec = DeploySpec::pal_scaled();
-    let mut b = saturated_profiled(&spec, StepMode::Exhaustive);
-    b.system.run(40_000);
+    let mut b = pal_golden_run();
     let profile = collect_profile(&mut b.system, "pal");
-    let actual = profile.to_json_text();
-
-    let path = golden_path("pal_profile.json");
-    if std::env::var_os("GOLDEN_UPDATE").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-    } else {
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "cannot read {}: {e} (run with GOLDEN_UPDATE=1)",
-                path.display()
-            )
-        });
-        assert_eq!(
-            actual, expected,
-            "pal RunProfile JSON diverged from the golden file — if the \
-             change is intentional, re-record with GOLDEN_UPDATE=1"
-        );
-    }
+    check_golden("pal_profile.json", &profile.to_json_text());
 
     // The measured profile must also feed back cleanly: same acceptance,
     // refinement diagnostics only.
     let report = analyze_profiled(&spec, &AnalysisOptions::default(), Some(&profile));
     assert!(report.is_accepted(), "{}", report.render_text());
+}
+
+/// The blame report of the same run, pinned byte-for-byte: per-stream
+/// component totals, maxima and histograms, and each stream's worst block
+/// with its critical path.
+#[test]
+fn pal_blame_json_matches_golden() {
+    let mut b = pal_golden_run();
+    let blame = collect_blame(&mut b.system, "pal");
+    check_golden("pal_blame.json", &blame.to_json_text());
 }

@@ -5,9 +5,10 @@
 //! transfer under TDM arbitration, ring transit, accelerator service, and
 //! (when the §V-G check-for-space admission test is disabled) Fig. 9
 //! head-of-line blocking on the exit C-FIFO. This module observes that
-//! decomposition directly: it reconstructs each completed block's timeline
-//! from the [`Tracer`](streamgate_platform::Tracer) event log and
-//! attributes **every cycle** of the
+//! decomposition directly: it takes each completed block's timeline and
+//! the stall windows from the one fold over the
+//! [`Tracer`](streamgate_platform::Tracer) event log
+//! (`metrics::fold_gateways`) and attributes **every cycle** of the
 //! measured τ to exactly one [`BlameCause`], with the invariant that the
 //! components sum to τ — enforced by assertion in [`collect_blame`], and
 //! bit-identical between the two cycle-exact engines because both produce
@@ -37,10 +38,10 @@
 //! serializable [`Postmortem`] that `streamgate-analyze --postmortem`
 //! renders against the spec's predicted per-component ceilings.
 
-use crate::metrics::gateway_metrics;
+use crate::metrics::{fold_system, GatewayMetrics, InFlight};
 use crate::monitor::Monitor;
 use crate::profile::{log2_histogram, SCHEMA_VERSION};
-use streamgate_platform::{Json, StallCause, System, TraceEvent};
+use streamgate_platform::{BlockRecord, Json, StallCause, System, TraceEvent};
 
 /// One cause a cycle of a block's τ is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -201,24 +202,6 @@ pub struct BlameReport {
     pub streams: Vec<StreamBlame>,
 }
 
-/// Closed stall windows of one cause for one gateway, as inclusive
-/// `(start, end)` pairs in event order (disjoint: the tracer coalesces
-/// adjacent stall cycles into maximal windows).
-fn stall_windows(events: &[TraceEvent], gateway: usize, cause: StallCause) -> Vec<(u64, u64)> {
-    events
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::StallWindow {
-                gateway: g,
-                cause: c,
-                start,
-                end,
-            } if g as usize == gateway && c == cause => Some((start, end)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Total overlap, in cycles, between inclusive windows and the half-open
 /// span `[lo, hi)`.
 fn overlap(windows: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
@@ -337,19 +320,22 @@ fn components_of(path: &[BlameSegment], start: u64, end: u64) -> [u64; 7] {
 /// necessarily for a flight recorder whose early windows were evicted (a
 /// postmortem passes `strict = false` and the counter stays
 /// authoritative).
-#[allow(clippy::too_many_arguments)]
 fn attribute_completed(
-    stream: usize,
-    start: u64,
-    reconfig_end: u64,
-    stream_end: u64,
-    drain_end: u64,
-    dma_stall: u64,
+    b: &BlockRecord,
     dma_windows: &[(u64, u64)],
     exit_windows: &[(u64, u64)],
     ring_dist: u64,
     strict: bool,
 ) -> BlockBlame {
+    let BlockRecord {
+        stream,
+        start,
+        reconfig_end,
+        stream_end,
+        drain_end,
+        dma_stall,
+        ..
+    } = *b;
     let drain = drain_end - stream_end;
     let hol = overlap(exit_windows, stream_end, drain_end);
     let ring = ring_dist.min(drain - hol);
@@ -426,9 +412,9 @@ fn chain_ring_distance(system: &System, g: usize) -> u64 {
 
 /// Fold a finished fully-traced run into a [`BlameReport`].
 ///
-/// Closes open trace windows (`System::finish_trace`), reconstructs every
-/// completed block's timeline and attributes each of its cycles to one
-/// [`BlameCause`].
+/// Closes open trace windows (`System::finish_trace`), folds the log once
+/// into every gateway's completed blocks and stall windows, and
+/// attributes every cycle of each block to one [`BlameCause`].
 ///
 /// # Panics
 ///
@@ -445,14 +431,11 @@ pub fn collect_blame(system: &mut System, deployment: &str) -> BlameReport {
     );
     system.finish_trace();
     let mut streams = Vec::new();
-    for g in 0..system.gateways.len() {
+    for m in fold_system(system) {
+        let g = m.gateway;
         let ring_dist = chain_ring_distance(system, g);
-        let events = system.tracer.events();
-        let dma_windows = stall_windows(events, g, StallCause::DmaNoCredit);
-        let exit_windows = stall_windows(events, g, StallCause::ExitFifoFull);
         let gw = &system.gateways[g];
         let nst = gw.num_streams();
-        let m = gateway_metrics(&system.tracer, g, nst);
         let mut per_stream: Vec<StreamBlame> = (0..nst)
             .map(|s| StreamBlame {
                 gateway: g,
@@ -470,14 +453,9 @@ pub fn collect_blame(system: &mut System, deployment: &str) -> BlameReport {
         let mut per_block: Vec<Vec<[u64; 7]>> = vec![Vec::new(); nst];
         for b in &m.blocks {
             let blame = attribute_completed(
-                b.stream,
-                b.start,
-                b.reconfig_end,
-                b.stream_end,
-                b.drain_end,
-                b.dma_stall,
-                &dma_windows,
-                &exit_windows,
+                b,
+                m.windows(StallCause::DmaNoCredit),
+                m.windows(StallCause::ExitFifoFull),
                 ring_dist,
                 true,
             );
@@ -633,9 +611,9 @@ pub struct Postmortem {
 /// adds little to the explanation).
 pub const POSTMORTEM_EVENT_CAP: usize = 512;
 
-/// Attribute the in-flight block of gateway `g` from partial evidence: the
-/// retained events plus the tracer's still-open stall windows, up to the
-/// attribution horizon `now`.
+/// Attribute the in-flight block `b` of the gateway `m` describes from
+/// partial evidence: that gateway's closed stall windows plus the
+/// tracer's still-open ones, up to the attribution horizon `now`.
 ///
 /// Unlike the completed-block path, an exit-full window here takes
 /// priority over the whole post-reconfig span — a wedged block is charged
@@ -643,52 +621,22 @@ pub const POSTMORTEM_EVENT_CAP: usize = 512;
 /// overlap (the entry stall is a symptom of the exit wedge). Ring transit
 /// is only attributable at completion and stays zero.
 fn attribute_in_flight(
-    events: &[TraceEvent],
+    b: InFlight,
+    m: &GatewayMetrics,
     open_stalls: &[(u32, StallCause, u64, u64)],
-    g: usize,
     now: u64,
-) -> Option<BlockBlame> {
-    let mut active: Option<(usize, u64)> = None;
-    let mut reconfig_end: Option<u64> = None;
-    let mut stream_end: Option<u64> = None;
-    for e in events {
-        match *e {
-            TraceEvent::BlockStart {
-                gateway,
-                stream,
-                cycle,
-            } if gateway as usize == g => {
-                active = Some((stream as usize, cycle));
-                reconfig_end = None;
-                stream_end = None;
-            }
-            TraceEvent::ReconfigWindow { gateway, end, .. } if gateway as usize == g => {
-                reconfig_end = Some(end);
-            }
-            TraceEvent::DmaPhase { gateway, end, .. } if gateway as usize == g => {
-                stream_end = Some(end);
-            }
-            TraceEvent::BlockEnd { gateway, .. } if gateway as usize == g => {
-                active = None;
-            }
-            _ => {}
-        }
-    }
-    let (stream, start) = active?;
-    let rc_end = reconfig_end.unwrap_or(start).min(now);
-    let dma_end = stream_end.unwrap_or(now).min(now);
-    let closed_dma = stall_windows(events, g, StallCause::DmaNoCredit);
-    let closed_exit = stall_windows(events, g, StallCause::ExitFifoFull);
-    let open = |cause: StallCause| -> Vec<(u64, u64)> {
-        open_stalls
-            .iter()
-            .filter_map(|&(gw, c, s, last)| (gw as usize == g && c == cause).then_some((s, last)))
-            .collect()
+) -> BlockBlame {
+    let start = b.start;
+    let rc_end = b.reconfig_end.unwrap_or(start).min(now);
+    let dma_end = b.stream_end.unwrap_or(now).min(now);
+    let windows = |cause: StallCause| -> Vec<(u64, u64)> {
+        let open = open_stalls.iter().filter_map(|&(gw, c, s, last)| {
+            (gw as usize == m.gateway && c == cause).then_some((s, last))
+        });
+        m.windows(cause).iter().copied().chain(open).collect()
     };
-    let mut dma_windows = closed_dma;
-    dma_windows.extend(open(StallCause::DmaNoCredit));
-    let mut exit_windows = closed_exit;
-    exit_windows.extend(open(StallCause::ExitFifoFull));
+    let dma_windows = windows(StallCause::DmaNoCredit);
+    let exit_windows = windows(StallCause::ExitFifoFull);
 
     let mut path = Vec::new();
     if rc_end > start {
@@ -730,14 +678,14 @@ fn attribute_in_flight(
         }
     }
     let components = components_of(&path, start, now);
-    Some(BlockBlame {
-        stream,
+    BlockBlame {
+        stream: b.stream,
         start,
         end: now,
         completed: false,
         components,
         critical_path: path,
-    })
+    }
 }
 
 /// Take a postmortem dump from a live (possibly wedged) system.
@@ -747,8 +695,8 @@ fn attribute_in_flight(
 /// the evidence of a wedge). The blame target is the gateway of the
 /// monitor's most recent violation when it names one, else the first
 /// gateway with an in-flight block; the violating block's attribution is
-/// reconstructed from the retained events (completed when its `BlockEnd`
-/// survived, in-flight otherwise).
+/// reconstructed from the retained events (in-flight when the fold ends
+/// with a block in flight, else the most recent completed block).
 ///
 /// # Panics
 ///
@@ -764,49 +712,25 @@ pub fn collect_postmortem(system: &System, monitor: &Monitor, deployment: &str) 
     let now = system.cycle();
     let events = system.tracer.events();
     let open_stalls = system.tracer.open_stalls().to_vec();
+    let metrics = fold_system(system);
     let target_gateway = monitor
         .violations()
         .iter()
         .rev()
         .find_map(|v| v.gateway)
-        .or_else(|| {
-            (0..system.gateways.len())
-                .find(|&g| attribute_in_flight(events, &open_stalls, g, now).is_some())
-        });
+        .or_else(|| metrics.iter().position(|m| m.in_flight.is_some()));
     let blame = target_gateway.and_then(|g| {
-        let ring_dist = chain_ring_distance(system, g);
-        let block = match attribute_in_flight(events, &open_stalls, g, now) {
-            Some(b) => Some(b),
-            None => {
-                // No in-flight block: explain the most recent completed one.
-                let dma_windows = stall_windows(events, g, StallCause::DmaNoCredit);
-                let exit_windows = stall_windows(events, g, StallCause::ExitFifoFull);
-                events.iter().rev().find_map(|e| match *e {
-                    TraceEvent::BlockEnd {
-                        gateway,
-                        stream,
-                        start,
-                        reconfig_end,
-                        stream_end,
-                        drain_end,
-                        dma_stall,
-                        ..
-                    } if gateway as usize == g => Some(attribute_completed(
-                        stream as usize,
-                        start,
-                        reconfig_end,
-                        stream_end,
-                        drain_end,
-                        dma_stall,
-                        &dma_windows,
-                        &exit_windows,
-                        ring_dist,
-                        false,
-                    )),
-                    _ => None,
-                })
-            }
-        }?;
+        let m = &metrics[g];
+        let block = match m.in_flight {
+            Some(b) => attribute_in_flight(b, m, &open_stalls, now),
+            None => attribute_completed(
+                m.blocks.last()?,
+                m.windows(StallCause::DmaNoCredit),
+                m.windows(StallCause::ExitFifoFull),
+                chain_ring_distance(system, g),
+                false,
+            ),
+        };
         let gw = &system.gateways[g];
         let stream_name = if block.stream < gw.num_streams() {
             gw.stream(block.stream).name.clone()
@@ -1109,18 +1033,31 @@ mod tests {
         assert_eq!(segs[1].cause, BlameCause::RingTransit);
     }
 
+    fn block(
+        start: u64,
+        reconfig_end: u64,
+        stream_end: u64,
+        drain_end: u64,
+        dma_stall: u64,
+    ) -> BlockRecord {
+        BlockRecord {
+            stream: 0,
+            start,
+            reconfig_end,
+            stream_end,
+            drain_end,
+            dma_stall,
+            exit_stall: 0,
+        }
+    }
+
     #[test]
     fn hand_block_attribution_sums_to_tau() {
         // Block: start 100, reconfig → 110, DMA → 150 with stalls at
         // [120,124] (5 cycles), drain → 170 with exit-full [155,158]
         // (4 cycles), ring distance 3.
         let b = attribute_completed(
-            0,
-            100,
-            110,
-            150,
-            170,
-            5,
+            &block(100, 110, 150, 170, 5),
             &[(120, 124)],
             &[(155, 158)],
             3,
@@ -1145,7 +1082,7 @@ mod tests {
     #[should_panic(expected = "stall windows")]
     fn strict_attribution_rejects_missing_windows() {
         // dma_stall says 5 but no window accounts for it.
-        let _ = attribute_completed(0, 0, 10, 50, 70, 5, &[], &[], 3, true);
+        let _ = attribute_completed(&block(0, 10, 50, 70, 5), &[], &[], 3, true);
     }
 
     fn small_system() -> crate::chain::BuiltSystem {

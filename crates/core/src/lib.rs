@@ -18,8 +18,11 @@
 //!   the non-monotone example of Fig. 8;
 //! * [`deploy`] — turn-key construction of the PAL stereo decoder system
 //!   (Fig. 10) on the cycle-level platform, with the real DSP kernels;
-//! * [`metrics`] — per-stream metrics (τ distributions, round times, stall
-//!   breakdowns) folded from the platform tracer's event log;
+//! * [`metrics`] — the one fold over the platform tracer's event log
+//!   (completed blocks, closed stall windows, in-flight blocks), through
+//!   which every module below reads block and stall events, and the
+//!   per-stream metrics built on it (τ distributions, round times, stall
+//!   breakdowns);
 //! * [`profile`] — empirical arrival/service curves, τ/round/stall
 //!   distributions and buffer margins aggregated into a serializable
 //!   [`RunProfile`] (the measured counterpart of the analyzer's bounds);
@@ -60,7 +63,7 @@ pub use blocksize::{
 pub use buffers::{fig8_example, minimum_stream_buffers, sufficient_stream_buffers, StreamBuffers};
 pub use chain::{build_shared_system, AccelDef, BuiltSystem, StreamDef, SystemSpec};
 pub use deploy::{build_pal_system, PalSystem, PalSystemConfig};
-pub use metrics::{gateway_metrics, BlockMeasurement, GatewayMetrics, StreamMetrics};
+pub use metrics::{gateway_metrics, GatewayMetrics, StreamMetrics};
 pub use model::{fig5_csdf, fig6_schedule, run_fig5, Fig5Model, Fig5Params, Fig5Run};
 pub use monitor::{
     GatewayMonitorConfig, Monitor, MonitorConfig, StreamMonitorConfig, Violation, ViolationKind,

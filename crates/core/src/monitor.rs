@@ -18,16 +18,20 @@
 //!   admission test working and are *not* violations).
 //!
 //! The monitor is poll-driven: call [`Monitor::poll`] between simulation
-//! steps (or inside a `System::run_until` predicate) and it consumes the
-//! events appended since the last poll. A wedged run never *closes* its
-//! stall window into an event, so the monitor additionally inspects the
-//! tracer's still-open windows (`Tracer::open_stalls`) — that is what lets
-//! it flag a Fig. 9 wedge long before the run ends.
+//! steps (or inside a `System::run_until` predicate) and its fold over the
+//! event log ([`crate::metrics`]) hands it the blocks completed and stall
+//! windows closed since the last poll; the monitor keeps only in-flight
+//! state and the last round window, so long sessions poll in constant
+//! memory. A wedged run never *closes* its stall window into an event, so
+//! the monitor additionally inspects the tracer's still-open windows
+//! (`Tracer::open_stalls`) — that is what lets it flag a Fig. 9 wedge long
+//! before the run ends.
 //!
 //! Bounds are optional: [`MonitorConfig::from_system`] builds a
 //! bounds-free config (capacity and Fig. 9 checks only) from a built
 //! system; `streamgate-analysis` attaches analyzer-derived τ̂/γ bounds.
 
+use crate::metrics::{BlockFold, Folded};
 use std::fmt;
 use streamgate_platform::{StallCause, System, TraceEvent, Tracer};
 
@@ -191,23 +195,16 @@ impl fmt::Display for Violation {
 #[derive(Debug)]
 pub struct Monitor {
     cfg: MonitorConfig,
-    /// Next unconsumed *absolute* event index: dropped + in-log position.
-    /// Absolute indexing keeps the monitor correct over a flight recorder
-    /// (`Tracer::flight_recorder`), whose log sheds its oldest entries.
-    cursor: u64,
-    /// Events evicted by the flight recorder before this monitor could
-    /// consume them. Checks over those events silently did not happen —
-    /// the honesty counter a postmortem must report.
-    missed: u64,
-    /// Per gateway: the admitted-but-uncompleted block `(stream, start)`.
-    active: Vec<Option<(usize, u64)>>,
+    /// The monitor's position in the event log and each gateway's
+    /// in-flight block.
+    fold: BlockFold,
     /// Per gateway: `(start, drain_end)` of the most recent completed
     /// blocks (kept at round-window width).
     recent: Vec<Vec<(u64, u64)>>,
     /// `(gateway, window start)` of exit-full stalls already reported, so
     /// an open window seen by several polls (and its eventual closing
     /// event) yields exactly one violation.
-    reported_wedges: Vec<(u32, u64)>,
+    reported_wedges: Vec<(usize, u64)>,
     violations: Vec<Violation>,
 }
 
@@ -217,9 +214,7 @@ impl Monitor {
         let n = cfg.gateways.len();
         Monitor {
             cfg,
-            cursor: 0,
-            missed: 0,
-            active: vec![None; n],
+            fold: BlockFold::default(),
             recent: vec![Vec::new(); n],
             reported_wedges: Vec::new(),
             violations: Vec::new(),
@@ -236,17 +231,15 @@ impl Monitor {
     /// the bounds must follow without losing the monitor's position in the
     /// event log or its already-detected violations.
     ///
-    /// The event cursor, detected violations and reported stall windows
-    /// are preserved. Per-gateway round/τ tracking state is kept for
-    /// gateways whose stream list is unchanged; a gateway whose stream
-    /// population changed gets its in-flight block and round window
-    /// cleared — its old window mixes blocks measured against the previous
-    /// round bound, and Eq. 3–4 says nothing about a round straddling the
-    /// reconfiguration. Callers re-arm while the affected pair is between
-    /// blocks, so no `BlockEnd` is orphaned by the reset.
+    /// The event position, in-flight blocks, detected violations and
+    /// reported stall windows are preserved. Per-gateway round tracking
+    /// is kept for gateways whose stream list is unchanged; a gateway
+    /// whose stream population changed gets its round window cleared — its
+    /// old window mixes blocks measured against the previous round bound,
+    /// and Eq. 3–4 says nothing about a round straddling the
+    /// reconfiguration.
     pub fn rearm(&mut self, cfg: MonitorConfig) {
         let n = cfg.gateways.len();
-        self.active.resize(n, None);
         self.recent.resize(n, Vec::new());
         for g in 0..n {
             let changed = match self.cfg.gateways.get(g) {
@@ -261,7 +254,6 @@ impl Monitor {
                 None => true,
             };
             if changed {
-                self.active[g] = None;
                 self.recent[g].clear();
             }
         }
@@ -316,19 +308,11 @@ impl Monitor {
                 };
                 if now > deadline {
                     self.cfg.gateways[g].streams[s].transition_deadline = None;
-                    self.violations.push(Violation {
-                        kind: ViolationKind::TransitionOverrun,
-                        cycle: now,
-                        gateway: Some(g),
-                        gateway_name: self.gateway_name(g),
-                        stream: Some(s),
-                        stream_name: self.stream_name(g, s),
-                        fifo: None,
-                        message: format!(
-                            "mode transition incomplete at cycle {now}: no block drained \
-                             by the predicted A12 deadline {deadline}"
-                        ),
-                    });
+                    let message = format!(
+                        "mode transition incomplete at cycle {now}: no block drained \
+                         by the predicted A12 deadline {deadline}"
+                    );
+                    self.flag(ViolationKind::TransitionOverrun, now, g, Some(s), message);
                     raised += 1;
                 }
             }
@@ -350,7 +334,7 @@ impl Monitor {
     /// them. Non-zero means the monitor's picture has gaps: poll more
     /// often, or raise the recorder capacity.
     pub fn missed_events(&self) -> u64 {
-        self.missed
+        self.fold.missed()
     }
 
     /// Consume the trace events appended since the last poll (plus the
@@ -360,67 +344,53 @@ impl Monitor {
     /// predicate that stops a run at the first violation.
     pub fn poll(&mut self, tracer: &Tracer) -> usize {
         let before = self.violations.len();
-        let dropped = tracer.events_dropped();
-        if self.cursor < dropped {
-            // A flight recorder evicted events we never saw.
-            self.missed += dropped - self.cursor;
-            self.cursor = dropped;
-        }
-        let events = tracer.events();
-        while ((self.cursor - dropped) as usize) < events.len() {
-            let e = events[(self.cursor - dropped) as usize];
-            self.cursor += 1;
-            match e {
-                TraceEvent::BlockStart {
-                    gateway,
-                    stream,
-                    cycle,
-                } => {
-                    if let Some(a) = self.active.get_mut(gateway as usize) {
-                        *a = Some((stream as usize, cycle));
-                    }
+        while let Some(folded) = self.fold.next(tracer) {
+            match folded {
+                Folded::Block { gateway, block } => {
+                    self.on_block_end(gateway, block.stream, block.start, block.drain_end)
                 }
-                TraceEvent::BlockEnd {
-                    gateway,
-                    stream,
-                    start,
-                    drain_end,
-                    ..
-                } => self.on_block_end(gateway as usize, stream as usize, start, drain_end),
-                TraceEvent::FifoLevel { fifo, cycle, level }
-                | TraceEvent::FifoHighWater { fifo, cycle, level } => {
-                    self.check_fifo(fifo as usize, cycle, level as usize);
-                }
-                TraceEvent::StallWindow {
+                Folded::Stall {
                     gateway,
                     cause: StallCause::ExitFifoFull,
                     start,
                     ..
                 } => self.report_wedge(gateway, start),
+                Folded::Event(
+                    &TraceEvent::FifoLevel { fifo, cycle, level }
+                    | &TraceEvent::FifoHighWater { fifo, cycle, level },
+                ) => self.check_fifo(fifo as usize, cycle, level as usize),
                 _ => {}
             }
         }
         for &(gateway, cause, start, _) in tracer.open_stalls() {
             if cause == StallCause::ExitFifoFull {
-                self.report_wedge(gateway, start);
+                self.report_wedge(gateway as usize, start);
             }
         }
         self.violations.len() - before
     }
 
-    fn gateway_name(&self, g: usize) -> String {
-        self.cfg
-            .gateways
-            .get(g)
-            .map_or_else(String::new, |c| c.name.clone())
-    }
-
-    fn stream_name(&self, g: usize, s: usize) -> String {
-        self.cfg
-            .gateways
-            .get(g)
-            .and_then(|c| c.streams.get(s))
-            .map_or_else(String::new, |c| c.name.clone())
+    /// Record a violation at gateway `g` (and stream `s`, when known).
+    fn flag(
+        &mut self,
+        kind: ViolationKind,
+        cycle: u64,
+        g: usize,
+        s: Option<usize>,
+        message: String,
+    ) {
+        let gw = self.cfg.gateways.get(g);
+        let stream_name = s.and_then(|s| gw?.streams.get(s));
+        self.violations.push(Violation {
+            kind,
+            cycle,
+            gateway: Some(g),
+            gateway_name: gw.map_or_else(String::new, |c| c.name.clone()),
+            stream: s,
+            stream_name: stream_name.map_or_else(String::new, |c| c.name.clone()),
+            fifo: None,
+            message,
+        });
     }
 
     fn on_block_end(&mut self, g: usize, s: usize, start: u64, drain_end: u64) {
@@ -441,38 +411,23 @@ impl Monitor {
             .get_mut(g)
             .and_then(|c| c.streams.get_mut(s))
             .and_then(|sc| sc.transition_deadline.take());
-        if let Some(deadline) = deadline {
-            if drain_end > deadline {
-                self.violations.push(Violation {
-                    kind: ViolationKind::TransitionOverrun,
-                    cycle: drain_end,
-                    gateway: Some(g),
-                    gateway_name: self.gateway_name(g),
-                    stream: Some(s),
-                    stream_name: self.stream_name(g, s),
-                    fifo: None,
-                    message: format!(
-                        "first post-switch block drained at cycle {drain_end} > \
-                         predicted A12 transition deadline {deadline}"
-                    ),
-                });
-            }
+        if let Some(deadline) = deadline.filter(|&d| drain_end > d) {
+            let message = format!(
+                "first post-switch block drained at cycle {drain_end} > \
+                 predicted A12 transition deadline {deadline}"
+            );
+            self.flag(
+                ViolationKind::TransitionOverrun,
+                drain_end,
+                g,
+                Some(s),
+                message,
+            );
         }
-        if let Some(bound) = tau_bound {
-            if tau > bound {
-                self.violations.push(Violation {
-                    kind: ViolationKind::TauExceeded,
-                    cycle: drain_end,
-                    gateway: Some(g),
-                    gateway_name: self.gateway_name(g),
-                    stream: Some(s),
-                    stream_name: self.stream_name(g, s),
-                    fifo: None,
-                    message: format!(
-                        "block admitted at cycle {start} took τ = {tau} > bound {bound} (Eq. 2)"
-                    ),
-                });
-            }
+        if let Some(bound) = tau_bound.filter(|&b| tau > b) {
+            let message =
+                format!("block admitted at cycle {start} took τ = {tau} > bound {bound} (Eq. 2)");
+            self.flag(ViolationKind::TauExceeded, drain_end, g, Some(s), message);
         }
         if let Some(r) = self.recent.get_mut(g) {
             r.push((start, drain_end));
@@ -485,29 +440,13 @@ impl Monitor {
                     .all(|w| w[1].0.saturating_sub(w[0].1) <= self.cfg.round_gap);
                 let round = r[n_streams - 1].1 - r[0].0;
                 let first = r[0].0;
-                if contiguous {
-                    if let Some(bound) = round_bound {
-                        if round > bound {
-                            self.violations.push(Violation {
-                                kind: ViolationKind::RoundExceeded,
-                                cycle: drain_end,
-                                gateway: Some(g),
-                                gateway_name: self.gateway_name(g),
-                                stream: None,
-                                stream_name: String::new(),
-                                fifo: None,
-                                message: format!(
-                                    "round starting at cycle {first} took {round} > bound \
-                                     {bound} (Eq. 3-4)"
-                                ),
-                            });
-                        }
-                    }
+                if let Some(bound) = round_bound.filter(|&b| contiguous && round > b) {
+                    let message = format!(
+                        "round starting at cycle {first} took {round} > bound {bound} (Eq. 3-4)"
+                    );
+                    self.flag(ViolationKind::RoundExceeded, drain_end, g, None, message);
                 }
             }
-        }
-        if let Some(a) = self.active.get_mut(g) {
-            *a = None;
         }
     }
 
@@ -532,32 +471,19 @@ impl Monitor {
         }
     }
 
-    fn report_wedge(&mut self, gateway: u32, start: u64) {
-        if self.reported_wedges.contains(&(gateway, start)) {
+    fn report_wedge(&mut self, g: usize, start: u64) {
+        if self.reported_wedges.contains(&(g, start)) {
             return;
         }
-        self.reported_wedges.push((gateway, start));
-        let g = gateway as usize;
-        let active = self.active.get(g).copied().flatten();
-        let (stream, stream_name) = match active {
-            Some((s, _)) => (Some(s), self.stream_name(g, s)),
-            None => (None, String::new()),
-        };
+        self.reported_wedges.push((g, start));
         let cfs = self.cfg.gateways.get(g).is_some_and(|c| c.check_for_space);
-        self.violations.push(Violation {
-            kind: ViolationKind::HeadOfLineBlocking,
-            cycle: start,
-            gateway: Some(g),
-            gateway_name: self.gateway_name(g),
-            stream,
-            stream_name,
-            fifo: None,
-            message: format!(
-                "exit C-FIFO full while the chain holds a block (stalled since cycle \
-                 {start}) — Fig. 9 head-of-line blocking; check-for-space admission is {}",
-                if cfs { "enabled" } else { "disabled" }
-            ),
-        });
+        let message = format!(
+            "exit C-FIFO full while the chain holds a block (stalled since cycle \
+             {start}) — Fig. 9 head-of-line blocking; check-for-space admission is {}",
+            if cfs { "enabled" } else { "disabled" }
+        );
+        let stream = self.fold.in_flight(g).map(|b| b.stream);
+        self.flag(ViolationKind::HeadOfLineBlocking, start, g, stream, message);
     }
 }
 

@@ -28,9 +28,9 @@
 //! [`parse_profile`] reads that JSON back, beside its writer; the analyzer
 //! (`streamgate-analysis`) feeds the parsed measurements into rules A7/A10.
 
-use crate::metrics::gateway_metrics;
+use crate::metrics::fold_system;
 use streamgate_platform::json::{self, Json};
-use streamgate_platform::{StallCause, System, TraceEvent};
+use streamgate_platform::{StallCause, System};
 
 /// Round-time samples kept per gateway (the count and maximum are always
 /// exact; past this many entries the sample list becomes a uniform
@@ -380,39 +380,21 @@ pub fn collect_profile(system: &mut System, deployment: &str) -> RunProfile {
     let data_hops = hop_profiles(data_cross, log.data_dropped);
     let credit_hops = hop_profiles(credit_cross, log.credit_dropped);
 
-    // Stall windows per (gateway, cause), from the (now closed) event log.
-    let n_gw = system.gateways.len();
-    let mut stall_lens: Vec<[Vec<u64>; 3]> = (0..n_gw).map(|_| Default::default()).collect();
-    for e in system.tracer.events() {
-        if let TraceEvent::StallWindow {
-            gateway,
-            cause,
-            start,
-            end,
-        } = *e
-        {
-            let ci = StallCause::ALL.iter().position(|&c| c == cause).unwrap();
-            if let Some(row) = stall_lens.get_mut(gateway as usize) {
-                row[ci].push(end - start + 1);
-            }
-        }
-    }
-
     let mut streams = Vec::new();
     let mut gateways = Vec::new();
-    for (g, gw_stalls) in stall_lens.iter().enumerate() {
+    for m in fold_system(system) {
+        let g = m.gateway;
         let gw = &system.gateways[g];
         let nst = gw.num_streams();
-        let m = gateway_metrics(&system.tracer, g, nst);
-        for s in 0..nst {
+        let mut completions = vec![Vec::new(); nst];
+        for b in &m.blocks {
+            if let Some(c) = completions.get_mut(b.stream) {
+                c.push(b.drain_end);
+            }
+        }
+        for (s, completions) in completions.iter().enumerate() {
             let cfg = gw.stream(s);
             let sm = &m.streams[s];
-            let completions: Vec<u64> = m
-                .blocks
-                .iter()
-                .filter(|b| b.stream == s)
-                .map(|b| b.drain_end)
-                .collect();
             let fifo = &system.fifos[cfg.input.0];
             let arrival = fifo.trace_enabled().then(|| ArrivalProfile {
                 samples: fifo.trace().len() as u64 + fifo.trace_dropped(),
@@ -429,21 +411,20 @@ pub fn collect_profile(system: &mut System, deployment: &str) -> RunProfile {
                 tau_max: sm.tau_max(),
                 tau_sum: sm.taus.iter().sum(),
                 tau_hist: log2_histogram(sm.taus.iter().copied()),
-                completions: EmpiricalCurve::from_events(&completions, span, &windows),
+                completions: EmpiricalCurve::from_events(completions, span, &windows),
                 arrival,
             });
         }
         let rounds_all = m.round_times();
         let stalls = StallCause::ALL
             .iter()
-            .enumerate()
-            .map(|(ci, &cause)| {
-                let lens = &gw_stalls[ci];
+            .map(|&cause| {
+                let windows = m.windows(cause);
                 StallProfile {
                     cause: cause.name().to_string(),
-                    windows: lens.len() as u64,
-                    cycles: system.tracer.stall_cycles(g, cause),
-                    hist: log2_histogram(lens.iter().copied()),
+                    windows: windows.len() as u64,
+                    cycles: m.stall_cycles(cause),
+                    hist: log2_histogram(windows.iter().map(|&(s, e)| e - s + 1)),
                 }
             })
             .collect();
@@ -488,9 +469,9 @@ pub fn collect_profile(system: &mut System, deployment: &str) -> RunProfile {
 // ---------------------------------------------------------------------------
 
 /// Schema version stamped into every serialized observability artifact
-/// (`RunProfile` JSON, blame reports, postmortem dumps) so cross-PR CI
-/// artifacts stay comparable: consumers accept a matching version and warn
-/// (rather than fail) on mismatch.
+/// (`RunProfile` JSON, blame reports, postmortem dumps) and deployment
+/// spec so cross-PR CI artifacts stay comparable: consumers accept a
+/// matching version and warn (rather than fail) on mismatch.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// A curve's count arrays. The window sizes are shared profile-wide and

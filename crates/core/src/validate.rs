@@ -16,7 +16,7 @@
 //! what we check is exactly what an engineer would see on the timeline.
 //! Harnesses must call `System::enable_tracing` before running.
 
-use crate::metrics::{gateway_metrics, GatewayMetrics};
+use crate::metrics::{fold_system, gateway_metrics, GatewayMetrics};
 use crate::params::SharingProblem;
 use streamgate_platform::System;
 
@@ -110,10 +110,10 @@ pub fn max_round_time(metrics: &GatewayMetrics) -> Option<u64> {
 /// Returns one description per mismatch; empty means the two measurement
 /// paths agree block-for-block.
 pub fn validate_blame_totals(blame: &crate::attribution::BlameReport, sys: &System) -> Vec<String> {
+    let metrics = fold_system(sys);
     let mut failures = Vec::new();
     for s in &blame.streams {
-        let metrics = system_metrics(sys, s.gateway);
-        let m = &metrics.streams[s.stream];
+        let m = &metrics[s.gateway].streams[s.stream];
         let tau_sum: u64 = m.taus.iter().sum();
         if s.blocks != m.blocks() as u64 {
             failures.push(format!(

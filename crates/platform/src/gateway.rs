@@ -81,7 +81,8 @@ impl StreamConfig {
     }
 }
 
-/// A completed block, for schedule reconstruction (Fig. 6 at system level).
+/// A completed block, for schedule reconstruction (Fig. 6 at system level);
+/// also the form in which trace readers receive a [`TraceEvent::BlockEnd`].
 #[derive(Clone, Copy, Debug)]
 pub struct BlockRecord {
     /// Index of the stream in the gateway's stream list.
@@ -99,6 +100,13 @@ pub struct BlockRecord {
     /// Cycles the exit copy spent waiting for consumer-FIFO space (always 0
     /// while the check-for-space admission is enabled).
     pub exit_stall: u64,
+}
+
+impl BlockRecord {
+    /// Measured block-processing time `τ` (admission → pipeline empty).
+    pub fn tau(&self) -> u64 {
+        self.drain_end - self.start
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
