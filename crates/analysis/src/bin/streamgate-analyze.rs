@@ -23,7 +23,8 @@
 //! rejected ones leave the committed deployment untouched. One verdict
 //! line prints per delta, then the final committed deployment's report.
 //! `--timing FILE` additionally writes a JSON comparison of incremental
-//! vs full re-analysis wall time per delta.
+//! vs full re-analysis wall time per delta, and a `summary` with the
+//! count, p50, p90 and max of each.
 //!
 //! # Exit codes
 //!
@@ -214,7 +215,7 @@ fn run_postmortem(spec: DeploySpec, file: &str) -> ExitCode {
 
 /// Replay a churn script through the incremental analyzer. Prints one
 /// verdict line per delta and the final committed report; with `timing`,
-/// writes an incremental-vs-full wall-time comparison JSON.
+/// writes an incremental-vs-full wall-time comparison JSON and its summary.
 fn run_deltas(spec: DeploySpec, file: &str, timing: Option<&str>, json: bool) -> ExitCode {
     let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
@@ -234,6 +235,7 @@ fn run_deltas(spec: DeploySpec, file: &str, timing: Option<&str>, json: bool) ->
     let opts = AnalysisOptions::default();
     let mut state = AnalysisState::new(spec, opts);
     let mut rows = Vec::new();
+    let (mut inc_all, mut full_all) = (Vec::new(), Vec::new());
     for (i, delta) in deltas.iter().enumerate() {
         let t0 = Instant::now();
         let verdict = match state.apply(delta) {
@@ -265,6 +267,8 @@ fn run_deltas(spec: DeploySpec, file: &str, timing: Option<&str>, json: bool) ->
             let t1 = Instant::now();
             let _full = analyze_with(state.spec(), &opts);
             let full_ns = t1.elapsed().as_nanos();
+            inc_all.push(inc_ns);
+            full_all.push(full_ns);
             rows.push(Json::obj([
                 ("delta", i.into()),
                 ("op", delta.describe().into()),
@@ -277,7 +281,12 @@ fn run_deltas(spec: DeploySpec, file: &str, timing: Option<&str>, json: bool) ->
     }
 
     if let Some(out) = timing {
-        let body = Json::obj([("deltas", Json::Array(rows))]).to_text() + "\n";
+        let summary = Json::obj([
+            ("incremental_ns", summary(inc_all)),
+            ("full_ns", summary(full_all)),
+        ]);
+        let body =
+            Json::obj([("deltas", Json::Array(rows)), ("summary", summary)]).to_text() + "\n";
         if let Err(e) = std::fs::write(out, body) {
             eprintln!("cannot write timing file {out}: {e}");
             return ExitCode::from(2);
@@ -295,4 +304,18 @@ fn run_deltas(spec: DeploySpec, file: &str, timing: Option<&str>, json: bool) ->
     } else {
         ExitCode::from(2)
     }
+}
+
+/// Count, nearest-rank p50 and p90, and maximum of a set of durations
+/// (`null` statistics for an empty set).
+fn summary(mut ns: Vec<u128>) -> Json {
+    ns.sort_unstable();
+    let at = |i: usize| Json::from(ns.get(i).map(|&v| Json::Int(v as i128)));
+    let rank = |q: usize| at((q * ns.len()).div_ceil(100).max(1) - 1);
+    Json::obj([
+        ("count", ns.len().into()),
+        ("p50", rank(50)),
+        ("p90", rank(90)),
+        ("max", at(ns.len().wrapping_sub(1))),
+    ])
 }

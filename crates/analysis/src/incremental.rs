@@ -784,10 +784,11 @@ impl AdmissionController {
     }
 
     /// Bring gateway `sysg` to *idle inside its bus slot*: wait for the
-    /// pair to finish its in-flight block (state predicate — fires at the
-    /// same cycle in both engines), then align to the slot, re-verifying
-    /// idleness after the alignment run, with bounded retries. Also
-    /// resolves the target stream's current table index by name.
+    /// pair to finish its in-flight block ([`System::run_until_idle`]
+    /// stops at the same cycle in both engines), then align to the slot,
+    /// re-verifying idleness after the alignment run, with bounded
+    /// retries. Also resolves the target stream's current table index by
+    /// name.
     fn idle_in_slot(
         &self,
         system: &mut System,
@@ -798,8 +799,7 @@ impl AdmissionController {
         let gamma = self.state.report().gamma.max(1);
         let budget = self.idle_rounds.saturating_mul(gamma).saturating_add(4000);
         for _ in 0..8 {
-            let idle = system.gateways[sysg].is_idle()
-                || system.run_until(budget, |s| s.gateways[sysg].is_idle());
+            let idle = system.gateways[sysg].is_idle() || system.run_until_idle(sysg, budget);
             if !idle {
                 return Err(AdmissionError::Timeout(format!(
                     "gateway {sysg} not idle within {budget} cycles (gamma = {gamma})"

@@ -124,6 +124,20 @@ fn delta_mode_replays_churn_and_reports_final_state() {
     assert!(timing_text.contains("\"incremental_ns\""), "{timing_text}");
     assert!(timing_text.contains("\"full_ns\""), "{timing_text}");
     assert!(timing_text.contains("\"speedup\""), "{timing_text}");
+    let doc = streamgate_analysis::json::parse(&timing_text).expect("the timing file is JSON");
+    for key in ["incremental_ns", "full_ns"] {
+        let s = doc
+            .get("summary")
+            .and_then(|s| s.get(key))
+            .expect("a summary per timing");
+        assert_eq!(s.req::<u64>("count"), Ok(3), "{timing_text}");
+        let (p50, p90, max) = (
+            s.req::<u64>("p50").unwrap(),
+            s.req::<u64>("p90").unwrap(),
+            s.req::<u64>("max").unwrap(),
+        );
+        assert!(p50 <= p90 && p90 <= max, "{timing_text}");
+    }
 }
 
 /// `--timing` writes valid JSON whatever the stream is called: a name

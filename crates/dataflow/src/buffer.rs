@@ -13,6 +13,17 @@
 //! the target iff no cycle ratio exceeds `target · f`, so [`feasible`] never
 //! computes the period itself. [`period_with_capacities`] does, via the
 //! exact MCM, and is the reference the tests compare [`feasible`] against.
+//!
+//! Only the back edges depend on the capacities. A search therefore
+//! prepares its problem once — the HSDF node layout and durations, the
+//! sequencing and data-edge arcs, and `λ = target · f` as an integer
+//! ratio — and each test builds just the back-edge arcs of its capacity
+//! vector, then runs the zero-delay (deadlock) check and one integer
+//! positive-cycle test: no graph clone, name or map per test. [`feasible`]
+//! is that prepare-then-test for a single vector;
+//! [`min_buffer_for_period`] and [`min_buffers_for_period`] prepare once
+//! per call.
+//!
 //! Capacity feasibility is monotone per channel
 //! (adding space never slows a self-timed execution down — dataflow
 //! monotonicity), so per-channel minima are found by doubling + binary
@@ -22,7 +33,7 @@
 
 use crate::graph::{CsdfGraph, EdgeId, Time};
 use crate::mcm::{
-    expand_to_hsdf, has_cycle_ratio_above, has_zero_delay_cycle, mcm_period, McmError,
+    dedup_arcs, mcm_period, positive_cycle, zero_delay_cycle, HsdfArc, Layout, McmError,
 };
 use crate::repetition::repetition_vector;
 use streamgate_ilp::Rational;
@@ -99,17 +110,119 @@ pub fn period_with_capacities(
 /// infeasible, decided by one positive-cycle test at
 /// `λ = target_period · firings(reference)` instead of the MCM bisection.
 pub fn feasible(p: &BufferProblem, caps: &[u64]) -> Result<bool, McmError> {
-    let g = with_capacities(&p.graph, &p.channels, caps);
-    let f = repetition_vector(&g)?.firings_of(&g, p.reference);
-    let h = expand_to_hsdf(&g)?;
-    if has_zero_delay_cycle(&h) {
-        return Ok(false);
+    Prepared::new(p)?.feasible(caps)
+}
+
+/// The capacity-independent part of [`feasible`] for one problem, computed
+/// once: the HSDF node layout and durations, the sequencing and data-edge
+/// arcs, and `λ`. A test adds only the back-edge arcs of its capacities.
+///
+/// Back edges never change the repetition vector: each one balances with
+/// the forward edge it mirrors, between two actors that edge already
+/// connects. So the bounded graph's layout is the unbounded graph's.
+struct Prepared<'a> {
+    problem: &'a BufferProblem,
+    layout: Layout,
+    durations: Vec<Time>,
+    /// Sequencing and data-edge arcs, deduplicated.
+    fixed: Vec<HsdfArc>,
+    /// `λ = p/q`, or `None` when `target_period · firings(reference)`
+    /// leaves `i128` (an error only once the graph is known to be live).
+    lambda: Option<(i128, i128)>,
+    /// The arcs of the current test (reused across tests).
+    arcs: Vec<HsdfArc>,
+}
+
+impl<'a> Prepared<'a> {
+    fn new(problem: &'a BufferProblem) -> Result<Prepared<'a>, McmError> {
+        let g = &problem.graph;
+        let layout = Layout::of(g)?;
+        let f = layout.firings(problem.reference);
+        let lambda = problem
+            .target_period
+            .checked_mul(&Rational::from_int(f as i128))
+            .map(|l| (l.numer(), l.denom()));
+        let (durations, fixed) = layout.expand(g);
+        Ok(Prepared {
+            problem,
+            durations,
+            layout,
+            arcs: Vec::with_capacity(fixed.len()),
+            fixed,
+            lambda,
+        })
     }
-    let lambda = p
-        .target_period
-        .checked_mul(&Rational::from_int(f as i128))
-        .ok_or(McmError::Overflow)?;
-    Ok(!has_cycle_ratio_above(&h, lambda)?)
+
+    /// [`feasible`] for one capacity vector.
+    ///
+    /// Panics if a capacity is smaller than the channel's initial tokens.
+    fn feasible(&mut self, caps: &[u64]) -> Result<bool, McmError> {
+        let p = self.problem;
+        assert_eq!(p.channels.len(), caps.len());
+        self.arcs.clear();
+        self.arcs.extend_from_slice(&self.fixed);
+        for (e, &cap) in p.channels.iter().zip(caps) {
+            let edge = p.graph.edge(*e);
+            assert!(
+                cap >= edge.initial_tokens,
+                "capacity {cap} below initial tokens {} on {}",
+                edge.initial_tokens,
+                edge.name
+            );
+            // The back edge `dst → src` holds the free locations.
+            self.layout.token_arcs(
+                (edge.dst, &edge.consumption),
+                (edge.src, &edge.production),
+                cap - edge.initial_tokens,
+                &mut self.arcs,
+            );
+        }
+        dedup_arcs(&mut self.arcs);
+        if zero_delay_cycle(self.durations.len(), &self.arcs) {
+            return Ok(false);
+        }
+        let (num, den) = self.lambda.ok_or(McmError::Overflow)?;
+        Ok(!positive_cycle(&self.durations, &self.arcs, num, den)?)
+    }
+
+    /// Smallest capacity of channel `idx` meeting the target with the other
+    /// channels at `others`, searched in `[floor, cap_limit]`.
+    fn min_capacity(
+        &mut self,
+        idx: usize,
+        others: &[u64],
+        cap_limit: u64,
+    ) -> Result<Option<u64>, McmError> {
+        let floor = min_meaningful_capacity(&self.problem.graph, self.problem.channels[idx]);
+        let mut caps = others.to_vec();
+        let mut try_cap = |c: u64| -> Result<bool, McmError> {
+            caps[idx] = c;
+            self.feasible(&caps)
+        };
+
+        // Exponential search for a feasible upper bound.
+        let mut hi = floor.max(1);
+        loop {
+            if try_cap(hi)? {
+                break;
+            }
+            if hi >= cap_limit {
+                return Ok(None);
+            }
+            hi = (hi * 2).min(cap_limit);
+        }
+        // Binary search smallest feasible in [floor, hi].
+        let mut lo = floor;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if try_cap(mid)? {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Ok(Some(hi))
+    }
 }
 
 /// The maximum throughput period of the *unbounded* graph — the tightest
@@ -132,36 +245,7 @@ pub fn min_buffer_for_period(
     others: &[u64],
     cap_limit: u64,
 ) -> Result<Option<u64>, McmError> {
-    let floor = min_meaningful_capacity(&p.graph, p.channels[channel_idx]);
-    let mut caps = others.to_vec();
-
-    let try_cap = |c: u64, caps: &mut Vec<u64>| -> Result<bool, McmError> {
-        caps[channel_idx] = c;
-        feasible(p, caps)
-    };
-
-    // Exponential search for a feasible upper bound.
-    let mut hi = floor.max(1);
-    loop {
-        if try_cap(hi, &mut caps)? {
-            break;
-        }
-        if hi >= cap_limit {
-            return Ok(None);
-        }
-        hi = (hi * 2).min(cap_limit);
-    }
-    // Binary search smallest feasible in [floor, hi].
-    let mut lo = floor;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if try_cap(mid, &mut caps)? {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(Some(hi))
+    Prepared::new(p)?.min_capacity(channel_idx, others, cap_limit)
 }
 
 /// Smallest capacity that lets the producer fire at all: max of the initial
@@ -189,6 +273,7 @@ pub fn min_buffers_for_period(
     assert!(k >= 1, "no channels to size");
     assert!(k <= 4, "exhaustive buffer search limited to 4 channels");
 
+    let mut prep = Prepared::new(p)?;
     // Upper bounds: each channel's minimum with others at cap_limit.
     let wide: Vec<u64> = p
         .channels
@@ -197,7 +282,7 @@ pub fn min_buffers_for_period(
         .collect();
     let mut ubs = Vec::with_capacity(k);
     for i in 0..k {
-        match min_buffer_for_period(p, i, &wide, cap_limit)? {
+        match prep.min_capacity(i, &wide, cap_limit)? {
             Some(ub) => ubs.push(ub),
             None => return Ok(None),
         }
@@ -223,7 +308,7 @@ pub fn min_buffers_for_period(
     }
     candidates.sort_by_key(|c| c.iter().sum::<u64>());
     for caps in candidates {
-        if feasible(p, &caps)? {
+        if prep.feasible(&caps)? {
             let total = caps.iter().sum();
             return Ok(Some(BufferResult {
                 capacities: caps,

@@ -21,9 +21,8 @@
 //!    same test and a final Stern–Brocot rounding step that recovers the
 //!    exact rational from the isolating interval.
 
-use crate::graph::{CsdfGraph, GraphError, Time};
+use crate::graph::{ActorId, CsdfGraph, GraphError, Time};
 use crate::repetition::repetition_vector;
-use std::collections::HashMap;
 use streamgate_ilp::Rational;
 
 /// A homogeneous dataflow graph: one node per firing, arcs with delays.
@@ -72,69 +71,89 @@ fn floor_div(a: i128, b: i128) -> i128 {
     a.div_euclid(b)
 }
 
-/// Expand a consistent (C)SDF graph into an HSDF graph over one iteration.
-pub fn expand_to_hsdf(g: &CsdfGraph) -> Result<Hsdf, McmError> {
-    let rep = repetition_vector(g)?;
-    let n_actors = g.num_actors();
+/// An HSDF arc `(src, dst, delay)`.
+pub(crate) type HsdfArc = (usize, usize, u64);
 
-    // Node layout: firings of actor a occupy [base[a], base[a] + N_a).
-    let firings_per_actor: Vec<usize> = g
-        .actor_ids()
-        .map(|a| rep.firings_of(g, a) as usize)
-        .collect();
-    let mut base = vec![0usize; n_actors];
-    let mut total = 0usize;
-    for a in 0..n_actors {
-        base[a] = total;
-        total += firings_per_actor[a];
-    }
+/// Node layout of one graph iteration: the firings of actor `a` are the
+/// nodes `base[a] .. base[a] + firings[a]`.
+pub(crate) struct Layout {
+    firings: Vec<usize>,
+    base: Vec<usize>,
+}
 
-    let mut durations = Vec::with_capacity(total);
-    let mut labels = Vec::with_capacity(total);
-    for a in g.actor_ids() {
-        let actor = g.actor(a);
-        for k in 0..firings_per_actor[a.index()] {
-            durations.push(actor.durations[k % actor.phases()]);
-            labels.push(format!("{}#{}", actor.name, k));
+impl Layout {
+    /// The layout of a consistent graph, from its repetition vector.
+    pub(crate) fn of(g: &CsdfGraph) -> Result<Layout, McmError> {
+        let rep = repetition_vector(g)?;
+        let firings: Vec<usize> = g
+            .actor_ids()
+            .map(|a| rep.firings_of(g, a) as usize)
+            .collect();
+        let mut base = Vec::with_capacity(firings.len());
+        let mut total = 0usize;
+        for &n in &firings {
+            base.push(total);
+            total += n;
         }
+        Ok(Layout { firings, base })
     }
 
-    // Deduplicated arcs: (src, dst) -> min delay.
-    let mut arc_map: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut add_arc = |s: usize, d: usize, delay: u64| {
-        arc_map
-            .entry((s, d))
-            .and_modify(|old| *old = (*old).min(delay))
-            .or_insert(delay);
-    };
+    /// Firings of actor `a` per iteration.
+    pub(crate) fn firings(&self, a: ActorId) -> usize {
+        self.firings[a.index()]
+    }
 
-    // Sequencing arcs (implicit self-edge: firings of an actor are ordered).
-    for a in 0..n_actors {
-        let n = firings_per_actor[a];
-        if n == 1 {
-            add_arc(base[a], base[a], 1);
-        } else {
-            for k in 0..n - 1 {
-                add_arc(base[a] + k, base[a] + k + 1, 0);
+    /// The firing duration of every node, and the deduplicated arcs of
+    /// `g`: sequencing arcs (the implicit self-edge orders the firings of
+    /// every actor) and the token arcs of every edge.
+    pub(crate) fn expand(&self, g: &CsdfGraph) -> (Vec<Time>, Vec<HsdfArc>) {
+        let mut durations = Vec::new();
+        for a in g.actor_ids() {
+            let phases = &g.actor(a).durations;
+            durations.extend((0..self.firings(a)).map(|k| phases[k % phases.len()]));
+        }
+        let mut arcs = Vec::new();
+        for (&b, &n) in self.base.iter().zip(&self.firings) {
+            if n == 1 {
+                arcs.push((b, b, 1));
+            } else {
+                arcs.extend((0..n - 1).map(|k| (b + k, b + k + 1, 0)));
+                arcs.push((b + n - 1, b, 1));
             }
-            add_arc(base[a] + n - 1, base[a], 1);
         }
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            self.token_arcs(
+                (edge.src, &edge.production),
+                (edge.dst, &edge.consumption),
+                edge.initial_tokens,
+                &mut arcs,
+            );
+        }
+        dedup_arcs(&mut arcs);
+        (durations, arcs)
     }
 
-    // Token-dependency arcs.
-    for e in g.edge_ids() {
-        let edge = g.edge(e);
-        let u = edge.src.index();
-        let v = edge.dst.index();
-        let pu = g.actor(edge.src).phases();
-        let pv = g.actor(edge.dst).phases();
-        let n_u = firings_per_actor[u] as i128;
-        let d = edge.initial_tokens as i128;
+    /// Token-dependency arcs of one edge `src → dst` with the given
+    /// per-phase rates and initial tokens: an arc from the producer firing
+    /// of every token to the consumer firing that reads it, with delay the
+    /// number of iterations between them.
+    pub(crate) fn token_arcs(
+        &self,
+        (src, production): (ActorId, &[u64]),
+        (dst, consumption): (ActorId, &[u64]),
+        initial_tokens: u64,
+        out: &mut Vec<HsdfArc>,
+    ) {
+        let (u, v) = (src.index(), dst.index());
+        let pu = production.len();
+        let n_u = self.firings[u] as i128;
+        let d = initial_tokens as i128;
 
         // Cumulative production prefix over one phase cycle of the producer.
         let mut pre = vec![0i128; pu + 1];
         for p in 0..pu {
-            pre[p + 1] = pre[p] + edge.production[p] as i128;
+            pre[p + 1] = pre[p] + production[p] as i128;
         }
         let cycle_sum = pre[pu];
         debug_assert!(cycle_sum > 0);
@@ -153,27 +172,38 @@ pub fn expand_to_hsdf(g: &CsdfGraph) -> Result<Hsdf, McmError> {
 
         // Walk consumer firings of one iteration.
         let mut consumed: i128 = 0; // cumulative tokens consumed before firing j
-        for j in 0..firings_per_actor[v] {
-            let need = edge.consumption[j % pv] as i128;
+        for j in 0..self.firings[v] {
+            let need = consumption[j % consumption.len()] as i128;
             for t in 0..need {
-                let n_tok = consumed + t; // global consumed-token index
-                let m = n_tok - d;
-                // m < -(large) only with many initial tokens: those come from
-                // "firings" far in the past — still fine with floor_div.
-                let i_raw = producer_firing(m);
+                // Many initial tokens come from "firings" far in the past,
+                // which floor_div handles.
+                let i_raw = producer_firing(consumed + t - d);
                 let a_node = i_raw.rem_euclid(n_u) as usize;
                 let delta = -floor_div(i_raw, n_u);
                 debug_assert!(delta >= 0);
-                add_arc(base[u] + a_node, base[v] + j, delta as u64);
+                out.push((self.base[u] + a_node, self.base[v] + j, delta as u64));
             }
             consumed += need;
         }
     }
+}
 
-    let arcs = arc_map
-        .into_iter()
-        .map(|((s, d), delay)| (s, d, delay))
-        .collect();
+/// Keep one arc per `(src, dst)` pair, the one with the fewest delays (the
+/// others are implied by it), sorted by source and destination.
+pub(crate) fn dedup_arcs(arcs: &mut Vec<HsdfArc>) {
+    arcs.sort_unstable();
+    arcs.dedup_by_key(|a| (a.0, a.1));
+}
+
+/// Expand a consistent (C)SDF graph into an HSDF graph over one iteration.
+pub fn expand_to_hsdf(g: &CsdfGraph) -> Result<Hsdf, McmError> {
+    let layout = Layout::of(g)?;
+    let mut labels = Vec::new();
+    for a in g.actor_ids() {
+        let name = &g.actor(a).name;
+        labels.extend((0..layout.firings(a)).map(|k| format!("{name}#{k}")));
+    }
+    let (durations, arcs) = layout.expand(g);
     Ok(Hsdf {
         durations,
         arcs,
@@ -183,23 +213,31 @@ pub fn expand_to_hsdf(g: &CsdfGraph) -> Result<Hsdf, McmError> {
 
 /// True iff the HSDF graph has a cycle whose ratio `Σ dur / Σ delay`
 /// strictly exceeds `lambda`. Arc weight is the *source* node's duration.
-///
-/// With `lambda = p/q` (`q > 0`), a cycle's ratio exceeds `lambda` iff its
-/// integer weight `Σ (q·dur(src) − p·delay)` is positive, so one
-/// longest-path Bellman–Ford over those weights decides it exactly. Every
-/// product and path sum is checked; leaving `i128` is an error, never a
-/// wrap.
 pub(crate) fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> Result<bool, McmError> {
-    let n = h.durations.len();
+    positive_cycle(&h.durations, &h.arcs, lambda.numer(), lambda.denom())
+}
+
+/// True iff some cycle of the graph with node `durations` and `arcs` has a
+/// ratio `Σ dur / Σ delay` above `p/q` (`q > 0`).
+///
+/// A cycle's ratio exceeds `p/q` iff its integer weight
+/// `Σ (q·dur(src) − p·delay)` is positive, so one longest-path
+/// Bellman–Ford over those weights decides it exactly. Every product and
+/// path sum is checked; leaving `i128` is an error, never a wrap.
+pub(crate) fn positive_cycle(
+    durations: &[Time],
+    arcs: &[HsdfArc],
+    p: i128,
+    q: i128,
+) -> Result<bool, McmError> {
+    let n = durations.len();
     if n == 0 {
         return Ok(false);
     }
-    let (p, q) = (lambda.numer(), lambda.denom());
-    let weights = h
-        .arcs
+    let weights = arcs
         .iter()
         .map(|&(s, _, delay)| {
-            let dur = q.checked_mul(h.durations[s] as i128);
+            let dur = q.checked_mul(durations[s] as i128);
             let tokens = p.checked_mul(delay as i128);
             dur.zip(tokens)
                 .and_then(|(d, t)| d.checked_sub(t))
@@ -211,7 +249,7 @@ pub(crate) fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> Result<bool, 
     let mut dist = vec![0i128; n];
     for round in 0..=n {
         let mut changed = false;
-        for (&(s, d, _), &w) in h.arcs.iter().zip(&weights) {
+        for (&(s, d, _), &w) in arcs.iter().zip(&weights) {
             let cand = dist[s].checked_add(w).ok_or(McmError::Overflow)?;
             if cand > dist[d] {
                 dist[d] = cand;
@@ -225,45 +263,44 @@ pub(crate) fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> Result<bool, 
             return Ok(true);
         }
     }
-    unreachable!()
+    unreachable!("the relaxation returns by round n")
 }
 
-/// Detect a cycle with zero total delay (deadlock) via DFS on zero-delay arcs.
-pub(crate) fn has_zero_delay_cycle(h: &Hsdf) -> bool {
-    let n = h.durations.len();
-    let mut adj = vec![Vec::new(); n];
-    for &(s, d, delay) in &h.arcs {
+/// True iff the zero-delay arcs among `n` nodes close a cycle (a deadlock):
+/// Kahn's topological sort over them leaves some node unsorted.
+pub(crate) fn zero_delay_cycle(n: usize, arcs: &[HsdfArc]) -> bool {
+    // Zero-delay successors of node `u`: `succ[start[u]..start[u + 1]]`.
+    let mut start = vec![0usize; n + 1];
+    let mut indeg = vec![0usize; n];
+    for &(s, d, delay) in arcs {
         if delay == 0 {
-            adj[s].push(d);
+            start[s + 1] += 1;
+            indeg[d] += 1;
         }
     }
-    // Iterative colour DFS.
-    let mut colour = vec![0u8; n]; // 0 white, 1 grey, 2 black
-    for start in 0..n {
-        if colour[start] != 0 {
-            continue;
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    let mut next = start.clone();
+    let mut succ = vec![0usize; start[n]];
+    for &(s, d, delay) in arcs {
+        if delay == 0 {
+            succ[next[s]] = d;
+            next[s] += 1;
         }
-        let mut stack = vec![(start, 0usize)];
-        colour[start] = 1;
-        while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
-            if *idx < adj[u].len() {
-                let v = adj[u][*idx];
-                *idx += 1;
-                match colour[v] {
-                    0 => {
-                        colour[v] = 1;
-                        stack.push((v, 0));
-                    }
-                    1 => return true,
-                    _ => {}
-                }
-            } else {
-                colour[u] = 2;
-                stack.pop();
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
+    let mut sorted = 0;
+    while let Some(u) = ready.pop() {
+        sorted += 1;
+        for &v in &succ[start[u]..start[u + 1]] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                ready.push(v);
             }
         }
     }
-    false
+    sorted < n
 }
 
 /// Simplest rational (smallest denominator) `r` with `lo < r <= hi`.
@@ -314,7 +351,7 @@ fn simplest_in_co(lo: Rational, hi: Rational) -> Rational {
 /// `Err(ZeroDelayCycle)` for a deadlocked one and `Err(Overflow)` when a
 /// ratio test of the bisection leaves `i128`.
 pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
-    if has_zero_delay_cycle(h) {
+    if zero_delay_cycle(h.durations.len(), &h.arcs) {
         return Err(McmError::ZeroDelayCycle);
     }
     let total_dur: u64 = h.durations.iter().sum();

@@ -12,7 +12,8 @@
 //!   graphs;
 //! * buffer feasibility is monotone in capacity;
 //! * the one-cycle-test buffer feasibility agrees with the exact period
-//!   under the same capacities, at the boundary and through deadlock.
+//!   under the same capacities, at the boundary and through deadlock, on
+//!   multirate cycles and on Fig. 7-shaped gateway chains.
 
 use proptest::prelude::*;
 use streamgate_dataflow::{
@@ -198,6 +199,53 @@ proptest! {
                 feasible(&p, &[cap]).unwrap(),
                 want,
                 "cap {} target {} exact period {:?}", cap, target, exact
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The abstraction rule A2 sizes (Fig. 7): producer `vP` (ρ_p) → a
+    /// gateway actor `vS` (γ̂) consuming and producing blocks of η →
+    /// consumer `vC` (ρ_c), both channels bounded, with capacities from
+    /// below a block (deadlock) to three blocks. Feasibility must equal the
+    /// exact period against the target 1/μ, at the period itself and just
+    /// either side of it.
+    #[test]
+    fn feasible_matches_exact_period_on_fig7_chains(
+        (eta, gamma_hat, rho_p, rho_c) in (1u64..=64, 1u64..=2_000, 1u64..=64, 1u64..=8),
+        (c0, c3) in (0u64..=192, 0u64..=192),
+        (mu_num, mu_den) in (1i128..=4, 1i128..=4_000),
+    ) {
+        use streamgate_dataflow::buffer::{feasible, period_with_capacities, BufferProblem};
+        use streamgate_ilp::Rational;
+        let mut g = CsdfGraph::new();
+        let v_p = g.add_sdf_actor("vP", rho_p);
+        let v_s = g.add_sdf_actor("vS", gamma_hat);
+        let v_c = g.add_sdf_actor("vC", rho_c);
+        let b = g.add_sdf_edge("b", v_p, 1, v_s, eta, 0);
+        let d = g.add_sdf_edge("d", v_s, eta, v_c, 1, 0);
+        let caps = [c0 % (3 * eta + 1), c3 % (3 * eta + 1)];
+        let mut p = BufferProblem {
+            graph: g,
+            channels: vec![b, d],
+            reference: v_c,
+            target_period: Rational::ZERO,
+        };
+        let exact = period_with_capacities(&p, &caps).unwrap();
+        let mut targets = vec![Rational::new(mu_den, mu_num)];
+        if let Some(per) = exact {
+            targets.extend([per, per - Rational::new(1, 1000), per + Rational::new(1, 1000)]);
+        }
+        for target in targets {
+            p.target_period = target;
+            let want = exact.is_some_and(|per| per <= target);
+            prop_assert_eq!(
+                feasible(&p, &caps).unwrap(),
+                want,
+                "caps {:?} target {} exact period {:?}", caps, target, exact
             );
         }
     }

@@ -423,6 +423,40 @@ impl GatewayPair {
         self.state == GwState::Idle
     }
 
+    /// A lower bound on the first cycle, at or after `now`, whose top finds
+    /// the pair [`GatewayPair::is_idle`] (`now` is the next cycle to run).
+    /// It counts only what the in-flight block still has to do at the
+    /// entry side: the end of its reconfiguration window, one DMA send per
+    /// remaining input sample at most one per `max(ε, 1)` cycles, the step
+    /// into `Draining` one cycle after the last send, and the completing
+    /// step one cycle after that. The drain itself is not bounded here.
+    pub fn earliest_idle(&self, now: u64) -> u64 {
+        let eta = || {
+            let active = self.active.expect("a block in flight has a stream");
+            self.streams[active].eta_in as u64
+        };
+        let gap = self.dma_cycles_per_sample.max(1);
+        // Top of the cycle after the last of `left` sends, the first of
+        // which goes at `first` at the earliest: Draining there, complete
+        // one step later.
+        let after_sends = |first: u64, left: u64| {
+            first
+                .saturating_add((left - 1).saturating_mul(gap))
+                .saturating_add(3)
+        };
+        match self.state {
+            GwState::Idle => now,
+            // The step at `max(until, now)` starts the DMA; its first send
+            // is one step later.
+            GwState::Reconfig { until } => after_sends(until.max(now).saturating_add(1), eta()),
+            GwState::Streaming { sent, next_send } => match eta() - sent as u64 {
+                0 => now.saturating_add(2),
+                left => after_sends(next_send.max(now), left),
+            },
+            GwState::Draining => now.saturating_add(1),
+        }
+    }
+
     /// True while [`GatewayPair::horizon`] reads accelerator state (the
     /// `Draining` arm). In every other state the horizon is a function of
     /// the pair's own state and the C-FIFOs alone, so an engine batching

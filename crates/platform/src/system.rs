@@ -1252,6 +1252,26 @@ impl System {
         }
     }
 
+    /// Run until gateway pair `gateway` is idle or `max_cycles` elapse;
+    /// returns `true` if it fell idle. Stops at the same cycle, in the same
+    /// state, as `run_until(max_cycles, |s| s.gateways[gateway].is_idle())`.
+    ///
+    /// The pair cannot be idle before [`GatewayPair::earliest_idle`], so
+    /// the wait runs up to that bound as [`System::run`] does — event-driven,
+    /// on the span engine unless a full trace is on — and steps per cycle,
+    /// testing the pair, only for the rest (the drain of the in-flight
+    /// block). The bounded stretch records what [`System::run`] records:
+    /// under the flight recorder, no check-for-space idle windows (DESIGN
+    /// §12).
+    pub fn run_until_idle(&mut self, gateway: usize, max_cycles: u64) -> bool {
+        let end = self.cycle.saturating_add(max_cycles);
+        let bound = self.gateways[gateway].earliest_idle(self.cycle).min(end);
+        if bound > self.cycle {
+            self.run(bound - self.cycle);
+        }
+        self.run_until(end - self.cycle, |s| s.gateways[gateway].is_idle())
+    }
+
     /// Utilisation of an accelerator (busy cycles / elapsed).
     pub fn accel_utilisation(&self, a: AccelId) -> f64 {
         if self.cycle == 0 {

@@ -11,6 +11,10 @@
 //! multiple streams per gateway (round-robin reconfiguration), and TDM
 //! processors with non-trivial budgets (bulk slot replay).
 //!
+//! The same topologies check the typed idle wait: `System::run_until_idle`
+//! against the `run_until` closure it replaces, and
+//! `GatewayPair::earliest_idle` as a lower bound on the idle cycle.
+//!
 //! Draws are raw — capacities may be smaller than a block. The static
 //! analyzer is the validity oracle: each gateway pair is mapped onto a
 //! `DeploySpec` and structurally broken configurations (A1/A2/A5
@@ -463,6 +467,77 @@ proptest! {
         let ex = run(&t, StepMode::Exhaustive);
         let ev = run_event_chunked(&t, chunks);
         assert_identical(ex, ev)?;
+    }
+}
+
+/// `t` built and run for `start` cycles in `mode`, with a full trace when
+/// `traced`: the state an idle wait starts from.
+fn started(t: &Topo, mode: StepMode, traced: bool, start: u64) -> System {
+    let mut sys = build(t);
+    sys.step_mode = mode;
+    if traced {
+        sys.enable_tracing(64);
+    }
+    sys.run(start);
+    sys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The typed idle wait stops where the per-cycle idle predicate does,
+    /// on both engines, traced and untraced, from ragged start cycles and
+    /// across repeated waits that start mid-block: same verdicts, stop
+    /// cycles, counters, FIFOs and trace.
+    #[test]
+    fn run_until_idle_matches_the_idle_predicate(
+        t in topo_strategy(),
+        start in 0u64..6_000,
+        pick in 0usize..3,
+        variant in 0u8..4,
+    ) {
+        prop_assume!(accepted_by_analyzer(&t));
+        let g = pick % t.gateways.len();
+        let mode = if variant % 2 == 0 { StepMode::EventDriven } else { StepMode::Exhaustive };
+        let traced = variant >= 2;
+        let mut a = started(&t, mode, traced, start);
+        let mut b = started(&t, mode, traced, start);
+        for k in 0..4u64 {
+            let hit_a = a.run_until(t.cycles, |s| s.gateways[g].is_idle());
+            let hit_b = b.run_until_idle(g, t.cycles);
+            prop_assert_eq!(hit_a, hit_b, "wait {} verdict", k);
+            prop_assert_eq!(a.cycle(), b.cycle(), "wait {} stop cycle", k);
+            let gap = 1 + (start + 97 * k) % 700;
+            a.run(gap);
+            b.run(gap);
+        }
+        let (na, nb) = (a.cycle(), b.cycle());
+        a.tracer.finish(na);
+        b.tracer.finish(nb);
+        assert_identical(a, b)?;
+    }
+
+    /// `earliest_idle` is a lower bound: whenever a pair is found idle at
+    /// the top of a cycle, no bound taken at an earlier top of the same
+    /// busy stretch lies past that cycle.
+    #[test]
+    fn earliest_idle_never_passes_the_first_idle_cycle(t in topo_strategy()) {
+        prop_assume!(accepted_by_analyzer(&t));
+        let mut sys = build(&t);
+        sys.step_mode = StepMode::Exhaustive;
+        let mut bound = vec![0u64; sys.gateways.len()];
+        for _ in 0..t.cycles {
+            let now = sys.cycle();
+            for (j, gw) in sys.gateways.iter().enumerate() {
+                if gw.is_idle() {
+                    prop_assert!(bound[j] <= now, "gateway {} idle at {} before its bound {}", j, now, bound[j]);
+                    bound[j] = 0;
+                } else {
+                    bound[j] = bound[j].max(gw.earliest_idle(now));
+                }
+            }
+            sys.step();
+        }
     }
 }
 
