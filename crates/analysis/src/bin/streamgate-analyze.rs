@@ -33,8 +33,8 @@
 //! * `2` — the deployment is **rejected** (at least one Error
 //!   diagnostic), or the command line / input files were unusable.
 //!
-//! Exit code 1 is deliberately unused: it is what a crash (panic) yields,
-//! so automation can tell "analyzer said no" (2) from "analyzer broke" (1).
+//! No other code is used on purpose. A panic exits with 101, so
+//! automation can tell "analyzer said no" (2) from "analyzer broke" (101).
 
 use std::process::ExitCode;
 use std::time::Instant;

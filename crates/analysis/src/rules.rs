@@ -32,10 +32,10 @@ const EXACT_BUFFER_ETA_LIMIT: u64 = 64;
 #[derive(Clone, Copy, Debug)]
 pub struct AnalysisOptions {
     /// Run the exact MCM-based minimum-buffer search and the Fig. 8
-    /// non-monotonicity probe (rule A2). The search is exhaustive over the
-    /// capacity box, which costs seconds per stream in unoptimised builds —
-    /// batch consumers (the differential harness analyses hundreds of
-    /// deployments) turn it off. All findings it produces are *Warnings*,
+    /// non-monotonicity probe (rule A2). Each of its feasibility tests
+    /// walks an HSDF graph of about 2η nodes, which costs up to seconds
+    /// per stream in unoptimised builds — batch consumers (the
+    /// differential harness analyses hundreds of deployments) turn it off. All findings it produces are *Warnings*,
     /// so disabling it never changes the accept/reject verdict.
     pub exact_buffers: bool,
 }

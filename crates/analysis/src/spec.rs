@@ -921,6 +921,9 @@ pub(crate) fn stream_from_json(s: &Json) -> Result<StreamDeploy, String> {
     if den == 0 {
         return Err("mu denominator is zero".to_string());
     }
+    if num == i128::MIN || den == i128::MIN {
+        return Err("mu term is -2^127, outside the range of a rational".to_string());
+    }
     Ok(StreamDeploy {
         name: s.req("name")?,
         mu: Rational::new(num, den),

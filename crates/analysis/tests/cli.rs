@@ -76,6 +76,33 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn i128_min_mu_term_is_unusable_input_not_a_crash() {
+    // A panic would exit 101; the reader rejects the term instead.
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-min-mu");
+    std::fs::create_dir_all(&dir).unwrap();
+    let min = i128::MIN;
+    for (i, mu) in [format!("[1, {min}]"), format!("[{min}, 7]")]
+        .iter()
+        .enumerate()
+    {
+        let script = dir.join(format!("deltas{i}.json"));
+        std::fs::write(
+            &script,
+            format!(
+                r#"{{"deltas": [{{"op": "add", "gateway": 1, "stream": {{"name": "probe",
+                "mu": {mu}, "eta_in": 8, "eta_out": 8, "reconfig": 20,
+                "input_capacity": 64, "output_capacity": 64}}}}]}}"#
+            ),
+        )
+        .unwrap();
+        let out = analyze(&["--delta", script.to_str().unwrap(), "pal2"]);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{mu}: {err}");
+        assert!(err.contains("mu term"), "{mu}: {err}");
+    }
+}
+
+#[test]
 fn delta_mode_replays_churn_and_reports_final_state() {
     let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -1,12 +1,12 @@
 //! JSON inputs at their edges. Every integer of each JSON input the
 //! analyzer reads, replaced in turn with each of 0, 1, 2^32, 2^62, 2^63,
-//! u64::MAX, −1 and 10^30, must either be rejected by its reader or flow
-//! through every consumer into a result — never a panic, and never a
-//! silently truncated value. Every other token (string, non-integer
-//! number, `true`, `false`, `null`), replaced with each of `""`, `"x"`,
-//! 0, −1, 1.5, 1e400, `true`, `null`, `[]` and `{}` or deleted, and every
-//! truncation of each document, must likewise end in an error or a
-//! result.
+//! u64::MAX, −1, 10^30, i128::MIN and i128::MAX, must either be rejected
+//! by its reader or flow through every consumer into a result — never a
+//! panic, and never a silently truncated value. Every other token (string,
+//! non-integer number, `true`, `false`, `null`), replaced with each of
+//! `""`, `"x"`, 0, −1, 1.5, 1e400, `true`, `null`, `[]` and `{}` or
+//! deleted, and every truncation of each document, must likewise end in an
+//! error or a result.
 //!
 //! The inputs are four presets' `DeploySpec::to_json_text()` (each
 //! mutated spec is analysed, fed the pal profile golden through
@@ -24,7 +24,7 @@ use streamgate_analysis::{
 };
 use streamgate_core::RunProfile;
 
-const EDGES: [&str; 8] = [
+const EDGES: [&str; 10] = [
     "0",
     "1",
     "4294967296",
@@ -33,6 +33,8 @@ const EDGES: [&str; 8] = [
     "18446744073709551615",
     "-1",
     "1000000000000000000000000000000",
+    "-170141183460469231731687303715884105728",
+    "170141183460469231731687303715884105727",
 ];
 
 const PAL_PROFILE: &str = include_str!("golden/pal_profile.json");

@@ -78,8 +78,9 @@ pub fn minimum_stream_buffers(
 }
 
 /// *Sufficient* (feasible, near-minimal) α₀/α₃ for large block sizes, where
-/// the exhaustive joint minimisation of [`minimum_stream_buffers`] is too
-/// expensive (its search box grows with η²).
+/// the joint minimisation of [`minimum_stream_buffers`] is too expensive
+/// (one binary search of α₃ per α₀ of its box, each test on an HSDF graph
+/// that grows with η).
 ///
 /// Strategy: take each channel's individual minimum with the other channel
 /// wide open — a lower bound per channel — then, if the combination is not

@@ -185,6 +185,28 @@ impl<'a> Prepared<'a> {
         Ok(!positive_cycle(&self.durations, &self.arcs, num, den)?)
     }
 
+    /// The box [`min_buffers_for_period`] searches: per channel, its
+    /// smallest meaningful capacity and its minimum with every other
+    /// channel at `cap_limit` (or above, where a channel needs more).
+    /// `None` if some channel cannot meet the target within `cap_limit`.
+    fn search_box(&mut self, cap_limit: u64) -> Result<Option<SearchBox>, McmError> {
+        let p = self.problem;
+        let floors: Vec<u64> = p
+            .channels
+            .iter()
+            .map(|e| min_meaningful_capacity(&p.graph, *e))
+            .collect();
+        let wide: Vec<u64> = floors.iter().map(|&f| cap_limit.max(f)).collect();
+        let mut ubs = Vec::with_capacity(floors.len());
+        for i in 0..floors.len() {
+            match self.min_capacity(i, &wide, cap_limit)? {
+                Some(ub) => ubs.push(ub),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(SearchBox { floors, ubs }))
+    }
+
     /// Smallest capacity of channel `idx` meeting the target with the other
     /// channels at `others`, searched in `[floor, cap_limit]`.
     fn min_capacity(
@@ -225,6 +247,13 @@ impl<'a> Prepared<'a> {
     }
 }
 
+/// Per channel, the capacities [`min_buffers_for_period`] searches:
+/// `floors[i]..=ubs[i]`.
+struct SearchBox {
+    floors: Vec<u64>,
+    ubs: Vec<u64>,
+}
+
 /// The maximum throughput period of the *unbounded* graph — the tightest
 /// target any finite capacity can reach.
 pub fn unbounded_period(
@@ -260,11 +289,16 @@ pub fn min_meaningful_capacity(g: &CsdfGraph, e: EdgeId) -> u64 {
 
 /// Minimum **total** capacity assignment meeting the period target.
 ///
-/// Exhaustive search over the box `[floor_i, ub_i]` per channel, where
-/// `ub_i` is the per-channel minimum with all other channels wide open —
-/// a valid upper bound because capacity is per-channel monotone. Intended
-/// for the small channel counts (≤ 3) of the paper's models; returns `None`
-/// if the target is unreachable within `cap_limit`.
+/// Searches the box `[floor_i, ub_i]` per channel, where `ub_i` is the
+/// per-channel minimum with all other channels wide open — a valid upper
+/// bound because capacity is per-channel monotone. The first k − 1
+/// channels' capacities are enumerated in lexicographic order; for each,
+/// the last channel's minimum is binary-searched (monotone too) below the
+/// best total so far. Only a strictly smaller total replaces the best, so
+/// the result is the first feasible vector in (total, lexicographic)
+/// order, the one a walk of the whole box sorted by total would return.
+/// Intended for the small channel counts (≤ 4) of the paper's models;
+/// returns `None` if the target is unreachable within `cap_limit`.
 pub fn min_buffers_for_period(
     p: &BufferProblem,
     cap_limit: u64,
@@ -274,49 +308,41 @@ pub fn min_buffers_for_period(
     assert!(k <= 4, "exhaustive buffer search limited to 4 channels");
 
     let mut prep = Prepared::new(p)?;
-    // Upper bounds: each channel's minimum with others at cap_limit.
-    let wide: Vec<u64> = p
-        .channels
-        .iter()
-        .map(|e| cap_limit.max(min_meaningful_capacity(&p.graph, *e)))
-        .collect();
-    let mut ubs = Vec::with_capacity(k);
-    for i in 0..k {
-        match prep.min_capacity(i, &wide, cap_limit)? {
-            Some(ub) => ubs.push(ub),
-            None => return Ok(None),
-        }
-    }
-    let floors: Vec<u64> = p
-        .channels
-        .iter()
-        .map(|e| min_meaningful_capacity(&p.graph, *e))
-        .collect();
-
-    // Enumerate the box in order of increasing total (simple loop + sort).
-    let mut candidates: Vec<Vec<u64>> = vec![vec![]];
-    for i in 0..k {
-        let mut next = Vec::new();
-        for c in &candidates {
-            for v in floors[i]..=ubs[i] {
-                let mut c2 = c.clone();
-                c2.push(v);
-                next.push(c2);
+    let Some(SearchBox { floors, ubs }) = prep.search_box(cap_limit)? else {
+        return Ok(None);
+    };
+    let last = k - 1;
+    let mut caps = floors.clone();
+    let mut best: Option<BufferResult> = None;
+    loop {
+        let prefix: u64 = caps[..last].iter().sum();
+        // Largest last capacity whose total beats the best so far.
+        let beat = best.as_ref().map_or(u64::MAX, |b| b.total - 1);
+        let mut hi = ubs[last].min(beat.saturating_sub(prefix));
+        caps[last] = hi;
+        if hi >= floors[last] && prefix <= beat && prep.feasible(&caps)? {
+            let mut lo = floors[last];
+            while lo < hi {
+                caps[last] = lo + (hi - lo) / 2;
+                if prep.feasible(&caps)? {
+                    hi = caps[last];
+                } else {
+                    lo = caps[last] + 1;
+                }
             }
+            caps[last] = hi;
+            best = Some(BufferResult {
+                capacities: caps.clone(),
+                total: prefix + hi,
+            });
         }
-        candidates = next;
+        // The next prefix in lexicographic order, if any.
+        let Some(i) = (0..last).rev().find(|&i| caps[i] < ubs[i]) else {
+            return Ok(best);
+        };
+        caps[i] += 1;
+        caps[i + 1..last].copy_from_slice(&floors[i + 1..last]);
     }
-    candidates.sort_by_key(|c| c.iter().sum::<u64>());
-    for caps in candidates {
-        if prep.feasible(&caps)? {
-            let total = caps.iter().sum();
-            return Ok(Some(BufferResult {
-                capacities: caps,
-                total,
-            }));
-        }
-    }
-    Ok(None)
 }
 
 /// Convenience: minimum total capacities to sustain the *maximum* throughput
@@ -509,6 +535,101 @@ mod tests {
         assert_eq!(period_with_capacities(&p, &[0]).unwrap(), None);
         assert!(!feasible(&p, &[0]).unwrap());
         assert!(feasible(&p, &[1]).unwrap());
+    }
+
+    /// The search [`min_buffers_for_period`] replaced, kept as its oracle:
+    /// every vector of the box in lexicographic order, stable-sorted by
+    /// total; the first feasible one wins.
+    fn box_walk(p: &BufferProblem, cap_limit: u64) -> Result<Option<BufferResult>, McmError> {
+        let mut prep = Prepared::new(p)?;
+        let Some(SearchBox { floors, ubs }) = prep.search_box(cap_limit)? else {
+            return Ok(None);
+        };
+        let mut candidates: Vec<Vec<u64>> = vec![vec![]];
+        for i in 0..p.channels.len() {
+            let mut next = Vec::new();
+            for c in &candidates {
+                for v in floors[i]..=ubs[i] {
+                    let mut c2 = c.clone();
+                    c2.push(v);
+                    next.push(c2);
+                }
+            }
+            candidates = next;
+        }
+        candidates.sort_by_key(|c| c.iter().sum::<u64>());
+        for caps in candidates {
+            if prep.feasible(&caps)? {
+                let total = caps.iter().sum();
+                return Ok(Some(BufferResult {
+                    capacities: caps,
+                    total,
+                }));
+            }
+        }
+        Ok(None)
+    }
+
+    #[test]
+    fn search_matches_box_walk_on_three_channels() {
+        // A(1) -2-> -3-> B(2) -1-> -2-> C(3) -3-> -1-> D(1): three channels
+        // with different quanta, at and above the unbounded period.
+        let mut g = CsdfGraph::new();
+        let a = g.add_sdf_actor("A", 1);
+        let b = g.add_sdf_actor("B", 2);
+        let c = g.add_sdf_actor("C", 3);
+        let d = g.add_sdf_actor("D", 1);
+        let e1 = g.add_sdf_edge("ab", a, 2, b, 3, 0);
+        let e2 = g.add_sdf_edge("bc", b, 1, c, 2, 0);
+        let e3 = g.add_sdf_edge("cd", c, 3, d, 1, 0);
+        let fastest = unbounded_period(&g, d).unwrap().unwrap();
+        for slack in [rat(1, 1), rat(5, 4), rat(2, 1)] {
+            let p = BufferProblem {
+                graph: g.clone(),
+                channels: vec![e1, e2, e3],
+                reference: d,
+                target_period: fastest * slack,
+            };
+            let got = min_buffers_for_period(&p, 32).unwrap();
+            assert!(got.is_some(), "slack {slack}");
+            assert_eq!(got, box_walk(&p, 32).unwrap(), "slack {slack}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// The Fig. 7 chain rule A2 sizes (`vP` → `vS` in blocks of η →
+        /// `vC`), against a target period from just below the unbounded
+        /// graph's to three eighths above it: the search returns exactly
+        /// the box walk's vector, or `None` with it. η is drawn from 1–64,
+        /// log-uniformly so that the quadratic walk stays affordable in
+        /// debug builds.
+        #[test]
+        fn search_matches_box_walk_on_fig7_chains(
+            (eta_bits, eta_frac) in (0u32..=6, 0u64..=63),
+            (gamma_hat, rho_p, rho_c) in (1u64..=2_000, 1u64..=64, 1u64..=8),
+            (slack, slack_den) in (-1i128..=3, 8i128..=64),
+        ) {
+            let eta = (1u64 << eta_bits) + eta_frac % (1u64 << eta_bits);
+            let eta = eta.min(64);
+            let mut g = CsdfGraph::new();
+            let v_p = g.add_sdf_actor("vP", rho_p);
+            let v_s = g.add_sdf_actor("vS", gamma_hat);
+            let v_c = g.add_sdf_actor("vC", rho_c);
+            let b = g.add_sdf_edge("b", v_p, 1, v_s, eta, 0);
+            let d = g.add_sdf_edge("d", v_s, eta, v_c, 1, 0);
+            let fastest = unbounded_period(&g, v_c).unwrap().unwrap();
+            let p = BufferProblem {
+                graph: g,
+                channels: vec![b, d],
+                reference: v_c,
+                target_period: fastest * rat(slack_den + slack, slack_den),
+            };
+            let cap_limit = 8 * eta + 64;
+            let got = min_buffers_for_period(&p, cap_limit).unwrap();
+            proptest::prop_assert_eq!(got, box_walk(&p, cap_limit).unwrap());
+        }
     }
 
     #[test]

@@ -113,6 +113,9 @@ pub enum GraphError {
     },
     /// The graph deadlocks before completing one iteration.
     Deadlock,
+    /// The repetition vector's exact arithmetic leaves `i128`, or a count
+    /// leaves `u64`.
+    Overflow,
 }
 
 impl fmt::Display for GraphError {
@@ -138,6 +141,7 @@ impl fmt::Display for GraphError {
                 write!(f, "balance equations inconsistent at edge {edge}")
             }
             GraphError::Deadlock => write!(f, "graph deadlocks before completing an iteration"),
+            GraphError::Overflow => write!(f, "repetition vector overflows"),
         }
     }
 }

@@ -44,6 +44,8 @@ impl RepetitionVector {
 /// Works on each weakly-connected component independently; actors in
 /// separate components are normalised independently (each component's
 /// smallest cycle count pattern), which matches the usual convention.
+/// Rates whose products leave `i128`, or a count that leaves `u64`, are
+/// [`GraphError::Overflow`].
 pub fn repetition_vector(g: &CsdfGraph) -> Result<RepetitionVector, GraphError> {
     g.validate()?;
     let n = g.num_actors();
@@ -74,7 +76,7 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<RepetitionVector, GraphError> 
         while let Some(u) = stack.pop() {
             let ru = ratio[u].unwrap();
             for &(v, ref k) in &adj[u] {
-                let rv = ru * *k;
+                let rv = ru.checked_mul(k).ok_or(GraphError::Overflow)?;
                 match ratio[v] {
                     None => {
                         ratio[v] = Some(rv);
@@ -105,7 +107,9 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<RepetitionVector, GraphError> 
         let rv = ratio[edge.dst.index()].unwrap();
         let p = Rational::from_int(edge.production_per_cycle() as i128);
         let c = Rational::from_int(edge.consumption_per_cycle() as i128);
-        if ru * p != rv * c {
+        let balance = ru.checked_mul(&p).zip(rv.checked_mul(&c));
+        let (produced, consumed) = balance.ok_or(GraphError::Overflow)?;
+        if produced != consumed {
             return Err(GraphError::Inconsistent {
                 edge: edge.name.clone(),
             });
@@ -119,12 +123,15 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<RepetitionVector, GraphError> 
         let members: Vec<usize> = (0..n).filter(|&i| component[i] == comp).collect();
         let mut denom_lcm: i128 = 1;
         for &i in &members {
-            denom_lcm = lcm(denom_lcm, ratio[i].unwrap().denom());
+            denom_lcm = lcm(denom_lcm, ratio[i].unwrap().denom()).ok_or(GraphError::Overflow)?;
         }
         let mut g_all: i128 = 0;
         for &i in &members {
             let r = ratio[i].unwrap();
-            ints[i] = r.numer() * (denom_lcm / r.denom());
+            ints[i] = r
+                .numer()
+                .checked_mul(denom_lcm / r.denom())
+                .ok_or(GraphError::Overflow)?;
             g_all = gcd(g_all, ints[i]);
         }
         if g_all > 1 {
@@ -133,8 +140,9 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<RepetitionVector, GraphError> 
             }
         }
     }
+    let cycles: Option<Vec<u64>> = ints.into_iter().map(|v| u64::try_from(v).ok()).collect();
     Ok(RepetitionVector {
-        cycles: ints.into_iter().map(|v| v as u64).collect(),
+        cycles: cycles.ok_or(GraphError::Overflow)?,
     })
 }
 
@@ -221,6 +229,36 @@ mod tests {
         g.add_sdf_edge("cd", c, 5, d, 1, 0);
         let r = repetition_vector(&g).unwrap();
         assert_eq!(r.cycles, vec![2, 1, 1, 5]);
+    }
+
+    /// A chain `A0 -3-> -2-> A1 -3-> -2-> …` with `edges` edges: actor k
+    /// fires `3^k · 2^(edges−k)` times per iteration.
+    fn coprime_chain(edges: usize) -> CsdfGraph {
+        let mut g = CsdfGraph::new();
+        let mut prev = g.add_sdf_actor("A0", 1);
+        for k in 1..=edges {
+            let next = g.add_sdf_actor(format!("A{k}"), 1);
+            g.add_sdf_edge(format!("e{k}"), prev, 3, next, 2, 0);
+            prev = next;
+        }
+        g
+    }
+
+    #[test]
+    fn counts_beyond_u64_are_an_overflow_error() {
+        // 3^40 < 2^64 < 3^41.
+        let r = repetition_vector(&coprime_chain(40)).unwrap();
+        assert_eq!((r.cycles[0], r.cycles[40]), (1 << 40, 3u64.pow(40)));
+        assert_eq!(
+            repetition_vector(&coprime_chain(41)),
+            Err(GraphError::Overflow)
+        );
+        // 3^81 leaves i128 while the rates propagate.
+        assert_eq!(
+            repetition_vector(&coprime_chain(100)),
+            Err(GraphError::Overflow)
+        );
+        assert!(!is_consistent(&coprime_chain(41)));
     }
 
     #[test]

@@ -3,37 +3,106 @@
 //! The simplex and branch-and-bound solvers in this crate run entirely on
 //! exact rationals so that pivoting never suffers from floating-point
 //! tolerance issues. Numerators and denominators are kept reduced (gcd = 1,
-//! denominator > 0) after every operation; cross-reduction is applied before
-//! multiplication to keep intermediate magnitudes small.
+//! denominator > 0, neither term `i128::MIN`, so negation never overflows)
+//! after every operation; cross-reduction is applied before multiplication
+//! to keep intermediate magnitudes small.
 //!
 //! The block-size ILPs derived from the paper involve coefficients like
 //! `μ_s · c_0` with `μ_s` a samples-per-cycle rate (e.g. 44100 / 12_480_000)
 //! and `c_0`, `c_1` cycle counts — all comfortably inside `i128` once reduced.
+//! Most terms even fit 64 bits, so the kernel takes the gcd with the binary
+//! (Stein) algorithm and divides on the 64-bit divider whenever both
+//! operands fit: a 128-bit `/` or `%` is a software routine.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Greatest common divisor (non-negative) of two `i128`s.
+///
+/// Panics if the result is 2¹²⁷ (one operand `i128::MIN`, the other zero
+/// or `i128::MIN`), which `i128` cannot hold.
 pub fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+    i128::try_from(gcd_u128(a.unsigned_abs(), b.unsigned_abs()))
+        .expect("gcd(i128::MIN, 0) is 2^127, which does not fit i128")
+}
+
+/// Least common multiple (non-negative), or `None` if it leaves `i128`.
+pub fn lcm(a: i128, b: i128) -> Option<i128> {
+    if a == 0 || b == 0 {
+        return Some(0);
+    }
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    let l = div_u128(a, gcd_u128(a, b)).checked_mul(b)?;
+    i128::try_from(l).ok()
+}
+
+/// Binary gcd of two magnitudes, on `u64` once both fit.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 1 {
+        return b;
+    }
+    if b == 0 || a == 1 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    b >>= b.trailing_zeros();
+    // Both odd from here on; each round halves `b` at least once.
+    while (a | b) >> 64 != 0 {
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+        b >>= b.trailing_zeros();
+    }
+    (gcd_odd_u64(a as u64, b as u64) as u128) << shift
+}
+
+/// Binary gcd of two odd `u64`s.
+fn gcd_odd_u64(mut a: u64, mut b: u64) -> u64 {
+    while a != b {
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        b >>= b.trailing_zeros();
     }
     a
 }
 
-/// Least common multiple; panics on overflow.
-pub fn lcm(a: i128, b: i128) -> i128 {
-    if a == 0 || b == 0 {
-        return 0;
+/// `a / b` for `b > 0`, skipping a divisor of 1 and on the 64-bit divider
+/// when both operands fit.
+fn div_u128(a: u128, b: u128) -> u128 {
+    if b == 1 {
+        a
+    } else if (a | b) >> 64 == 0 {
+        (a as u64 / b as u64) as u128
+    } else {
+        a / b
     }
-    (a / gcd(a, b)).checked_mul(b).expect("lcm overflow").abs()
 }
 
-/// An exact rational number `num / den` with `den > 0` and `gcd(num, den) == 1`.
+/// `a / b` (truncating) for `b > 0`, like [`div_u128`].
+fn div_i128(a: i128, b: i128) -> i128 {
+    if b == 1 {
+        a
+    } else if fits_i64(a) && fits_i64(b) {
+        (a as i64 / b as i64) as i128
+    } else {
+        a / b
+    }
+}
+
+fn fits_i64(v: i128) -> bool {
+    v as i64 as i128 == v
+}
+
+/// An exact rational number `num / den` with `den > 0`, `gcd(num, den) == 1`
+/// and `num != i128::MIN`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
@@ -46,20 +115,40 @@ impl Rational {
     /// One.
     pub const ONE: Rational = Rational { num: 1, den: 1 };
 
-    /// Construct from a numerator and denominator. Panics if `den == 0`.
+    /// Construct from a numerator and denominator. Panics if `den == 0`,
+    /// or if a term of the reduced value is 2¹²⁷ (e.g. `new(1, i128::MIN)`),
+    /// which would break the invariant that no term is `i128::MIN`.
     pub fn new(num: i128, den: i128) -> Self {
         assert!(den != 0, "rational with zero denominator");
-        let g = gcd(num, den);
-        let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
-        if den < 0 {
-            num = -num;
-            den = -den;
-        }
-        Rational { num, den }
+        Rational::reduced(num, den).expect(
+            "Rational::new: a reduced term is 2^127, and no term of a Rational may be i128::MIN",
+        )
     }
 
-    /// Construct from an integer.
+    /// `num / den` in lowest terms with a positive denominator, or `None`
+    /// if a term of that form would be 2¹²⁷. Requires `den != 0`.
+    fn reduced(num: i128, den: i128) -> Option<Rational> {
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd_u128(n, d);
+        let n = i128::try_from(div_u128(n, g)).ok()?;
+        let d = i128::try_from(div_u128(d, g)).ok()?;
+        let n = if (num < 0) != (den < 0) { -n } else { n };
+        Some(Rational { num: n, den: d })
+    }
+
+    /// `num / den` for a `den > 0` already coprime to `num`, or `None` if
+    /// `num` is `i128::MIN`.
+    fn coprime(num: i128, den: i128) -> Option<Rational> {
+        (num != i128::MIN).then_some(Rational { num, den })
+    }
+
+    /// Construct from an integer. Panics on `i128::MIN`, which no term of
+    /// a `Rational` may be.
     pub fn from_int(v: i128) -> Self {
+        assert!(
+            v != i128::MIN,
+            "Rational::from_int: no term of a Rational may be i128::MIN"
+        );
         Rational { num: v, den: 1 }
     }
 
@@ -100,12 +189,26 @@ impl Rational {
 
     /// Largest integer `<= self`.
     pub fn floor(&self) -> i128 {
-        self.num.div_euclid(self.den)
+        if self.den == 1 {
+            self.num
+        } else if fits_i64(self.num) && fits_i64(self.den) {
+            (self.num as i64).div_euclid(self.den as i64) as i128
+        } else {
+            self.num.div_euclid(self.den)
+        }
     }
 
     /// Smallest integer `>= self`.
     pub fn ceil(&self) -> i128 {
-        -((-self.num).div_euclid(self.den))
+        if self.den == 1 {
+            self.num
+        } else if fits_i64(self.num) && fits_i64(self.den) {
+            // `-num` may leave i64, so round the floor up instead.
+            let (n, d) = (self.num as i64, self.den as i64);
+            n.div_euclid(d) as i128 + i128::from(n.rem_euclid(d) != 0)
+        } else {
+            -((-self.num).div_euclid(self.den))
+        }
     }
 
     /// Fractional part `self - floor(self)`, in `[0, 1)`.
@@ -124,7 +227,18 @@ impl Rational {
     /// Multiplicative inverse. Panics on zero.
     pub fn recip(&self) -> Rational {
         assert!(self.num != 0, "reciprocal of zero");
-        Rational::new(self.den, self.num)
+        // Swapping coprime terms keeps them coprime; only the sign moves.
+        if self.num < 0 {
+            Rational {
+                num: -self.den,
+                den: -self.num,
+            }
+        } else {
+            Rational {
+                num: self.den,
+                den: self.num,
+            }
+        }
     }
 
     /// Lossy conversion for reporting.
@@ -141,22 +255,42 @@ impl Rational {
         }
     }
 
-    /// Checked addition (None on overflow).
+    /// Checked addition (None on overflow, or if the sum's reduced
+    /// numerator would be `i128::MIN`).
     pub fn checked_add(&self, rhs: &Rational) -> Option<Rational> {
-        let g = gcd(self.den, rhs.den);
-        let l = (self.den / g).checked_mul(rhs.den)?;
-        let a = self.num.checked_mul(rhs.den / g)?;
-        let b = rhs.num.checked_mul(self.den / g)?;
-        Some(Rational::new(a.checked_add(b)?, l))
+        if self.num == 0 {
+            return Some(*rhs);
+        }
+        if rhs.num == 0 {
+            return Some(*self);
+        }
+        let g = gcd_u128(self.den as u128, rhs.den as u128) as i128;
+        let (ld, rd) = (div_i128(self.den, g), div_i128(rhs.den, g));
+        let l = ld.checked_mul(rhs.den)?;
+        let a = self.num.checked_mul(rd)?;
+        let b = rhs.num.checked_mul(ld)?;
+        let sum = a.checked_add(b)?;
+        if g == 1 {
+            // A prime dividing one denominator divides exactly one term of
+            // the sum, so coprime denominators give a sum in lowest terms.
+            Rational::coprime(sum, l)
+        } else {
+            Rational::reduced(sum, l)
+        }
     }
 
-    /// Checked multiplication with cross-reduction (None on overflow).
+    /// Checked multiplication with cross-reduction (None on overflow, or if
+    /// the product's numerator would be `i128::MIN`).
     pub fn checked_mul(&self, rhs: &Rational) -> Option<Rational> {
-        let g1 = gcd(self.num, rhs.den);
-        let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
-        Some(Rational::new(num, den))
+        if self.num == 0 || rhs.num == 0 {
+            return Some(Rational::ZERO);
+        }
+        let g1 = gcd_u128(self.num.unsigned_abs(), rhs.den as u128) as i128;
+        let g2 = gcd_u128(rhs.num.unsigned_abs(), self.den as u128) as i128;
+        let num = div_i128(self.num, g1).checked_mul(div_i128(rhs.num, g2))?;
+        let den = div_i128(self.den, g2).checked_mul(div_i128(rhs.den, g1))?;
+        // Cross-reduced factors of two fractions in lowest terms are coprime.
+        Rational::coprime(num, den)
     }
 
     /// `min` of two rationals.
@@ -238,11 +372,19 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0). Reduce first to avoid overflow.
-        let g_num = gcd(self.num, other.num);
-        let g_den = gcd(self.den, other.den);
-        let (an, ad) = (self.num / g_num.max(1), self.den / g_den);
-        let (bn, bd) = (other.num / g_num.max(1), other.den / g_den);
+        // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0).
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        if fits_i64(self.num) && fits_i64(other.num) && (self.den | other.den) >> 64 == 0 {
+            // |a·d| < 2⁶³ · 2⁶⁴: the products fit i128.
+            return (self.num * other.den).cmp(&(other.num * self.den));
+        }
+        // Reduce first to avoid overflow.
+        let g_num = (gcd_u128(self.num.unsigned_abs(), other.num.unsigned_abs()) as i128).max(1);
+        let g_den = gcd_u128(self.den as u128, other.den as u128) as i128;
+        let (an, ad) = (div_i128(self.num, g_num), div_i128(self.den, g_den));
+        let (bn, bd) = (div_i128(other.num, g_num), div_i128(other.den, g_den));
         match (an.checked_mul(bd), bn.checked_mul(ad)) {
             (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
             _ => cmp_fractions(an, ad, bn, bd),
@@ -352,9 +494,54 @@ mod tests {
 
     #[test]
     fn lcm_basics() {
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 6), 0);
-        assert_eq!(lcm(-4, 6), 12);
+        assert_eq!(lcm(4, 6), Some(12));
+        assert_eq!(lcm(0, 6), Some(0));
+        assert_eq!(lcm(-4, 6), Some(12));
+        assert_eq!(lcm(i128::MIN, 2), None);
+        assert_eq!(lcm(i128::MAX, i128::MAX - 1), None);
+        assert_eq!(lcm(1 << 126, 1 << 100), Some(1 << 126));
+    }
+
+    #[test]
+    fn binary_gcd_on_wide_magnitudes() {
+        assert_eq!(gcd(i128::MIN, 6), 2);
+        assert_eq!(gcd(i128::MIN, 1 << 100), 1 << 100);
+        assert_eq!(gcd(i128::MAX, i128::MAX), i128::MAX);
+        assert_eq!(gcd(3 << 100, 9 << 70), 3 << 70);
+        assert_eq!(gcd(-(5 << 90), 10), 10);
+        assert_eq!(
+            gcd(u64::MAX as i128 * 3, u64::MAX as i128 * 5),
+            u64::MAX as i128
+        );
+    }
+
+    #[test]
+    fn i128_min_terms_are_refused() {
+        // A reduced term of 2^127 is refused; an even one halves to fit.
+        let half = Rational::new(-(1 << 126), 1);
+        assert_eq!(half.checked_add(&half), None);
+        assert_eq!(half.checked_mul(&rat(2, 1)), None);
+        assert_eq!(half.checked_mul(&rat(2, 3)), None);
+        assert_eq!(half.checked_add(&rat(-(1 << 126), 3)), None);
+        assert_eq!(
+            rat(-(1 << 126), 2).checked_add(&rat(-(1 << 126), 2)),
+            Some(half)
+        );
+        assert_eq!(Rational::new(i128::MIN, 2), half);
+        assert_eq!(Rational::new(i128::MIN, i128::MIN), Rational::ONE);
+        assert_eq!(-rat(i128::MAX, 1), rat(-i128::MAX, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "no term of a Rational may be i128::MIN")]
+    fn i128_min_denominator_panics() {
+        let _ = Rational::new(1, i128::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "no term of a Rational may be i128::MIN")]
+    fn i128_min_numerator_panics() {
+        let _ = Rational::new(i128::MIN, 7);
     }
 
     #[test]

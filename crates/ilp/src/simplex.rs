@@ -78,8 +78,10 @@ impl Tableau {
                 let f = self.a[r][col];
                 if !f.is_zero() {
                     for cidx in 0..self.cols() {
-                        let delta = f * self.a[row][cidx];
-                        self.a[r][cidx] -= delta;
+                        let a_row = self.a[row][cidx];
+                        if !a_row.is_zero() {
+                            self.a[r][cidx] -= f * a_row;
+                        }
                     }
                     let delta = f * self.b[row];
                     self.b[r] -= delta;
@@ -110,13 +112,18 @@ impl Tableau {
     /// Run simplex iterations minimising `costs` with Bland's rule, letting
     /// only columns `0..entering` enter the basis. Returns `false` if
     /// unbounded.
+    ///
+    /// The reduced-cost row is computed once, then updated by each pivot
+    /// like any other tableau row (`rc −= rc[enter] · pivot row`). The
+    /// arithmetic is exact, so the row equals a recomputed one and Bland's
+    /// rule makes the same pivots.
     fn optimise(&mut self, costs: &[Rational], entering: usize, max_pivots: usize) -> bool {
+        let mut rc = self.reduced_costs(costs);
         loop {
             assert!(
                 self.pivots <= max_pivots,
                 "simplex exceeded pivot budget ({max_pivots}) — should be impossible with Bland's rule"
             );
-            let rc = self.reduced_costs(costs);
             // Bland: entering column = smallest index with negative reduced cost.
             let enter = match (0..entering).find(|&j| rc[j].is_negative()) {
                 Some(j) => j,
@@ -138,10 +145,20 @@ impl Tableau {
                     }
                 }
             }
-            match best {
-                Some((_, row)) => self.pivot(row, enter),
-                None => return false, // unbounded
+            let Some((_, row)) = best else {
+                return false; // unbounded
+            };
+            self.pivot(row, enter);
+            let f = rc[enter];
+            for (rc_j, a_j) in rc.iter_mut().zip(&self.a[row]) {
+                if !a_j.is_zero() {
+                    *rc_j -= f * *a_j;
+                }
             }
+            debug_assert!(
+                rc == self.reduced_costs(costs),
+                "maintained reduced costs drifted from c - c_B·B⁻¹A"
+            );
         }
     }
 
