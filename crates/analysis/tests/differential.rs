@@ -22,7 +22,8 @@ use common::{
     random_multi_spec, round_margin, run_saturated, run_saturated_multi, tau_margin, Rng,
 };
 use streamgate_analysis::{
-    analyze_profiled, analyze_with, check_blame_conformance, monitor_for, RuleId, Severity,
+    analyze_profiled, analyze_with, check_blame_conformance, monitor_for, DeploySpec, RuleId,
+    Severity,
 };
 use streamgate_core::{
     collect_blame, collect_profile, max_round_time, system_metrics, validate_tau_bound,
@@ -478,6 +479,51 @@ fn accepted_multi_gateway_topologies_meet_bounds_on_both_engines() {
             "case {case}: engines disagree on trace event count"
         );
     }
+}
+
+/// The pal2 twin (Fig. 10: two gateway pairs sharing one CORDIC and one
+/// FIR), fully profiled with periodic samples, writes the same trace,
+/// `RunProfile` and `BlameReport` on both engines. The suites above
+/// profile with sample interval 0, so this is what pins the order of
+/// events across gateways against periodic FIFO-level and ring samples.
+#[test]
+fn pal2_profiled_with_samples_is_identical_on_both_engines() {
+    let spec = DeploySpec::pal2();
+    let mut runs = Vec::new();
+    for mode in ENGINES {
+        let mut b = spec.build_multi_platform();
+        b.system.step_mode = mode;
+        b.system.enable_profiling(97);
+        for (g, gw) in spec.gateways.iter().enumerate() {
+            for (s, st) in gw.streams.iter().enumerate() {
+                let fifo = b.inputs[g][s];
+                for k in 0..st.input_capacity {
+                    if !b.system.fifos[fifo.0].try_push((k as f64, 0.5), 0) {
+                        break;
+                    }
+                }
+            }
+        }
+        b.system.run(300_000);
+        let mut profile = collect_profile(&mut b.system, &spec.name);
+        let mut blame = collect_blame(&mut b.system, &spec.name);
+        profile.mode = String::new();
+        blame.mode = String::new();
+        b.system.finish_trace();
+        let trace = b.system.tracer.events().to_vec();
+        assert!(trace.len() > 10_000, "{mode:?}: {} events", trace.len());
+        runs.push((trace, profile.to_json_text(), blame.to_json_text()));
+    }
+    let (ex, ev) = (&runs[0], &runs[1]);
+    if let Some(d) = ex.0.iter().zip(&ev.0).position(|(x, y)| x != y) {
+        panic!(
+            "pal2 traces diverge at event {d}: exhaustive {:?} vs event {:?}",
+            ex.0[d], ev.0[d]
+        );
+    }
+    assert_eq!(ex.0.len(), ev.0.len(), "pal2 trace event counts");
+    assert_eq!(ex.1, ev.1, "pal2 profiles differ");
+    assert_eq!(ex.2, ev.2, "pal2 blame reports differ");
 }
 
 /// Multi-gateway fault injection: an undersized input C-FIFO on one pair

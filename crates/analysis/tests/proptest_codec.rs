@@ -17,7 +17,7 @@ use streamgate_core::{
     StreamBlame, StreamProfile, Violation, ViolationKind,
 };
 use streamgate_ilp::Rational;
-use streamgate_platform::{StallCause, TraceEvent};
+use streamgate_platform::{BlockRecord, StallCause, TraceEvent};
 
 /// Draws artifact fields straight from the proptest RNG, so a failing
 /// case shrinks.
@@ -248,13 +248,15 @@ fn trace_event(d: &mut Draw) -> TraceEvent {
         },
         6 => TraceEvent::BlockEnd {
             gateway,
-            stream,
-            start,
-            reconfig_end: d.int(),
-            stream_end: d.int(),
-            drain_end: d.int(),
-            dma_stall: d.int(),
-            exit_stall: d.int(),
+            block: BlockRecord {
+                stream: stream as usize,
+                start,
+                reconfig_end: d.int(),
+                stream_end: d.int(),
+                drain_end: d.int(),
+                dma_stall: d.int(),
+                exit_stall: d.int(),
+            },
         },
         7 => TraceEvent::StallWindow {
             gateway,

@@ -832,25 +832,16 @@ fn event_json(e: &TraceEvent) -> Json {
             ("end", end.into()),
             ("samples", samples.into()),
         ]),
-        TraceEvent::BlockEnd {
-            gateway,
-            stream,
-            start,
-            reconfig_end,
-            stream_end,
-            drain_end,
-            dma_stall,
-            exit_stall,
-        } => Json::obj([
+        TraceEvent::BlockEnd { gateway, block: b } => Json::obj([
             kind("block-end"),
             ("gateway", gateway.into()),
-            ("stream", stream.into()),
-            ("start", start.into()),
-            ("reconfig_end", reconfig_end.into()),
-            ("stream_end", stream_end.into()),
-            ("drain_end", drain_end.into()),
-            ("dma_stall", dma_stall.into()),
-            ("exit_stall", exit_stall.into()),
+            ("stream", b.stream.into()),
+            ("start", b.start.into()),
+            ("reconfig_end", b.reconfig_end.into()),
+            ("stream_end", b.stream_end.into()),
+            ("drain_end", b.drain_end.into()),
+            ("dma_stall", b.dma_stall.into()),
+            ("exit_stall", b.exit_stall.into()),
         ]),
         TraceEvent::StallWindow {
             gateway,

@@ -109,30 +109,13 @@ impl BlockFold {
                 }
                 Folded::Event(e)
             }
-            TraceEvent::BlockEnd {
-                gateway,
-                stream,
-                start,
-                reconfig_end,
-                stream_end,
-                drain_end,
-                dma_stall,
-                exit_stall,
-            } => {
+            TraceEvent::BlockEnd { gateway, block } => {
                 if let Some(slot) = self.in_flight.get_mut(gateway as usize) {
                     *slot = None;
                 }
                 Folded::Block {
                     gateway: gateway as usize,
-                    block: BlockRecord {
-                        stream: stream as usize,
-                        start,
-                        reconfig_end,
-                        stream_end,
-                        drain_end,
-                        dma_stall,
-                        exit_stall,
-                    },
+                    block,
                 }
             }
             TraceEvent::StallWindow {
@@ -333,16 +316,18 @@ pub fn gateway_metrics(tracer: &Tracer, gateway: usize, num_streams: usize) -> G
 mod tests {
     use super::*;
 
-    fn end(stream: u32, start: u64, drain_end: u64) -> TraceEvent {
+    fn end(stream: usize, start: u64, drain_end: u64) -> TraceEvent {
         TraceEvent::BlockEnd {
             gateway: 0,
-            stream,
-            start,
-            reconfig_end: start + 10,
-            stream_end: drain_end - 2,
-            drain_end,
-            dma_stall: 1,
-            exit_stall: 0,
+            block: BlockRecord {
+                stream,
+                start,
+                reconfig_end: start + 10,
+                stream_end: drain_end - 2,
+                drain_end,
+                dma_stall: 1,
+                exit_stall: 0,
+            },
         }
     }
 
@@ -380,13 +365,15 @@ mod tests {
         t.emit(|| end(0, 0, 50));
         t.emit(|| TraceEvent::BlockEnd {
             gateway: 3,
-            stream: 0,
-            start: 0,
-            reconfig_end: 0,
-            stream_end: 0,
-            drain_end: 9,
-            dma_stall: 0,
-            exit_stall: 0,
+            block: BlockRecord {
+                stream: 0,
+                start: 0,
+                reconfig_end: 0,
+                stream_end: 0,
+                drain_end: 9,
+                dma_stall: 0,
+                exit_stall: 0,
+            },
         });
         let m = gateway_metrics(&t, 0, 1);
         assert_eq!(m.blocks.len(), 1);

@@ -490,6 +490,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamgate_platform::BlockRecord;
 
     fn cfg_one_gateway(tau_bound: Option<u64>, round_bound: Option<u64>) -> MonitorConfig {
         MonitorConfig {
@@ -518,16 +519,18 @@ mod tests {
         }
     }
 
-    fn block_end(stream: u32, start: u64, drain_end: u64) -> TraceEvent {
+    fn block_end(stream: usize, start: u64, drain_end: u64) -> TraceEvent {
         TraceEvent::BlockEnd {
             gateway: 0,
-            stream,
-            start,
-            reconfig_end: start,
-            stream_end: drain_end,
-            drain_end,
-            dma_stall: 0,
-            exit_stall: 0,
+            block: BlockRecord {
+                stream,
+                start,
+                reconfig_end: start,
+                stream_end: drain_end,
+                drain_end,
+                dma_stall: 0,
+                exit_stall: 0,
+            },
         }
     }
 

@@ -36,6 +36,9 @@ pub struct AcceleratorTile {
     fused_covered: u64,
     /// Output sample waiting for a credit.
     pending_out: Option<Sample>,
+    /// Cycle of the latest forward [`AcceleratorTile::run_span`] committed
+    /// ahead of the clock: per-cycle stepping holds that output until then.
+    forward_at: u64,
     /// Total busy cycles (for utilisation reports).
     pub busy_cycles: u64,
     /// Total samples consumed.
@@ -69,6 +72,7 @@ impl AcceleratorTile {
             busy_until: 0,
             fused_covered: 0,
             pending_out: None,
+            forward_at: 0,
             busy_cycles: 0,
             samples_in: 0,
             samples_out: 0,
@@ -99,6 +103,21 @@ impl AcceleratorTile {
     /// flight, nothing waiting for credits.
     pub fn is_drained(&self, now: u64) -> bool {
         self.rx.is_empty() && self.pending_out.is_none() && now >= self.busy_until
+    }
+
+    /// `Some(cycle it goes idle by time passage alone)` if the tile holds
+    /// work at `now` as per-cycle stepping sees it after its step at `now`
+    /// (`u64::MAX` when only an action can idle it), `None` if it is idle.
+    /// Unlike [`AcceleratorTile::is_drained`], an output that
+    /// [`AcceleratorTile::run_span`] forwarded ahead of the clock counts
+    /// as held until its forward cycle, as per-cycle stepping holds it.
+    pub fn active_until(&self, now: u64) -> Option<u64> {
+        let until = if self.rx.is_empty() && self.pending_out.is_none() {
+            self.busy_until.max(self.forward_at)
+        } else {
+            u64::MAX
+        };
+        (until > now).then_some(until)
     }
 
     /// Rewire the receive-side NI endpoint to a new upstream link
@@ -248,6 +267,7 @@ impl AcceleratorTile {
                 let sent = self.tx.send_at(ring, out, c + 1);
                 debug_assert!(sent);
                 self.samples_out += 1;
+                self.forward_at = c + 1;
             }
             t = c + 1;
         }
@@ -348,9 +368,9 @@ impl AcceleratorTile {
     /// to drained: the in-flight firing ends at `busy_until` and nothing
     /// is left to consume or forward. Returns `u64::MAX` when no such
     /// flip is ahead (work still buffered, or the flip is already in the
-    /// past at `next`). Pure time passage is invisible to [`horizon`],
-    /// so a tracing engine uses this to schedule an observation at the
-    /// exact cycle the drain transition becomes visible.
+    /// past at `next`). Pure time passage is invisible to [`horizon`], so
+    /// a gateway waiting for its chain to drain pins this cycle in its own
+    /// horizon.
     ///
     /// [`horizon`]: AcceleratorTile::horizon
     pub fn drain_cycle(&self, next: u64) -> u64 {

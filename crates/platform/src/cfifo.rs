@@ -66,6 +66,10 @@ pub struct CFifo {
     hwm: usize,
     /// Growth counter of the system holding this FIFO (see [`HwmGrowth`]).
     growth: Option<HwmGrowth>,
+    /// High-water growths stamped with their cycle, one `(cycle, mark)`
+    /// per cycle that raised the mark — kept only while the span engine
+    /// runs under a full trace (see [`CFifo::log_growths`]).
+    growth_log: Option<Vec<(u64, usize)>>,
 }
 
 impl CFifo {
@@ -88,6 +92,7 @@ impl CFifo {
             trace_dropped: 0,
             hwm: 0,
             growth: None,
+            growth_log: None,
         }
     }
 
@@ -124,6 +129,23 @@ impl CFifo {
         if !self.growth.as_ref().is_some_and(|g| g.is(growth)) {
             self.growth = Some(growth.clone());
         }
+    }
+
+    /// Start stamping high-water growths with their cycle, for a run whose
+    /// first cycle is `now`. The current mark is stamped at `now`, the
+    /// first cycle at which a lock-step observer reads it; a growth in
+    /// that same cycle replaces the stamp.
+    pub(crate) fn log_growths(&mut self, now: u64) {
+        let mut log = Vec::new();
+        if self.hwm > 0 {
+            log.push((now, self.hwm));
+        }
+        self.growth_log = Some(log);
+    }
+
+    /// Stop stamping growths and return the stamps, oldest first.
+    pub(crate) fn take_growths(&mut self) -> Vec<(u64, usize)> {
+        self.growth_log.take().unwrap_or_default()
     }
 
     /// Capacity in samples.
@@ -166,6 +188,12 @@ impl CFifo {
             self.hwm = self.buf.len();
             if let Some(g) = &self.growth {
                 g.bump();
+            }
+            if let Some(log) = &mut self.growth_log {
+                match log.last_mut() {
+                    Some(last) if last.0 == now => last.1 = self.hwm,
+                    _ => log.push((now, self.hwm)),
+                }
             }
         }
         if let Some(t) = &mut self.trace {

@@ -82,8 +82,8 @@ impl StreamConfig {
 }
 
 /// A completed block, for schedule reconstruction (Fig. 6 at system level);
-/// also the form in which trace readers receive a [`TraceEvent::BlockEnd`].
-#[derive(Clone, Copy, Debug)]
+/// also what a [`TraceEvent::BlockEnd`] carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockRecord {
     /// Index of the stream in the gateway's stream list.
     pub stream: usize,
@@ -169,6 +169,10 @@ pub struct GatewayPair {
     active: Option<usize>,
     rr_next: usize,
     state: GwState,
+    /// The check-for-space verdict of the latest admission scan: some
+    /// stream had a full input block but no output space. Deferred idle
+    /// cycles reuse it (see [`GatewayPair::skip`]).
+    space_blocked: bool,
     dma_tx: CreditTx,
     exit_rx: CreditRx<Sample>,
     /// Samples of the current block already pushed to the output FIFO.
@@ -230,6 +234,7 @@ impl GatewayPair {
             active: None,
             rr_next: 0,
             state: GwState::Idle,
+            space_blocked: false,
             dma_tx: CreditTx::new(entry_node, first_accel_node, first_stream, ni_depth),
             exit_rx: CreditRx::new(exit_node, last_accel_node, last_stream, ni_depth),
             block_received: 0,
@@ -495,6 +500,15 @@ impl GatewayPair {
         (None, space_blocked)
     }
 
+    /// Run the admission scan for its check-for-space verdict alone, as an
+    /// `Idle` step at this point would. The span engine calls it where a
+    /// pair's idle cycles may start deferred: at a run's first cycle
+    /// (FIFOs and streams can change between runs) and on block
+    /// completion.
+    pub(crate) fn rescan(&mut self, fifos: &[CFifo]) {
+        self.space_blocked = self.admission_scan(fifos).1;
+    }
+
     /// Commit an admission decision made at cycle `now`: configuration-bus
     /// traffic (save/restore of kernel contexts), shared-chain claim, block
     /// bookkeeping, and the transition into `Reconfig`. Shared between
@@ -607,6 +621,7 @@ impl GatewayPair {
     /// [`GatewayPair::run_span`].
     fn complete_block(
         &mut self,
+        fifos: &[CFifo],
         accels: &mut [AcceleratorTile],
         tracer: &mut Tracer,
         active: usize,
@@ -632,13 +647,7 @@ impl GatewayPair {
         });
         tracer.emit(|| TraceEvent::BlockEnd {
             gateway: gw,
-            stream: active as u32,
-            start: record.start,
-            reconfig_end: record.reconfig_end,
-            stream_end: record.stream_end,
-            drain_end: record.drain_end,
-            dma_stall: record.dma_stall,
-            exit_stall: record.exit_stall,
+            block: record,
         });
         self.rr_next = (active + 1) % self.streams.len();
         if self.shared_chain {
@@ -662,6 +671,7 @@ impl GatewayPair {
             self.active = None;
         }
         self.state = GwState::Idle;
+        self.rescan(fifos);
     }
 
     /// One clock cycle of the gateway controller. Structured events (block
@@ -783,7 +793,7 @@ impl GatewayPair {
                 }
                 let drained = self.drained_at(accels, last, now);
                 if drained {
-                    self.complete_block(accels, tracer, active, now);
+                    self.complete_block(fifos, accels, tracer, active, now);
                 }
             }
         }
@@ -868,37 +878,22 @@ impl GatewayPair {
         h.min(eh)
     }
 
-    /// Account for the skipped cycles `[from, to)` — the bulk equivalent
+    /// Account for the deferred cycles `[from, to)` — the bulk equivalent
     /// of stepping through them, valid because the caller guarantees `to`
-    /// does not exceed the pair's [`GatewayPair::horizon`]. Only the
-    /// `Idle` state accrues anything per cycle (idle time, and
-    /// check-for-space stall attribution).
-    pub fn skip(&mut self, fifos: &[CFifo], tracer: &mut Tracer, from: u64, to: u64) {
+    /// does not exceed the pair's [`GatewayPair::horizon`]. Only `Idle`
+    /// accrues anything per cycle: idle time and, under a full trace,
+    /// check-for-space stall cycles. Those reuse the verdict of the latest
+    /// admission scan instead of re-running it (the replay is lazy, so
+    /// later pushes may already be visible): the engine wakes the pair
+    /// whenever another tile changes a FIFO the scan reads. The flight
+    /// recorder does not attribute deferred cycles (DESIGN §12).
+    pub fn skip(&mut self, tracer: &mut Tracer, from: u64, to: u64) {
         debug_assert!(to > from);
         if self.state == GwState::Idle {
-            let (picked, space_blocked) = self.admission_scan(fifos);
-            debug_assert!(picked.is_none(), "skipped over an admissible cycle");
             self.idle_cycles += to - from;
-            if space_blocked {
+            if self.space_blocked && tracer.is_full() {
                 tracer.stall_span(self.trace_id, StallCause::CheckForSpace, from, to);
             }
-        }
-    }
-
-    /// Bulk accounting for quiet cycles `[from, to)` in the span engine.
-    /// Unlike [`GatewayPair::skip`] this does not re-run the admission scan:
-    /// the span engine flushes lazily at the *wake* cycle, when a producer's
-    /// push may already be visible, so the scan could legitimately differ
-    /// from what it returned during the flushed cycles. Only `Idle` accrues
-    /// anything per cycle. Untraced runs have no stall attribution to
-    /// replay; flight-recorder runs (which also take the span path) accept
-    /// that check-for-space *idle* windows go unattributed here — block
-    /// lifecycle, DMA-credit and exit-full events are still committed
-    /// exactly by [`GatewayPair::run_span`].
-    pub fn skip_quiet(&mut self, from: u64, to: u64) {
-        debug_assert!(to > from);
-        if self.state == GwState::Idle {
-            self.idle_cycles += to - from;
         }
     }
 
@@ -955,6 +950,7 @@ impl GatewayPair {
         match self.state {
             GwState::Idle => {
                 let (mut picked, space_blocked) = self.admission_scan(fifos);
+                self.space_blocked = space_blocked;
                 if self.shared_chain && picked.is_some() && !self.chain_free(accels, from) {
                     picked = None;
                 }
@@ -1273,7 +1269,7 @@ impl GatewayPair {
             // Completion check at cycle `t` (after the copy, matching the
             // per-cycle order within a step).
             if self.drained_at(accels, last, t) {
-                self.complete_block(accels, tracer, active, t);
+                self.complete_block(fifos, accels, tracer, active, t);
                 return (t + 1, self.horizon(fifos, accels, t + 1));
             }
             if mutated {
@@ -1687,13 +1683,9 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match *e {
-                TraceEvent::BlockEnd {
-                    start,
-                    reconfig_end,
-                    stream_end,
-                    drain_end,
-                    ..
-                } => Some((start, reconfig_end, stream_end, drain_end)),
+                TraceEvent::BlockEnd { block: b, .. } => {
+                    Some((b.start, b.reconfig_end, b.stream_end, b.drain_end))
+                }
                 _ => None,
             })
             .collect();

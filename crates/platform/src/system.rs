@@ -6,22 +6,25 @@
 //! processors, gateways, accelerators, then the ring — is fixed and
 //! documented so runs are deterministic.
 //!
-//! Two [`StepMode`]s drive the clock:
+//! Two [`StepMode`]s drive the clock of [`System::run`]:
 //!
 //! * [`StepMode::Exhaustive`] — the lock-step reference: every component
-//!   is stepped every cycle.
-//! * [`StepMode::EventDriven`] (the default) — after each real step the
-//!   engine asks every component for its *quiescence horizon* (the
-//!   earliest future cycle at which it could do more than skip-replayable
-//!   bookkeeping, absent external input) and jumps the clock straight to
-//!   the minimum, replaying the skipped interval's accounting in bulk
-//!   (`skip` on each component). When only the *ring* blocks a jump
-//!   (flits in flight while every tile is quiescent) the ring is advanced
-//!   alone — cheap ring-only steps plus bulk rotations — until the next
-//!   delivery wakes a tile. Whenever a tile reports "now" the engine
-//!   degenerates to single-cycle stepping, so the two modes are
-//!   cycle-exact equivalents: identical block schedules, FIFO contents,
-//!   counters and trace logs.
+//!   is stepped every cycle ([`System::step`]).
+//! * [`StepMode::EventDriven`] (the default) — the interval ("span")
+//!   engine: each tile is invoked only at its *quiescence horizon* (the
+//!   earliest cycle at which it could do more than skip-replayable
+//!   bookkeeping, absent external input) and then runs a whole window in
+//!   closed form (`run_span`), committing its actions ahead of the clock
+//!   with their per-cycle timestamps; deferred bookkeeping is replayed in
+//!   bulk (`skip`), and while every tile is quiescent the ring is stepped
+//!   alone or rotated in bulk until the next delivery wakes a tile.
+//!
+//! The two modes are cycle-exact equivalents: identical block schedules,
+//! FIFO contents, counters and — under a full trace — event logs. A full
+//! trace is observed by the components that change (see `span_run`), so
+//! an observed run stays on the fast engine.
+//! [`System::run_until`] evaluates a closure every cycle and therefore
+//! steps the lock-step loop on both modes.
 
 use crate::accel::{AccelId, AcceleratorTile};
 use crate::cfifo::{CFifo, FifoId, HwmGrowth};
@@ -36,8 +39,10 @@ use streamgate_ring::DualRing;
 pub enum StepMode {
     /// Step every component every cycle (the lock-step reference mode).
     Exhaustive,
-    /// Jump over provably-quiescent intervals (cycle-exact, much faster
-    /// on workloads with idle or rate-limited phases).
+    /// Advance each tile across whole quiescence-free windows on the span
+    /// engine, traced or not (cycle-exact, much faster on workloads with
+    /// idle or rate-limited phases). [`System::run_until`] still steps
+    /// the lock-step loop: a closure has to see every cycle.
     #[default]
     EventDriven,
 }
@@ -61,23 +66,27 @@ impl StepMode {
     }
 }
 
-/// How the event-driven engine spent the simulated cycles (the first three
-/// counters sum to the cycles run), plus the observation work done while
-/// tracing. Useful for validating that a workload actually benefits from
+/// How the engines spent the simulated cycles (the first three counters
+/// sum to the cycles run), plus the observation work of the lock-step
+/// loop. Useful for validating that a workload actually benefits from
 /// time-skipping and for benchmark reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Cycles on which at least one tile acted: full lock-step steps in
-    /// the per-cycle engine, tile-invocation cycles in the span engine
-    /// (which touches only the tiles actually due that cycle).
+    /// Cycles on which at least one tile acted: every lock-step
+    /// [`System::step`] (the exhaustive engine and `run_until`), and the
+    /// span engine's tile-invocation cycles (which touch only the tiles
+    /// actually due that cycle).
     pub full_steps: u64,
-    /// Cycles where only the ring was advanced (every tile quiescent).
+    /// Span-engine cycles where only the ring was advanced (every tile
+    /// quiescent, flits in flight), stepped or rotated in bulk.
     pub ring_only_cycles: u64,
-    /// Cycles jumped over entirely (bulk bookkeeping, no stepping).
+    /// Span-engine cycles jumped over with nothing in flight (bulk
+    /// bookkeeping, no stepping).
     pub skipped_cycles: u64,
-    /// Observed cycles that read every FIFO's high-water mark: one per
-    /// cycle in which a mark grew, the FIFO set changed or the tracer was
-    /// replaced, not one per observed cycle.
+    /// Lock-step observed cycles that read every FIFO's high-water mark:
+    /// one per cycle in which a mark grew, the FIFO set changed or the
+    /// tracer was replaced, not one per observed cycle. (The span engine
+    /// reads the marks the FIFOs stamp instead.)
     pub high_water_scans: u64,
 }
 
@@ -139,8 +148,10 @@ struct EngineHot {
     /// Accelerator index → gateways whose chain contains it (their drain
     /// horizons depend on this accelerator's state).
     owners: Vec<Vec<usize>>,
-    /// Scratch: accelerators stepped in the current span cycle.
-    stepped: Vec<usize>,
+    /// Per accelerator seen active under a full trace: the cycle its
+    /// activity ends by time passage alone (its drain flip), unless it is
+    /// invoked first; `u64::MAX` otherwise.
+    flips: Vec<u64>,
 }
 
 /// Per-run wiring of the span engine: FIFO watcher lists, per-tile
@@ -159,20 +170,6 @@ struct SpanWiring {
     touched: Vec<Vec<usize>>,
     /// Last observed [`CFifo::version`] per FIFO.
     vers: Vec<u64>,
-}
-
-impl EngineHot {
-    /// Minimum cached horizon over processors and gateways only.
-    fn pg_min(&self) -> u64 {
-        self.h[..self.acc_base]
-            .iter()
-            .fold(u64::MAX, |m, &v| m.min(v))
-    }
-
-    /// Minimum cached horizon over every tile.
-    fn tile_min(&self) -> u64 {
-        self.h.iter().fold(u64::MAX, |m, &v| m.min(v))
-    }
 }
 
 impl System {
@@ -208,8 +205,8 @@ impl System {
     /// [`System::step`].
     ///
     /// Every source is either event-exact or append-only at ejection/push
-    /// sites that the event-driven engine's ring skips never touch, so
-    /// profiled data is bit-identical between [`StepMode::Exhaustive`] and
+    /// sites that the span engine's ring skips never touch, so profiled
+    /// data is bit-identical between [`StepMode::Exhaustive`] and
     /// [`StepMode::EventDriven`] — the same contract the tracer upholds.
     pub fn enable_profiling(&mut self, sample_interval: u64) {
         self.enable_tracing(sample_interval);
@@ -221,14 +218,15 @@ impl System {
         }
     }
 
-    /// Turn on the always-affordable flight recorder: the same structured
-    /// events as [`System::enable_tracing`], but only the most recent
-    /// `capacity` are retained (see [`Tracer::flight_recorder`]). Running
-    /// stall totals stay exact regardless of eviction. Unlike full
-    /// tracing, the recorder keeps the event-driven engine on its
-    /// closed-form span path, so leaving it on costs almost nothing —
-    /// that is the point: when a `Monitor` flags a violation mid-run, the
-    /// recent history needed for a postmortem is already there.
+    /// Turn on the always-affordable flight recorder: the block-lifecycle
+    /// and stall events of [`System::enable_tracing`], but only the most
+    /// recent `capacity` are retained (see [`Tracer::flight_recorder`]).
+    /// Running stall totals stay exact regardless of eviction. The span
+    /// engine records for it only what its tiles emit as they commit —
+    /// no observation, no reordering — so leaving it on costs almost
+    /// nothing. That is the point: when a `Monitor` flags a violation
+    /// mid-run, the recent history needed for a postmortem is already
+    /// there.
     ///
     /// A no-op when a full trace (or profile) is already enabled: the
     /// complete log subsumes the recorder.
@@ -404,32 +402,7 @@ impl System {
         });
     }
 
-    /// Recompute the cached horizon of processor `i` for the current cycle.
-    fn recompute_proc(&self, hot: &mut EngineHot, i: usize) {
-        hot.h[i] = self.processors[i].horizon(&self.fifos, self.cycle);
-    }
-
-    /// Recompute the cached horizon of gateway `j` for the current cycle.
-    fn recompute_gw(&self, hot: &mut EngineHot, j: usize) {
-        hot.h[hot.gw_base + j] = self.gateways[j].horizon(&self.fifos, &self.accels, self.cycle);
-    }
-
-    /// Recompute the cached horizon of accelerator `k` for the current
-    /// cycle, including the drain-flip pin: drain flips happen by pure
-    /// time passage and are invisible to `horizon`; when tracing they are
-    /// observation events and the flip cycle must be stepped (see
-    /// [`System::observe`]).
-    fn recompute_acc(&self, hot: &mut EngineHot, k: usize) {
-        let next = self.cycle;
-        let a = &self.accels[k];
-        let mut v = a.horizon(next);
-        if self.tracer.is_enabled() && self.accel_active_seen.get(k).copied().unwrap_or(false) {
-            v = v.min(a.drain_cycle(next));
-        }
-        hot.h[hot.acc_base + k] = v;
-    }
-
-    /// Build the event engine's flattened hot state at the current cycle:
+    /// Build the span engine's flattened hot state at the current cycle:
     /// static node/ownership maps plus a fresh horizon for every tile.
     fn hot_init(&self) -> EngineHot {
         let (np, ng, na) = (
@@ -437,9 +410,21 @@ impl System {
             self.gateways.len(),
             self.accels.len(),
         );
+        let now = self.cycle;
+        let h = self
+            .processors
+            .iter()
+            .map(|p| p.horizon(&self.fifos, now))
+            .chain(
+                self.gateways
+                    .iter()
+                    .map(|g| g.horizon(&self.fifos, &self.accels, now)),
+            )
+            .chain(self.accels.iter().map(|a| a.horizon(now)))
+            .collect();
         let mut hot = EngineHot {
-            h: vec![u64::MAX; np + ng + na],
-            acct: vec![self.cycle; np + ng + na],
+            h,
+            acct: vec![now; np + ng + na],
             gw_base: np,
             acc_base: np + ng,
             gw_nodes: self
@@ -448,386 +433,14 @@ impl System {
                 .map(|g| (g.entry_node, g.exit_node))
                 .collect(),
             owners: vec![Vec::new(); na],
-            stepped: Vec::with_capacity(na),
+            flips: vec![u64::MAX; na],
         };
         for (j, g) in self.gateways.iter().enumerate() {
             for &a in &g.chain {
                 hot.owners[a.0].push(j);
             }
         }
-        for i in 0..np {
-            self.recompute_proc(&mut hot, i);
-        }
-        for j in 0..ng {
-            self.recompute_gw(&mut hot, j);
-        }
-        for k in 0..na {
-            self.recompute_acc(&mut hot, k);
-        }
         hot
-    }
-
-    /// Replay deferred processor bookkeeping up to `to` (exclusive).
-    /// Processor skips are independent of FIFO state, so they can be
-    /// deferred arbitrarily and replayed in bulk.
-    fn flush_procs(&mut self, hot: &mut EngineHot, to: u64) {
-        for i in 0..self.processors.len() {
-            if hot.acct[i] < to {
-                self.processors[i].skip(hot.acct[i], to);
-                hot.acct[i] = to;
-            }
-        }
-    }
-
-    /// Replay deferred gateway bookkeeping up to `to` (exclusive). Exact
-    /// only while the C-FIFOs still hold the deferred interval's state:
-    /// gateway stall attribution reads them, so this must run before any
-    /// processor or gateway steps again (the engine flushes at the top of
-    /// every `pg_cycle`, and per cycle/chunk when tracing so stall events
-    /// keep the exhaustive order).
-    fn flush_gws(&mut self, hot: &mut EngineHot, to: u64) {
-        for j in 0..self.gateways.len() {
-            let t = hot.gw_base + j;
-            if hot.acct[t] < to {
-                self.gateways[j].skip(&self.fifos, &mut self.tracer, hot.acct[t], to);
-                hot.acct[t] = to;
-            }
-        }
-    }
-
-    /// Replay deferred accelerator bookkeeping up to `to` (exclusive).
-    fn flush_accels(&mut self, hot: &mut EngineHot, to: u64) {
-        for k in 0..self.accels.len() {
-            let t = hot.acc_base + k;
-            if hot.acct[t] < to {
-                self.accels[k].skip(hot.acct[t], to);
-                hot.acct[t] = to;
-            }
-        }
-    }
-
-    /// Replay all deferred bookkeeping up to `to` (exclusive), in the
-    /// exhaustive component order.
-    fn flush_all(&mut self, hot: &mut EngineHot, to: u64) {
-        self.flush_procs(hot, to);
-        self.flush_gws(hot, to);
-        self.flush_accels(hot, to);
-    }
-
-    /// Execute one cycle on the processor/gateway path: step exactly the
-    /// tiles that can act, account the rest. The cycle-exactness argument
-    /// is the same as the original selective step: a tile steps when its
-    /// cached horizon has arrived or a ring delivery awaits it, and once
-    /// any processor or gateway steps, every later processor/gateway
-    /// steps too (`cascade`) because it may read a C-FIFO the earlier
-    /// tile wrote this same cycle. Accelerators talk only through the
-    /// ring (one-cycle latency), so each is decided independently.
-    ///
-    /// Since this is the only place C-FIFOs or chain configurations can
-    /// change, every cached horizon is refreshed afterwards.
-    fn pg_cycle(&mut self, hot: &mut EngineHot) {
-        let now = self.cycle;
-        self.engine_stats.full_steps += 1;
-        // Deferred gateway accounting must be replayed against the
-        // interval's frozen FIFO state, before this cycle's steps mutate
-        // it.
-        self.flush_gws(hot, now);
-        let mut cascade = false;
-        for i in 0..self.processors.len() {
-            if cascade || hot.h[i] <= now {
-                if hot.acct[i] < now {
-                    self.processors[i].skip(hot.acct[i], now);
-                }
-                self.processors[i].step(&mut self.fifos, now);
-                hot.acct[i] = now + 1;
-                cascade = true;
-            }
-            // Non-stepping processors stay deferred (FIFO-independent).
-        }
-        for j in 0..self.gateways.len() {
-            let t = hot.gw_base + j;
-            let must = cascade
-                || hot.h[t] <= now
-                || self.ring.rx_pending(self.gateways[j].exit_node) > 0
-                || self.ring.rx_pending(self.gateways[j].entry_node) > 0;
-            if must {
-                let g = &mut self.gateways[j];
-                g.step(
-                    &mut self.ring,
-                    &mut self.fifos,
-                    &mut self.accels,
-                    &mut self.tracer,
-                    now,
-                );
-                cascade = true;
-            } else {
-                // Account immediately at the exhaustive loop position:
-                // the admission scan sees the FIFOs exactly as the
-                // lock-step reference would (post earlier steppers).
-                self.gateways[j].skip(&self.fifos, &mut self.tracer, now, now + 1);
-            }
-            hot.acct[t] = now + 1;
-        }
-        for k in 0..self.accels.len() {
-            let t = hot.acc_base + k;
-            if hot.h[t] <= now || self.ring.rx_pending(self.accels[k].node) > 0 {
-                if hot.acct[t] < now {
-                    self.accels[k].skip(hot.acct[t], now);
-                }
-                self.accels[k].step(&mut self.ring, now);
-                hot.acct[t] = now + 1;
-            }
-        }
-        self.ring.step();
-        if self.tracer.is_enabled() {
-            self.observe(now);
-        }
-        self.cycle = now + 1;
-        // Processor horizons are computed from `pos_in_period`, which is
-        // only meaningful when the tile's accounting is current — replay
-        // any deferred slots before refreshing.
-        self.flush_procs(hot, self.cycle);
-        for i in 0..self.processors.len() {
-            self.recompute_proc(hot, i);
-        }
-        for j in 0..self.gateways.len() {
-            self.recompute_gw(hot, j);
-        }
-        for k in 0..self.accels.len() {
-            self.recompute_acc(hot, k);
-        }
-    }
-
-    /// Replay a batched span of adjacent-hop deliveries: while every
-    /// processor and gateway is provably quiescent and no flit waits at a
-    /// gateway node, only the acting accelerators and the ring are
-    /// stepped — the k flits of a multi-hop cascade are delivered in one
-    /// replayed span instead of one full-system wakeup per cycle.
-    /// Accelerators never touch C-FIFOs, so processor/gateway horizons
-    /// stay valid throughout; a stepped accelerator invalidates only its
-    /// own horizon and those of the gateways whose chain contains it
-    /// (which can pull the span end in, e.g. when a drain completes).
-    /// The span ends at the earliest processor/gateway horizon, or as
-    /// soon as a delivery lands at a node no accelerator polls. Returns
-    /// `true` if the clock advanced.
-    fn accel_span(&mut self, hot: &mut EngineHot, end: u64) -> bool {
-        let start = self.cycle;
-        let mut span_end = hot.pg_min().min(end);
-        let traced = self.tracer.is_enabled();
-        while self.cycle < span_end {
-            let now = self.cycle;
-            if self.ring.any_data_rx_pending()
-                && hot
-                    .gw_nodes
-                    .iter()
-                    .any(|&(e, x)| self.ring.rx_pending(e) > 0 || self.ring.rx_pending(x) > 0)
-            {
-                break; // delivery for a gateway: pg path must run next
-            }
-            let mut acted = false;
-            for k in 0..self.accels.len() {
-                let t = hot.acc_base + k;
-                if hot.h[t] <= now || self.ring.rx_pending(self.accels[k].node) > 0 {
-                    if hot.acct[t] < now {
-                        self.accels[k].skip(hot.acct[t], now);
-                    }
-                    self.accels[k].step(&mut self.ring, now);
-                    hot.acct[t] = now + 1;
-                    hot.stepped.push(k);
-                    acted = true;
-                }
-            }
-            if acted {
-                if traced {
-                    // Per-cycle gateway accounting keeps stall events in
-                    // the exhaustive order relative to observations.
-                    self.flush_gws(hot, now + 1);
-                }
-                self.ring.step();
-                self.engine_stats.full_steps += 1;
-                if traced {
-                    self.observe(now);
-                }
-                self.cycle = now + 1;
-                for si in 0..hot.stepped.len() {
-                    let k = hot.stepped[si];
-                    self.recompute_acc(hot, k);
-                    for oi in 0..hot.owners[k].len() {
-                        let j = hot.owners[k][oi];
-                        // A stepped accelerator can only move a gateway
-                        // horizon through the `Draining` arm (the one
-                        // state where the horizon reads accel state) —
-                        // everywhere else the cached value stays exact.
-                        if self.gateways[j].horizon_tracks_accels() {
-                            self.recompute_gw(hot, j);
-                            span_end = span_end.min(hot.h[hot.gw_base + j]);
-                        }
-                    }
-                }
-                hot.stepped.clear();
-                if traced {
-                    // Observation state (activity edges) may have moved
-                    // drain-flip pins; keep every accel horizon exact.
-                    for k in 0..self.accels.len() {
-                        self.recompute_acc(hot, k);
-                    }
-                }
-            } else if self.ring.any_data_rx_pending() {
-                break; // flit parked at a node nobody here polls
-            } else {
-                let idle = self.ring.idle_steps();
-                if idle == 0 {
-                    // Backlogged injection or imminent ejection: the ring
-                    // must step this cycle, alone.
-                    if traced {
-                        self.flush_gws(hot, now + 1);
-                    }
-                    self.ring.step();
-                    self.engine_stats.ring_only_cycles += 1;
-                    self.cycle = now + 1;
-                    if traced {
-                        self.sample_range(now, now + 1);
-                    }
-                } else {
-                    // Nothing acts until the next accel horizon, the span
-                    // end, or the ring's next non-trivial cycle: jump.
-                    let next_acc = hot.h[hot.acc_base..]
-                        .iter()
-                        .fold(u64::MAX, |m, &v| m.min(v));
-                    let to = span_end.min(next_acc).min(now.saturating_add(idle));
-                    let k = to - now;
-                    self.ring.skip(k);
-                    if idle == u64::MAX {
-                        self.engine_stats.skipped_cycles += k;
-                    } else {
-                        self.engine_stats.ring_only_cycles += k;
-                    }
-                    self.cycle = to;
-                    if traced {
-                        self.flush_gws(hot, to);
-                        self.sample_range(now, to);
-                    }
-                }
-            }
-        }
-        self.cycle > start
-    }
-
-    /// Jump the clock from `self.cycle` to `target`. Valid only when
-    /// `target` does not exceed the minimum of the tile and ring
-    /// horizons: the interval is provably quiescent, so counters, stall
-    /// attribution and periodic trace samples come out exactly as if each
-    /// cycle had been stepped. Untraced tile bookkeeping is deferred to
-    /// the next flush point.
-    fn event_skip_to(&mut self, hot: &mut EngineHot, target: u64) {
-        let from = self.cycle;
-        debug_assert!(target > from);
-        self.engine_stats.skipped_cycles += target - from;
-        self.ring.skip(target - from);
-        if self.tracer.is_enabled() {
-            // Stall-window events for the interval precede its periodic
-            // counter samples, as in the exhaustive order.
-            self.flush_gws(hot, target);
-            self.sample_range(from, target);
-        }
-        self.cycle = target;
-    }
-
-    /// Emit the periodic counter samples for every sample point in
-    /// `[from, to)`. Exact whenever FIFO contents and ring counters hold
-    /// their cycle-`from` values across the interval (frozen tiles; ring
-    /// at most rotating in-flight flits).
-    fn sample_range(&mut self, from: u64, to: u64) {
-        let interval = self.tracer.sample_interval();
-        if interval == 0 {
-            return;
-        }
-        let mut m = from.next_multiple_of(interval);
-        while m < to {
-            self.sample_counters(m);
-            m += interval;
-        }
-    }
-
-    /// Fast-forward an interval during which only the *ring* has work:
-    /// every tile is quiescent until `target`, so instead of full-system
-    /// steps the ring alone is stepped (or bulk-rotated over pure-transit
-    /// stretches). Stops early at the first delivery (a flit landing in
-    /// an RX queue), since the owning tile must be stepped from the next
-    /// cycle on to poll it. Untraced tile bookkeeping is deferred; when
-    /// tracing, gateways are accounted chunk-wise so stall events keep
-    /// the exhaustive order relative to periodic samples.
-    fn event_ring_forward(&mut self, hot: &mut EngineHot, target: u64) {
-        let from = self.cycle;
-        let mut t = from;
-        let traced = self.tracer.is_enabled();
-        while t < target && !self.ring.any_data_rx_pending() {
-            let idle = self.ring.idle_steps();
-            if idle == u64::MAX {
-                break; // ring drained entirely; the outer loop skips on
-            }
-            let t2 = if idle == 0 {
-                self.ring.step();
-                t + 1
-            } else {
-                let k = idle.min(target - t);
-                self.ring.skip(k);
-                t + k
-            };
-            if traced {
-                self.flush_gws(hot, t2);
-                self.sample_range(t, t2);
-            }
-            t = t2;
-        }
-        self.engine_stats.ring_only_cycles += t - from;
-        self.cycle = t;
-    }
-
-    /// The event-driven engine: one loop serving both [`System::run`]
-    /// (`pred == None`) and [`System::run_until`]. Each iteration jumps
-    /// over the provably-quiescent interval (if any), then executes
-    /// either a batched accelerator span or a single processor/gateway
-    /// cycle. With a predicate, spans are disabled and all deferred
-    /// bookkeeping is flushed before every evaluation, so the predicate
-    /// observes exactly the lock-step per-cycle state.
-    fn event_run(&mut self, end: u64, mut pred: Option<&mut dyn FnMut(&System) -> bool>) -> bool {
-        let mut hot = self.hot_init();
-        while self.cycle < end {
-            if let Some(p) = pred.as_deref_mut() {
-                self.flush_all(&mut hot, self.cycle);
-                if p(self) {
-                    return true;
-                }
-            }
-            let hc = hot.tile_min();
-            let hr = self.cycle.saturating_add(self.ring.idle_steps());
-            let h = hc.min(hr).min(end);
-            if h > self.cycle {
-                self.event_skip_to(&mut hot, h);
-            } else if hc > self.cycle {
-                // Only the ring is busy: advance it alone.
-                self.event_ring_forward(&mut hot, hc.min(end));
-            }
-            if self.cycle >= end {
-                break;
-            }
-            let now = self.cycle;
-            let pg_due = hot.pg_min() <= now
-                || hot
-                    .gw_nodes
-                    .iter()
-                    .any(|&(e, x)| self.ring.rx_pending(e) > 0 || self.ring.rx_pending(x) > 0);
-            if !pg_due && pred.is_none() && self.accel_span(&mut hot, end) {
-                continue;
-            }
-            self.pg_cycle(&mut hot);
-        }
-        self.flush_all(&mut hot, self.cycle);
-        match pred {
-            Some(p) => p(self),
-            None => false,
-        }
     }
 
     /// Build the span engine's FIFO wiring: which FIFOs each tile watches
@@ -961,10 +574,12 @@ impl System {
     /// delivery log off (fused hops bypass it), and the gateway's
     /// stations disjoint from every pair streaming over a *different*
     /// chain (pairs sharing the chain are serialized by the chain mutex
-    /// and the feed-equality gates).
+    /// and the feed-equality gates). A full trace turns fusion off: fused
+    /// firings never invoke the accelerators, whose activity edges it
+    /// records.
     fn set_fusion_eligibility(&mut self) {
         let ng = self.gateways.len();
-        let log_off = self.ring.delivery_log().is_none();
+        let log_off = self.ring.delivery_log().is_none() && !self.tracer.is_full();
         let stations: Vec<Vec<usize>> = self
             .gateways
             .iter()
@@ -1009,10 +624,8 @@ impl System {
     /// The interval (span) engine: advance every tile across whole
     /// quiescence-free windows with closed-form arithmetic instead of
     /// per-cycle stepping, producing bit-identical counters, FIFO
-    /// high-water marks and ring statistics. Used for untraced
-    /// event-driven runs without a predicate; tracing and predicates
-    /// fall back to [`System::event_run`], whose per-cycle observation
-    /// points they need.
+    /// high-water marks, ring statistics and — under a full trace — event
+    /// log.
     ///
     /// Exactness rests on three rules:
     /// 1. every window freezes the cross-tile state its tile actually
@@ -1030,7 +643,22 @@ impl System {
     ///    accounted cycle — by then consuming it is schedule-anchored
     ///    (`busy_until`, paced send/copy pointers), so late absorption is
     ///    observationally identical to per-cycle polling.
+    ///
+    /// Under a full trace the run also observes what [`System::observe`]
+    /// observes per cycle, each stamped by the component that changed:
+    /// the tracer holds every emission and restores the lock-step order
+    /// at the end ([`Tracer::release`]); FIFOs stamp their high-water
+    /// growths; an accelerator's activity is read right after each
+    /// invocation (every accelerator is due at the first cycle), and an
+    /// active one's drain flip is reported when it is next invoked or the
+    /// run ends; and the engine stands at the cycle after each sample
+    /// point with nothing committed past it, as at a run end, to read FIFO
+    /// levels and ring counters.
     fn span_run(&mut self, end: u64) {
+        let start = self.cycle;
+        if start >= end {
+            return;
+        }
         let mut hot = self.hot_init();
         let mut wiring = self.span_wiring(&hot);
         let (np, ng, na) = (
@@ -1039,8 +667,35 @@ impl System {
             self.accels.len(),
         );
         self.set_fusion_eligibility();
+        let observe = self.tracer.is_full();
+        let interval = self.tracer.sample_interval();
+        // The next sample point (none: `u64::MAX`); `stop` below is the
+        // cycle the engine must stand at to read it, so processor and
+        // gateway windows and clock jumps end there.
+        let mut sample = u64::MAX;
+        if observe {
+            self.tracer.hold();
+            for f in &mut self.fifos {
+                f.log_growths(start);
+            }
+            for g in &mut self.gateways {
+                g.rescan(&self.fifos);
+            }
+            self.accel_active_seen
+                .resize(na.max(self.accel_active_seen.len()), false);
+            hot.h[hot.acc_base..].fill(start);
+            if interval > 0 {
+                sample = start.next_multiple_of(interval);
+            }
+        }
+        let mut stop = end.min(sample.saturating_add(1));
         while self.cycle < end {
             let now = self.cycle;
+            if now > sample {
+                self.sample_counters(sample);
+                sample = sample.saturating_add(interval);
+                stop = end.min(sample.saturating_add(1));
+            }
             // Fold delivery-wakes into the cached horizons: a gateway polls
             // a delivered flit immediately; an accelerator that committed
             // state ahead of the clock parks the flit until its accounted
@@ -1068,7 +723,7 @@ impl System {
                     self.processors[i].skip(hot.acct[i], now);
                     hot.acct[i] = now;
                 }
-                let to = self.span_window_proc(&hot, i, now, end);
+                let to = self.span_window_proc(&hot, i, now, stop);
                 let (cov, h2) =
                     self.processors[i].run_span(&mut self.fifos, now, to, &wiring.mask[i]);
                 hot.acct[i] = hot.acct[i].max(cov);
@@ -1082,10 +737,10 @@ impl System {
                     continue;
                 }
                 if hot.acct[t] < now {
-                    self.gateways[j].skip_quiet(hot.acct[t], now);
+                    self.gateways[j].skip(&mut self.tracer, hot.acct[t], now);
                     hot.acct[t] = now;
                 }
-                let to = self.span_window_gw(&hot, now, end);
+                let to = self.span_window_gw(&hot, now, stop);
                 let (cov, h2) = self.gateways[j].run_span(
                     &mut self.ring,
                     &mut self.fifos,
@@ -1124,6 +779,11 @@ impl System {
                     self.accels[k].skip(hot.acct[t], now);
                     hot.acct[t] = now;
                 }
+                if observe && hot.flips[k] < now {
+                    // It went idle at its flip and stayed idle until now.
+                    self.accel_active_seen[k] = false;
+                    self.tracer.accel_edge(k, false, hot.flips[k]);
+                }
                 // An accelerator's window needs no bound at all: it reads
                 // only its own NI state (arrivals park and replay anchored
                 // on `busy_until`), forwards are held back unless credits
@@ -1132,6 +792,19 @@ impl System {
                 let (cov, h2) = self.accels[k].run_span(&mut self.ring, now, end);
                 hot.acct[t] = hot.acct[t].max(cov);
                 hot.h[t] = h2;
+                if observe {
+                    // Between invocations an accelerator's activity changes
+                    // only on a delivery, which wakes it, or at its drain
+                    // flip, which is reported when it is next invoked or
+                    // the run ends.
+                    let until = self.accels[k].active_until(now);
+                    let active = until.is_some();
+                    if active != self.accel_active_seen[k] {
+                        self.accel_active_seen[k] = active;
+                        self.tracer.accel_edge(k, active, now);
+                    }
+                    hot.flips[k] = until.unwrap_or(u64::MAX);
+                }
                 // A drain-waiting gateway's horizon reads this accelerator's
                 // state; refresh it for the next executable cycle.
                 for oi in 0..hot.owners[k].len() {
@@ -1153,7 +826,7 @@ impl System {
             }
             // Nothing due at `now`: advance the clock to the next event.
             // Parked flits (see above) are already folded into `hot.h`.
-            let mut nxt = end;
+            let mut nxt = stop;
             for &v in &hot.h {
                 if v < nxt {
                     nxt = v;
@@ -1184,6 +857,9 @@ impl System {
                 }
             }
         }
+        if self.cycle > sample {
+            self.sample_counters(sample);
+        }
         // Replay the deferred bookkeeping of every tile up to the end.
         for i in 0..np {
             if hot.acct[i] < self.cycle {
@@ -1193,7 +869,7 @@ impl System {
         for j in 0..ng {
             let t = hot.gw_base + j;
             if hot.acct[t] < self.cycle {
-                self.gateways[j].skip_quiet(hot.acct[t], self.cycle);
+                self.gateways[j].skip(&mut self.tracer, hot.acct[t], self.cycle);
             }
         }
         for k in 0..na {
@@ -1201,6 +877,20 @@ impl System {
             if hot.acct[t] < self.cycle {
                 self.accels[k].skip(hot.acct[t], self.cycle);
             }
+        }
+        if observe {
+            for (k, &flip) in hot.flips.iter().enumerate() {
+                if flip < self.cycle {
+                    self.accel_active_seen[k] = false;
+                    self.tracer.accel_edge(k, false, flip);
+                }
+            }
+            for (i, f) in self.fifos.iter_mut().enumerate() {
+                for (cycle, mark) in f.take_growths() {
+                    self.tracer.fifo_high_water(i, mark, cycle);
+                }
+            }
+            self.tracer.release();
         }
     }
 
@@ -1213,43 +903,30 @@ impl System {
                     self.step();
                 }
             }
-            StepMode::EventDriven => {
-                // Only a *full* trace needs the per-event engine (periodic
-                // samples, accelerator edges, exact fused-send bookkeeping).
-                // The flight recorder rides the closed-form span path, which
-                // emits the same block-lifecycle and stall events — that is
-                // what keeps an always-on recorder near-free.
-                if self.tracer.is_full() {
-                    self.event_run(end, None);
-                } else {
-                    self.span_run(end);
-                }
-            }
+            StepMode::EventDriven => self.span_run(end),
         }
     }
 
     /// Run until `pred(self)` holds or `max_cycles` elapse; returns `true`
     /// if the predicate fired.
     ///
-    /// The predicate is evaluated before every *executed* cycle. In
-    /// event-driven mode state is frozen across skipped intervals, so a
-    /// predicate over system state fires at the same cycle in both modes;
-    /// a predicate reading [`System::cycle`] itself may observe the clock
-    /// jumping over its trigger value.
+    /// The predicate is evaluated at the top of every cycle, before the
+    /// cycle runs, so it stops at the first cycle at which it holds —
+    /// `run_until(max, |s| s.cycle() == k)` stops at exactly `k`. A
+    /// closure can read anything, so nothing is skipped: both
+    /// [`StepMode`]s step the lock-step loop of [`System::step`]. Prefer
+    /// [`System::run`] for long stretches and a typed stop condition such
+    /// as [`System::run_until_idle`], which runs the span engine up to a
+    /// bound read from the state.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&System) -> bool) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
-        match self.step_mode {
-            StepMode::Exhaustive => {
-                while self.cycle < end {
-                    if pred(self) {
-                        return true;
-                    }
-                    self.step();
-                }
-                pred(self)
+        while self.cycle < end {
+            if pred(self) {
+                return true;
             }
-            StepMode::EventDriven => self.event_run(end, Some(&mut pred)),
+            self.step();
         }
+        pred(self)
     }
 
     /// Run until gateway pair `gateway` is idle or `max_cycles` elapse;
@@ -1257,12 +934,12 @@ impl System {
     /// state, as `run_until(max_cycles, |s| s.gateways[gateway].is_idle())`.
     ///
     /// The pair cannot be idle before [`GatewayPair::earliest_idle`], so
-    /// the wait runs up to that bound as [`System::run`] does — event-driven,
-    /// on the span engine unless a full trace is on — and steps per cycle,
-    /// testing the pair, only for the rest (the drain of the in-flight
-    /// block). The bounded stretch records what [`System::run`] records:
-    /// under the flight recorder, no check-for-space idle windows (DESIGN
-    /// §12).
+    /// the wait runs up to that bound as [`System::run`] does — on the span
+    /// engine when event-driven — and steps the lock-step loop of
+    /// [`System::run_until`], testing the pair, only for the rest (the
+    /// drain of the in-flight block, a few cycles). The bounded stretch
+    /// records what [`System::run`] records: under the flight recorder, no
+    /// check-for-space idle windows (DESIGN §12).
     pub fn run_until_idle(&mut self, gateway: usize, max_cycles: u64) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
         let bound = self.gateways[gateway].earliest_idle(self.cycle).min(end);
@@ -1393,8 +1070,8 @@ mod tests {
 
     #[test]
     fn run_until_selective_loop_matches_exhaustive() {
-        // The event-driven run_until must stop at the exact cycle the
-        // exhaustive reference does, for predicates firing at different
+        // run_until must stop at the exact cycle the exhaustive reference
+        // does on the event engine too, for predicates firing at different
         // points of the block schedule.
         for target in [1u64, 2, 3] {
             let (mut ev, ..) = build();
@@ -1411,9 +1088,11 @@ mod tests {
                 "stop cycle differs for target {target}"
             );
             assert_eq!(ev.gateways[0].blocks.len(), ex.gateways[0].blocks.len());
-            assert!(
-                ev.engine_stats.skipped_cycles > 0,
-                "selective loop never skipped — the port regressed to lock-step"
+            // A closure can read anything, so neither engine skips a cycle
+            // it has to evaluate: both step the same lock-step loop.
+            assert_eq!(
+                ev.engine_stats, ex.engine_stats,
+                "run_until left the lock-step loop for target {target}"
             );
         }
     }

@@ -10,9 +10,10 @@
 //! * the **gateway pair** emits block start/end, reconfiguration windows
 //!   (`R_s`), configuration-bus save/restore per accelerator, the entry-DMA
 //!   (`ε`) and exit-drain (`δ`) phases, and per-cause stall cycles;
-//! * the **system step loop** samples C-FIFO occupancy (including
-//!   high-water marks kept by [`crate::cfifo::CFifo`]), accelerator
-//!   activity windows, and dual-ring delivery/stall counters;
+//! * the **system** samples C-FIFO occupancy (including high-water marks
+//!   kept by [`crate::cfifo::CFifo`]), accelerator activity windows, and
+//!   dual-ring delivery/stall counters — per cycle in the lock-step loop,
+//!   from what the components stamp on the span engine;
 //! * consumers (e.g. `streamgate-core`'s metrics/validation) read the
 //!   event log back and derive per-stream `τ` distributions, round times
 //!   and stall breakdowns.
@@ -36,6 +37,7 @@
 //! format, viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use crate::cfifo::HwmGrowth;
+use crate::gateway::BlockRecord;
 use crate::json::Json;
 use std::fmt;
 
@@ -160,21 +162,9 @@ pub enum TraceEvent {
     BlockEnd {
         /// Gateway index.
         gateway: u32,
-        /// Stream index.
-        stream: u32,
-        /// Admission cycle (reconfiguration start).
-        start: u64,
-        /// End of the reconfiguration window.
-        reconfig_end: u64,
-        /// Cycle the DMA sent the last input sample.
-        stream_end: u64,
-        /// Cycle the exit gateway saw the pipeline idle. The measured block
-        /// time `τ` is `drain_end - start`.
-        drain_end: u64,
-        /// Cycles the entry DMA stalled on missing credits in this block.
-        dma_stall: u64,
-        /// Cycles the exit copy stalled on a full consumer FIFO.
-        exit_stall: u64,
+        /// The completed block, as the gateway recorded it (`block.tau()`
+        /// is the measured block time).
+        block: BlockRecord,
     },
     /// A maximal window of consecutive cycles stalled for one cause.
     StallWindow {
@@ -257,11 +247,60 @@ impl HwmRead {
     }
 }
 
+/// One emission as a component hands it to the tracer: a finished event,
+/// or stalled cycles for the stall coalescer. (Accelerator edges and
+/// high-water marks go to their coalescers at once: each accelerator and
+/// FIFO reports in cycle order, and only the events those coalescers make
+/// need ordering.)
+#[derive(Clone, Copy, Debug)]
+enum Emission {
+    Event(TraceEvent),
+    Stall {
+        gateway: u32,
+        cause: StallCause,
+        from: u64,
+        to: u64,
+    },
+}
+
+/// Where the lock-step engine makes an emission: its cycle, then its
+/// source in the order a lock-step cycle visits them — gateways by index
+/// (0), then, in `System::observe`, accelerator edges (1), high-water
+/// marks (2), FIFO levels (3) and ring counters (4), each by index.
+type Order = (u64, u8, u32);
+
+impl Emission {
+    /// The lock-step position of this emission.
+    fn order(&self) -> Order {
+        match *self {
+            Emission::Stall { gateway, from, .. } => (from, 0, gateway),
+            Emission::Event(e) => match e {
+                TraceEvent::BlockStart { gateway, cycle, .. }
+                | TraceEvent::ConfigSave { gateway, cycle, .. }
+                | TraceEvent::ConfigRestore { gateway, cycle, .. } => (cycle, 0, gateway),
+                TraceEvent::ReconfigWindow { gateway, start, .. }
+                | TraceEvent::StallWindow { gateway, start, .. } => (start, 0, gateway),
+                TraceEvent::DmaPhase { gateway, end, .. }
+                | TraceEvent::DrainPhase { gateway, end, .. } => (end, 0, gateway),
+                TraceEvent::BlockEnd { gateway, block } => (block.drain_end, 0, gateway),
+                TraceEvent::AccelActive { accel, start, .. } => (start, 1, accel),
+                TraceEvent::FifoHighWater { fifo, cycle, .. } => (cycle, 2, fifo),
+                TraceEvent::FifoLevel { fifo, cycle, .. } => (cycle, 3, fifo),
+                TraceEvent::RingCounters { cycle, .. } => (cycle, 4, 0),
+            },
+        }
+    }
+}
+
 /// Internal state of an enabled tracer (boxed so a disabled [`Tracer`] is
 /// one word).
 #[derive(Debug, Default)]
 struct TraceData {
     events: Vec<TraceEvent>,
+    /// Emissions held back by [`Tracer::hold`] until [`Tracer::release`],
+    /// with their lock-step positions (`None` while emissions take effect
+    /// at once).
+    held: Option<Vec<(Order, Emission)>>,
     /// Open coalescing windows for stall cycles: (gateway, cause, start,
     /// last-seen cycle).
     open_stalls: Vec<(u32, StallCause, u64, u64)>,
@@ -285,6 +324,71 @@ struct TraceData {
 }
 
 impl TraceData {
+    /// Hold `e` if a run is committing ahead of the clock, else apply it.
+    #[inline]
+    fn record(&mut self, e: Emission) {
+        self.record_at(e.order(), e);
+    }
+
+    /// [`TraceData::record`] at an explicit lock-step position.
+    #[inline]
+    fn record_at(&mut self, at: Order, e: Emission) {
+        match &mut self.held {
+            Some(held) => held.push((at, e)),
+            None => self.apply(e),
+        }
+    }
+
+    /// Feed one emission to the log or its coalescer.
+    fn apply(&mut self, e: Emission) {
+        match e {
+            Emission::Event(e) => self.push_event(e),
+            Emission::Stall {
+                gateway,
+                cause,
+                from,
+                to,
+            } => self.stall(gateway, cause, from, to),
+        }
+    }
+
+    /// Coalesce stalled cycles `[from, to)` into the open window of
+    /// (`gateway`, `cause`), closing that window first when there is a gap.
+    fn stall(&mut self, gateway: u32, cause: StallCause, from: u64, to: u64) {
+        match self
+            .stall_totals
+            .iter_mut()
+            .find(|((g, c), _)| *g == gateway && *c == cause)
+        {
+            Some((_, n)) => *n += to - from,
+            None => self.stall_totals.push(((gateway, cause), to - from)),
+        }
+        let closed = if let Some(w) = self
+            .open_stalls
+            .iter_mut()
+            .find(|(g, c, _, _)| *g == gateway && *c == cause)
+        {
+            if from <= w.3 + 1 {
+                w.3 = to - 1;
+                return;
+            }
+            // Gap: close the old window, open a new one.
+            let closed = TraceEvent::StallWindow {
+                gateway,
+                cause,
+                start: w.2,
+                end: w.3,
+            };
+            w.2 = from;
+            w.3 = to - 1;
+            closed
+        } else {
+            self.open_stalls.push((gateway, cause, from, to - 1));
+            return;
+        };
+        self.push_event(closed);
+    }
+
     /// Append an event, enforcing the flight-recorder bound. The drain is
     /// amortised: the log is allowed to grow to `2 × bound` before the
     /// oldest half is shed in one `memmove`, so the per-event cost stays
@@ -327,13 +431,15 @@ impl Tracer {
         }
     }
 
-    /// A bounded flight recorder: identical emission behaviour to
+    /// A bounded flight recorder: the emission sites of
     /// [`Tracer::enabled`], but only the most recent `capacity` events are
     /// retained (older ones are evicted and counted by
     /// [`Tracer::events_dropped`]). Cheap enough to leave on in production
-    /// runs: the event-driven engine keeps using its closed-form span path
-    /// (`System::run` only falls back to per-event stepping for *full*
-    /// tracing), and the ring never grows past `2 × capacity` entries.
+    /// runs: on the event-driven engine it records what the tiles emit as
+    /// they commit, in commit order, without the observation a full trace
+    /// adds (accelerator windows, high-water marks, samples, deferred
+    /// check-for-space cycles), and the ring never grows past
+    /// `2 × capacity` entries.
     pub fn flight_recorder(sample_interval: u64, capacity: usize) -> Self {
         Tracer {
             data: Some(Box::new(TraceData {
@@ -352,8 +458,9 @@ impl Tracer {
     }
 
     /// True only for an unbounded full trace — the condition for consumers
-    /// that need the *complete* event log (profiles, Chrome exports,
-    /// per-event engine stepping). A flight recorder reports `false`.
+    /// that need the *complete* event log (profiles, Chrome exports) and
+    /// for the span engine's observation. A flight recorder reports
+    /// `false`.
     #[inline]
     pub fn is_full(&self) -> bool {
         self.data.as_ref().is_some_and(|d| d.bound == 0)
@@ -381,8 +488,33 @@ impl Tracer {
     #[inline]
     pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(d) = &mut self.data {
-            let e = f();
-            d.push_event(e);
+            d.record(Emission::Event(f()));
+        }
+    }
+
+    /// Hold every emission from now on until [`Tracer::release`]: for a
+    /// run whose components commit ahead of the clock, so that they hand
+    /// the tracer their emissions out of the lock-step order. No-op when
+    /// disabled.
+    pub(crate) fn hold(&mut self) {
+        if let Some(d) = &mut self.data {
+            d.held.get_or_insert_with(Vec::new);
+        }
+    }
+
+    /// Put the held emissions in the order the lock-step engine makes
+    /// them — by cycle, then by source (see `Order`), keeping
+    /// the order a source made them in — and feed them to the log and
+    /// its coalescers. Each emission carries its per-cycle timestamp, so
+    /// the log comes out as if the run had been stepped cycle by cycle.
+    pub(crate) fn release(&mut self) {
+        let Some(d) = &mut self.data else { return };
+        let Some(mut held) = d.held.take() else {
+            return;
+        };
+        held.sort_by_key(|&(at, _)| at);
+        for (_, e) in held {
+            d.apply(e);
         }
     }
 
@@ -395,47 +527,21 @@ impl Tracer {
 
     /// Record `to - from` stalled cycles covering the half-open interval
     /// `[from, to)` in one call — the bulk form of
-    /// [`Tracer::stall_cycle`], used by the event-driven engine when a
-    /// whole skipped interval is known to stall for one cause. Produces a
-    /// log identical to calling `stall_cycle` for every cycle in the span.
+    /// [`Tracer::stall_cycle`], used when a whole deferred interval is
+    /// known to stall for one cause. Produces a log identical to calling
+    /// `stall_cycle` for every cycle in the span.
     #[inline]
     pub fn stall_span(&mut self, gateway: u32, cause: StallCause, from: u64, to: u64) {
-        let Some(d) = &mut self.data else { return };
-        if to <= from {
-            return;
-        }
-        match d
-            .stall_totals
-            .iter_mut()
-            .find(|((g, c), _)| *g == gateway && *c == cause)
-        {
-            Some((_, n)) => *n += to - from,
-            None => d.stall_totals.push(((gateway, cause), to - from)),
-        }
-        let closed = if let Some(w) = d
-            .open_stalls
-            .iter_mut()
-            .find(|(g, c, _, _)| *g == gateway && *c == cause)
-        {
-            if from <= w.3 + 1 {
-                w.3 = to - 1;
-                return;
+        if let Some(d) = &mut self.data {
+            if to > from {
+                d.record(Emission::Stall {
+                    gateway,
+                    cause,
+                    from,
+                    to,
+                });
             }
-            // Gap: close the old window, open a new one.
-            let closed = TraceEvent::StallWindow {
-                gateway,
-                cause,
-                start: w.2,
-                end: w.3,
-            };
-            w.2 = from;
-            w.3 = to - 1;
-            closed
-        } else {
-            d.open_stalls.push((gateway, cause, from, to - 1));
-            return;
-        };
-        d.push_event(closed);
+        }
     }
 
     /// Total stalled cycles recorded for a gateway and cause (valid while
@@ -489,7 +595,7 @@ impl Tracer {
                         end: now,
                         open: true,
                     };
-                    d.push_event(ev);
+                    d.record_at((now, 1, accel as u32), Emission::Event(ev));
                 }
             }
             (Some(w), false) => {
@@ -511,11 +617,11 @@ impl Tracer {
         }
         if hwm as u32 > d.fifo_hwm_seen[fifo] {
             d.fifo_hwm_seen[fifo] = hwm as u32;
-            d.push_event(TraceEvent::FifoHighWater {
+            d.record(Emission::Event(TraceEvent::FifoHighWater {
                 fifo: fifo as u32,
                 cycle: now,
                 level: hwm as u32,
-            });
+            }));
         }
     }
 
@@ -754,27 +860,19 @@ fn chrome_event(e: &TraceEvent, names: &TraceNames) -> Option<Json> {
             end.saturating_sub(start),
             Some(Json::obj([("samples", samples.into())])),
         ),
-        TraceEvent::BlockEnd {
-            gateway,
-            stream,
-            start,
-            drain_end,
-            dma_stall,
-            exit_stall,
-            ..
-        } => {
-            let tau = drain_end.saturating_sub(start);
+        TraceEvent::BlockEnd { gateway, block: b } => {
+            let (stream, tau) = (b.stream as u32, b.drain_end.saturating_sub(b.start));
             span(
                 "block",
                 format!("block {}", names.stream(gateway, stream)),
                 gateway,
                 stream,
-                start,
+                b.start,
                 tau,
                 Some(Json::obj([
                     ("tau", tau.into()),
-                    ("dma_stall", dma_stall.into()),
-                    ("exit_stall", exit_stall.into()),
+                    ("dma_stall", b.dma_stall.into()),
+                    ("exit_stall", b.exit_stall.into()),
                 ])),
             )
         }
@@ -876,15 +974,13 @@ pub fn chrome_trace_json(events: &[TraceEvent], names: &TraceNames) -> String {
             | TraceEvent::DrainPhase {
                 gateway, stream, ..
             }
-            | TraceEvent::BlockEnd {
-                gateway, stream, ..
-            }
             | TraceEvent::ConfigSave {
                 gateway, stream, ..
             }
             | TraceEvent::ConfigRestore {
                 gateway, stream, ..
             } => (Some(gateway), Some(stream)),
+            TraceEvent::BlockEnd { gateway, block } => (Some(gateway), Some(block.stream as u32)),
             TraceEvent::StallWindow { gateway, .. } => (Some(gateway), None),
             TraceEvent::AccelActive { .. } => {
                 seen_accel = true;
@@ -1128,13 +1224,15 @@ mod tests {
         });
         t.emit(|| TraceEvent::BlockEnd {
             gateway: 0,
-            stream: 1,
-            start: 5,
-            reconfig_end: 15,
-            stream_end: 40,
-            drain_end: 44,
-            dma_stall: 2,
-            exit_stall: 0,
+            block: BlockRecord {
+                stream: 1,
+                start: 5,
+                reconfig_end: 15,
+                stream_end: 40,
+                drain_end: 44,
+                dma_stall: 2,
+                exit_stall: 0,
+            },
         });
         t.stall_cycle(0, StallCause::DmaNoCredit, 20);
         t.finish(50);

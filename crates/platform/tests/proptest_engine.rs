@@ -13,7 +13,8 @@
 //!
 //! The same topologies check the typed idle wait: `System::run_until_idle`
 //! against the `run_until` closure it replaces, and
-//! `GatewayPair::earliest_idle` as a lower bound on the idle cycle.
+//! `GatewayPair::earliest_idle` as a lower bound on the idle cycle. The
+//! PAL system checks that a `run_until` closure stops on its cycle.
 //!
 //! Draws are raw — capacities may be smaller than a block. The static
 //! analyzer is the validity oracle: each gateway pair is mapped onto a
@@ -22,10 +23,11 @@
 
 use proptest::prelude::*;
 use streamgate_analysis::{analyze_with, AnalysisOptions, ChainStage, DeploySpec, StreamDeploy};
+use streamgate_core::{build_pal_system, PalSystemConfig};
 use streamgate_ilp::Rational;
 use streamgate_platform::{
     AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, ProcessorTile, RateSource, ScaleKernel,
-    SinkTask, StepMode, StreamConfig, StreamKernel, System,
+    SinkTask, StallCause, StepMode, StreamConfig, StreamKernel, System, TraceEvent,
 };
 
 #[derive(Clone, Debug)]
@@ -541,6 +543,141 @@ proptest! {
     }
 }
 
+/// `run_until` evaluates its closure at the top of every cycle on both
+/// engines, so a predicate on the clock stops on exactly its cycle, also
+/// where `System::run` on the span engine would jump (PAL idles between
+/// DMA sends), and the two engines end in the same state.
+#[test]
+fn run_until_stops_on_the_requested_cycle_on_both_engines() {
+    let mut ends = Vec::new();
+    for mode in [StepMode::Exhaustive, StepMode::EventDriven] {
+        let mut sys = build_pal_system(&PalSystemConfig::scaled_default()).system;
+        sys.step_mode = mode;
+        for k in 0..26u64 {
+            sys.run(701 + 389 * k);
+            let target = sys.cycle() + 1 + 37 * k;
+            assert!(
+                sys.run_until(4_000, |s| s.cycle() == target),
+                "{mode:?}: run_until missed cycle {target}"
+            );
+            assert_eq!(sys.cycle(), target, "{mode:?}: stopped off cycle {target}");
+        }
+        let blocks: Vec<String> = sys
+            .gateways
+            .iter()
+            .map(|g| format!("{:?}", g.blocks))
+            .collect();
+        let fifos: Vec<(u64, u64)> = sys.fifos.iter().map(|f| (f.pushed, f.popped)).collect();
+        ends.push((sys.cycle(), blocks, fifos));
+    }
+    assert_eq!(
+        ends[0], ends[1],
+        "engines disagree after the run_until stops"
+    );
+}
+
+/// The full trace of `t` on both engines after `act`, done between two
+/// runs of `first` and `second` cycles.
+fn traced_around(t: &Topo, first: u64, second: u64, act: fn(&mut System)) -> [Vec<TraceEvent>; 2] {
+    [StepMode::Exhaustive, StepMode::EventDriven].map(|mode| {
+        let mut sys = build(t);
+        sys.step_mode = mode;
+        sys.run(first);
+        act(&mut sys);
+        sys.run(second);
+        sys.finish_trace();
+        sys.tracer.events().to_vec()
+    })
+}
+
+/// A full trace switched on after untraced cycles: the first traced
+/// cycle reads every accelerator's activity, as the lock-step engine's
+/// first observation does, wherever in the pipeline the switch lands.
+#[test]
+fn trace_switched_on_mid_run_reads_every_accelerator() {
+    let t = Topo {
+        gateways: vec![(3, 2)],
+        epsilon: 2,
+        delta: 1,
+        rho: 7,
+        reconfig: 5,
+        eta: 8,
+        in_cap: 32,
+        out_cap: 96,
+        ni_depth: 2,
+        src_interval: 1,
+        sink_interval: 2,
+        sink_budget: 1,
+        cycles: 0,
+    };
+    assert!(accepted_by_analyzer(&t), "topology must pass the oracle");
+    let mut edges_at_switch = 0;
+    for first in 1_000..1_040 {
+        let [ex, ev] = traced_around(&t, first, 2_000, |s| s.enable_tracing(16));
+        assert_eq!(ex, ev, "tracing switched on at cycle {first}");
+        edges_at_switch += ex
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::AccelActive { start, .. } if *start == first))
+            .count();
+    }
+    assert!(
+        edges_at_switch > 0,
+        "no switch landed on an active accelerator"
+    );
+}
+
+/// A FIFO fed from outside between two traced runs can change the
+/// check-for-space verdict of an idle pair that stays idle: the pair's
+/// deferred idle cycles must use the FIFOs as the new run finds them.
+#[test]
+fn space_verdict_follows_fifos_fed_between_runs() {
+    let t = Topo {
+        gateways: vec![(1, 1)],
+        epsilon: 2,
+        delta: 1,
+        rho: 1,
+        reconfig: 5,
+        eta: 8,
+        in_cap: 32,
+        out_cap: 8,
+        ni_depth: 2,
+        src_interval: 1_000_000,
+        sink_interval: 1_000_000,
+        sink_budget: 1,
+        cycles: 0,
+    };
+    let logs = [StepMode::Exhaustive, StepMode::EventDriven].map(|mode| {
+        let mut sys = build(&t);
+        sys.step_mode = mode;
+        sys.enable_tracing(0);
+        let (i, o) = (
+            sys.gateways[0].stream(0).input,
+            sys.gateways[0].stream(0).output,
+        );
+        // The sink takes one sample at cycle 0 and no more for a million
+        // cycles; nothing else touches the output FIFO.
+        while sys.fifos[o.0].try_push((0.0, 0.0), 0) {}
+        sys.run(300);
+        // Fill the output again and feed a full input block: the pair
+        // stays idle, now held back by the space test alone.
+        while sys.fifos[o.0].try_push((0.0, 0.0), 300) {}
+        for k in 0..8 {
+            assert!(sys.fifos[i.0].try_push((k as f64, 0.0), 300));
+        }
+        sys.run(900);
+        sys.finish_trace();
+        sys.tracer.events().to_vec()
+    });
+    assert_eq!(logs[0], logs[1]);
+    let window = TraceEvent::StallWindow {
+        gateway: 0,
+        cause: StallCause::CheckForSpace,
+        start: 300,
+        end: 1_199,
+    };
+    assert!(logs[0].contains(&window), "{:?}", logs[0]);
+}
+
 /// Named pinned configurations for the engine's historical failure modes.
 /// Each is a deterministic instance of the random families above, kept as
 /// a regression even while the property passes.
@@ -694,6 +831,38 @@ mod pinned {
             sink_budget: 1,
             cycles: 11_000,
         });
+    }
+
+    /// Zero-cycle kernels (ρ = 0): a firing ends within its own cycle, but
+    /// per-cycle stepping holds the output, and keeps the accelerator
+    /// active, until the forward one cycle later. The span engine commits
+    /// that forward ahead of the clock, so the full trace's accelerator
+    /// windows must still count the held output.
+    #[test]
+    fn zero_cycle_kernels_hold_their_output_a_cycle() {
+        let t = Topo {
+            gateways: vec![(2, 2), (1, 1)],
+            epsilon: 2,
+            delta: 1,
+            rho: 0,
+            reconfig: 9,
+            eta: 6,
+            in_cap: 32,
+            out_cap: 64,
+            ni_depth: 2,
+            src_interval: 2,
+            sink_interval: 1,
+            sink_budget: 1,
+            cycles: 9_001,
+        };
+        check(&t);
+        let ex = run(&t, StepMode::Exhaustive);
+        let ev = run_event_chunked(&t, 5);
+        match assert_identical(ex, ev) {
+            Ok(()) => {}
+            Err(TestCaseError::Fail(msg)) => panic!("{msg}"),
+            Err(TestCaseError::Reject) => unreachable!(),
+        }
     }
 
     /// Ragged stop cycles against a hot pipeline: lazily-flushed

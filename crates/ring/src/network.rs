@@ -151,8 +151,8 @@ impl<F> Ord for Scheduled<F> {
 /// step, so [`DualRing::skip`] is O(1) regardless of the span length. Every
 /// in-flight flit's ejection cycle is known exactly at injection time
 /// (latency == hop distance), so each ring keeps a min-heap of scheduled
-/// `(ejection cycle, destination)` pairs: [`DualRing::idle_steps`] answers
-/// in O(1) and [`DualRing::step`] ejects by direct slot addressing instead
+/// `(ejection cycle, destination)` pairs: [`DualRing::rotation_steps`]
+/// answers in O(1) and [`DualRing::step`] ejects by direct slot addressing instead
 /// of scanning all stations — O(actual events), the property the platform's
 /// span-replay engine relies on to deliver k adjacent-hop flits without k
 /// full ring scans.
@@ -184,11 +184,9 @@ pub struct DualRing<P> {
     data_rx: Vec<VecDeque<DataFlit<P>>>,
     credit_rx: Vec<VecDeque<CreditFlit>>,
     /// Flits across data / credit TX queues — lets the injection phase and
-    /// [`DualRing::idle_steps`] answer without scanning every queue.
+    /// [`DualRing::rotation_steps`] answer without scanning every queue.
     data_tx_occupancy: usize,
     credit_tx_occupancy: usize,
-    /// Total delivered-but-unread *data* flits across all stations.
-    data_rx_occupancy: usize,
     /// Statistics (index 0 = data ring, 1 = credit ring).
     pub stats: [RingStats; 2],
     /// Per-delivery log, kept only while profiling.
@@ -229,7 +227,6 @@ impl<P: Clone> DualRing<P> {
             credit_rx: (0..n).map(|_| VecDeque::new()).collect(),
             data_tx_occupancy: 0,
             credit_tx_occupancy: 0,
-            data_rx_occupancy: 0,
             stats: [RingStats::default(), RingStats::default()],
             delivery_log: None,
             sched_data: BinaryHeap::new(),
@@ -416,11 +413,7 @@ impl<P: Clone> DualRing<P> {
 
     /// Pop one delivered data flit at a station, if any.
     pub fn recv_data(&mut self, node: NodeId) -> Option<DataFlit<P>> {
-        let f = self.data_rx[node].pop_front();
-        if f.is_some() {
-            self.data_rx_occupancy -= 1;
-        }
-        f
+        self.data_rx[node].pop_front()
     }
 
     /// Pop one delivered credit flit at a station, if any.
@@ -434,7 +427,6 @@ impl<P: Clone> DualRing<P> {
     /// queue was drained first).
     pub fn requeue_data(&mut self, node: NodeId, flit: DataFlit<P>) {
         self.data_rx[node].push_back(flit);
-        self.data_rx_occupancy += 1;
     }
 
     /// Put a delivered credit flit back (see [`DualRing::requeue_data`]).
@@ -511,7 +503,6 @@ impl<P: Clone> DualRing<P> {
                 });
             }
             self.data_rx[dst].push_back(f);
-            self.data_rx_occupancy += 1;
         }
 
         // --- credit ring (opposite direction) ---
@@ -566,39 +557,25 @@ impl<P: Clone> DualRing<P> {
     /// no injection, ejection or stall accounting can occur during them.
     ///
     /// * `0` — the very next step may do work (a TX queue holds a posted
-    ///   write, or a delivered *data* flit sits unread in an RX queue and
-    ///   the owning tile must be given a chance to poll it);
+    ///   write);
     /// * `k` — the next `k` steps only move occupied slots along the ring
     ///   (the nearest in-flight flit is `k + 1` hops from its destination,
     ///   and no send is committed for an earlier cycle);
     /// * `u64::MAX` — nothing is in flight, nothing is scheduled, and the
     ///   ring is externally driven.
     ///
-    /// Delivered-but-unread **credits** deliberately do not hold the
-    /// horizon at 0: a credit only raises a counter when its owner next
-    /// polls, and every tile polls on each of its own decision cycles, so
-    /// a lingering credit never requires a timely step. (Credit flits *in
-    /// flight* are still tracked — their ejection cycle is never skipped,
-    /// keeping delivery statistics exact.)
+    /// Delivered-but-unread flits do not hold the count at 0: the ring's
+    /// part in them is done, and the engine tracks them per tile (a
+    /// delivered data flit wakes its owner, which may park it until its
+    /// accounted cycle; a delivered credit only raises a counter when its
+    /// owner next polls). Flits *in flight* are tracked — their ejection
+    /// cycle is never skipped, keeping delivery statistics exact.
     ///
-    /// This is the ring's quiescence horizon for the event-driven engine:
-    /// the caller may replace up to `idle_steps()` consecutive [`step`]
+    /// This is the ring's quiescence horizon for the span engine: the
+    /// caller may replace up to `rotation_steps()` consecutive [`step`]
     /// calls with one [`DualRing::skip`].
     ///
     /// [`step`]: DualRing::step
-    pub fn idle_steps(&self) -> u64 {
-        if self.data_rx_occupancy > 0 {
-            return 0;
-        }
-        self.rotation_steps()
-    }
-
-    /// Like [`DualRing::idle_steps`], but delivered-but-unread data does
-    /// *not* hold the count at 0. For engines that track pending
-    /// deliveries per tile themselves (the span engine defers a parked
-    /// flit to the owning tile's next accounted cycle), the remaining
-    /// steps really are pure rotations — skipping them cannot lose an
-    /// injection or ejection.
     pub fn rotation_steps(&self) -> u64 {
         if self.data_tx_occupancy > 0 || self.credit_tx_occupancy > 0 {
             return 0;
@@ -661,17 +638,8 @@ impl<P: Clone> DualRing<P> {
         b
     }
 
-    /// True if any station holds a delivered-but-unread *data* flit.
-    /// While this holds, the owning tile must be stepped so it can poll
-    /// its NI queue; the engine's ring-only fast-forward stops at the
-    /// first cycle this becomes true. (Unread credits are inert — see
-    /// [`DualRing::idle_steps`].)
-    pub fn any_data_rx_pending(&self) -> bool {
-        self.data_rx_occupancy > 0
-    }
-
     /// Advance time by `k` cycles in one go, where all `k` skipped steps
-    /// are pure rotations (the caller must ensure `k <= idle_steps()`).
+    /// are pure rotations (the caller must ensure `k <= rotation_steps()`).
     /// Equivalent to `k` calls to [`DualRing::step`]: the clock advances
     /// and occupied slots rotate, but nothing is injected or ejected.
     pub fn skip(&mut self, k: u64) {
@@ -886,36 +854,40 @@ mod tests {
     #[test]
     fn idle_steps_reports_queue_and_flight_state() {
         let mut ring: DualRing<u64> = DualRing::new(6);
-        assert_eq!(ring.idle_steps(), u64::MAX, "empty ring is quiescent");
+        assert_eq!(ring.rotation_steps(), u64::MAX, "empty ring is quiescent");
         ring.send_data(0, 3, 0, 7);
-        assert_eq!(ring.idle_steps(), 0, "pending TX forces a step");
+        assert_eq!(ring.rotation_steps(), 0, "pending TX forces a step");
         ring.step(); // injected; flit now 1 hop past station 0, 2 hops to go
         assert_eq!(
-            ring.idle_steps(),
+            ring.rotation_steps(),
             1,
             "one pure-rotation step before ejection"
         );
         ring.skip(1);
         ring.step(); // ejection step
         assert_eq!(ring.rx_pending(3), 1);
-        assert_eq!(ring.idle_steps(), 0, "unread RX forces steps");
+        assert_eq!(
+            ring.rotation_steps(),
+            u64::MAX,
+            "an unread delivery is its owner's business, not the ring's"
+        );
         let f = ring.recv_data(3).expect("delivered");
         assert_eq!(f.payload, 7);
-        assert_eq!(ring.idle_steps(), u64::MAX);
+        assert_eq!(ring.rotation_steps(), u64::MAX);
     }
 
     #[test]
     fn delivered_credit_is_inert_but_transit_is_not() {
         let mut ring: DualRing<u64> = DualRing::new(6);
         ring.send_credit(3, 0, 0, 1); // 3 hops against the data direction
-        assert_eq!(ring.idle_steps(), 0, "pending credit TX forces a step");
+        assert_eq!(ring.rotation_steps(), 0, "pending credit TX forces a step");
         ring.step(); // injected; 2 hops to go
-        assert_eq!(ring.idle_steps(), 1, "credit transit still tracked");
+        assert_eq!(ring.rotation_steps(), 1, "credit transit still tracked");
         ring.skip(1);
         ring.step(); // ejection
-        assert!(!ring.any_data_rx_pending());
+        assert_eq!(ring.rx_pending(0), 0, "no data was delivered");
         assert_eq!(
-            ring.idle_steps(),
+            ring.rotation_steps(),
             u64::MAX,
             "a delivered credit is absorbed whenever its owner next polls"
         );
@@ -937,7 +909,7 @@ mod tests {
         };
         let mut stepped = build();
         let mut skipped = build();
-        let idle = skipped.idle_steps();
+        let idle = skipped.rotation_steps();
         assert!(idle > 0);
         for _ in 0..idle {
             stepped.step();
@@ -1005,7 +977,7 @@ mod tests {
         ring.send_data(0, 3, 7, 1); // 3 hops
         ring.send_credit(3, 0, 9, 2); // 3 hops the other way
         ring.step(); // inject both
-        let idle = ring.idle_steps();
+        let idle = ring.rotation_steps();
         assert!(idle > 0);
         ring.skip(idle); // pure rotations: nothing may be logged
         assert!(ring.delivery_log().unwrap().data.is_empty());
@@ -1163,14 +1135,14 @@ mod tests {
     #[test]
     fn idle_steps_bounded_by_scheduled_activation() {
         let mut r: DualRing<u64> = DualRing::new(5);
-        assert_eq!(r.idle_steps(), u64::MAX);
+        assert_eq!(r.rotation_steps(), u64::MAX);
         r.send_data_at(0, 2, 0, 1, 10);
         // Cycles 0..9 are pure rotations; the step entered at 10 injects.
-        assert_eq!(r.idle_steps(), 10);
+        assert_eq!(r.rotation_steps(), 10);
         r.skip(10);
-        assert_eq!(r.idle_steps(), 0);
+        assert_eq!(r.rotation_steps(), 0);
         r.step(); // activates + injects; 2 hops => ejects at cycle 12
-        assert_eq!(r.idle_steps(), 0, "ejection is due on the next step");
+        assert_eq!(r.rotation_steps(), 0, "ejection is due on the next step");
         r.step();
         let f = r.recv_data(2).expect("delivered");
         assert_eq!(f.payload, 1);
@@ -1182,7 +1154,7 @@ mod tests {
         let mut r: DualRing<u64> = DualRing::new(4);
         r.skip(5);
         r.send_data_at(1, 3, 0, 77, 5);
-        assert_eq!(r.idle_steps(), 0, "tx queue occupied right away");
+        assert_eq!(r.rotation_steps(), 0, "tx queue occupied right away");
         for _ in 0..2 {
             r.step();
         }
