@@ -2243,9 +2243,8 @@ fn check_latency(
 /// fusion" behaviour is visible instead of silent. The engine fuses a
 /// gateway's chain hot loop into closed-form interval execution only when
 /// every chain segment is unit-distance on both rings and the gateway's
-/// stations are disjoint from every other chain group's; delivery-event
-/// logging additionally disables fusion at run time, which a static spec
-/// cannot see — the diagnostic says so.
+/// stations are disjoint from every other chain group's. Observation
+/// (a full trace, the ring's delivery log) keeps fusion on.
 fn check_fusion(spec: &DeploySpec, views: &[GatewayView], diags: &mut Vec<Diagnostic>) {
     if !spec.is_multi() || !spec.gateway_structure_errors().is_empty() {
         return;
@@ -2299,8 +2298,7 @@ fn check_fusion(spec: &DeploySpec, views: &[GatewayView], diags: &mut Vec<Diagno
             message: match reason {
                 None => "span-engine chain fusion statically eligible (fuse_ok): every \
                          chain segment is unit-distance and the stations are disjoint \
-                         from other chain groups (delivery-event logging still disables \
-                         fusion at run time)"
+                         from other chain groups (traced and profiled runs fuse too)"
                     .into(),
                 Some(r) => format!("span-engine chain fusion statically ineligible: {r}"),
             },

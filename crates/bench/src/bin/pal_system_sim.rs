@@ -12,8 +12,9 @@
 //! to select the simulation engine, `--profile <path>` to write the run's
 //! measured `RunProfile` JSON (empirical arrival/service curves, stall and
 //! τ distributions — feed it to `streamgate-analyze --profile`), and
-//! `--bench-json <path>` to time BOTH engines over the same cycle budget
-//! and write the measured throughput and speedup as machine-readable JSON.
+//! `--bench-json <path>` to time BOTH engines over the same cycle budget,
+//! untraced and then profiled, and write the measured throughput and the
+//! two speedups as machine-readable JSON.
 
 use std::time::Instant;
 use streamgate_bench::{parse_args, print_table, write_artifact, write_trace};
@@ -21,7 +22,7 @@ use streamgate_core::{
     build_pal_system, solve_blocksizes_checked, system_metrics, PalSystem, PalSystemConfig,
 };
 use streamgate_dsp::{decode_stereo, rms_error, snr_db, tone_power, PalStereoSource};
-use streamgate_platform::{AccelId, Json, StallCause, StepMode};
+use streamgate_platform::{AccelId, EngineStats, Json, StallCause, StepMode};
 
 /// Observability level of one simulated run.
 #[derive(Clone, Copy, PartialEq)]
@@ -101,7 +102,7 @@ fn accounting_json(sys: &streamgate_platform::System) -> Json {
     ])
 }
 
-fn mode_json(wall: f64, cycles: u64, stats: streamgate_platform::EngineStats) -> Json {
+fn mode_json(wall: f64, cycles: u64, stats: EngineStats) -> Json {
     Json::obj([
         ("wall_seconds", wall.into()),
         (
@@ -111,7 +112,28 @@ fn mode_json(wall: f64, cycles: u64, stats: streamgate_platform::EngineStats) ->
         ("full_steps", stats.full_steps.into()),
         ("ring_only_cycles", stats.ring_only_cycles.into()),
         ("skipped_cycles", stats.skipped_cycles.into()),
+        ("fused_sends", stats.fused_sends.into()),
     ])
+}
+
+/// Print one timed pair of engine runs over `cycles`: the event engine's
+/// wall time and counters, then the exhaustive engine's wall time.
+fn print_engine_timing(cycles: u64, (wall_event, ev): (f64, EngineStats), wall_exh: f64) {
+    println!(
+        "  event-driven: {:.2} s ({:.1} Mcycles/s; {} full steps, {} ring-only, {} skipped, \
+         {} fused sends)",
+        wall_event,
+        cycles as f64 / wall_event.max(1e-9) / 1e6,
+        ev.full_steps,
+        ev.ring_only_cycles,
+        ev.skipped_cycles,
+        ev.fused_sends
+    );
+    println!(
+        "  exhaustive:   {:.2} s ({:.1} Mcycles/s)",
+        wall_exh,
+        cycles as f64 / wall_exh.max(1e-9) / 1e6
+    );
 }
 
 /// `--churn`: online admission control on the two-gateway PAL deployment
@@ -598,28 +620,29 @@ fn main() {
         let (pal_ev, wall_event) = simulate(&cfg, cycles, StepMode::EventDriven, SimObserve::Off);
         let (pal_ex, wall_exh) = simulate(&cfg, cycles, StepMode::Exhaustive, SimObserve::Off);
         let speedup = wall_exh / wall_event.max(1e-9);
-        let ev = pal_ev.system.engine_stats;
-        println!(
-            "  event-driven: {:.2} s ({:.1} Mcycles/s; {} full steps, {} ring-only, {} skipped)",
-            wall_event,
-            cycles as f64 / wall_event.max(1e-9) / 1e6,
-            ev.full_steps,
-            ev.ring_only_cycles,
-            ev.skipped_cycles
-        );
-        println!(
-            "  exhaustive:   {:.2} s ({:.1} Mcycles/s)",
-            wall_exh,
-            cycles as f64 / wall_exh.max(1e-9) / 1e6
-        );
+        print_engine_timing(cycles, (wall_event, pal_ev.system.engine_stats), wall_exh);
         println!("  speedup: {speedup:.2}×");
+        // The same budget profiled: an observed run must keep the fast
+        // engine's performance class.
+        println!("timing both engines profiled …");
+        let [profiled_ev, profiled_ex] =
+            [StepMode::EventDriven, StepMode::Exhaustive].map(|mode| {
+                let (pal, wall) = simulate(&cfg, cycles, mode, SimObserve::Profile);
+                (wall, pal.system.engine_stats)
+            });
+        let profiled_speedup = profiled_ex.0 / profiled_ev.0.max(1e-9);
+        print_engine_timing(cycles, profiled_ev, profiled_ex.0);
+        println!("  profiled speedup: {profiled_speedup:.2}×");
         let doc = Json::obj([
             ("bench", "pal_system_sim".into()),
             ("cycles", cycles.into()),
             (
                 "modes",
                 Json::obj([
-                    ("event", mode_json(wall_event, cycles, ev)),
+                    (
+                        "event",
+                        mode_json(wall_event, cycles, pal_ev.system.engine_stats),
+                    ),
                     (
                         "exhaustive",
                         mode_json(wall_exh, cycles, pal_ex.system.engine_stats),
@@ -627,6 +650,17 @@ fn main() {
                 ]),
             ),
             ("speedup", speedup.into()),
+            (
+                "profiled_modes",
+                Json::obj([
+                    ("event", mode_json(profiled_ev.0, cycles, profiled_ev.1)),
+                    (
+                        "exhaustive",
+                        mode_json(profiled_ex.0, cycles, profiled_ex.1),
+                    ),
+                ]),
+            ),
+            ("profiled_speedup", profiled_speedup.into()),
         ]);
         let done = format!("benchmark results written to {path}");
         write_artifact(path, &(doc.to_text() + "\n"), &done);

@@ -1,7 +1,7 @@
 //! Acceptance check for the observability layer's overhead contract
-//! (DESIGN.md §5): tracing must be close to free. This is the asserting
-//! twin of the `trace-overhead` Criterion group in `bench_platform` —
-//! same workload, but with a pass/fail threshold suitable for CI.
+//! (DESIGN.md §5): tracing must be close to free, with a pass/fail
+//! threshold suitable for CI. The four legs time one at a time, whatever
+//! the harness's thread count.
 //!
 //! Ignored by default (timing tests are meaningless in debug builds and
 //! flaky on loaded machines); CI runs it explicitly in release:
@@ -10,6 +10,7 @@
 //! cargo test -p streamgate-bench --release --test trace_overhead_acceptance -- --ignored
 //! ```
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use streamgate_core::{build_pal_system, PalSystemConfig};
 use streamgate_platform::{
@@ -19,7 +20,8 @@ use streamgate_platform::{
 const CYCLES: u64 = 50_000;
 const RUNS: usize = 9;
 /// Enabled-tracing (or full-profiling) cost may exceed the disabled cost
-/// by at most this factor. The measured ratio is ~1.0–1.1; the slack
+/// by at most this factor. Measured on a 2-vCPU host with the legs timed
+/// one at a time: 1.10–1.22 traced and 1.08–1.39 profiled; the slack
 /// absorbs CI noise.
 const MAX_OVERHEAD: f64 = 1.35;
 /// The always-on flight recorder (bounded event ring, full tracing off)
@@ -37,6 +39,17 @@ const MAX_IDLE_FIFO_RATIO: f64 = 1.15;
 /// Cycles of the PAL system per timed run on the exhaustive engine.
 const PAL_CYCLES: u64 = 300_000;
 
+/// Held by each leg while it times: the test harness runs tests on
+/// parallel threads, and a leg timed while another runs measures the
+/// other's load, not its own overhead.
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Wait until no other leg is timing, then keep the others waiting. A
+/// leg that failed holding the lock guarded no data, so the next takes it.
+fn timing_alone() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// What a timed run switches on.
 #[derive(Clone, Copy, PartialEq)]
 enum Observe {
@@ -49,8 +62,9 @@ enum Observe {
     Recorder,
 }
 
-/// The `bench_platform` two-stream workload: two streams multiplexed over
-/// one shared accelerator, saturated inputs, generous outputs.
+/// The two-stream workload: two streams multiplexed over one shared
+/// accelerator, saturated inputs, generous outputs. Entry, accelerator
+/// and exit are ring-adjacent, so the chain fuses, traced or not.
 fn two_stream_system(eta: usize) -> System {
     let mut sys = System::new(4);
     let i0 = sys.add_fifo(CFifo::new("i0", 8192));
@@ -117,6 +131,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn assert_overhead(label: &str, variant: Observe, max_overhead: f64) {
+    let _alone = timing_alone();
     // Warm-up pass for each variant (primes caches and the allocator).
     time_run(Observe::Off);
     time_run(variant);
@@ -179,6 +194,7 @@ fn flight_recorder_overhead_within_acceptance_threshold() {
 #[test]
 #[ignore = "timing acceptance; run in release via CI"]
 fn recorder_cost_on_the_exhaustive_engine_ignores_idle_fifos() {
+    let _alone = timing_alone();
     time_pal_recorder(0);
     time_pal_recorder(IDLE_FIFOS);
     let mut plain = Vec::with_capacity(RUNS);

@@ -32,8 +32,15 @@ pub struct AcceleratorTile {
     /// Busy until this cycle (exclusive).
     busy_until: u64,
     /// Latest cycle fully accounted by closed-form cascade commits
-    /// (see [`AcceleratorTile::fused_covered`]).
+    /// (see [`AcceleratorTile::settle_fused`]).
     fused_covered: u64,
+    /// `busy_until` before the first fused consume not yet settled by the
+    /// engine (see [`AcceleratorTile::settle_fused`]).
+    fused_prior_busy: Option<u64>,
+    /// Activity windows `[rise, fall)` of fused firings, kept only while
+    /// the span engine runs under a full trace (see
+    /// [`AcceleratorTile::log_fused`]).
+    fused_log: Option<Vec<(u64, u64)>>,
     /// Output sample waiting for a credit.
     pending_out: Option<Sample>,
     /// Cycle of the latest forward [`AcceleratorTile::run_span`] committed
@@ -71,6 +78,8 @@ impl AcceleratorTile {
             cycles_per_sample,
             busy_until: 0,
             fused_covered: 0,
+            fused_prior_busy: None,
+            fused_log: None,
             pending_out: None,
             forward_at: 0,
             busy_cycles: 0,
@@ -294,14 +303,35 @@ impl AcceleratorTile {
         self.busy_until
     }
 
-    /// Latest cycle through which closed-form cascade commits
-    /// ([`AcceleratorTile::fused_consume`]) have fully accounted this
-    /// tile: state, counters and committed ring traffic are exactly what
-    /// per-cycle stepping through that cycle would produce, so an engine
-    /// must clamp this tile's accounted-through marker here (invoking or
-    /// skip-replaying below it would double-count the fused firing).
-    pub fn fused_covered(&self) -> u64 {
-        self.fused_covered
+    /// Settle the fused firings committed since the last call with an
+    /// engine that has accounted this tile through `acct`: replay the
+    /// deferred busy tail of the firing they followed (the `skip` the
+    /// engine can no longer make once `busy_until` has moved on), and
+    /// return the cycle through which they account the tile — state,
+    /// counters and committed ring traffic are exactly what per-cycle
+    /// stepping through that cycle would produce, so the engine must clamp
+    /// its accounted-through marker there (invoking or skip-replaying below
+    /// it would double-count a fused firing). `None` when nothing was fused
+    /// since the last call.
+    pub fn settle_fused(&mut self, acct: u64) -> Option<u64> {
+        let prior = self.fused_prior_busy.take()?;
+        if acct < prior {
+            self.busy_cycles += prior - acct;
+        }
+        Some(self.fused_covered)
+    }
+
+    /// Start (`on`) or stop stamping the activity window of every fused
+    /// firing as a lock-step observer would see it (see
+    /// [`AcceleratorTile::drain_fused`]).
+    pub(crate) fn log_fused(&mut self, on: bool) {
+        self.fused_log = on.then(Vec::new);
+    }
+
+    /// The activity windows `[rise, fall)` of the fused firings stamped
+    /// since the last call, oldest first.
+    pub(crate) fn drain_fused(&mut self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.fused_log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     /// Closed-form consume of a sample arriving at `arrival`, committed by
@@ -309,8 +339,11 @@ impl AcceleratorTile {
     /// an installed kernel and an empty pipeline — polls the flit in at
     /// `arrival` and consumes it that same cycle. Fires the kernel,
     /// accounts the whole firing's busy window, and returns the kernel's
-    /// output (forwarded by the caller on cycle `arrival + 1`, exactly as
-    /// the per-cycle forward-first step order does).
+    /// output (forwarded by the caller on cycle `arrival + 1` through
+    /// [`AcceleratorTile::fused_forward`], exactly as the per-cycle
+    /// forward-first step order does). Under a full trace it stamps the
+    /// window a per-cycle observer sees the tile active: from the consume
+    /// until the firing ends and any output has left.
     pub fn fused_consume(&mut self, s: Sample, arrival: u64) -> Option<Sample> {
         debug_assert!(self.rx.is_empty(), "fused consume past a buffered sample");
         debug_assert!(
@@ -318,22 +351,36 @@ impl AcceleratorTile {
             "fused consume past a pending output"
         );
         debug_assert!(self.busy_until <= arrival, "fused consume mid-firing");
+        self.fused_prior_busy.get_or_insert(self.busy_until);
         self.samples_in += 1;
         self.busy_until = arrival + self.cycles_per_sample;
         // Per-cycle accrual: +1 on the consume cycle, +1 per busy-wait
         // cycle until `busy_until` — `ρ` total, or 1 for a 0-cycle kernel.
         self.busy_cycles += self.cycles_per_sample.max(1);
         self.fused_covered = self.fused_covered.max((arrival + 1).max(self.busy_until));
-        self.kernel
+        let out = self
+            .kernel
             .as_mut()
             .expect("fused consume without a kernel")
-            .process(s)
+            .process(s);
+        if let Some(log) = &mut self.fused_log {
+            let fall = match out {
+                Some(_) => self.busy_until.max(arrival + 1),
+                None => self.busy_until,
+            };
+            if fall > arrival {
+                log.push((arrival, fall));
+            }
+        }
+        out
     }
 
     /// Bookkeeping for a forward committed in closed form by the cascade
-    /// (the credit take and wire accounting are the caller's).
-    pub fn fused_forward(&mut self) {
+    /// for cycle `at` (the credit take and wire accounting are the
+    /// caller's).
+    pub fn fused_forward(&mut self, at: u64) {
         self.samples_out += 1;
+        self.forward_at = at;
     }
 
     /// Quiescence horizon: the earliest cycle `>= next` at which stepping

@@ -160,6 +160,9 @@ pub struct GatewayPair {
     /// by the span engine before a span; with it, a DMA send can commit
     /// its whole downstream cascade in closed form (`try_fused_send`).
     pub fuse_ok: bool,
+    /// DMA sends whose whole cascade was committed in closed form
+    /// (`try_fused_send`); the rest took the wire.
+    pub fused_sends: u64,
     /// Samples ever fed into the chain (wire or fused), matched against
     /// the first accelerator's consume counter: a difference means an
     /// entry flit is still on the wire, and a fused commit must never
@@ -229,6 +232,7 @@ impl GatewayPair {
             shared_chain: false,
             ni_depth,
             fuse_ok: false,
+            fused_sends: 0,
             chain_fed: 0,
             streams: Vec::new(),
             active: None,
@@ -984,12 +988,15 @@ impl GatewayPair {
 
     /// Commit the DMA send at `tau` *and its entire downstream cascade* in
     /// closed form: each chain accelerator's consume, firing and forward,
-    /// every credit return, and the ring-transit statistics of every
-    /// interior hop — without waking a single accelerator. Only the final
-    /// exit-bound flit is physically scheduled, so the exit delivery wakes
-    /// the pair through the normal path. Returns `false` (committing
-    /// nothing) when any precondition fails; the caller then takes the
-    /// wire path, which is exact in every state.
+    /// every credit return, and the ring-transit statistics (and, with
+    /// the delivery log on, the log records) of every interior hop —
+    /// without waking a single accelerator. Only the final exit-bound
+    /// flit is physically scheduled, so the exit delivery wakes the pair
+    /// through the normal path. Returns `false` (committing nothing) when
+    /// any precondition fails; the caller then takes the wire path, which
+    /// is exact in every state. `hard_end` is where the run next stands
+    /// still: its end, or under a full trace the cycle after its next
+    /// sample point.
     ///
     /// Exactness rests on distance-1 cell confinement: while
     /// [`DualRing::multi_hop_quiet`] holds, every flit injects and ejects
@@ -1052,16 +1059,17 @@ impl GatewayPair {
         let took = self.dma_tx.fused_take(tau, now);
         debug_assert!(took, "availability was checked above");
         self.chain_fed += 1;
+        self.fused_sends += 1;
         let mut payload = s;
-        let first_node = accels[self.chain[0].0].node;
-        let mut arrival = ring.fused_data_stats(self.entry_node, first_node, tau);
+        let (first_node, entry_stream) = (accels[self.chain[0].0].node, self.dma_tx.stream);
+        let mut arrival = ring.fused_data_stats(self.entry_node, first_node, entry_stream, tau);
         for (i, a) in self.chain.iter().enumerate() {
-            let node = accels[a.0].node;
-            let upstream = accels[a.0].rx.remote;
-            let out = accels[a.0].fused_consume(payload, arrival);
+            let acc = &mut accels[a.0];
+            let (node, upstream, rx_stream) = (acc.node, acc.rx.remote, acc.rx.stream);
+            let out = acc.fused_consume(payload, arrival);
             // The consume's credit leaves at `arrival`, landing one hop
             // upstream the next cycle.
-            let credit_arrival = ring.fused_credit_stats(node, upstream, arrival);
+            let credit_arrival = ring.fused_credit_stats(node, upstream, rx_stream, arrival);
             if i == 0 {
                 self.dma_tx.fused_return(credit_arrival);
             } else {
@@ -1074,13 +1082,14 @@ impl GatewayPair {
                 // Final hop into the exit gateway: a real scheduled send.
                 let sent = accels[a.0].tx.send_at(ring, out, arrival + 1);
                 debug_assert!(sent, "availability was checked above");
-                accels[a.0].fused_forward();
+                accels[a.0].fused_forward(arrival + 1);
             } else {
                 let next_node = accels[self.chain[i + 1].0].node;
-                let took = accels[a.0].tx.fused_take(arrival + 1, now);
+                let acc = &mut accels[a.0];
+                let took = acc.tx.fused_take(arrival + 1, now);
                 debug_assert!(took, "availability was checked above");
-                accels[a.0].fused_forward();
-                arrival = ring.fused_data_stats(node, next_node, arrival + 1);
+                acc.fused_forward(arrival + 1);
+                arrival = ring.fused_data_stats(node, next_node, acc.tx.stream, arrival + 1);
                 payload = out;
             }
         }

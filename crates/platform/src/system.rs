@@ -67,9 +67,10 @@ impl StepMode {
 }
 
 /// How the engines spent the simulated cycles (the first three counters
-/// sum to the cycles run), plus the observation work of the lock-step
-/// loop. Useful for validating that a workload actually benefits from
-/// time-skipping and for benchmark reports.
+/// sum to the cycles run), plus the chain-fusion work of the span engine
+/// and the observation work of the lock-step loop. Useful for validating
+/// that a workload actually benefits from time-skipping and for benchmark
+/// reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Cycles on which at least one tile acted: every lock-step
@@ -83,6 +84,11 @@ pub struct EngineStats {
     /// Span-engine cycles jumped over with nothing in flight (bulk
     /// bookkeeping, no stepping).
     pub skipped_cycles: u64,
+    /// Span-engine DMA sends whose chain cascade was committed in closed
+    /// form (chain fusion, [`GatewayPair::fused_sends`] summed over the
+    /// gateways), traced or not; every other send took the wire. A full
+    /// trace refuses only the cascades that would cross a sample point.
+    pub fused_sends: u64,
     /// Lock-step observed cycles that read every FIFO's high-water mark:
     /// one per cycle in which a mark grew, the FIFO set changed or the
     /// tracer was replaced, not one per observed cycle. (The span engine
@@ -204,10 +210,13 @@ impl System {
     /// after the run. Call after construction, before the first
     /// [`System::step`].
     ///
-    /// Every source is either event-exact or append-only at ejection/push
-    /// sites that the span engine's ring skips never touch, so profiled
-    /// data is bit-identical between [`StepMode::Exhaustive`] and
-    /// [`StepMode::EventDriven`] — the same contract the tracer upholds.
+    /// Every source is event-exact: the delivery log takes a hop committed
+    /// in closed form by chain fusion when the ring clock passes its
+    /// ejection, in ejection order, and the FIFOs log pushes where they
+    /// happen, so profiled data is bit-identical between
+    /// [`StepMode::Exhaustive`] and [`StepMode::EventDriven`] — the same
+    /// contract the tracer upholds — and a profiled run keeps chain
+    /// fusion.
     pub fn enable_profiling(&mut self, sample_interval: u64) {
         self.enable_tracing(sample_interval);
         self.ring.enable_delivery_log();
@@ -570,16 +579,14 @@ impl System {
     /// Fusion needs every hop of the chain walk — entry→first accel,
     /// accel→accel, last accel→exit, and each credit return — at ring
     /// distance 1 (a distance-1 flit injects and ejects inside a single
-    /// ring step, so phantom and real flits can never interact), the
-    /// delivery log off (fused hops bypass it), and the gateway's
-    /// stations disjoint from every pair streaming over a *different*
-    /// chain (pairs sharing the chain are serialized by the chain mutex
-    /// and the feed-equality gates). A full trace turns fusion off: fused
-    /// firings never invoke the accelerators, whose activity edges it
-    /// records.
+    /// ring step, so phantom and real flits can never interact), and the
+    /// gateway's stations disjoint from every pair streaming over a
+    /// *different* chain (pairs sharing the chain are serialized by the
+    /// chain mutex and the feed-equality gates). Observation does not
+    /// enter into it: a fused cascade records what the per-cycle observer
+    /// would have seen (see [`System::span_run`]).
     fn set_fusion_eligibility(&mut self) {
         let ng = self.gateways.len();
-        let log_off = self.ring.delivery_log().is_none() && !self.tracer.is_full();
         let stations: Vec<Vec<usize>> = self
             .gateways
             .iter()
@@ -593,7 +600,7 @@ impl System {
         let flags: Vec<bool> = (0..ng)
             .map(|j| {
                 let g = &self.gateways[j];
-                if !log_off || g.chain.is_empty() {
+                if g.chain.is_empty() {
                     return false;
                 }
                 let mut prev = g.entry_node;
@@ -618,6 +625,42 @@ impl System {
             .collect();
         for (g, f) in self.gateways.iter_mut().zip(flags) {
             g.fuse_ok = f;
+        }
+    }
+
+    /// Read accelerator `k`'s activity as a lock-step observer sees it
+    /// after the tile's step at `now`: report a change to the tracer and
+    /// note the drain flip, the cycle its activity ends by time passage.
+    /// Kept out of line, with [`System::take_fused_windows`]: only a full
+    /// trace calls them, and inlined they slow the unobserved span loop.
+    #[inline(never)]
+    fn read_accel(&mut self, flips: &mut [u64], k: usize, now: u64) {
+        let until = self.accels[k].active_until(now);
+        let active = until.is_some();
+        if active != self.accel_active_seen[k] {
+            self.accel_active_seen[k] = active;
+            self.tracer.accel_edge(k, active, now);
+        }
+        flips[k] = until.unwrap_or(u64::MAX);
+    }
+
+    /// Hand the activity windows accelerator `k`'s fused firings stamped to
+    /// the tracer and the flip bookkeeping, in order: a window rising after
+    /// the known activity's flip reports that fall first, one rising at the
+    /// flip continues the activity (the lock-step observer sees no edge).
+    #[inline(never)]
+    fn take_fused_windows(&mut self, flips: &mut [u64], k: usize) {
+        let (tracer, seen) = (&mut self.tracer, &mut self.accel_active_seen[k]);
+        for (rise, fall) in self.accels[k].drain_fused() {
+            if *seen && flips[k] < rise {
+                tracer.accel_edge(k, false, flips[k]);
+                *seen = false;
+            }
+            if !*seen {
+                *seen = true;
+                tracer.accel_edge(k, true, rise);
+            }
+            flips[k] = fall;
         }
     }
 
@@ -649,11 +692,15 @@ impl System {
     /// the tracer holds every emission and restores the lock-step order
     /// at the end ([`Tracer::release`]); FIFOs stamp their high-water
     /// growths; an accelerator's activity is read right after each
-    /// invocation (every accelerator is due at the first cycle), and an
+    /// invocation (and at the first cycle for one not due then), and an
     /// active one's drain flip is reported when it is next invoked or the
-    /// run ends; and the engine stands at the cycle after each sample
-    /// point with nothing committed past it, as at a run end, to read FIFO
-    /// levels and ring counters.
+    /// run ends; a fused firing stamps its activity window on the
+    /// accelerator, which the engine hands to the tracer in order right
+    /// after the committing gateway's invocation; and the engine stands
+    /// at the cycle after each sample point with nothing committed past
+    /// it, as at a run end, to read FIFO levels and ring counters — so no
+    /// fused cascade may cross a sample point either (its hops count in
+    /// the ring statistics at once).
     fn span_run(&mut self, end: u64) {
         let start = self.cycle;
         if start >= end {
@@ -667,6 +714,7 @@ impl System {
             self.accels.len(),
         );
         self.set_fusion_eligibility();
+        let fused0: u64 = self.gateways.iter().map(|g| g.fused_sends).sum();
         let observe = self.tracer.is_full();
         let interval = self.tracer.sample_interval();
         // The next sample point (none: `u64::MAX`); `stop` below is the
@@ -683,7 +731,17 @@ impl System {
             }
             self.accel_active_seen
                 .resize(na.max(self.accel_active_seen.len()), false);
-            hot.h[hot.acc_base..].fill(start);
+            for k in 0..na {
+                self.accels[k].log_fused(true);
+                // An accelerator not due at the first cycle changes nothing
+                // a lock-step observer reads there: read it now, before a
+                // gateway commits a fused firing on it ahead of the clock.
+                let due = hot.h[hot.acc_base + k] <= start
+                    || self.ring.rx_pending(self.accels[k].node) > 0;
+                if !due {
+                    self.read_accel(&mut hot.flips, k, start);
+                }
+            }
             if interval > 0 {
                 sample = start.next_multiple_of(interval);
             }
@@ -741,6 +799,8 @@ impl System {
                     hot.acct[t] = now;
                 }
                 let to = self.span_window_gw(&hot, now, stop);
+                // Fused cascades end by `stop`: every phantom event falls on
+                // a cycle the run executes before its next sample point.
                 let (cov, h2) = self.gateways[j].run_span(
                     &mut self.ring,
                     &mut self.fifos,
@@ -748,7 +808,7 @@ impl System {
                     &mut self.tracer,
                     now,
                     to,
-                    end,
+                    stop,
                     &wiring.mask[t],
                 );
                 hot.acct[t] = hot.acct[t].max(cov);
@@ -759,11 +819,14 @@ impl System {
                     // accounted-through markers so the fused firings are
                     // never skip-replayed, and a flit parked for one is
                     // consumed exactly at its committed `busy_until`.
-                    for a in &self.gateways[j].chain {
-                        let ta = hot.acc_base + a.0;
-                        let fc = self.accels[a.0].fused_covered();
-                        if hot.acct[ta] < fc {
-                            hot.acct[ta] = fc;
+                    for ci in 0..self.gateways[j].chain.len() {
+                        let k = self.gateways[j].chain[ci].0;
+                        let ta = hot.acc_base + k;
+                        if let Some(fc) = self.accels[k].settle_fused(hot.acct[ta]) {
+                            hot.acct[ta] = hot.acct[ta].max(fc);
+                            if observe {
+                                self.take_fused_windows(&mut hot.flips, k);
+                            }
                         }
                     }
                 }
@@ -794,16 +857,10 @@ impl System {
                 hot.h[t] = h2;
                 if observe {
                     // Between invocations an accelerator's activity changes
-                    // only on a delivery, which wakes it, or at its drain
+                    // only on a delivery, which wakes it, at its drain
                     // flip, which is reported when it is next invoked or
-                    // the run ends.
-                    let until = self.accels[k].active_until(now);
-                    let active = until.is_some();
-                    if active != self.accel_active_seen[k] {
-                        self.accel_active_seen[k] = active;
-                        self.tracer.accel_edge(k, active, now);
-                    }
-                    hot.flips[k] = until.unwrap_or(u64::MAX);
+                    // the run ends, or on a fused firing, which it stamps.
+                    self.read_accel(&mut hot.flips, k, now);
                 }
                 // A drain-waiting gateway's horizon reads this accelerator's
                 // state; refresh it for the next executable cycle.
@@ -878,8 +935,11 @@ impl System {
                 self.accels[k].skip(hot.acct[t], self.cycle);
             }
         }
+        self.engine_stats.fused_sends +=
+            self.gateways.iter().map(|g| g.fused_sends).sum::<u64>() - fused0;
         if observe {
             for (k, &flip) in hot.flips.iter().enumerate() {
+                self.accels[k].log_fused(false);
                 if flip < self.cycle {
                     self.accel_active_seen[k] = false;
                     self.tracer.accel_edge(k, false, flip);

@@ -1,7 +1,12 @@
 //! Engine-equivalence property: on randomized small topologies the
 //! event-driven engine must be *bit-identical* to the exhaustive
 //! lock-step reference — same block schedules, FIFO contents, counters,
-//! ring statistics and trace event logs.
+//! ring statistics, trace event logs and ring delivery logs.
+//!
+//! Single-gateway topologies put entry, chain and exit at ring distance
+//! 1, so their DMA sends fuse with their cascades, traced, profiled or
+//! not; the PAL system checks that a profiled run fuses what a
+//! flight-recorder run fuses.
 //!
 //! The generated platforms deliberately cover the engine's tricky spots:
 //! non-adjacent ring links (multi-hop flit transit that the ring-only
@@ -271,15 +276,39 @@ fn build(t: &Topo) -> System {
     sys
 }
 
-/// Run to completion in `mode`; with `traced` the tracer records every
-/// edge (forcing the engine's per-cycle observation path inside spans),
-/// without it the untraced span fast path runs.
-fn run_with(t: &Topo, mode: StepMode, traced: bool) -> System {
+/// What a run records.
+#[derive(Clone, Copy, Debug)]
+enum Observe {
+    /// Nothing: the untraced span fast path.
+    Off,
+    /// A full trace sampled every 64 cycles: every edge is recorded, and
+    /// the engine stands at each sample point.
+    Trace,
+    /// `enable_profiling(64)`: the full trace plus the ring's delivery log
+    /// and the FIFO push logs.
+    Profile,
+    /// `enable_profiling(0)`: no sample points, so no fused cascade is
+    /// refused for one, and accelerator windows merge only when they
+    /// touch — every activity edge shows in the log.
+    Unsampled,
+}
+
+impl Observe {
+    fn enable(self, sys: &mut System) {
+        match self {
+            Observe::Off => {}
+            Observe::Trace => sys.enable_tracing(64),
+            Observe::Profile => sys.enable_profiling(64),
+            Observe::Unsampled => sys.enable_profiling(0),
+        }
+    }
+}
+
+/// Run to completion in `mode`, recording what `observe` asks for.
+fn run_with(t: &Topo, mode: StepMode, observe: Observe) -> System {
     let mut sys = build(t);
     sys.step_mode = mode;
-    if traced {
-        sys.enable_tracing(64);
-    }
+    observe.enable(&mut sys);
     sys.run(t.cycles);
     let now = sys.cycle();
     sys.tracer.finish(now);
@@ -288,16 +317,21 @@ fn run_with(t: &Topo, mode: StepMode, traced: bool) -> System {
 
 /// Run to completion in `mode` and flush the trace.
 fn run(t: &Topo, mode: StepMode) -> System {
-    run_with(t, mode, true)
+    run_with(t, mode, Observe::Trace)
 }
 
 /// Run the event engine in `chunks` arbitrary-length legs (stops land in
 /// the middle of delivery bursts and accelerator busy spans) and check the
 /// result is still bit-identical to one uninterrupted exhaustive run.
 fn run_event_chunked(t: &Topo, chunks: u64) -> System {
+    run_event_chunked_with(t, chunks, Observe::Trace)
+}
+
+/// [`run_event_chunked`], recording what `observe` asks for.
+fn run_event_chunked_with(t: &Topo, chunks: u64, observe: Observe) -> System {
     let mut sys = build(t);
     sys.step_mode = StepMode::EventDriven;
-    sys.enable_tracing(64);
+    observe.enable(&mut sys);
     let per = (t.cycles / chunks).max(1);
     // Deliberately ragged leg lengths so stop cycles hit different phases
     // of the DMA/accelerator pipelines each leg.
@@ -371,6 +405,22 @@ fn assert_identical(mut ex: System, mut ev: System) -> Result<(), TestCaseError>
         prop_assert_eq!(&ea[d], &eb[d], "first trace divergence at index {}", d);
     }
     prop_assert_eq!(ea.len(), eb.len(), "trace event counts");
+    let (la, lb) = (ex.ring.delivery_log(), ev.ring.delivery_log());
+    prop_assert_eq!(la.is_some(), lb.is_some(), "delivery log on");
+    if let (Some(la), Some(lb)) = (la, lb) {
+        for (ring, a, b) in [(0, &la.data, &lb.data), (1, &la.credit, &lb.credit)] {
+            if let Some(d) = a.iter().zip(b.iter()).position(|(x, y)| x != y) {
+                prop_assert_eq!(a[d], b[d], "ring {} delivery log divergence at {}", ring, d);
+            }
+            prop_assert_eq!(a.len(), b.len(), "ring {} delivery records", ring);
+        }
+        prop_assert_eq!(la.data_dropped, lb.data_dropped, "data deliveries dropped");
+        prop_assert_eq!(
+            la.credit_dropped,
+            lb.credit_dropped,
+            "credit deliveries dropped"
+        );
+    }
     Ok(())
 }
 
@@ -408,12 +458,16 @@ fn one_cycle_span_strategy() -> impl Strategy<Value = Topo> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Traced and profiled: chain fusion runs under both, with the
+    /// delivery log on and across sample points.
     #[test]
     fn event_driven_is_bit_identical_to_exhaustive(t in topo_strategy()) {
         prop_assume!(accepted_by_analyzer(&t));
-        let ex = run(&t, StepMode::Exhaustive);
-        let ev = run(&t, StepMode::EventDriven);
-        assert_identical(ex, ev)?;
+        for observe in [Observe::Trace, Observe::Profile] {
+            let ex = run_with(&t, StepMode::Exhaustive, observe);
+            let ev = run_with(&t, StepMode::EventDriven, observe);
+            assert_identical(ex, ev)?;
+        }
     }
 }
 
@@ -429,8 +483,8 @@ proptest! {
         let ex = run(&t, StepMode::Exhaustive);
         let ev = run(&t, StepMode::EventDriven);
         assert_identical(ex, ev)?;
-        let ex = run_with(&t, StepMode::Exhaustive, false);
-        let ev = run_with(&t, StepMode::EventDriven, false);
+        let ex = run_with(&t, StepMode::Exhaustive, Observe::Off);
+        let ev = run_with(&t, StepMode::EventDriven, Observe::Off);
         assert_identical(ex, ev)?;
     }
 }
@@ -440,13 +494,15 @@ proptest! {
 
     /// The batched-delivery path under stress: deep NI queues, ε = 1..2
     /// multi-hop bursts, reconfiguration windows opening while an
-    /// accelerator span is in flight.
+    /// accelerator span is in flight — traced and profiled.
     #[test]
     fn batched_bursts_bit_identical(t in burst_strategy()) {
         prop_assume!(accepted_by_analyzer(&t));
-        let ex = run(&t, StepMode::Exhaustive);
-        let ev = run(&t, StepMode::EventDriven);
-        assert_identical(ex, ev)?;
+        for observe in [Observe::Trace, Observe::Profile] {
+            let ex = run_with(&t, StepMode::Exhaustive, observe);
+            let ev = run_with(&t, StepMode::EventDriven, observe);
+            assert_identical(ex, ev)?;
+        }
     }
 
     /// Without a tracer the engine replays spans through the untraced
@@ -455,8 +511,8 @@ proptest! {
     #[test]
     fn untraced_spans_bit_identical(t in burst_strategy()) {
         prop_assume!(accepted_by_analyzer(&t));
-        let ex = run_with(&t, StepMode::Exhaustive, false);
-        let ev = run_with(&t, StepMode::EventDriven, false);
+        let ex = run_with(&t, StepMode::Exhaustive, Observe::Off);
+        let ev = run_with(&t, StepMode::EventDriven, Observe::Off);
         assert_identical(ex, ev)?;
     }
 
@@ -468,6 +524,72 @@ proptest! {
         prop_assume!(accepted_by_analyzer(&t));
         let ex = run(&t, StepMode::Exhaustive);
         let ev = run_event_chunked(&t, chunks);
+        assert_identical(ex, ev)?;
+    }
+}
+
+/// The fused sends the event engine commits on the single-gateway cases
+/// of a suite — entry, chain and exit are ring-adjacent there, so every
+/// hop is fusion-eligible — replaying the suite's case stream: traced,
+/// then profiled.
+fn suite_fused_sends(suite: &str, strategy: impl Strategy<Value = Topo>, cases: u32) -> [u64; 2] {
+    let mut rng = TestRng::from_name(suite);
+    let mut sends = [0; 2];
+    for _ in 0..cases {
+        let t = strategy.generate(&mut rng);
+        if t.gateways.len() > 1 || !accepted_by_analyzer(&t) {
+            continue;
+        }
+        for (n, observe) in sends.iter_mut().zip([Observe::Trace, Observe::Profile]) {
+            *n += run_with(&t, StepMode::EventDriven, observe)
+                .engine_stats
+                .fused_sends;
+        }
+    }
+    sends
+}
+
+/// The traced and profiled suites above exercise chain fusion: their
+/// single-gateway cases commit fused sends under a full trace and under
+/// a profile, not only on the untraced fast path.
+#[test]
+fn traced_and_profiled_suites_commit_fused_sends() {
+    let suites = [
+        suite_fused_sends(
+            concat!(
+                module_path!(),
+                "::event_driven_is_bit_identical_to_exhaustive"
+            ),
+            topo_strategy(),
+            32,
+        ),
+        suite_fused_sends(
+            concat!(module_path!(), "::batched_bursts_bit_identical"),
+            burst_strategy(),
+            24,
+        ),
+    ];
+    for (suite, [traced, profiled]) in ["topologies", "bursts"].iter().zip(suites) {
+        assert!(
+            traced > 0 && profiled > 0,
+            "{suite}: fused sends traced {traced}, profiled {profiled}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Fused cascades across many run boundaries, profiled with no sample
+    /// points: single-gateway topologies fuse, and a run often starts with
+    /// a chain stage still busy from a wire firing while the gateway fuses
+    /// its next send on the run's first cycle — the new run must see that
+    /// activity end before the fused firing's window opens.
+    #[test]
+    fn chunked_unsampled_fused_runs_bit_identical(t in topo_strategy(), chunks in 20u64..400) {
+        prop_assume!(t.gateways.len() == 1 && accepted_by_analyzer(&t));
+        let ex = run_with(&t, StepMode::Exhaustive, Observe::Unsampled);
+        let ev = run_event_chunked_with(&t, chunks, Observe::Unsampled);
         assert_identical(ex, ev)?;
     }
 }
@@ -573,6 +695,40 @@ fn run_until_stops_on_the_requested_cycle_on_both_engines() {
     assert_eq!(
         ends[0], ends[1],
         "engines disagree after the run_until stops"
+    );
+}
+
+/// A profiled PAL run fuses exactly the sends a flight-recorder run fuses
+/// over the same `run` calls, one per 20-ms field: observation may refuse
+/// a cascade only where it would cross a sample point, and a profile
+/// sampled at interval 0 has none. Most sends fuse in both.
+#[test]
+fn profiled_pal_fuses_what_the_flight_recorder_fuses() {
+    let cfg = PalSystemConfig::scaled_default();
+    let [profiled, recorder] = [true, false].map(|profile| {
+        let mut sys = build_pal_system(&cfg).system;
+        if profile {
+            sys.enable_profiling(0);
+        } else {
+            sys.enable_flight_recorder(4096);
+        }
+        for _ in 0..2 {
+            sys.run(cfg.clock_hz / 50);
+        }
+        let sends: u64 = sys
+            .gateways
+            .iter()
+            .map(|g| g.dma_busy_cycles / g.dma_cycles_per_sample)
+            .sum();
+        (sys.engine_stats.fused_sends, sends)
+    });
+    assert_eq!(
+        profiled, recorder,
+        "(fused sends, sends): profiled vs flight recorder"
+    );
+    assert!(
+        2 * profiled.0 > profiled.1,
+        "(fused sends, sends) {profiled:?}"
     );
 }
 
@@ -693,10 +849,10 @@ mod pinned {
             Err(TestCaseError::Fail(msg)) => panic!("{msg}"),
             Err(TestCaseError::Reject) => unreachable!(),
         }
-        // The untraced span fast path (cascade fusion eligible) must land
-        // on the same architectural state.
-        let ex = run_with(t, StepMode::Exhaustive, false);
-        let ev = run_with(t, StepMode::EventDriven, false);
+        // The untraced span fast path must land on the same architectural
+        // state.
+        let ex = run_with(t, StepMode::Exhaustive, Observe::Off);
+        let ev = run_with(t, StepMode::EventDriven, Observe::Off);
         match assert_identical(ex, ev) {
             Ok(()) => {}
             Err(TestCaseError::Fail(msg)) => panic!("{msg}"),

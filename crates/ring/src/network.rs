@@ -64,10 +64,18 @@ pub struct Delivery {
     pub stream: u32,
 }
 
+/// A fused transit waiting for the ring clock: `(ejection cycle,
+/// destination, source, stream)`, ordered as [`DualRing::step`] ejects.
+type Transit = (u64, NodeId, NodeId, u32);
+
 /// Log of delivered flits on both rings, kept only when a profiler asked
-/// for it ([`DualRing::enable_delivery_log`]). [`DualRing::skip`] never
-/// ejects, so the log is bit-identical between the exhaustive and the
-/// event-driven engines by construction.
+/// for it ([`DualRing::enable_delivery_log`]). Records enter in ejection
+/// order — by cycle, then by destination station — as the ring clock
+/// passes them. A transit committed in closed form
+/// ([`DualRing::fused_data_stats`]) waits until then, so it lands between
+/// the real ejections exactly where the flit would have ejected. The
+/// log is therefore bit-identical between the exhaustive and the
+/// event-driven engines, fused or not.
 ///
 /// Each direction retains a bounded trailing window (at least
 /// [`DeliveryLog::WINDOW`] records, at most twice that — eviction drains
@@ -85,6 +93,11 @@ pub struct DeliveryLog {
     pub data_dropped: u64,
     /// Oldest credit-ring records evicted from the window.
     pub credit_dropped: u64,
+    /// Fused transits on each ring (0 = data, 1 = credit) that eject
+    /// after the ring clock, in ejection order: at most the hops of the
+    /// cascades in flight. Cascades commit forward in time, so nearly
+    /// every transit is appended at the back.
+    fused: [VecDeque<Transit>; 2],
 }
 
 impl DeliveryLog {
@@ -107,6 +120,55 @@ impl DeliveryLog {
     /// Append a credit-ring delivery, evicting the oldest window if full.
     pub fn record_credit(&mut self, d: Delivery) {
         Self::record(&mut self.credit, &mut self.credit_dropped, d);
+    }
+
+    /// Hold a fused transit of ring `r` until the ring clock passes it.
+    fn hold(&mut self, r: usize, t: Transit) {
+        let q = &mut self.fused[r];
+        let mut i = q.len();
+        while i > 0 && q[i - 1] > t {
+            i -= 1;
+        }
+        q.insert(i, t);
+    }
+
+    /// Append a delivery on ring `r` (0 = data, 1 = credit).
+    fn record_on(&mut self, r: usize, d: Delivery) {
+        match r {
+            0 => self.record_data(d),
+            _ => self.record_credit(d),
+        }
+    }
+
+    /// Append the fused transits of ring `r` that eject before
+    /// `(cycle, station)`.
+    fn pass(&mut self, r: usize, before: (u64, NodeId)) {
+        while let Some(&(cycle, dst, src, stream)) = self.fused[r].front() {
+            if (cycle, dst) >= before {
+                break;
+            }
+            self.fused[r].pop_front();
+            let d = Delivery {
+                cycle,
+                src,
+                dst,
+                stream,
+            };
+            self.record_on(r, d);
+        }
+    }
+
+    /// Log a real ejection on ring `r`, after the fused transits that
+    /// eject before it.
+    fn eject(&mut self, r: usize, d: Delivery) {
+        self.pass(r, (d.cycle, d.dst));
+        self.record_on(r, d);
+    }
+
+    /// Append every fused transit that ejects by `cycle`, the ring clock.
+    fn pass_through(&mut self, cycle: u64) {
+        self.pass(0, (cycle + 1, 0));
+        self.pass(1, (cycle + 1, 0));
     }
 }
 
@@ -495,12 +557,15 @@ impl<P: Clone> DualRing<P> {
             self.stats[0].total_latency += lat;
             self.stats[0].max_latency = self.stats[0].max_latency.max(lat);
             if let Some(log) = self.delivery_log.as_deref_mut() {
-                log.record_data(Delivery {
-                    cycle: self.cycle,
-                    src: f.src,
-                    dst: f.dst,
-                    stream: f.stream,
-                });
+                log.eject(
+                    0,
+                    Delivery {
+                        cycle: self.cycle,
+                        src: f.src,
+                        dst: f.dst,
+                        stream: f.stream,
+                    },
+                );
             }
             self.data_rx[dst].push_back(f);
         }
@@ -542,14 +607,20 @@ impl<P: Clone> DualRing<P> {
             self.stats[1].total_latency += lat;
             self.stats[1].max_latency = self.stats[1].max_latency.max(lat);
             if let Some(log) = self.delivery_log.as_deref_mut() {
-                log.record_credit(Delivery {
-                    cycle: self.cycle,
-                    src: c.src,
-                    dst: c.dst,
-                    stream: c.stream,
-                });
+                log.eject(
+                    1,
+                    Delivery {
+                        cycle: self.cycle,
+                        src: c.src,
+                        dst: c.dst,
+                        stream: c.stream,
+                    },
+                );
             }
             self.credit_rx[dst].push_back(c);
+        }
+        if let Some(log) = self.delivery_log.as_deref_mut() {
+            log.pass_through(self.cycle);
         }
     }
 
@@ -641,10 +712,14 @@ impl<P: Clone> DualRing<P> {
     /// Advance time by `k` cycles in one go, where all `k` skipped steps
     /// are pure rotations (the caller must ensure `k <= rotation_steps()`).
     /// Equivalent to `k` calls to [`DualRing::step`]: the clock advances
-    /// and occupied slots rotate, but nothing is injected or ejected.
+    /// and occupied slots rotate, but nothing is injected or ejected (the
+    /// delivery log takes the fused transits the clock passes).
     pub fn skip(&mut self, k: u64) {
         debug_assert!(k <= self.rotation_steps(), "ring skip past its horizon");
         self.cycle += k;
+        if let Some(log) = self.delivery_log.as_deref_mut() {
+            log.pass_through(self.cycle);
+        }
         let n = self.n as u64;
         let r = (if k < n { k } else { k % n }) as usize;
         self.data_rot += r;
@@ -686,35 +761,43 @@ impl<P: Clone> DualRing<P> {
             && self.sched_multi_hop == 0
     }
 
-    /// Account a distance-1 data-ring transit in closed form: the delivery
-    /// statistics a real flit injected at `at` would have produced, without
-    /// ever occupying a slot. Returns the ejection cycle (`at + 1`).
+    /// Account a distance-1 data-ring transit of `stream` in closed form:
+    /// the delivery statistics a real flit injected at `at` would have
+    /// produced, without ever occupying a slot. Returns the ejection cycle
+    /// (`at + 1`).
     ///
-    /// Only valid while [`DualRing::multi_hop_quiet`] holds and the
-    /// delivery log is disabled: distance-1 transits never stall and never
-    /// linger in a slot, so `delivered`, `total_latency` and `max_latency`
-    /// come out bit-identical to stepping the flit through.
-    pub fn fused_data_stats(&mut self, src: NodeId, dst: NodeId, at: u64) -> u64 {
-        let dist = self.data_distance(src, dst) as u64;
-        debug_assert_eq!(dist, 1, "cascade fusion is distance-1 only");
-        debug_assert!(at >= self.cycle, "fused transit in the past");
-        debug_assert!(self.delivery_log.is_none(), "fused transit while logging");
-        self.stats[0].delivered += 1;
-        self.stats[0].total_latency += dist;
-        self.stats[0].max_latency = self.stats[0].max_latency.max(dist);
-        at + dist
+    /// Only valid while [`DualRing::multi_hop_quiet`] holds: distance-1
+    /// transits never stall and never linger in a slot, so `delivered`,
+    /// `total_latency` and `max_latency` come out bit-identical to
+    /// stepping the flit through. The statistics count the transit at
+    /// once, ahead of the clock; the delivery log, when on, records it
+    /// when the clock passes its ejection, in ejection order.
+    pub fn fused_data_stats(&mut self, src: NodeId, dst: NodeId, stream: u32, at: u64) -> u64 {
+        self.fused_transit(0, (src, dst, stream), self.data_distance(src, dst), at)
     }
 
     /// Account a distance-1 credit-ring transit in closed form (see
     /// [`DualRing::fused_data_stats`]). Returns the ejection cycle.
-    pub fn fused_credit_stats(&mut self, src: NodeId, dst: NodeId, at: u64) -> u64 {
-        let dist = self.credit_distance(src, dst) as u64;
+    pub fn fused_credit_stats(&mut self, src: NodeId, dst: NodeId, stream: u32, at: u64) -> u64 {
+        self.fused_transit(1, (src, dst, stream), self.credit_distance(src, dst), at)
+    }
+
+    fn fused_transit(
+        &mut self,
+        r: usize,
+        (src, dst, stream): (NodeId, NodeId, u32),
+        dist: usize,
+        at: u64,
+    ) -> u64 {
         debug_assert_eq!(dist, 1, "cascade fusion is distance-1 only");
         debug_assert!(at >= self.cycle, "fused transit in the past");
-        debug_assert!(self.delivery_log.is_none(), "fused transit while logging");
-        self.stats[1].delivered += 1;
-        self.stats[1].total_latency += dist;
-        self.stats[1].max_latency = self.stats[1].max_latency.max(dist);
+        let (dist, s) = (dist as u64, &mut self.stats[r]);
+        s.delivered += 1;
+        s.total_latency += dist;
+        s.max_latency = s.max_latency.max(dist);
+        if let Some(log) = self.delivery_log.as_deref_mut() {
+            log.hold(r, (at + dist, dst, src, stream));
+        }
         at + dist
     }
 }
@@ -1004,6 +1087,55 @@ mod tests {
         // Delivery cycle minus hop distance reconstructs the path start.
         let d = ring.data_distance(log.data[0].src, log.data[0].dst) as u64;
         assert_eq!(log.data[0].cycle - d + 1, 1, "first hop crossed at cycle 1");
+    }
+
+    #[test]
+    fn fused_transits_enter_the_delivery_log_in_ejection_order() {
+        // The same distance-1 flits on two logging rings: one flies them
+        // all, the other fuses every second one. Same-cycle ejections at
+        // several stations interleave fused and real records, and a clock
+        // jump passes fused ones; logs and statistics must match.
+        let flits: [(bool, usize, u64); 8] = [
+            (true, 4, 3),
+            (true, 1, 3),
+            (false, 5, 3),
+            (true, 6, 3),
+            (false, 2, 4),
+            (true, 0, 4),
+            (true, 3, 9),
+            (false, 7, 9),
+        ];
+        let run = |fuse: bool| {
+            let mut r: DualRing<u64> = DualRing::new(8);
+            r.enable_delivery_log();
+            for (i, &(data, src, at)) in flits.iter().enumerate() {
+                let stream = 10 + i as u32;
+                let fused = fuse && i % 2 == 1;
+                match (data, fused) {
+                    (true, false) => r.send_data_at(src, (src + 1) % 8, stream, 0, at),
+                    (false, false) => r.send_credit_at(src, (src + 7) % 8, stream, 1, at),
+                    (true, true) => _ = r.fused_data_stats(src, (src + 1) % 8, stream, at),
+                    (false, true) => _ = r.fused_credit_stats(src, (src + 7) % 8, stream, at),
+                }
+            }
+            while r.cycle() < 12 {
+                match r.rotation_steps() {
+                    0 => r.step(),
+                    k => r.skip(k.min(12 - r.cycle())),
+                }
+            }
+            let stats: Vec<_> = r
+                .stats
+                .iter()
+                .map(|s| (s.delivered, s.total_latency, s.max_latency))
+                .collect();
+            let log = r.delivery_log().unwrap();
+            (log.data.clone(), log.credit.clone(), stats)
+        };
+        let (flown, fused) = (run(false), run(true));
+        assert_eq!(flown, fused);
+        let order: Vec<_> = flown.0.iter().map(|d| (d.cycle, d.dst)).collect();
+        assert_eq!(order, [(4, 2), (4, 5), (4, 7), (5, 1), (10, 4)]);
     }
 
     #[test]
