@@ -69,11 +69,7 @@ pub fn component_ceilings(spec: &DeploySpec, report: &Report) -> Vec<ComponentCe
     let mut out = Vec::new();
     let mut gi = 0;
     for v in &views {
-        let margin = if spec.is_multi() {
-            crate::profile::multi_tau_margin(spec, v.chain.len() as u64, v.c0())
-        } else {
-            crate::profile::tau_margin(spec)
-        };
+        let margin = crate::profile::gateway_tau_margin(spec, v);
         let ring_dist: u64 = layout
             .segments(v.index)
             .iter()

@@ -29,7 +29,7 @@
 
 use crate::diag::{Diagnostic, Location, Report, RuleId, Severity};
 use crate::rules::{analyze_with, AnalysisOptions};
-use crate::spec::DeploySpec;
+use crate::spec::{DeploySpec, GatewayView};
 use streamgate_core::monitor::{Monitor, MonitorConfig};
 pub use streamgate_core::profile::parse_profile;
 use streamgate_core::profile::{HopProfile, RunProfile};
@@ -67,6 +67,18 @@ pub fn multi_tau_margin(spec: &DeploySpec, view_chain_len: u64, c0: u64) -> u64 
         .saturating_sub(1)
         .saturating_mul(c0)
         .saturating_add(16 + 8 * view_chain_len + 2 * ring)
+}
+
+/// Per-block measurement margin of gateway pair `view` of `spec`:
+/// [`multi_tau_margin`] on a multi-gateway deployment, else
+/// [`tau_margin`]. The τ̂ monitor, the blame ceilings and the A12
+/// transition bound all add this one margin.
+pub(crate) fn gateway_tau_margin(spec: &DeploySpec, view: &GatewayView) -> u64 {
+    if spec.is_multi() {
+        multi_tau_margin(spec, view.chain.len() as u64, view.c0())
+    } else {
+        tau_margin(spec)
+    }
 }
 
 /// Round measurement margin: every block of the round carries the
@@ -469,11 +481,7 @@ pub fn monitor_config_for(spec: &DeploySpec, report: &Report, system: &System) -
     let views = spec.gateway_views();
     let mut flat = 0usize;
     for v in &views {
-        let margin = if spec.is_multi() {
-            multi_tau_margin(spec, v.chain.len() as u64, v.c0())
-        } else {
-            tau_margin(spec)
-        };
+        let margin = gateway_tau_margin(spec, v);
         let n = v.streams.len() as u64;
         let mut gamma_g = None;
         for (s, st) in v.streams.iter().enumerate() {

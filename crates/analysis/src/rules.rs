@@ -401,11 +401,7 @@ pub fn transition_delay_bound(
     let views = spec.gateway_views();
     let v = &views[gateway];
     let p = spec.config_bus_period.unwrap_or(0);
-    let margin = if spec.is_multi() {
-        crate::profile::multi_tau_margin(spec, v.chain.len() as u64, v.c0())
-    } else {
-        crate::profile::tau_margin(spec)
-    };
+    let margin = crate::profile::gateway_tau_margin(spec, v);
     // Saturating: a γ near `u64::MAX` (or the saturated γ of a report
     // whose round bound overflows) must not wrap to a small bound.
     TransitionBound {

@@ -404,10 +404,10 @@ fn chain_ring_distance(system: &System, g: usize) -> u64 {
     let mut dist = 0u64;
     for a in &gw.chain {
         let n = system.accels[a.0].node;
-        dist += system.ring.data_distance(prev, n) as u64;
+        dist += system.ring.data.distance(prev, n) as u64;
         prev = n;
     }
-    dist + system.ring.data_distance(prev, gw.exit_node) as u64
+    dist + system.ring.data.distance(prev, gw.exit_node) as u64
 }
 
 /// Fold a finished fully-traced run into a [`BlameReport`].

@@ -722,7 +722,7 @@ mod tests {
         // keep its position (absolute indexing), still check what it can
         // see, and report the gap honestly instead of re-reading shifted
         // indices.
-        let mut t = Tracer::flight_recorder(0, 2);
+        let mut t = Tracer::flight_recorder(2);
         let mut m = Monitor::new(cfg_one_gateway(Some(100), None));
         for k in 0..40u64 {
             t.emit(|| block_end(0, 10 * k, 10 * k + 5));

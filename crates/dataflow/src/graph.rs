@@ -233,11 +233,6 @@ impl CsdfGraph {
         &self.actors[id.0]
     }
 
-    /// Mutable actor metadata (e.g. to re-parameterise durations).
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut Actor {
-        &mut self.actors[id.0]
-    }
-
     /// Edge metadata.
     pub fn edge(&self, id: EdgeId) -> &Edge {
         &self.edges[id.0]

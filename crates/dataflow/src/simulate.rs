@@ -66,23 +66,6 @@ impl SimTrace {
         let dn = (f.len() - 1 - mid) as i128;
         Some(Rational::new(dt as i128, dn))
     }
-
-    /// Average throughput of an actor in firings per cycle over the second
-    /// half of the trace.
-    pub fn throughput_estimate(&self, a: ActorId) -> Option<Rational> {
-        self.period_estimate(a).map(|p| {
-            if p.is_zero() {
-                Rational::from_int(i64::MAX as i128)
-            } else {
-                p.recip()
-            }
-        })
-    }
-
-    /// Time at which the `n`-th firing (0-based) of an actor completed.
-    pub fn completion_time(&self, a: ActorId, n: usize) -> Option<Time> {
-        self.firings[a.index()].get(n).map(|f| f.end)
-    }
 }
 
 /// Simulation controls.

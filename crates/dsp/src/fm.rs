@@ -7,7 +7,7 @@
 //! discriminator structure.
 
 use crate::complex::Complex;
-use crate::cordic::{fixed_to_radians, Cordic};
+use crate::cordic::Cordic;
 
 /// FM modulator (used by the PAL signal synthesiser).
 #[derive(Clone, Debug)]
@@ -98,11 +98,6 @@ impl FmDemodulator {
 pub fn reference_demod(prev: Complex, s: Complex, deviation: f64, fs: f64) -> f64 {
     let d = s * prev.conj();
     d.arg() * fs / (std::f64::consts::TAU * deviation)
-}
-
-/// Convert a fixed-point CORDIC angle to message units.
-pub fn angle_to_message(angle_q29: i64, deviation: f64, fs: f64) -> f64 {
-    fixed_to_radians(angle_q29) * fs / (std::f64::consts::TAU * deviation)
 }
 
 #[cfg(test)]

@@ -295,16 +295,6 @@ impl Problem {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Variable metadata.
-    pub fn var_info(&self, v: Var) -> &VarInfo {
-        &self.vars[v.0]
-    }
-
     /// Post a constraint.
     pub fn add_constraint(&mut self, c: Constraint) {
         for v in c.expr.terms.keys() {

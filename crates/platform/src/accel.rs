@@ -168,12 +168,13 @@ impl AcceleratorTile {
 
     /// Advance one cycle: poll the NI, process, forward.
     pub fn step(&mut self, ring: &mut DualRing<Sample>, now: u64) {
+        debug_assert_eq!(ring.cycle(), now, "lock-step tile off the ring clock");
         self.rx.poll_data(ring);
         self.tx.poll_credits(ring);
 
         // Try to forward a finished sample first.
         if let Some(out) = self.pending_out {
-            if self.tx.try_send(ring, out) {
+            if self.tx.send_at(ring, out, now) {
                 self.pending_out = None;
                 self.samples_out += 1;
             }
@@ -194,7 +195,7 @@ impl AcceleratorTile {
         if self.rx.is_empty() {
             return;
         }
-        let s = self.rx.pop(ring).expect("non-empty rx");
+        let s = self.rx.pop_at(ring, now).expect("non-empty rx");
         self.samples_in += 1;
         self.busy_until = now + self.cycles_per_sample;
         self.busy_cycles += 1;
@@ -439,11 +440,6 @@ impl AcceleratorTile {
         }
     }
 
-    /// Name of the installed kernel, if any.
-    pub fn kernel_name(&self) -> Option<String> {
-        self.kernel.as_ref().map(|k| k.name().to_string())
-    }
-
     /// State words of the installed kernel (configuration-bus payload).
     pub fn kernel_state_words(&self) -> usize {
         self.kernel.as_ref().map(|k| k.state_words()).unwrap_or(0)
@@ -469,13 +465,13 @@ mod tests {
         for now in 0..cycles {
             producer_tx.poll_credits(&mut ring);
             if let Some(&s) = inputs.last() {
-                if producer_tx.try_send(&mut ring, s) {
+                if producer_tx.send_at(&mut ring, s, now) {
                     inputs.pop();
                 }
             }
             acc.step(&mut ring, now);
             consumer_rx.poll_data(&mut ring);
-            if let Some(s) = consumer_rx.pop(&mut ring) {
+            if let Some(s) = consumer_rx.pop_at(&mut ring, now) {
                 out.push(s);
             }
             ring.step();
@@ -515,7 +511,7 @@ mod tests {
         let mut ring: DualRing<Sample> = DualRing::new(4);
         let mut acc = AcceleratorTile::new("acc", 1, 0, 10, 2, 11, 2, 1);
         let mut producer_tx = CreditTx::new(0, 1, 10, 2);
-        assert!(producer_tx.try_send(&mut ring, (5.0, 0.0)));
+        assert!(producer_tx.send_at(&mut ring, (5.0, 0.0), 0));
         for now in 0..20 {
             acc.step(&mut ring, now);
             ring.step();
@@ -537,13 +533,13 @@ mod tests {
         for now in 0..200 {
             producer_tx.poll_credits(&mut ring);
             if let Some(&s) = pending.last() {
-                if producer_tx.try_send(&mut ring, s) {
+                if producer_tx.send_at(&mut ring, s, now) {
                     pending.pop();
                 }
             }
             acc.step(&mut ring, now);
             consumer_rx.poll_data(&mut ring);
-            consumer_rx.pop(&mut ring);
+            consumer_rx.pop_at(&mut ring, now);
             ring.step();
         }
         assert!(acc.is_drained(200));
@@ -569,13 +565,13 @@ mod tests {
         for now in 0..400 {
             producer_tx.poll_credits(&mut ring);
             if let Some(&s) = pending.last() {
-                if producer_tx.try_send(&mut ring, s) {
+                if producer_tx.send_at(&mut ring, s, now) {
                     pending.pop();
                 }
             }
             acc.step(&mut ring, now);
             consumer_rx.poll_data(&mut ring);
-            if consumer_rx.pop(&mut ring).is_some() {
+            if consumer_rx.pop_at(&mut ring, now).is_some() {
                 arrivals.push(now);
             }
             ring.step();

@@ -131,9 +131,6 @@ pub struct GatewayPair {
     pub dma_cycles_per_sample: u64,
     /// Exit copy cost per sample (δ, 1 cycle in the paper).
     pub exit_cycles_per_sample: u64,
-    /// Apply `R_s` even when the next block belongs to the same stream
-    /// (matches the analysis, which charges R_s per block).
-    pub reconfig_on_same_stream: bool,
     /// §V-G check-for-space admission test: refuse to start a block unless
     /// the output C-FIFO can hold all of it. Disabling this reproduces the
     /// head-of-line blocking of Fig. 9 (the exit gateway stalls on a full
@@ -226,7 +223,6 @@ impl GatewayPair {
             chain,
             dma_cycles_per_sample,
             exit_cycles_per_sample,
-            reconfig_on_same_stream: true,
             check_for_space: true,
             trace_id: 0,
             shared_chain: false,
@@ -526,7 +522,6 @@ impl GatewayPair {
     ) {
         let gw = self.trace_id;
         let switching = self.active != Some(idx);
-        let charge_reconfig = switching || self.reconfig_on_same_stream;
         // Configuration bus: save the previous stream's kernel contexts,
         // restore the next stream's.
         if switching {
@@ -578,11 +573,9 @@ impl GatewayPair {
         self.block_received = 0;
         self.block_dma_stall = 0;
         self.block_exit_stall = 0;
-        let r = if charge_reconfig {
-            self.streams[idx].reconfig_cycles
-        } else {
-            0
-        };
+        // `R_s` is charged per block, even to a block of the stream already
+        // configured, as the analysis charges it.
+        let r = self.streams[idx].reconfig_cycles;
         self.reconfig_cycles_total += r;
         self.block_reconfig_end = now + r;
         tracer.emit(|| TraceEvent::BlockStart {
@@ -689,6 +682,7 @@ impl GatewayPair {
         tracer: &mut Tracer,
         now: u64,
     ) {
+        debug_assert_eq!(ring.cycle(), now, "lock-step tile off the ring clock");
         let gw = self.trace_id;
         // ---- exit gateway side: drain the chain into the output FIFO ----
         self.exit_rx.poll_data(ring);
@@ -709,7 +703,7 @@ impl GatewayPair {
                     self.block_exit_stall += 1;
                     tracer.stall_cycle(gw, StallCause::ExitFifoFull, now);
                 } else {
-                    let s = self.exit_rx.pop(ring).expect("non-empty exit rx");
+                    let s = self.exit_rx.pop_at(ring, now).expect("non-empty exit rx");
                     let ok = fifos[out_fifo.0].try_push(s, now);
                     debug_assert!(ok, "space was checked above");
                     self.block_received += 1;
@@ -769,7 +763,7 @@ impl GatewayPair {
                         let s = fifos[in_fifo.0]
                             .pop()
                             .expect("admission guaranteed a full block");
-                        let ok = self.dma_tx.try_send(ring, s);
+                        let ok = self.dma_tx.send_at(ring, s, now);
                         debug_assert!(ok);
                         self.chain_fed += 1;
                         self.dma_busy_cycles += self.dma_cycles_per_sample;
@@ -1056,7 +1050,7 @@ impl GatewayPair {
         let s = fifos[in_fifo]
             .pop()
             .expect("admission guaranteed a full block");
-        let took = self.dma_tx.fused_take(tau, now);
+        let took = self.dma_tx.take_at(tau, now);
         debug_assert!(took, "availability was checked above");
         self.chain_fed += 1;
         self.fused_sends += 1;
@@ -1086,7 +1080,7 @@ impl GatewayPair {
             } else {
                 let next_node = accels[self.chain[i + 1].0].node;
                 let acc = &mut accels[a.0];
-                let took = acc.tx.fused_take(arrival + 1, now);
+                let took = acc.tx.take_at(arrival + 1, now);
                 debug_assert!(took, "availability was checked above");
                 acc.fused_forward(arrival + 1);
                 arrival = ring.fused_data_stats(node, next_node, acc.tx.stream, arrival + 1);

@@ -115,11 +115,6 @@ impl ProcessorTile {
         self.period += budget;
     }
 
-    /// Number of tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Which task owns cycle `pos` of the period.
     fn task_at(&self, pos: u64) -> usize {
         let mut acc = 0;

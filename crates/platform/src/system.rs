@@ -241,7 +241,7 @@ impl System {
     /// complete log subsumes the recorder.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         if !self.tracer.is_full() {
-            self.tracer = Tracer::flight_recorder(0, capacity);
+            self.tracer = Tracer::flight_recorder(capacity);
         }
     }
 
@@ -607,12 +607,12 @@ impl System {
                 let mut ok = true;
                 for a in &g.chain {
                     let n = self.accels[a.0].node;
-                    ok &= self.ring.data_distance(prev, n) == 1
-                        && self.ring.credit_distance(n, prev) == 1;
+                    ok &= self.ring.data.distance(prev, n) == 1
+                        && self.ring.credit.distance(n, prev) == 1;
                     prev = n;
                 }
-                ok &= self.ring.data_distance(prev, g.exit_node) == 1
-                    && self.ring.credit_distance(g.exit_node, prev) == 1;
+                ok &= self.ring.data.distance(prev, g.exit_node) == 1
+                    && self.ring.credit.distance(g.exit_node, prev) == 1;
                 if !ok {
                     return false;
                 }
@@ -737,7 +737,7 @@ impl System {
                 // a lock-step observer reads there: read it now, before a
                 // gateway commits a fused firing on it ahead of the clock.
                 let due = hot.h[hot.acc_base + k] <= start
-                    || self.ring.rx_pending(self.accels[k].node) > 0;
+                    || self.ring.data.rx_pending(self.accels[k].node) > 0;
                 if !due {
                     self.read_accel(&mut hot.flips, k, start);
                 }
@@ -761,13 +761,13 @@ impl System {
             // poll is exact).
             for j in 0..ng {
                 let (e, x) = hot.gw_nodes[j];
-                if self.ring.rx_pending(e) > 0 || self.ring.rx_pending(x) > 0 {
+                if self.ring.data.rx_pending(e) > 0 || self.ring.data.rx_pending(x) > 0 {
                     let t = hot.gw_base + j;
                     hot.h[t] = hot.h[t].min(now);
                 }
             }
             for k in 0..na {
-                if self.ring.rx_pending(self.accels[k].node) > 0 {
+                if self.ring.data.rx_pending(self.accels[k].node) > 0 {
                     let t = hot.acc_base + k;
                     hot.h[t] = hot.h[t].min(hot.acct[t].max(now));
                 }

@@ -440,10 +440,9 @@ impl Tracer {
     /// adds (accelerator windows, high-water marks, samples, deferred
     /// check-for-space cycles), and the ring never grows past
     /// `2 × capacity` entries.
-    pub fn flight_recorder(sample_interval: u64, capacity: usize) -> Self {
+    pub fn flight_recorder(capacity: usize) -> Self {
         Tracer {
             data: Some(Box::new(TraceData {
-                sample_interval,
                 bound: capacity.max(1),
                 ..TraceData::default()
             })),
@@ -1037,7 +1036,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_recent_events_and_counts_drops() {
-        let mut t = Tracer::flight_recorder(0, 4);
+        let mut t = Tracer::flight_recorder(4);
         assert!(t.is_enabled() && !t.is_full());
         assert_eq!(t.recorder_bound(), 4);
         for k in 0..20u64 {

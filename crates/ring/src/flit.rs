@@ -4,38 +4,24 @@
 //! completes for a producer when the interconnect accepts"); the credit ring
 //! carries flow-control credits in the opposite direction (§IV: "a second
 //! ring for the communication of credits in the opposite direction as the
-//! data").
+//! data"). Both carry the same flit; only its body differs.
 
 /// Identifier of a tile's network interface on the ring.
 pub type NodeId = usize;
 
-/// A posted-write flit on the data ring.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DataFlit<P> {
+/// A flit on one ring: the payload word of a posted write on the data
+/// ring, the number of buffer locations granted on the credit ring.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Flit<B> {
     /// Source node (for statistics and ordering checks).
     pub src: NodeId,
     /// Destination node; ejection is guaranteed on arrival.
     pub dst: NodeId,
-    /// Logical stream/channel the payload belongs to.
+    /// Logical stream/channel the body belongs to.
     pub stream: u32,
-    /// The payload word.
-    pub payload: P,
-    /// Injection cycle (for latency accounting).
-    pub injected_at: u64,
-}
-
-/// A credit flit on the credit ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CreditFlit {
-    /// Source node (the consumer returning space).
-    pub src: NodeId,
-    /// Destination node (the producer being granted space).
-    pub dst: NodeId,
-    /// Stream the credits belong to.
-    pub stream: u32,
-    /// Number of buffer locations granted.
-    pub amount: u32,
-    /// Injection cycle.
+    /// The payload word or credit amount.
+    pub body: B,
+    /// Send cycle (for latency accounting).
     pub injected_at: u64,
 }
 
@@ -45,21 +31,21 @@ mod tests {
 
     #[test]
     fn flit_construction() {
-        let f = DataFlit {
+        let f = Flit {
             src: 0,
             dst: 3,
             stream: 7,
-            payload: 42u64,
+            body: 42u64,
             injected_at: 100,
         };
         assert_eq!(f.dst, 3);
-        let c = CreditFlit {
+        let c = Flit {
             src: 3,
             dst: 0,
             stream: 7,
-            amount: 2,
+            body: 2u32,
             injected_at: 101,
         };
-        assert_eq!(c.amount, 2);
+        assert_eq!(c.body, 2);
     }
 }

@@ -6,6 +6,14 @@
 //! (Dekens et al., IPDPSW 2015, §IV; the ring itself is from the authors'
 //! DASIP 2013/2014 papers).
 //!
+//! The paper's interconnect is one slotted-ring design used twice, and so
+//! is this crate's: one [`Ring`] implementation, run forward as
+//! [`DualRing::data`] and backward as [`DualRing::credit`] on one clock.
+//! Each ring has one send, [`Ring::send`], which takes the cycle to send
+//! at (the current cycle sends now, a later one commits ahead of the
+//! clock), and one receive, [`Ring::receive`], which hands an endpoint its
+//! delivered flits and keeps the rest queued in order.
+//!
 //! Properties modelled:
 //!
 //! * unidirectional **data ring**, one slot per link, one hop per cycle;
@@ -22,6 +30,6 @@ pub mod flit;
 pub mod network;
 pub mod ni;
 
-pub use flit::{CreditFlit, DataFlit, NodeId};
-pub use network::{Delivery, DeliveryLog, DualRing, RingStats};
+pub use flit::{Flit, NodeId};
+pub use network::{Delivery, DeliveryLog, DualRing, Ring, RingStats};
 pub use ni::{CreditRx, CreditTx};

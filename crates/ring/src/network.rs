@@ -1,10 +1,11 @@
 //! Cycle-level dual-ring interconnect.
 //!
 //! Models the low-cost guaranteed-throughput ring of Dekens et al. (DASIP
-//! 2013/2014) that the paper uses as its inter-tile interconnect:
+//! 2013/2014) that the paper uses as its inter-tile interconnect. One
+//! slotted [`Ring`] design is run twice, in opposite directions:
 //!
 //! * **data ring** — unidirectional, one hop per cycle, one slot per link;
-//! * **credit ring** — identical structure, opposite direction, carrying
+//! * **credit ring** — the same ring run the opposite way, carrying
 //!   flow-control credits;
 //! * **posted writes** — a producer's write completes when the ring accepts
 //!   it (an empty slot passes its station);
@@ -13,10 +14,10 @@
 //!   control), so flits never circulate and a slot freed by ejection is
 //!   immediately reusable: bounded injection latency and throughput follow.
 //!
-//! Each cycle: slots advance one position, destinations eject, stations
-//! inject into the (now possibly empty) local slot.
+//! Each cycle, on each ring: stations inject into their local slot if it
+//! is empty, all slots advance one hop, and arriving flits eject.
 
-use crate::flit::{CreditFlit, DataFlit, NodeId};
+use crate::flit::{Flit, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -31,17 +32,6 @@ pub struct RingStats {
     pub max_latency: u64,
     /// Cycles a station spent waiting with a flit ready but no free slot.
     pub injection_stalls: u64,
-}
-
-impl RingStats {
-    /// Mean delivery latency in cycles.
-    pub fn mean_latency(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.delivered as f64
-        }
-    }
 }
 
 /// One delivered flit, as recorded by the optional [`DeliveryLog`].
@@ -65,7 +55,7 @@ pub struct Delivery {
 }
 
 /// A fused transit waiting for the ring clock: `(ejection cycle,
-/// destination, source, stream)`, ordered as [`DualRing::step`] ejects.
+/// destination, source, stream)`, ordered as a ring step ejects.
 type Transit = (u64, NodeId, NodeId, u32);
 
 /// Log of delivered flits on both rings, kept only when a profiler asked
@@ -104,22 +94,18 @@ impl DeliveryLog {
     /// Minimum number of most-recent records retained per ring direction.
     pub const WINDOW: usize = 1 << 20;
 
-    fn record(list: &mut Vec<Delivery>, dropped: &mut u64, d: Delivery) {
+    /// Append a delivery on ring `r` (0 = data, 1 = credit), evicting the
+    /// oldest window if full.
+    fn record(&mut self, r: usize, d: Delivery) {
+        let (list, dropped) = match r {
+            0 => (&mut self.data, &mut self.data_dropped),
+            _ => (&mut self.credit, &mut self.credit_dropped),
+        };
         if list.len() >= 2 * Self::WINDOW {
             list.drain(..Self::WINDOW);
             *dropped += Self::WINDOW as u64;
         }
         list.push(d);
-    }
-
-    /// Append a data-ring delivery, evicting the oldest window if full.
-    pub fn record_data(&mut self, d: Delivery) {
-        Self::record(&mut self.data, &mut self.data_dropped, d);
-    }
-
-    /// Append a credit-ring delivery, evicting the oldest window if full.
-    pub fn record_credit(&mut self, d: Delivery) {
-        Self::record(&mut self.credit, &mut self.credit_dropped, d);
     }
 
     /// Hold a fused transit of ring `r` until the ring clock passes it.
@@ -130,14 +116,6 @@ impl DeliveryLog {
             i -= 1;
         }
         q.insert(i, t);
-    }
-
-    /// Append a delivery on ring `r` (0 = data, 1 = credit).
-    fn record_on(&mut self, r: usize, d: Delivery) {
-        match r {
-            0 => self.record_data(d),
-            _ => self.record_credit(d),
-        }
     }
 
     /// Append the fused transits of ring `r` that eject before
@@ -154,7 +132,7 @@ impl DeliveryLog {
                 dst,
                 stream,
             };
-            self.record_on(r, d);
+            self.record(r, d);
         }
     }
 
@@ -162,7 +140,7 @@ impl DeliveryLog {
     /// eject before it.
     fn eject(&mut self, r: usize, d: Delivery) {
         self.pass(r, (d.cycle, d.dst));
-        self.record_on(r, d);
+        self.record(r, d);
     }
 
     /// Append every fused transit that ejects by `cycle`, the ring clock.
@@ -172,10 +150,10 @@ impl DeliveryLog {
     }
 }
 
-/// A posted write committed for a future cycle (see
-/// [`DualRing::send_data_at`]). Ordered by `(at, seq)` so a `BinaryHeap`
-/// of them pops the earliest commitment first; `seq` preserves program
-/// order among same-cycle commitments from the same station.
+/// A send committed for a future cycle (see [`Ring::send`]). Ordered by
+/// `(at, seq)` so a `BinaryHeap` of them pops the earliest commitment
+/// first; `seq` preserves program order among same-cycle commitments from
+/// the same station.
 #[derive(Clone, Debug)]
 struct Scheduled<F> {
     at: u64,
@@ -204,104 +182,86 @@ impl<F> Ord for Scheduled<F> {
     }
 }
 
-/// The dual-ring interconnect with `n` stations.
+/// One slotted ring of `n` stations carrying flits with bodies of type
+/// `B`: one slot register per station, every slot moving one hop per
+/// cycle, forward (station `i` to `i + 1`) when `FORWARD`, else backward.
+/// [`DualRing`] runs one each way on one clock.
 ///
 /// # Representation (batched-span support)
 ///
-/// Slot registers are stored in fixed backing vectors that never move;
-/// rotation is a per-ring offset (`data_rot` / `credit_rot`) bumped each
-/// step, so [`DualRing::skip`] is O(1) regardless of the span length. Every
-/// in-flight flit's ejection cycle is known exactly at injection time
-/// (latency == hop distance), so each ring keeps a min-heap of scheduled
-/// `(ejection cycle, destination)` pairs: [`DualRing::rotation_steps`]
-/// answers in O(1) and [`DualRing::step`] ejects by direct slot addressing instead
-/// of scanning all stations — O(actual events), the property the platform's
-/// span-replay engine relies on to deliver k adjacent-hop flits without k
-/// full ring scans.
+/// Slot registers are stored in a fixed backing vector that never moves;
+/// rotation is an offset bumped each step, so a skip is O(1) regardless
+/// of the span length. Every in-flight flit's ejection cycle is known
+/// exactly at injection time (latency == hop distance), so the ring keeps
+/// a min-heap of scheduled `(ejection cycle, destination)` pairs: its
+/// rotation horizon answers in O(1) and a step ejects by direct slot
+/// addressing instead of scanning all stations — O(actual events), the
+/// property the platform's span engine relies on to deliver k
+/// adjacent-hop flits without k full ring scans.
 #[derive(Clone, Debug)]
-pub struct DualRing<P> {
+pub struct Ring<B, const FORWARD: bool> {
     n: usize,
     cycle: u64,
-    /// Data ring slot registers. The slot currently sitting at station `i`
-    /// is `data_slots[(i + n - data_rot) % n]`; advancing the ring is
-    /// `data_rot += 1` (mod n) instead of a memmove.
-    data_slots: Vec<Option<DataFlit<P>>>,
-    /// Credit ring slot registers, rotating the opposite way: station `i`
-    /// maps to `credit_slots[(i + credit_rot) % n]`.
-    credit_slots: Vec<Option<CreditFlit>>,
-    /// Rotation offsets (always `< n`).
-    data_rot: usize,
-    credit_rot: usize,
-    /// Scheduled ejections per ring: `(cycle, destination station)` for
-    /// every in-flight flit. `Reverse` turns `BinaryHeap` into a min-heap;
-    /// the `(cycle, dst)` order makes same-cycle ejections pop in station
-    /// order, matching the historical full-scan order exactly.
-    data_eject: BinaryHeap<Reverse<(u64, usize)>>,
-    credit_eject: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Slot registers. The slot currently at station `i` is
+    /// `slots[self.phys(i)]`; advancing the ring bumps `rot` (mod n)
+    /// instead of moving the slots.
+    slots: Vec<Option<Flit<B>>>,
+    /// Rotation offset (always `< n`).
+    rot: usize,
+    /// Scheduled ejections: `(cycle, destination station)` for every
+    /// in-flight flit. `Reverse` turns `BinaryHeap` into a min-heap; the
+    /// `(cycle, dst)` order makes same-cycle ejections pop in station
+    /// order, matching a full scan of the stations.
+    eject: BinaryHeap<Reverse<(u64, NodeId)>>,
     /// Per-station transmit queues.
-    data_tx: Vec<VecDeque<DataFlit<P>>>,
-    credit_tx: Vec<VecDeque<CreditFlit>>,
+    tx: Vec<VecDeque<Flit<B>>>,
+    /// Flits across the TX queues — lets the injection phase and the
+    /// horizons answer without scanning every queue.
+    tx_occupancy: usize,
     /// Per-station receive queues (guaranteed acceptance — unbounded here;
     /// boundedness is enforced end-to-end by credits).
-    data_rx: Vec<VecDeque<DataFlit<P>>>,
-    credit_rx: Vec<VecDeque<CreditFlit>>,
-    /// Flits across data / credit TX queues — lets the injection phase and
-    /// [`DualRing::rotation_steps`] answer without scanning every queue.
-    data_tx_occupancy: usize,
-    credit_tx_occupancy: usize,
-    /// Statistics (index 0 = data ring, 1 = credit ring).
-    pub stats: [RingStats; 2],
-    /// Per-delivery log, kept only while profiling.
-    delivery_log: Option<Box<DeliveryLog>>,
-    /// Sends committed for future cycles by the span engine
-    /// ([`DualRing::send_data_at`] / [`DualRing::send_credit_at`]). An
-    /// entry with activation cycle `a` drains into the normal TX queue at
-    /// the top of the [`DualRing::step`] entered while `cycle == a`, which
-    /// is bit-identical to the tile calling the immediate send at `a`.
-    sched_data: BinaryHeap<Scheduled<DataFlit<P>>>,
-    sched_credit: BinaryHeap<Scheduled<CreditFlit>>,
+    rx: Vec<VecDeque<Flit<B>>>,
+    /// Sends committed for future cycles. An entry with activation cycle
+    /// `a` drains into its TX queue at the top of the step entered while
+    /// `cycle == a`, which is bit-identical to sending it at `a`.
+    sched: BinaryHeap<Scheduled<Flit<B>>>,
     sched_seq: u64,
-    /// Committed-but-not-yet-activated sends (either ring) whose hop
-    /// distance exceeds 1. While zero — and the TX queues and ejection
-    /// heaps are empty — every present and future flit is distance-1 and
-    /// therefore confined to a single `(cycle, station)` slot cell, the
-    /// precondition for closed-form cascade fusion
-    /// ([`DualRing::multi_hop_quiet`]).
+    /// Committed-but-not-yet-activated sends whose hop distance exceeds 1.
+    /// While zero — and the TX queues and ejection heap are empty — every
+    /// present and future flit is distance-1 and therefore confined to a
+    /// single `(cycle, station)` slot cell, the precondition for
+    /// closed-form cascade fusion ([`DualRing::multi_hop_quiet`]).
     sched_multi_hop: usize,
 }
 
-impl<P: Clone> DualRing<P> {
-    /// A ring with `n ≥ 2` stations.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "ring needs at least two stations");
-        DualRing {
+impl<B, const FORWARD: bool> Ring<B, FORWARD> {
+    /// This ring's index in [`DualRing::stats`] and the [`DeliveryLog`].
+    const INDEX: usize = if FORWARD { 0 } else { 1 };
+
+    fn new(n: usize) -> Self {
+        Ring {
             n,
             cycle: 0,
-            data_slots: vec![None; n],
-            credit_slots: vec![None; n],
-            data_rot: 0,
-            credit_rot: 0,
-            data_eject: BinaryHeap::new(),
-            credit_eject: BinaryHeap::new(),
-            data_tx: (0..n).map(|_| VecDeque::new()).collect(),
-            credit_tx: (0..n).map(|_| VecDeque::new()).collect(),
-            data_rx: (0..n).map(|_| VecDeque::new()).collect(),
-            credit_rx: (0..n).map(|_| VecDeque::new()).collect(),
-            data_tx_occupancy: 0,
-            credit_tx_occupancy: 0,
-            stats: [RingStats::default(), RingStats::default()],
-            delivery_log: None,
-            sched_data: BinaryHeap::new(),
-            sched_credit: BinaryHeap::new(),
+            slots: (0..n).map(|_| None).collect(),
+            rot: 0,
+            eject: BinaryHeap::new(),
+            tx: (0..n).map(|_| VecDeque::new()).collect(),
+            tx_occupancy: 0,
+            rx: (0..n).map(|_| VecDeque::new()).collect(),
+            sched: BinaryHeap::new(),
             sched_seq: 0,
             sched_multi_hop: 0,
         }
     }
 
-    /// Backing index of the data-ring slot currently at station `i`.
+    /// Backing index of the slot currently at station `i`.
     #[inline]
-    fn data_phys(&self, i: usize) -> usize {
-        let k = i + self.n - self.data_rot;
+    fn phys(&self, i: usize) -> usize {
+        let k = if FORWARD {
+            i + self.n - self.rot
+        } else {
+            i + self.rot
+        };
         if k >= self.n {
             k - self.n
         } else {
@@ -309,20 +269,261 @@ impl<P: Clone> DualRing<P> {
         }
     }
 
-    /// Backing index of the credit-ring slot currently at station `i`.
-    #[inline]
-    fn credit_phys(&self, i: usize) -> usize {
-        let k = i + self.credit_rot;
-        if k >= self.n {
-            k - self.n
+    /// Hop distance from `src` to `dst` in this ring's direction.
+    pub fn distance(&self, src: NodeId, dst: NodeId) -> usize {
+        if FORWARD {
+            (dst + self.n - src) % self.n
         } else {
-            k
+            (src + self.n - dst) % self.n
+        }
+    }
+
+    /// Send `body` from `src` to `dst` on `stream` at cycle `at`, no
+    /// earlier than the ring clock ([`DualRing::cycle`]). At the clock's
+    /// cycle the flit enters `src`'s TX queue now; a later `at` commits it
+    /// ahead of the clock, bit-identically to sending it while the clock
+    /// reads `at` (injection stalls, delivery latency and the delivery log
+    /// all behave as if sent then). On the data ring the send is a posted
+    /// write: it completes for the producer once it leaves the TX queue
+    /// for a slot.
+    #[inline]
+    pub fn send(&mut self, src: NodeId, dst: NodeId, stream: u32, body: B, at: u64) {
+        assert!(src < self.n && dst < self.n && src != dst, "bad endpoints");
+        let flit = Flit {
+            src,
+            dst,
+            stream,
+            body,
+            injected_at: at,
+        };
+        if at == self.cycle {
+            self.tx[src].push_back(flit);
+            self.tx_occupancy += 1;
+            return;
+        }
+        assert!(at > self.cycle, "scheduled send in the past");
+        self.sched_seq += 1;
+        if self.distance(src, dst) > 1 {
+            self.sched_multi_hop += 1;
+        }
+        self.sched.push(Scheduled {
+            at,
+            seq: self.sched_seq,
+            flit,
+        });
+    }
+
+    /// Hand every flit delivered at station `node` from `src` on `stream`
+    /// to `take`, oldest first. Flits for the station's other endpoints
+    /// stay queued, in order.
+    #[inline]
+    pub fn receive(&mut self, node: NodeId, src: NodeId, stream: u32, mut take: impl FnMut(B)) {
+        let q = &mut self.rx[node];
+        for _ in 0..q.len() {
+            let f = q.pop_front().expect("counted above");
+            if f.src == src && f.stream == stream {
+                take(f.body);
+            } else {
+                q.push_back(f);
+            }
+        }
+    }
+
+    /// Number of delivered-but-unread flits at a station.
+    pub fn rx_pending(&self, node: NodeId) -> usize {
+        self.rx[node].len()
+    }
+
+    /// Flits waiting in a station's TX queue: sent, not yet accepted by
+    /// the ring (a send committed ahead joins at its cycle).
+    pub fn tx_backlog(&self, node: NodeId) -> usize {
+        self.tx[node].len()
+    }
+
+    /// Move the sends committed for the current cycle into the TX queues,
+    /// where a send at this cycle would have put them. Runs before the
+    /// clock advances.
+    #[inline]
+    fn activate(&mut self) {
+        while let Some(s) = self.sched.peek() {
+            debug_assert!(s.at >= self.cycle, "missed a scheduled send");
+            if s.at != self.cycle {
+                break;
+            }
+            let s = self.sched.pop().expect("peeked above");
+            if self.distance(s.flit.src, s.flit.dst) > 1 {
+                self.sched_multi_hop -= 1;
+            }
+            self.tx[s.flit.src].push_back(s.flit);
+            self.tx_occupancy += 1;
+        }
+    }
+
+    /// Advance the clock and run one cycle (see [`DualRing::step`]),
+    /// accounting into `stats` and, when on, the delivery log.
+    #[inline]
+    fn step(&mut self, stats: &mut RingStats, mut log: Option<&mut DeliveryLog>) {
+        self.cycle += 1;
+        if self.tx_occupancy > 0 {
+            for i in 0..self.n {
+                if self.tx[i].is_empty() {
+                    continue;
+                }
+                let p = self.phys(i);
+                if self.slots[p].is_none() {
+                    let f = self.tx[i].pop_front().expect("checked non-empty");
+                    // Latency == hop distance: the ejection cycle is fixed
+                    // at injection time. This very step performs the first
+                    // hop, so a 1-hop flit ejects at `self.cycle`.
+                    let dist = self.distance(i, f.dst);
+                    self.eject
+                        .push(Reverse((self.cycle + dist as u64 - 1, f.dst)));
+                    self.slots[p] = Some(f);
+                    self.tx_occupancy -= 1;
+                } else {
+                    stats.injection_stalls += 1;
+                }
+            }
+        }
+        self.rot += 1;
+        if self.rot == self.n {
+            self.rot = 0;
+        }
+        while let Some(&Reverse((c, dst))) = self.eject.peek() {
+            if c != self.cycle {
+                debug_assert!(c > self.cycle, "missed a scheduled ejection");
+                break;
+            }
+            self.eject.pop();
+            let p = self.phys(dst);
+            let f = self.slots[p].take().expect("scheduled flit in slot");
+            debug_assert_eq!(f.dst, dst);
+            let lat = self.cycle - f.injected_at;
+            stats.delivered += 1;
+            stats.total_latency += lat;
+            stats.max_latency = stats.max_latency.max(lat);
+            if let Some(log) = log.as_deref_mut() {
+                let d = Delivery {
+                    cycle: self.cycle,
+                    src: f.src,
+                    dst: f.dst,
+                    stream: f.stream,
+                };
+                log.eject(Self::INDEX, d);
+            }
+            self.rx[dst].push_back(f);
+        }
+    }
+
+    /// Advance the clock by `k` pure rotations (see [`DualRing::skip`]),
+    /// `r = k mod n` of which move the slots.
+    #[inline]
+    fn skip(&mut self, k: u64, r: usize) {
+        self.cycle += k;
+        self.rot += r;
+        if self.rot >= self.n {
+            self.rot -= self.n;
+        }
+    }
+
+    /// This ring's part of [`DualRing::rotation_steps`].
+    fn rotation_steps(&self) -> u64 {
+        if self.tx_occupancy > 0 {
+            return 0;
+        }
+        // A send committed for cycle `a` activates in the step *entered* at
+        // `a`; the steps entered at cycles before `a` stay pure rotations.
+        let sched = self.sched.peek().map_or(u64::MAX, |s| {
+            debug_assert!(s.at >= self.cycle, "scheduled send in the past");
+            s.at - self.cycle
+        });
+        // The nearest in-flight ejection: the step that advances the clock
+        // to its cycle ejects; every step before it is a pure rotation.
+        match self.eject.peek() {
+            None => sched,
+            Some(&Reverse((c, _))) => {
+                debug_assert!(c > self.cycle, "scheduled ejection in the past");
+                (c - self.cycle - 1).min(sched)
+            }
+        }
+    }
+
+    /// This ring's part of [`DualRing::next_delivery_bound`].
+    fn next_delivery_bound(&self) -> u64 {
+        let mut b = if self.tx_occupancy > 0 {
+            self.cycle + 1
+        } else {
+            u64::MAX
+        };
+        if let Some(s) = self.sched.peek() {
+            // Activates at `a`, injects in the step advancing to `a + 1`,
+            // which is also the earliest eject (dist >= 1).
+            b = b.min(s.at + 1);
+        }
+        if let Some(&Reverse((c, _))) = self.eject.peek() {
+            b = b.min(c);
+        }
+        b
+    }
+
+    /// This ring's part of [`DualRing::multi_hop_quiet`].
+    fn multi_hop_quiet(&self) -> bool {
+        self.tx_occupancy == 0 && self.eject.is_empty() && self.sched_multi_hop == 0
+    }
+
+    /// Account a distance-1 transit injected at `at` in closed form (see
+    /// [`DualRing::fused_data_stats`]); returns its ejection cycle.
+    fn fused_transit(
+        &self,
+        (src, dst, stream): (NodeId, NodeId, u32),
+        at: u64,
+        stats: &mut RingStats,
+        log: Option<&mut DeliveryLog>,
+    ) -> u64 {
+        let dist = self.distance(src, dst) as u64;
+        debug_assert_eq!(dist, 1, "cascade fusion is distance-1 only");
+        debug_assert!(at >= self.cycle, "fused transit in the past");
+        stats.delivered += 1;
+        stats.total_latency += dist;
+        stats.max_latency = stats.max_latency.max(dist);
+        if let Some(log) = log {
+            log.hold(Self::INDEX, (at + dist, dst, src, stream));
+        }
+        at + dist
+    }
+}
+
+/// The dual-ring interconnect with `n` stations: a forward [`Ring`] for
+/// posted writes and a backward one for credits, on one clock.
+#[derive(Clone, Debug)]
+pub struct DualRing<P> {
+    /// The data ring: posted writes with payloads `P`, station `i` to
+    /// `i + 1`.
+    pub data: Ring<P, true>,
+    /// The credit ring: grants of buffer locations, station `i` to
+    /// `i − 1`.
+    pub credit: Ring<u32, false>,
+    /// Statistics (index 0 = data ring, 1 = credit ring).
+    pub stats: [RingStats; 2],
+    /// Per-delivery log, kept only while profiling.
+    delivery_log: Option<Box<DeliveryLog>>,
+}
+
+impl<P> DualRing<P> {
+    /// A ring with `n ≥ 2` stations.
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 2, "ring needs at least two stations");
+        DualRing {
+            data: Ring::new(n),
+            credit: Ring::new(n),
+            stats: [RingStats::default(), RingStats::default()],
+            delivery_log: None,
         }
     }
 
     /// Number of stations.
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.data.n
     }
 
     /// Start recording every delivered flit (both rings) into a
@@ -341,299 +542,43 @@ impl<P: Clone> DualRing<P> {
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Queue a posted write. The write is "accepted" (completes for the
-    /// producer) once it leaves the TX queue for a slot.
-    pub fn send_data(&mut self, src: NodeId, dst: NodeId, stream: u32, payload: P) {
-        assert!(src < self.n && dst < self.n && src != dst, "bad endpoints");
-        self.data_tx[src].push_back(DataFlit {
-            src,
-            dst,
-            stream,
-            payload,
-            injected_at: self.cycle,
-        });
-        self.data_tx_occupancy += 1;
-    }
-
-    /// Queue a credit transfer on the credit ring.
-    pub fn send_credit(&mut self, src: NodeId, dst: NodeId, stream: u32, amount: u32) {
-        assert!(src < self.n && dst < self.n && src != dst, "bad endpoints");
-        self.credit_tx[src].push_back(CreditFlit {
-            src,
-            dst,
-            stream,
-            amount,
-            injected_at: self.cycle,
-        });
-        self.credit_tx_occupancy += 1;
-    }
-
-    /// Commit a posted write for cycle `at ≥ cycle()`. Bit-identical to the
-    /// producer calling [`DualRing::send_data`] while the ring clock reads
-    /// `at`: the flit enters the TX queue (injection stalls, delivery
-    /// latency and the delivery log all behave as if sent then). `at ==
-    /// cycle()` degenerates to an immediate send. Used by the span engine
-    /// to commit a whole interval of paced sends in one tile invocation.
-    pub fn send_data_at(&mut self, src: NodeId, dst: NodeId, stream: u32, payload: P, at: u64) {
-        assert!(at >= self.cycle, "scheduled send in the past");
-        if at == self.cycle {
-            self.send_data(src, dst, stream, payload);
-            return;
-        }
-        assert!(src < self.n && dst < self.n && src != dst, "bad endpoints");
-        self.sched_seq += 1;
-        if self.data_distance(src, dst) > 1 {
-            self.sched_multi_hop += 1;
-        }
-        self.sched_data.push(Scheduled {
-            at,
-            seq: self.sched_seq,
-            flit: DataFlit {
-                src,
-                dst,
-                stream,
-                payload,
-                injected_at: at,
-            },
-        });
-    }
-
-    /// Commit a credit transfer for cycle `at ≥ cycle()` (see
-    /// [`DualRing::send_data_at`]).
-    pub fn send_credit_at(&mut self, src: NodeId, dst: NodeId, stream: u32, amount: u32, at: u64) {
-        assert!(at >= self.cycle, "scheduled send in the past");
-        if at == self.cycle {
-            self.send_credit(src, dst, stream, amount);
-            return;
-        }
-        assert!(src < self.n && dst < self.n && src != dst, "bad endpoints");
-        self.sched_seq += 1;
-        if self.credit_distance(src, dst) > 1 {
-            self.sched_multi_hop += 1;
-        }
-        self.sched_credit.push(Scheduled {
-            at,
-            seq: self.sched_seq,
-            flit: CreditFlit {
-                src,
-                dst,
-                stream,
-                amount,
-                injected_at: at,
-            },
-        });
-    }
-
-    /// Earliest activation cycle among scheduled future sends, if any.
-    fn next_scheduled(&self) -> Option<u64> {
-        match (self.sched_data.peek(), self.sched_credit.peek()) {
-            (None, None) => None,
-            (Some(d), None) => Some(d.at),
-            (None, Some(c)) => Some(c.at),
-            (Some(d), Some(c)) => Some(d.at.min(c.at)),
-        }
-    }
-
-    /// Move scheduled sends whose activation cycle has arrived into the
-    /// normal TX queues. Runs at the top of [`DualRing::step`] *before* the
-    /// clock advances, so an entry scheduled for `at` is enqueued exactly
-    /// where an immediate send at `at` would have been.
-    fn activate_scheduled(&mut self) {
-        while let Some(s) = self.sched_data.peek() {
-            debug_assert!(s.at >= self.cycle, "missed a scheduled send");
-            if s.at != self.cycle {
-                break;
-            }
-            let s = self.sched_data.pop().unwrap();
-            if self.data_distance(s.flit.src, s.flit.dst) > 1 {
-                self.sched_multi_hop -= 1;
-            }
-            self.data_tx[s.flit.src].push_back(s.flit);
-            self.data_tx_occupancy += 1;
-        }
-        while let Some(s) = self.sched_credit.peek() {
-            debug_assert!(s.at >= self.cycle, "missed a scheduled send");
-            if s.at != self.cycle {
-                break;
-            }
-            let s = self.sched_credit.pop().unwrap();
-            if self.credit_distance(s.flit.src, s.flit.dst) > 1 {
-                self.sched_multi_hop -= 1;
-            }
-            self.credit_tx[s.flit.src].push_back(s.flit);
-            self.credit_tx_occupancy += 1;
-        }
-    }
-
-    /// Pending TX occupancy of a station (posted writes not yet accepted).
-    pub fn tx_backlog(&self, node: NodeId) -> usize {
-        self.data_tx[node].len()
-    }
-
-    /// Pop one delivered data flit at a station, if any.
-    pub fn recv_data(&mut self, node: NodeId) -> Option<DataFlit<P>> {
-        self.data_rx[node].pop_front()
-    }
-
-    /// Pop one delivered credit flit at a station, if any.
-    pub fn recv_credit(&mut self, node: NodeId) -> Option<CreditFlit> {
-        self.credit_rx[node].pop_front()
-    }
-
-    /// Put a delivered data flit back at the tail of a station's receive
-    /// queue. Used by demultiplexers that drain the queue and must preserve
-    /// flits belonging to other endpoints (order is preserved when the whole
-    /// queue was drained first).
-    pub fn requeue_data(&mut self, node: NodeId, flit: DataFlit<P>) {
-        self.data_rx[node].push_back(flit);
-    }
-
-    /// Put a delivered credit flit back (see [`DualRing::requeue_data`]).
-    pub fn requeue_credit(&mut self, node: NodeId, flit: CreditFlit) {
-        self.credit_rx[node].push_back(flit);
-    }
-
-    /// Number of delivered-but-unread data flits at a station.
-    pub fn rx_pending(&self, node: NodeId) -> usize {
-        self.data_rx[node].len()
+        self.data.cycle
     }
 
     /// Advance both rings by one cycle.
     ///
-    /// Per cycle and per ring: (1) stations inject into their local slot
-    /// register if it is empty, (2) all slots shift one hop, (3) the slot
-    /// arriving at its destination is ejected (guaranteed acceptance). With
-    /// this order a flit's delivery latency equals its hop distance.
+    /// The sends committed for the current cycle enter their TX queues,
+    /// the clock advances, and then per ring, data first: (1) stations
+    /// inject into their local slot register if it is empty, (2) all slots
+    /// shift one hop, (3) the slot arriving at its destination is ejected
+    /// (guaranteed acceptance). With this order a flit's delivery latency
+    /// equals its hop distance. Last, the delivery log takes the fused
+    /// transits the clock has passed.
     ///
     /// Injection scans run only while a TX queue is non-empty, the shift is
     /// an O(1) offset bump, and ejection addresses the arriving slot
     /// directly from the scheduled-ejection heap — a step with no pending
     /// work touches no per-station state at all.
     pub fn step(&mut self) {
-        self.activate_scheduled();
-        self.cycle += 1;
-
-        // --- data ring ---
-        if self.data_tx_occupancy > 0 {
-            for i in 0..self.n {
-                if self.data_tx[i].is_empty() {
-                    continue;
-                }
-                let p = self.data_phys(i);
-                if self.data_slots[p].is_none() {
-                    let f = self.data_tx[i].pop_front().unwrap();
-                    // Latency == hop distance: the ejection cycle is fixed
-                    // at injection time. This very step performs the first
-                    // hop, so a 1-hop flit ejects at `self.cycle`.
-                    let dist = (f.dst + self.n - i) % self.n;
-                    self.data_eject
-                        .push(Reverse((self.cycle + dist as u64 - 1, f.dst)));
-                    self.data_slots[p] = Some(f);
-                    self.data_tx_occupancy -= 1;
-                } else {
-                    self.stats[0].injection_stalls += 1;
-                }
-            }
-        }
-        // Shift forward: slot at station i moves to station i+1.
-        self.data_rot += 1;
-        if self.data_rot == self.n {
-            self.data_rot = 0;
-        }
-        while let Some(&Reverse((c, dst))) = self.data_eject.peek() {
-            if c != self.cycle {
-                debug_assert!(c > self.cycle, "missed a scheduled ejection");
-                break;
-            }
-            self.data_eject.pop();
-            let p = self.data_phys(dst);
-            let f = self.data_slots[p].take().expect("scheduled flit in slot");
-            debug_assert_eq!(f.dst, dst);
-            let lat = self.cycle - f.injected_at;
-            self.stats[0].delivered += 1;
-            self.stats[0].total_latency += lat;
-            self.stats[0].max_latency = self.stats[0].max_latency.max(lat);
-            if let Some(log) = self.delivery_log.as_deref_mut() {
-                log.eject(
-                    0,
-                    Delivery {
-                        cycle: self.cycle,
-                        src: f.src,
-                        dst: f.dst,
-                        stream: f.stream,
-                    },
-                );
-            }
-            self.data_rx[dst].push_back(f);
-        }
-
-        // --- credit ring (opposite direction) ---
-        if self.credit_tx_occupancy > 0 {
-            for i in 0..self.n {
-                if self.credit_tx[i].is_empty() {
-                    continue;
-                }
-                let p = self.credit_phys(i);
-                if self.credit_slots[p].is_none() {
-                    let c = self.credit_tx[i].pop_front().unwrap();
-                    let dist = (i + self.n - c.dst) % self.n;
-                    self.credit_eject
-                        .push(Reverse((self.cycle + dist as u64 - 1, c.dst)));
-                    self.credit_slots[p] = Some(c);
-                    self.credit_tx_occupancy -= 1;
-                } else {
-                    self.stats[1].injection_stalls += 1;
-                }
-            }
-        }
-        self.credit_rot += 1;
-        if self.credit_rot == self.n {
-            self.credit_rot = 0;
-        }
-        while let Some(&Reverse((c, dst))) = self.credit_eject.peek() {
-            if c != self.cycle {
-                debug_assert!(c > self.cycle, "missed a scheduled ejection");
-                break;
-            }
-            self.credit_eject.pop();
-            let p = self.credit_phys(dst);
-            let c = self.credit_slots[p].take().expect("scheduled flit in slot");
-            debug_assert_eq!(c.dst, dst);
-            let lat = self.cycle - c.injected_at;
-            self.stats[1].delivered += 1;
-            self.stats[1].total_latency += lat;
-            self.stats[1].max_latency = self.stats[1].max_latency.max(lat);
-            if let Some(log) = self.delivery_log.as_deref_mut() {
-                log.eject(
-                    1,
-                    Delivery {
-                        cycle: self.cycle,
-                        src: c.src,
-                        dst: c.dst,
-                        stream: c.stream,
-                    },
-                );
-            }
-            self.credit_rx[dst].push_back(c);
-        }
-        if let Some(log) = self.delivery_log.as_deref_mut() {
-            log.pass_through(self.cycle);
+        self.data.activate();
+        self.credit.activate();
+        let log = &mut self.delivery_log;
+        self.data.step(&mut self.stats[0], log.as_deref_mut());
+        self.credit.step(&mut self.stats[1], log.as_deref_mut());
+        if let Some(log) = log {
+            log.pass_through(self.data.cycle);
         }
     }
 
     /// Number of upcoming [`DualRing::step`]s that are *pure rotations*:
     /// no injection, ejection or stall accounting can occur during them.
     ///
-    /// * `0` — the very next step may do work (a TX queue holds a posted
-    ///   write);
-    /// * `k` — the next `k` steps only move occupied slots along the ring
+    /// * `0` — the very next step may do work (a TX queue holds a flit);
+    /// * `k` — the next `k` steps only move occupied slots along the rings
     ///   (the nearest in-flight flit is `k + 1` hops from its destination,
     ///   and no send is committed for an earlier cycle);
     /// * `u64::MAX` — nothing is in flight, nothing is scheduled, and the
-    ///   ring is externally driven.
+    ///   rings are externally driven.
     ///
     /// Delivered-but-unread flits do not hold the count at 0: the ring's
     /// part in them is done, and the engine tracks them per tile (a
@@ -642,39 +587,13 @@ impl<P: Clone> DualRing<P> {
     /// owner next polls). Flits *in flight* are tracked — their ejection
     /// cycle is never skipped, keeping delivery statistics exact.
     ///
-    /// This is the ring's quiescence horizon for the span engine: the
+    /// This is the rings' quiescence horizon for the span engine: the
     /// caller may replace up to `rotation_steps()` consecutive [`step`]
     /// calls with one [`DualRing::skip`].
     ///
     /// [`step`]: DualRing::step
     pub fn rotation_steps(&self) -> u64 {
-        if self.data_tx_occupancy > 0 || self.credit_tx_occupancy > 0 {
-            return 0;
-        }
-        // A send committed for cycle `a` activates in the step *entered* at
-        // `a`; the steps entered at cycles before `a` stay pure rotations.
-        let sched_bound = match self.next_scheduled() {
-            None => u64::MAX,
-            Some(a) => {
-                debug_assert!(a >= self.cycle, "scheduled send in the past");
-                a - self.cycle
-            }
-        };
-        // Every in-flight flit's ejection cycle is scheduled, so the
-        // nearest one answers in O(1): the ejecting step is the one that
-        // advances the clock to that cycle; everything before it is a pure
-        // rotation.
-        let eject_bound = match (self.data_eject.peek(), self.credit_eject.peek()) {
-            (None, None) => u64::MAX, // nothing in flight
-            (Some(&Reverse((d, _))), None) => d,
-            (None, Some(&Reverse((c, _)))) => c,
-            (Some(&Reverse((d, _))), Some(&Reverse((c, _)))) => d.min(c),
-        };
-        if eject_bound == u64::MAX {
-            return sched_bound; // possibly MAX: truly empty ring
-        }
-        debug_assert!(eject_bound > self.cycle, "scheduled ejection in the past");
-        (eject_bound - self.cycle - 1).min(sched_bound)
+        self.data.rotation_steps().min(self.credit.rotation_steps())
     }
 
     /// Earliest cycle at which any flit — data or credit; in flight,
@@ -690,22 +609,11 @@ impl<P: Clone> DualRing<P> {
     /// assumed 1 hop away, a scheduled send is assumed to inject at its
     /// activation cycle and land the next cycle.
     pub fn next_delivery_bound(&self) -> u64 {
-        let mut b = u64::MAX;
-        if self.data_tx_occupancy > 0 || self.credit_tx_occupancy > 0 {
-            b = self.cycle + 1;
-        }
-        if let Some(a) = self.next_scheduled() {
-            // Activates at `a`, injects in the step advancing to `a + 1`,
-            // which is also the earliest eject (dist >= 1).
-            b = b.min(a + 1);
-        }
-        if let Some(&Reverse((d, _))) = self.data_eject.peek() {
-            b = b.min(d);
-        }
-        if let Some(&Reverse((c, _))) = self.credit_eject.peek() {
-            b = b.min(c);
-        }
-        debug_assert!(b > self.cycle);
+        let b = self
+            .data
+            .next_delivery_bound()
+            .min(self.credit.next_delivery_bound());
+        debug_assert!(b > self.cycle());
         b
     }
 
@@ -716,30 +624,13 @@ impl<P: Clone> DualRing<P> {
     /// delivery log takes the fused transits the clock passes).
     pub fn skip(&mut self, k: u64) {
         debug_assert!(k <= self.rotation_steps(), "ring skip past its horizon");
-        self.cycle += k;
-        if let Some(log) = self.delivery_log.as_deref_mut() {
-            log.pass_through(self.cycle);
-        }
-        let n = self.n as u64;
+        let n = self.data.n as u64;
         let r = (if k < n { k } else { k % n }) as usize;
-        self.data_rot += r;
-        if self.data_rot >= self.n {
-            self.data_rot -= self.n;
+        self.data.skip(k, r);
+        self.credit.skip(k, r);
+        if let Some(log) = self.delivery_log.as_deref_mut() {
+            log.pass_through(self.data.cycle);
         }
-        self.credit_rot += r;
-        if self.credit_rot >= self.n {
-            self.credit_rot -= self.n;
-        }
-    }
-
-    /// Hop distance from `src` to `dst` along the data ring direction.
-    pub fn data_distance(&self, src: NodeId, dst: NodeId) -> usize {
-        (dst + self.n - src) % self.n
-    }
-
-    /// Hop distance from `src` to `dst` along the credit ring direction.
-    pub fn credit_distance(&self, src: NodeId, dst: NodeId) -> usize {
-        (src + self.n - dst) % self.n
     }
 
     /// True when every flit that exists now — or is committed for a future
@@ -754,11 +645,7 @@ impl<P: Clone> DualRing<P> {
     /// rotate through the ring are mutually non-interacting: fusing some
     /// hops of a cascade while stepping others is exact.
     pub fn multi_hop_quiet(&self) -> bool {
-        self.data_tx_occupancy == 0
-            && self.credit_tx_occupancy == 0
-            && self.data_eject.is_empty()
-            && self.credit_eject.is_empty()
-            && self.sched_multi_hop == 0
+        self.data.multi_hop_quiet() && self.credit.multi_hop_quiet()
     }
 
     /// Account a distance-1 data-ring transit of `stream` in closed form:
@@ -773,32 +660,17 @@ impl<P: Clone> DualRing<P> {
     /// once, ahead of the clock; the delivery log, when on, records it
     /// when the clock passes its ejection, in ejection order.
     pub fn fused_data_stats(&mut self, src: NodeId, dst: NodeId, stream: u32, at: u64) -> u64 {
-        self.fused_transit(0, (src, dst, stream), self.data_distance(src, dst), at)
+        let log = self.delivery_log.as_deref_mut();
+        self.data
+            .fused_transit((src, dst, stream), at, &mut self.stats[0], log)
     }
 
     /// Account a distance-1 credit-ring transit in closed form (see
     /// [`DualRing::fused_data_stats`]). Returns the ejection cycle.
     pub fn fused_credit_stats(&mut self, src: NodeId, dst: NodeId, stream: u32, at: u64) -> u64 {
-        self.fused_transit(1, (src, dst, stream), self.credit_distance(src, dst), at)
-    }
-
-    fn fused_transit(
-        &mut self,
-        r: usize,
-        (src, dst, stream): (NodeId, NodeId, u32),
-        dist: usize,
-        at: u64,
-    ) -> u64 {
-        debug_assert_eq!(dist, 1, "cascade fusion is distance-1 only");
-        debug_assert!(at >= self.cycle, "fused transit in the past");
-        let (dist, s) = (dist as u64, &mut self.stats[r]);
-        s.delivered += 1;
-        s.total_latency += dist;
-        s.max_latency = s.max_latency.max(dist);
-        if let Some(log) = self.delivery_log.as_deref_mut() {
-            log.hold(r, (at + dist, dst, src, stream));
-        }
-        at + dist
+        let log = self.delivery_log.as_deref_mut();
+        self.credit
+            .fused_transit((src, dst, stream), at, &mut self.stats[1], log)
     }
 }
 
@@ -806,36 +678,44 @@ impl<P: Clone> DualRing<P> {
 mod tests {
     use super::*;
 
+    /// Every flit delivered at `node` from `src` on `stream`, oldest first.
+    fn received<B, const F: bool>(
+        r: &mut Ring<B, F>,
+        node: NodeId,
+        src: NodeId,
+        stream: u32,
+    ) -> Vec<B> {
+        let mut got = Vec::new();
+        r.receive(node, src, stream, |b| got.push(b));
+        got
+    }
+
     #[test]
     fn point_to_point_delivery_latency() {
         let mut ring: DualRing<u64> = DualRing::new(6);
-        ring.send_data(0, 3, 0, 0xAB);
+        ring.data.send(0, 3, 0, 0xAB, 0);
         // Injection happens on the first step; 3 hops: arrives at cycle 3.
         for _ in 0..3 {
             ring.step();
-            if ring.rx_pending(3) > 0 {
+            if ring.data.rx_pending(3) > 0 {
                 break;
             }
         }
-        let f = ring.recv_data(3).expect("delivered");
-        assert_eq!(f.payload, 0xAB);
+        assert_eq!(received(&mut ring.data, 3, 0, 0), [0xAB]);
         assert_eq!(ring.stats[0].delivered, 1);
-        assert_eq!(ring.stats[0].max_latency as usize, ring.data_distance(0, 3));
+        assert_eq!(ring.stats[0].max_latency as usize, ring.data.distance(0, 3));
     }
 
     #[test]
     fn in_order_delivery_per_pair() {
         let mut ring: DualRing<u64> = DualRing::new(4);
         for k in 0..20 {
-            ring.send_data(1, 3, 0, k);
+            ring.data.send(1, 3, 0, k, 0);
         }
         for _ in 0..60 {
             ring.step();
         }
-        let mut got = Vec::new();
-        while let Some(f) = ring.recv_data(3) {
-            got.push(f.payload);
-        }
+        let got = received(&mut ring.data, 3, 1, 0);
         assert_eq!(got, (0..20).collect::<Vec<_>>());
     }
 
@@ -844,20 +724,20 @@ mod tests {
         let mut ring: DualRing<u64> = DualRing::new(6);
         // Data 0 -> 1 is 1 hop; the matching credit 1 -> 0 is also 1 hop
         // because the credit ring runs the opposite way.
-        assert_eq!(ring.data_distance(0, 1), 1);
-        assert_eq!(ring.credit_distance(1, 0), 1);
+        assert_eq!(ring.data.distance(0, 1), 1);
+        assert_eq!(ring.credit.distance(1, 0), 1);
         assert_eq!(
-            ring.credit_distance(0, 1),
+            ring.credit.distance(0, 1),
             5,
             "with the data direction it would be 5"
         );
-        ring.send_credit(1, 0, 0, 4);
+        ring.credit.send(1, 0, 0, 4, 0);
         let mut cycles = 0;
         loop {
             ring.step();
             cycles += 1;
-            if let Some(c) = ring.recv_credit(0) {
-                assert_eq!(c.amount, 4);
+            if let [amount] = received(&mut ring.credit, 0, 1, 0)[..] {
+                assert_eq!(amount, 4);
                 break;
             }
             assert!(cycles < 10, "credit never arrived");
@@ -871,8 +751,8 @@ mod tests {
         let mut ring: DualRing<u64> = DualRing::new(4);
         // Station 0 and station 1 both bombard station 2.
         for k in 0..10 {
-            ring.send_data(0, 2, 0, k);
-            ring.send_data(1, 2, 1, 100 + k);
+            ring.data.send(0, 2, 0, k, 0);
+            ring.data.send(1, 2, 1, 100 + k, 0);
         }
         for _ in 0..100 {
             ring.step();
@@ -887,9 +767,9 @@ mod tests {
         // One producer, one consumer: the ring sustains one flit per cycle.
         let mut ring: DualRing<u64> = DualRing::new(8);
         for k in 0..64 {
-            ring.send_data(2, 6, 0, k);
+            ring.data.send(2, 6, 0, k, 0);
         }
-        let dist = ring.data_distance(2, 6) as u64;
+        let dist = ring.data.distance(2, 6) as u64;
         let mut cycles = 0u64;
         while ring.stats[0].delivered < 64 {
             ring.step();
@@ -903,42 +783,42 @@ mod tests {
     #[test]
     fn guaranteed_acceptance_no_circulation() {
         let mut ring: DualRing<u64> = DualRing::new(4);
-        ring.send_data(0, 2, 0, 1);
+        ring.data.send(0, 2, 0, 1, 0);
         for _ in 0..8 {
             ring.step();
         }
         // The flit must not still be on the ring.
-        assert!(ring.data_slots.iter().all(|s| s.is_none()));
-        assert_eq!(ring.rx_pending(2), 1);
+        assert!(ring.data.slots.iter().all(|s| s.is_none()));
+        assert_eq!(ring.data.rx_pending(2), 1);
     }
 
     #[test]
     fn posted_write_backlog_drains() {
         let mut ring: DualRing<u64> = DualRing::new(4);
         for k in 0..5 {
-            ring.send_data(0, 1, 0, k);
+            ring.data.send(0, 1, 0, k, 0);
         }
-        assert_eq!(ring.tx_backlog(0), 5);
+        assert_eq!(ring.data.tx_backlog(0), 5);
         ring.step();
-        assert_eq!(ring.tx_backlog(0), 4, "one accepted per cycle");
+        assert_eq!(ring.data.tx_backlog(0), 4, "one accepted per cycle");
         for _ in 0..10 {
             ring.step();
         }
-        assert_eq!(ring.tx_backlog(0), 0);
+        assert_eq!(ring.data.tx_backlog(0), 0);
     }
 
     #[test]
     #[should_panic(expected = "bad endpoints")]
     fn self_send_rejected() {
         let mut ring: DualRing<u64> = DualRing::new(4);
-        ring.send_data(1, 1, 0, 0);
+        ring.data.send(1, 1, 0, 0, 0);
     }
 
     #[test]
     fn idle_steps_reports_queue_and_flight_state() {
         let mut ring: DualRing<u64> = DualRing::new(6);
         assert_eq!(ring.rotation_steps(), u64::MAX, "empty ring is quiescent");
-        ring.send_data(0, 3, 0, 7);
+        ring.data.send(0, 3, 0, 7, 0);
         assert_eq!(ring.rotation_steps(), 0, "pending TX forces a step");
         ring.step(); // injected; flit now 1 hop past station 0, 2 hops to go
         assert_eq!(
@@ -948,34 +828,32 @@ mod tests {
         );
         ring.skip(1);
         ring.step(); // ejection step
-        assert_eq!(ring.rx_pending(3), 1);
+        assert_eq!(ring.data.rx_pending(3), 1);
         assert_eq!(
             ring.rotation_steps(),
             u64::MAX,
             "an unread delivery is its owner's business, not the ring's"
         );
-        let f = ring.recv_data(3).expect("delivered");
-        assert_eq!(f.payload, 7);
+        assert_eq!(received(&mut ring.data, 3, 0, 0), [7]);
         assert_eq!(ring.rotation_steps(), u64::MAX);
     }
 
     #[test]
     fn delivered_credit_is_inert_but_transit_is_not() {
         let mut ring: DualRing<u64> = DualRing::new(6);
-        ring.send_credit(3, 0, 0, 1); // 3 hops against the data direction
+        ring.credit.send(3, 0, 0, 1, 0); // 3 hops against the data direction
         assert_eq!(ring.rotation_steps(), 0, "pending credit TX forces a step");
         ring.step(); // injected; 2 hops to go
         assert_eq!(ring.rotation_steps(), 1, "credit transit still tracked");
         ring.skip(1);
         ring.step(); // ejection
-        assert_eq!(ring.rx_pending(0), 0, "no data was delivered");
+        assert_eq!(ring.data.rx_pending(0), 0, "no data was delivered");
         assert_eq!(
             ring.rotation_steps(),
             u64::MAX,
             "a delivered credit is absorbed whenever its owner next polls"
         );
-        let c = ring.recv_credit(0).expect("credit delivered");
-        assert_eq!(c.amount, 1);
+        assert_eq!(received(&mut ring.credit, 0, 3, 0), [1]);
     }
 
     #[test]
@@ -985,8 +863,8 @@ mod tests {
         // latency stats and payloads must match exactly.
         let build = || {
             let mut r: DualRing<u64> = DualRing::new(8);
-            r.send_data(1, 6, 0, 42); // 5 hops
-            r.send_credit(6, 1, 0, 3); // 5 hops the other way
+            r.data.send(1, 6, 0, 42, 0); // 5 hops
+            r.credit.send(6, 1, 0, 3, 0); // 5 hops the other way
             r.step(); // inject both
             r
         };
@@ -1004,10 +882,8 @@ mod tests {
         skipped.step();
         assert_eq!(stepped.cycle(), skipped.cycle());
         for r in [&mut stepped, &mut skipped] {
-            let f = r.recv_data(6).expect("data delivered");
-            assert_eq!(f.payload, 42);
-            let c = r.recv_credit(1).expect("credit delivered");
-            assert_eq!(c.amount, 3);
+            assert_eq!(received(&mut r.data, 6, 1, 0), [42]);
+            assert_eq!(received(&mut r.credit, 1, 6, 0), [3]);
         }
         assert_eq!(stepped.stats[0].max_latency, skipped.stats[0].max_latency);
         assert_eq!(stepped.stats[1].max_latency, skipped.stats[1].max_latency);
@@ -1021,12 +897,11 @@ mod tests {
         let mut r: DualRing<u64> = DualRing::new(4);
         r.skip(1_000_000);
         assert_eq!(r.cycle(), 1_000_000);
-        r.send_data(0, 3, 0, 9);
+        r.data.send(0, 3, 0, 9, r.cycle());
         for _ in 0..3 {
             r.step();
         }
-        let f = r.recv_data(3).expect("delivered");
-        assert_eq!(f.payload, 9);
+        assert_eq!(received(&mut r.data, 3, 0, 0), [9]);
         assert_eq!(r.stats[0].max_latency, 3, "latency unaffected by the skip");
     }
 
@@ -1035,12 +910,13 @@ mod tests {
         let mut log = DeliveryLog::default();
         let n = 2 * DeliveryLog::WINDOW + 5;
         for k in 0..n {
-            log.record_data(Delivery {
+            let d = Delivery {
                 cycle: k as u64,
                 src: 0,
                 dst: 1,
                 stream: 0,
-            });
+            };
+            log.record(0, d);
         }
         assert_eq!(log.data_dropped, DeliveryLog::WINDOW as u64);
         assert_eq!(log.data.len(), DeliveryLog::WINDOW + 5);
@@ -1057,8 +933,8 @@ mod tests {
         let mut ring: DualRing<u64> = DualRing::new(6);
         assert!(ring.delivery_log().is_none(), "off by default");
         ring.enable_delivery_log();
-        ring.send_data(0, 3, 7, 1); // 3 hops
-        ring.send_credit(3, 0, 9, 2); // 3 hops the other way
+        ring.data.send(0, 3, 7, 1, 0); // 3 hops
+        ring.credit.send(3, 0, 9, 2, 0); // 3 hops the other way
         ring.step(); // inject both
         let idle = ring.rotation_steps();
         assert!(idle > 0);
@@ -1085,7 +961,7 @@ mod tests {
             }]
         );
         // Delivery cycle minus hop distance reconstructs the path start.
-        let d = ring.data_distance(log.data[0].src, log.data[0].dst) as u64;
+        let d = ring.data.distance(log.data[0].src, log.data[0].dst) as u64;
         assert_eq!(log.data[0].cycle - d + 1, 1, "first hop crossed at cycle 1");
     }
 
@@ -1112,8 +988,8 @@ mod tests {
                 let stream = 10 + i as u32;
                 let fused = fuse && i % 2 == 1;
                 match (data, fused) {
-                    (true, false) => r.send_data_at(src, (src + 1) % 8, stream, 0, at),
-                    (false, false) => r.send_credit_at(src, (src + 7) % 8, stream, 1, at),
+                    (true, false) => r.data.send(src, (src + 1) % 8, stream, 0, at),
+                    (false, false) => r.credit.send(src, (src + 7) % 8, stream, 1, at),
                     (true, true) => _ = r.fused_data_stats(src, (src + 1) % 8, stream, at),
                     (false, true) => _ = r.fused_credit_stats(src, (src + 7) % 8, stream, at),
                 }
@@ -1146,7 +1022,7 @@ mod tests {
         let mut ring: DualRing<u64> = DualRing::new(n);
         for s in 0..n {
             for k in 0..10 {
-                ring.send_data(s, (s + 1) % n, 0, k as u64);
+                ring.data.send(s, (s + 1) % n, 0, k as u64, 0);
             }
         }
         for _ in 0..200 {
@@ -1182,46 +1058,31 @@ mod tests {
                 )
             })
             .collect();
-        let n = r.num_nodes();
-        let data = (0..n)
-            .map(|i| {
-                let mut v = Vec::new();
-                while let Some(f) = r.recv_data(i) {
-                    v.push(f.payload);
-                }
-                v
-            })
-            .collect();
-        let credit = (0..n)
-            .map(|i| {
-                let mut v = Vec::new();
-                while let Some(c) = r.recv_credit(i) {
-                    v.push(c.amount);
-                }
-                v
-            })
-            .collect();
-        (stats, data, credit, r.cycle())
+        fn bodies<B, const F: bool>(ring: &mut Ring<B, F>) -> Vec<Vec<B>> {
+            let rx = ring.rx.iter_mut();
+            rx.map(|q| q.drain(..).map(|f| f.body).collect()).collect()
+        }
+        (stats, bodies(&mut r.data), bodies(&mut r.credit), r.cycle())
     }
 
     #[test]
     fn scheduled_send_matches_immediate_send() {
         // A send committed for cycle `a` must be indistinguishable from the
-        // producer calling send_data/send_credit while the clock reads `a`,
-        // including delivery latency accounting.
+        // producer sending while the clock reads `a`, including delivery
+        // latency accounting.
         let mut sched: DualRing<u64> = DualRing::new(6);
-        sched.send_data_at(0, 3, 7, 11, 4);
-        sched.send_credit_at(3, 0, 7, 1, 6);
+        sched.data.send(0, 3, 7, 11, 4);
+        sched.credit.send(3, 0, 7, 1, 6);
 
         let mut imm: DualRing<u64> = DualRing::new(6);
         for _ in 0..4 {
             imm.step();
         }
-        imm.send_data(0, 3, 7, 11);
+        imm.data.send(0, 3, 7, 11, imm.cycle());
         for _ in 0..2 {
             imm.step();
         }
-        imm.send_credit(3, 0, 7, 1);
+        imm.credit.send(3, 0, 7, 1, imm.cycle());
 
         let a = drain_snapshot(&mut sched, 20);
         let b = drain_snapshot(&mut imm, 20 - 6);
@@ -1241,14 +1102,14 @@ mod tests {
                 // Long-haul flits every cycle from station 1 keep the slot
                 // at station 2 busy; station 2's own sends must stall.
                 for t in 0..8 {
-                    r.send_data_at(1, 0, 0, 100 + t, t);
-                    r.send_data_at(2, 3, 1, 200 + t, t);
+                    r.data.send(1, 0, 0, 100 + t, t);
+                    r.data.send(2, 3, 1, 200 + t, t);
                 }
                 drain_snapshot(&mut r, 30)
             } else {
                 for t in 0..8 {
-                    r.send_data(1, 0, 0, 100 + t);
-                    r.send_data(2, 3, 1, 200 + t);
+                    r.data.send(1, 0, 0, 100 + t, t);
+                    r.data.send(2, 3, 1, 200 + t, t);
                     r.step();
                 }
                 drain_snapshot(&mut r, 22)
@@ -1268,7 +1129,7 @@ mod tests {
     fn idle_steps_bounded_by_scheduled_activation() {
         let mut r: DualRing<u64> = DualRing::new(5);
         assert_eq!(r.rotation_steps(), u64::MAX);
-        r.send_data_at(0, 2, 0, 1, 10);
+        r.data.send(0, 2, 0, 1, 10);
         // Cycles 0..9 are pure rotations; the step entered at 10 injects.
         assert_eq!(r.rotation_steps(), 10);
         r.skip(10);
@@ -1276,8 +1137,7 @@ mod tests {
         r.step(); // activates + injects; 2 hops => ejects at cycle 12
         assert_eq!(r.rotation_steps(), 0, "ejection is due on the next step");
         r.step();
-        let f = r.recv_data(2).expect("delivered");
-        assert_eq!(f.payload, 1);
+        assert_eq!(received(&mut r.data, 2, 0, 0), [1]);
         assert_eq!(r.stats[0].max_latency, 2, "latency == hop distance");
     }
 
@@ -1285,13 +1145,12 @@ mod tests {
     fn same_cycle_scheduled_send_is_immediate() {
         let mut r: DualRing<u64> = DualRing::new(4);
         r.skip(5);
-        r.send_data_at(1, 3, 0, 77, 5);
+        r.data.send(1, 3, 0, 77, 5);
         assert_eq!(r.rotation_steps(), 0, "tx queue occupied right away");
         for _ in 0..2 {
             r.step();
         }
-        let f = r.recv_data(3).expect("delivered");
-        assert_eq!(f.payload, 77);
+        assert_eq!(received(&mut r.data, 3, 1, 0), [77]);
         assert_eq!(r.stats[0].max_latency, 2);
     }
 }

@@ -91,12 +91,15 @@ impl CreditTx {
     }
 
     /// Take one credit for a send committed for cycle `at`, `now` being the
-    /// wall clock: from the raw counter if possible, else by pairing with
+    /// ring clock: from the raw counter if possible, else by pairing with
     /// the earliest fused return landing by `at` (the per-cycle run holds
     /// that credit at the spend cycle even though this engine's clock has
     /// not reached its arrival yet). Returns `false` when neither exists —
     /// the per-cycle counter at `at` really would read zero.
-    fn take_for(&mut self, at: u64, now: u64) -> bool {
+    /// [`CreditTx::send_at`] takes its credit here; the fused chain
+    /// cascade, whose wire traffic is committed out of band, calls it
+    /// directly.
+    pub fn take_at(&mut self, at: u64, now: u64) -> bool {
         self.absorb_incoming(now);
         if self.credits > 0 {
             self.credits -= 1;
@@ -115,19 +118,11 @@ impl CreditTx {
         }
     }
 
-    /// Consume a credit for a send whose wire traffic is committed out of
-    /// band (the fused chain cascade). Bookkeeping-identical to
-    /// [`CreditTx::send_at`] without touching the ring. Returns `false`
-    /// when the per-cycle counter at `at` would read zero.
-    pub fn fused_take(&mut self, at: u64, now: u64) -> bool {
-        self.take_for(at, now)
-    }
-
-    /// Whether a send committed for cycle `at` would find a credit —
-    /// the non-mutating precondition of [`CreditTx::fused_take`] /
-    /// [`CreditTx::send_at`]. Exact for all closed-form state; physical
-    /// credit flits still on the wire are (conservatively) invisible, as
-    /// they are to every unpolled per-cycle observer.
+    /// Whether a send committed for cycle `at` would find a credit — the
+    /// non-mutating precondition of [`CreditTx::take_at`]. Exact for all
+    /// closed-form state; physical credit flits still on the wire are
+    /// (conservatively) invisible, as they are to every unpolled per-cycle
+    /// observer.
     pub fn available_at(&self, at: u64) -> bool {
         self.credits > 0 || self.incoming.front().is_some_and(|&m| m <= at)
     }
@@ -140,33 +135,23 @@ impl CreditTx {
         self.incoming.push_back(arrival);
     }
 
-    /// Try to send one payload; consumes a credit. Returns `false` (and
-    /// sends nothing) when out of credits — the upstream must stall, which
-    /// is exactly the accelerator-stall behaviour of §IV-B.
-    pub fn try_send<P: Clone>(&mut self, ring: &mut DualRing<P>, payload: P) -> bool {
-        self.absorb_incoming(ring.cycle());
-        if self.credits == 0 {
+    /// Send one payload at cycle `at ≥ ring.cycle()` (`at == ring.cycle()`
+    /// sends now, a later `at` commits ahead, bit-identically on the wire
+    /// to sending while the ring clock reads `at`); consumes a credit now.
+    /// Returns `false` (and sends nothing) when out of credits — the
+    /// upstream must stall, which is exactly the accelerator-stall
+    /// behaviour of §IV-B.
+    pub fn send_at<P>(&mut self, ring: &mut DualRing<P>, payload: P, at: u64) -> bool {
+        if !self.take_at(at, ring.cycle()) {
             return false;
         }
-        self.credits -= 1;
-        ring.send_data(self.local, self.remote, self.stream, payload);
-        true
-    }
-
-    /// Commit a send for cycle `at ≥ ring.cycle()`; consumes a credit now.
-    /// Bit-identical on the wire to calling [`CreditTx::try_send`] while
-    /// the ring clock reads `at`. Returns `false` (sending nothing) when
-    /// out of credits.
-    pub fn send_at<P: Clone>(&mut self, ring: &mut DualRing<P>, payload: P, at: u64) -> bool {
-        if !self.take_for(at, ring.cycle()) {
-            return false;
-        }
-        ring.send_data_at(self.local, self.remote, self.stream, payload, at);
+        ring.data
+            .send(self.local, self.remote, self.stream, payload, at);
         true
     }
 
     /// Absorb credit flits returned by the receiver.
-    pub fn poll_credits<P: Clone>(&mut self, ring: &mut DualRing<P>) {
+    pub fn poll_credits<P>(&mut self, ring: &mut DualRing<P>) {
         // Scheduled sends whose activation cycle has passed are ordinary
         // spent credits now; stop adding them back in `credits_visible`.
         let now = ring.cycle();
@@ -186,21 +171,11 @@ impl CreditTx {
             }
             self.transit.pop_front();
         }
-        // Credits for other streams at the same station must not be eaten;
-        // the platform layer demultiplexes instead. Here we only take
-        // matching ones and re-queue the rest.
-        let mut requeue = Vec::new();
-        while let Some(c) = ring.recv_credit(self.local) {
-            if c.stream == self.stream && c.src == self.remote {
-                self.credits += c.amount;
-            } else {
-                requeue.push(c);
-            }
-        }
-        for c in requeue {
-            // Preserve order for other consumers at this station.
-            ring.requeue_credit(self.local, c);
-        }
+        // Credits for other streams at the same station stay queued for
+        // their own endpoints.
+        let credits = &mut self.credits;
+        ring.credit
+            .receive(self.local, self.remote, self.stream, |c| *credits += c);
     }
 }
 
@@ -217,7 +192,7 @@ pub struct CreditRx<P> {
     buf: VecDeque<P>,
 }
 
-impl<P: Clone> CreditRx<P> {
+impl<P> CreditRx<P> {
     /// New receive buffer of `capacity` tokens.
     pub fn new(local: NodeId, remote: NodeId, stream: u32, capacity: u32) -> Self {
         assert!(capacity > 0);
@@ -245,39 +220,28 @@ impl<P: Clone> CreditRx<P> {
         self.buf.is_empty()
     }
 
-    /// Pull matching arrivals from the ring into the buffer.
+    /// Pull matching arrivals from the ring into the buffer; flits for the
+    /// station's other endpoints stay queued.
     pub fn poll_data(&mut self, ring: &mut DualRing<P>) {
-        let mut requeue = Vec::new();
-        while let Some(f) = ring.recv_data(self.local) {
-            if f.stream == self.stream && f.src == self.remote {
+        let (buf, capacity) = (&mut self.buf, self.capacity);
+        ring.data
+            .receive(self.local, self.remote, self.stream, |p| {
                 assert!(
-                    (self.buf.len() as u32) < self.capacity,
+                    (buf.len() as u32) < capacity,
                     "credit protocol violated: receive buffer overflow"
                 );
-                self.buf.push_back(f.payload);
-            } else {
-                requeue.push(f);
-            }
-        }
-        for f in requeue {
-            ring.requeue_data(self.local, f);
-        }
+                buf.push_back(p);
+            });
     }
 
-    /// Take one token and return a credit to the sender.
-    pub fn pop(&mut self, ring: &mut DualRing<P>) -> Option<P> {
-        let v = self.buf.pop_front()?;
-        ring.send_credit(self.local, self.remote, self.stream, 1);
-        Some(v)
-    }
-
-    /// Take one token as part of a consume committed for cycle
-    /// `at ≥ ring.cycle()`: the returned credit enters the credit ring at
-    /// `at`, exactly as a [`CreditRx::pop`] at that cycle would. Used by
-    /// the span engine when a tile commits future consumes in one call.
+    /// Take one token as part of a consume at cycle `at ≥ ring.cycle()`
+    /// and return its credit to the sender: the credit enters the credit
+    /// ring at `at` (`at == ring.cycle()` returns it now; the span engine
+    /// commits future consumes in one call).
     pub fn pop_at(&mut self, ring: &mut DualRing<P>, at: u64) -> Option<P> {
         let v = self.buf.pop_front()?;
-        ring.send_credit_at(self.local, self.remote, self.stream, 1, at);
+        ring.credit
+            .send(self.local, self.remote, self.stream, 1, at);
         Some(v)
     }
 }
@@ -292,16 +256,16 @@ mod tests {
         let mut tx = CreditTx::new(0, 2, 9, 2);
         let mut rx: CreditRx<u64> = CreditRx::new(2, 0, 9, 2);
 
-        assert!(tx.try_send(&mut ring, 10));
-        assert!(tx.try_send(&mut ring, 11));
-        assert!(!tx.try_send(&mut ring, 12), "third send must stall");
+        assert!(tx.send_at(&mut ring, 10, 0));
+        assert!(tx.send_at(&mut ring, 11, 0));
+        assert!(!tx.send_at(&mut ring, 12, 0), "third send must stall");
 
         for _ in 0..4 {
             ring.step();
             rx.poll_data(&mut ring);
         }
         assert_eq!(rx.len(), 2);
-        assert_eq!(rx.pop(&mut ring), Some(10));
+        assert_eq!(rx.pop_at(&mut ring, 4), Some(10));
         // Credit travels back; sender can send again after it arrives.
         let mut ok = false;
         for _ in 0..8 {
@@ -313,7 +277,8 @@ mod tests {
             }
         }
         assert!(ok, "credit never returned");
-        assert!(tx.try_send(&mut ring, 12));
+        let now = ring.cycle();
+        assert!(tx.send_at(&mut ring, 12, now));
     }
 
     #[test]
@@ -324,14 +289,14 @@ mod tests {
         let mut rx: CreditRx<u64> = CreditRx::new(4, 1, 0, 2);
         let mut next = 0u64;
         let mut got = Vec::new();
-        for _ in 0..2000 {
+        for now in 0..2000 {
             tx.poll_credits(&mut ring);
-            if next < 100 && tx.try_send(&mut ring, next) {
+            if next < 100 && tx.send_at(&mut ring, next, now) {
                 next += 1;
             }
             ring.step();
             rx.poll_data(&mut ring);
-            if let Some(v) = rx.pop(&mut ring) {
+            if let Some(v) = rx.pop_at(&mut ring, now + 1) {
                 got.push(v);
             }
             if got.len() == 100 {
@@ -346,16 +311,16 @@ mod tests {
         let mut ring: DualRing<u64> = DualRing::new(4);
         let mut rx_a: CreditRx<u64> = CreditRx::new(3, 0, 1, 4);
         let mut rx_b: CreditRx<u64> = CreditRx::new(3, 0, 2, 4);
-        ring.send_data(0, 3, 2, 77); // stream 2
-        ring.send_data(0, 3, 1, 55); // stream 1
+        ring.data.send(0, 3, 2, 77, 0); // stream 2
+        ring.data.send(0, 3, 1, 55, 0); // stream 1
         for _ in 0..6 {
             ring.step();
         }
         rx_a.poll_data(&mut ring);
         // Stream-2 flit must survive rx_a's poll for rx_b.
         rx_b.poll_data(&mut ring);
-        assert_eq!(rx_a.pop(&mut ring), Some(55));
-        assert_eq!(rx_b.pop(&mut ring), Some(77));
+        assert_eq!(rx_a.pop_at(&mut ring, 6), Some(55));
+        assert_eq!(rx_b.pop_at(&mut ring, 6), Some(77));
     }
 
     #[test]
@@ -379,17 +344,17 @@ mod tests {
                 }
                 assert_eq!(rx.pop_at(&mut ring, 6), Some(10));
             } else {
-                assert!(tx.try_send(&mut ring, 10));
+                assert!(tx.send_at(&mut ring, 10, 0));
                 for _ in 0..3 {
                     ring.step();
                     rx.poll_data(&mut ring);
                 }
-                assert!(tx.try_send(&mut ring, 11));
+                assert!(tx.send_at(&mut ring, 11, 3));
                 for _ in 0..3 {
                     ring.step();
                     rx.poll_data(&mut ring);
                 }
-                assert_eq!(rx.pop(&mut ring), Some(10));
+                assert_eq!(rx.pop_at(&mut ring, 6), Some(10));
             }
             for _ in 0..4 {
                 ring.step();
