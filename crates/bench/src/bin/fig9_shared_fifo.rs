@@ -12,7 +12,8 @@
 //! Pass `--trace out.json` to export the check-disabled platform run as a
 //! Chrome trace, `--profile out.json` to write that run's measured
 //! `RunProfile` JSON, `--cycles <n>` to change the platform-run length,
-//! and `--mode exhaustive|event` to select the simulation engine.
+//! and `--mode exhaustive|event` to select the simulation engine. A budget
+//! too short for the wedge to form exits 1 with a one-line verdict.
 //!
 //! Pass `--postmortem pm.json` to additionally re-run the broken variant
 //! the way a *deployed* system would observe it: full tracing off, only the
@@ -210,7 +211,13 @@ fn main() {
             ],
         );
     }
-    assert!(bad_stalls > 0 && good_stalls == 0 && good_s0 > bad_s0);
+    if !(bad_stalls > 0 && good_stalls == 0 && good_s0 > bad_s0) {
+        println!(
+            "no Fig. 9 wedge in {cycles} cycles: exit-fifo-full stall cycles {bad_stalls} \
+             (check disabled) / {good_stalls} (enabled), s0 blocks {bad_s0} / {good_s0}"
+        );
+        std::process::exit(1);
+    }
     args.log(
         "\nwith the admission test disabled, stream 1's wedged block stalls the\n\
          exit gateway (head-of-line on the shared hardware FIFO) and stream 0\n\

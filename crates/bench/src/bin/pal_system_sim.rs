@@ -15,6 +15,10 @@
 //! `--bench-json <path>` to time BOTH engines over the same cycle budget,
 //! untraced and then profiled, and write the measured throughput and the
 //! two speedups as machine-readable JSON.
+//!
+//! Exits 1 with a one-line verdict when the decode misses real time (a
+//! `--cycles` budget too short to fill the pipeline does), and 2 on a
+//! usage error.
 
 use std::time::Instant;
 use streamgate_bench::{parse_args, print_table, write_artifact, write_trace};
@@ -708,5 +712,13 @@ fn main() {
         std::process::exit(2);
     }
 
-    assert!(ok_rt, "real-time constraint violated");
+    if !ok_rt {
+        println!(
+            "real-time constraint violated: decoded {} stereo samples in {cycles} cycles, \
+             need {}",
+            left.len(),
+            (rt_factor * expected).ceil()
+        );
+        std::process::exit(1);
+    }
 }

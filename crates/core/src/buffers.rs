@@ -77,57 +77,6 @@ pub fn minimum_stream_buffers(
     })
 }
 
-/// *Sufficient* (feasible, near-minimal) α₀/α₃ for large block sizes, where
-/// the joint minimisation of [`minimum_stream_buffers`] is too expensive
-/// (one binary search of α₃ per α₀ of its box, each test on an HSDF graph
-/// that grows with η).
-///
-/// Strategy: take each channel's individual minimum with the other channel
-/// wide open — a lower bound per channel — then, if the combination is not
-/// jointly feasible, grow both geometrically (capacity feasibility is
-/// monotone, so this terminates). The paper itself distinguishes the two:
-/// Algorithm 1 yields "minimum block sizes and **sufficient** buffer
-/// capacities"; true minima need the expensive branch-and-bound (§V-F).
-pub fn sufficient_stream_buffers(
-    prob: &SharingProblem,
-    stream: usize,
-    etas: &[u64],
-    rho_p: u64,
-    rho_c: u64,
-    cap_limit: u64,
-) -> Option<StreamBuffers> {
-    use streamgate_dataflow::buffer::{feasible, min_buffer_for_period};
-    let eta = etas[stream];
-    let gamma_hat = prob.gamma(etas);
-    let mut g = streamgate_dataflow::CsdfGraph::new();
-    let v_p = g.add_sdf_actor("vP", rho_p);
-    let v_s = g.add_sdf_actor("vS", gamma_hat);
-    let v_c = g.add_sdf_actor("vC", rho_c);
-    let e_in = g.add_sdf_edge("b", v_p, 1, v_s, eta, 0);
-    let e_out = g.add_sdf_edge("d", v_s, eta, v_c, 1, 0);
-    let p = BufferProblem {
-        graph: g,
-        channels: vec![e_in, e_out],
-        reference: v_c,
-        target_period: prob.streams[stream].mu.recip(),
-    };
-    let a0 = min_buffer_for_period(&p, 0, &[0, cap_limit], cap_limit).ok()??;
-    let a3 = min_buffer_for_period(&p, 1, &[cap_limit, 0], cap_limit).ok()??;
-    let mut caps = [a0, a3];
-    loop {
-        if feasible(&p, &caps).ok()? {
-            return Some(StreamBuffers {
-                alpha0: caps[0],
-                alpha3: caps[1],
-            });
-        }
-        caps = [caps[0] + caps[0].div_ceil(4), caps[1] + caps[1].div_ceil(4)];
-        if caps[0] > cap_limit || caps[1] > cap_limit {
-            return None;
-        }
-    }
-}
-
 /// The Fig. 8 experiment: sweep the block size of a single gateway stream
 /// and report the minimum α₃ per η. Returns `(η, Option<α₃>)` pairs
 /// (`None` = that block size cannot meet the throughput at all).

@@ -60,7 +60,7 @@ pub use blocksize::{
     solve_blocksizes_checked, solve_blocksizes_fixpoint, solve_blocksizes_ilp, BlockSizeError,
     BlockSizes,
 };
-pub use buffers::{fig8_example, minimum_stream_buffers, sufficient_stream_buffers, StreamBuffers};
+pub use buffers::{fig8_example, minimum_stream_buffers, StreamBuffers};
 pub use chain::{build_shared_system, AccelDef, BuiltSystem, StreamDef, SystemSpec};
 pub use deploy::{build_pal_system, PalSystem, PalSystemConfig};
 pub use metrics::{gateway_metrics, GatewayMetrics, StreamMetrics};

@@ -328,7 +328,10 @@ pub struct RunProfile {
 /// delivered at cycle `T` from `src` to `dst` (distance `d`) crossed data
 /// hop `(src + k) mod n` during cycle `T − d + 1 + k` for `k = 0..d−1`,
 /// because the ring moves one hop per cycle and delivery latency equals
-/// hop distance; credits mirror this against the rotation.
+/// hop distance; credits mirror this against the rotation. The log holds
+/// one record per ejection in commit order (a fused hop is logged ahead of
+/// the clock); each hop's crossings are sorted here, so that order never
+/// reaches the profile.
 ///
 /// # Panics
 ///

@@ -1055,15 +1055,15 @@ impl GatewayPair {
         self.chain_fed += 1;
         self.fused_sends += 1;
         let mut payload = s;
-        let (first_node, entry_stream) = (accels[self.chain[0].0].node, self.dma_tx.stream);
-        let mut arrival = ring.fused_data_stats(self.entry_node, first_node, entry_stream, tau);
+        let first_node = accels[self.chain[0].0].node;
+        let mut arrival = ring.fused_data_stats(self.entry_node, first_node, tau);
         for (i, a) in self.chain.iter().enumerate() {
             let acc = &mut accels[a.0];
-            let (node, upstream, rx_stream) = (acc.node, acc.rx.remote, acc.rx.stream);
+            let (node, upstream) = (acc.node, acc.rx.remote);
             let out = acc.fused_consume(payload, arrival);
             // The consume's credit leaves at `arrival`, landing one hop
             // upstream the next cycle.
-            let credit_arrival = ring.fused_credit_stats(node, upstream, rx_stream, arrival);
+            let credit_arrival = ring.fused_credit_stats(node, upstream, arrival);
             if i == 0 {
                 self.dma_tx.fused_return(credit_arrival);
             } else {
@@ -1083,7 +1083,7 @@ impl GatewayPair {
                 let took = acc.tx.take_at(arrival + 1, now);
                 debug_assert!(took, "availability was checked above");
                 acc.fused_forward(arrival + 1);
-                arrival = ring.fused_data_stats(node, next_node, acc.tx.stream, arrival + 1);
+                arrival = ring.fused_data_stats(node, next_node, arrival + 1);
                 payload = out;
             }
         }

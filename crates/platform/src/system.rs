@@ -211,12 +211,12 @@ impl System {
     /// [`System::step`].
     ///
     /// Every source is event-exact: the delivery log takes a hop committed
-    /// in closed form by chain fusion when the ring clock passes its
-    /// ejection, in ejection order, and the FIFOs log pushes where they
-    /// happen, so profiled data is bit-identical between
-    /// [`StepMode::Exhaustive`] and [`StepMode::EventDriven`] — the same
-    /// contract the tracer upholds — and a profiled run keeps chain
-    /// fusion.
+    /// in closed form by chain fusion at commit, with its ejection cycle,
+    /// and the FIFOs log pushes where they happen, so profiled data is
+    /// bit-identical between [`StepMode::Exhaustive`] and
+    /// [`StepMode::EventDriven`] — the same contract the tracer upholds,
+    /// with delivery records equal once sorted into ejection order — and
+    /// a profiled run keeps chain fusion.
     pub fn enable_profiling(&mut self, sample_interval: u64) {
         self.enable_tracing(sample_interval);
         self.ring.enable_delivery_log();

@@ -34,6 +34,7 @@ use streamgate_platform::{
     AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, ProcessorTile, RateSource, ScaleKernel,
     SinkTask, StallCause, StepMode, StreamConfig, StreamKernel, System, TraceEvent,
 };
+use streamgate_ring::Delivery;
 
 #[derive(Clone, Debug)]
 struct Topo {
@@ -408,7 +409,15 @@ fn assert_identical(mut ex: System, mut ev: System) -> Result<(), TestCaseError>
     let (la, lb) = (ex.ring.delivery_log(), ev.ring.delivery_log());
     prop_assert_eq!(la.is_some(), lb.is_some(), "delivery log on");
     if let (Some(la), Some(lb)) = (la, lb) {
+        // The lock-step engine logs in ejection order; the event engine logs
+        // a fused hop at commit, ahead of the clock, so its records match
+        // once sorted by the ejection key `(cycle, dst)`.
         for (ring, a, b) in [(0, &la.data, &lb.data), (1, &la.credit, &lb.credit)] {
+            let key = |d: &Delivery| (d.cycle, d.dst);
+            let unordered = a.windows(2).position(|w| key(&w[0]) >= key(&w[1]));
+            prop_assert_eq!(unordered, None, "ring {} exhaustive log out of order", ring);
+            let mut b = b.clone();
+            b.sort_unstable_by_key(key);
             if let Some(d) = a.iter().zip(b.iter()).position(|(x, y)| x != y) {
                 prop_assert_eq!(a[d], b[d], "ring {} delivery log divergence at {}", ring, d);
             }

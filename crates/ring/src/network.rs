@@ -34,7 +34,7 @@ pub struct RingStats {
     pub injection_stalls: u64,
 }
 
-/// One delivered flit, as recorded by the optional [`DeliveryLog`].
+/// One ejected flit, as recorded by the optional [`DeliveryLog`].
 ///
 /// With the inject→rotate→eject step order a flit's delivery latency equals
 /// its hop distance, so the record reconstructs the full path: a data flit
@@ -50,44 +50,34 @@ pub struct Delivery {
     pub src: NodeId,
     /// Destination station.
     pub dst: NodeId,
-    /// Stream / link identifier carried by the flit.
-    pub stream: u32,
 }
 
-/// A fused transit waiting for the ring clock: `(ejection cycle,
-/// destination, source, stream)`, ordered as a ring step ejects.
-type Transit = (u64, NodeId, NodeId, u32);
-
 /// Log of delivered flits on both rings, kept only when a profiler asked
-/// for it ([`DualRing::enable_delivery_log`]). Records enter in ejection
-/// order — by cycle, then by destination station — as the ring clock
-/// passes them. A transit committed in closed form
-/// ([`DualRing::fused_data_stats`]) waits until then, so it lands between
-/// the real ejections exactly where the flit would have ejected. The
-/// log is therefore bit-identical between the exhaustive and the
-/// event-driven engines, fused or not.
+/// for it ([`DualRing::enable_delivery_log`]). It holds one record per
+/// ejection, appended where the ejection is fixed: a ring step logs the
+/// flits it ejects, and a transit committed in closed form
+/// ([`DualRing::fused_data_stats`]) logs its ejection at commit, ahead of
+/// the clock. Only one slot reaches a station per cycle, so `(cycle, dst)`
+/// is unique on each ring and sorting a list by it gives ejection order.
+/// The exhaustive and the event-driven engines, fused or not, log the same
+/// records.
 ///
 /// Each direction retains a bounded trailing window (at least
-/// [`DeliveryLog::WINDOW`] records, at most twice that — eviction drains
-/// half the buffer at once, amortised O(1) per delivery); the
+/// [`DeliveryLog::WINDOW`] records, at most twice that — eviction sorts
+/// the buffer by `(cycle, dst)` and drains its oldest half at once); the
 /// `*_dropped` counters report how many of the oldest records were shed,
 /// so profiles of arbitrarily long runs stay bounded without silently
 /// pretending to be complete.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryLog {
-    /// Data-ring deliveries, in ejection order (trailing window).
+    /// Data-ring deliveries, in commit order (trailing window).
     pub data: Vec<Delivery>,
-    /// Credit-ring deliveries, in ejection order (trailing window).
+    /// Credit-ring deliveries, in commit order (trailing window).
     pub credit: Vec<Delivery>,
     /// Oldest data-ring records evicted from the window.
     pub data_dropped: u64,
     /// Oldest credit-ring records evicted from the window.
     pub credit_dropped: u64,
-    /// Fused transits on each ring (0 = data, 1 = credit) that eject
-    /// after the ring clock, in ejection order: at most the hops of the
-    /// cascades in flight. Cascades commit forward in time, so nearly
-    /// every transit is appended at the back.
-    fused: [VecDeque<Transit>; 2],
 }
 
 impl DeliveryLog {
@@ -95,58 +85,19 @@ impl DeliveryLog {
     pub const WINDOW: usize = 1 << 20;
 
     /// Append a delivery on ring `r` (0 = data, 1 = credit), evicting the
-    /// oldest window if full.
+    /// oldest window if full. A fused hop committed ahead of the clock may
+    /// precede older ejections, so eviction sorts the buffer first.
     fn record(&mut self, r: usize, d: Delivery) {
         let (list, dropped) = match r {
             0 => (&mut self.data, &mut self.data_dropped),
             _ => (&mut self.credit, &mut self.credit_dropped),
         };
         if list.len() >= 2 * Self::WINDOW {
+            list.sort_unstable_by_key(|d| (d.cycle, d.dst));
             list.drain(..Self::WINDOW);
             *dropped += Self::WINDOW as u64;
         }
         list.push(d);
-    }
-
-    /// Hold a fused transit of ring `r` until the ring clock passes it.
-    fn hold(&mut self, r: usize, t: Transit) {
-        let q = &mut self.fused[r];
-        let mut i = q.len();
-        while i > 0 && q[i - 1] > t {
-            i -= 1;
-        }
-        q.insert(i, t);
-    }
-
-    /// Append the fused transits of ring `r` that eject before
-    /// `(cycle, station)`.
-    fn pass(&mut self, r: usize, before: (u64, NodeId)) {
-        while let Some(&(cycle, dst, src, stream)) = self.fused[r].front() {
-            if (cycle, dst) >= before {
-                break;
-            }
-            self.fused[r].pop_front();
-            let d = Delivery {
-                cycle,
-                src,
-                dst,
-                stream,
-            };
-            self.record(r, d);
-        }
-    }
-
-    /// Log a real ejection on ring `r`, after the fused transits that
-    /// eject before it.
-    fn eject(&mut self, r: usize, d: Delivery) {
-        self.pass(r, (d.cycle, d.dst));
-        self.record(r, d);
-    }
-
-    /// Append every fused transit that ejects by `cycle`, the ring clock.
-    fn pass_through(&mut self, cycle: u64) {
-        self.pass(0, (cycle + 1, 0));
-        self.pass(1, (cycle + 1, 0));
     }
 }
 
@@ -403,13 +354,8 @@ impl<B, const FORWARD: bool> Ring<B, FORWARD> {
             stats.total_latency += lat;
             stats.max_latency = stats.max_latency.max(lat);
             if let Some(log) = log.as_deref_mut() {
-                let d = Delivery {
-                    cycle: self.cycle,
-                    src: f.src,
-                    dst: f.dst,
-                    stream: f.stream,
-                };
-                log.eject(Self::INDEX, d);
+                let (cycle, src) = (self.cycle, f.src);
+                log.record(Self::INDEX, Delivery { cycle, src, dst });
             }
             self.rx[dst].push_back(f);
         }
@@ -475,7 +421,8 @@ impl<B, const FORWARD: bool> Ring<B, FORWARD> {
     /// [`DualRing::fused_data_stats`]); returns its ejection cycle.
     fn fused_transit(
         &self,
-        (src, dst, stream): (NodeId, NodeId, u32),
+        src: NodeId,
+        dst: NodeId,
         at: u64,
         stats: &mut RingStats,
         log: Option<&mut DeliveryLog>,
@@ -486,10 +433,11 @@ impl<B, const FORWARD: bool> Ring<B, FORWARD> {
         stats.delivered += 1;
         stats.total_latency += dist;
         stats.max_latency = stats.max_latency.max(dist);
+        let cycle = at + dist;
         if let Some(log) = log {
-            log.hold(Self::INDEX, (at + dist, dst, src, stream));
+            log.record(Self::INDEX, Delivery { cycle, src, dst });
         }
-        at + dist
+        cycle
     }
 }
 
@@ -551,9 +499,8 @@ impl<P> DualRing<P> {
     /// the clock advances, and then per ring, data first: (1) stations
     /// inject into their local slot register if it is empty, (2) all slots
     /// shift one hop, (3) the slot arriving at its destination is ejected
-    /// (guaranteed acceptance). With this order a flit's delivery latency
-    /// equals its hop distance. Last, the delivery log takes the fused
-    /// transits the clock has passed.
+    /// (guaranteed acceptance), and the delivery log, when on, records it.
+    /// With this order a flit's delivery latency equals its hop distance.
     ///
     /// Injection scans run only while a TX queue is non-empty, the shift is
     /// an O(1) offset bump, and ejection addresses the arriving slot
@@ -565,9 +512,6 @@ impl<P> DualRing<P> {
         let log = &mut self.delivery_log;
         self.data.step(&mut self.stats[0], log.as_deref_mut());
         self.credit.step(&mut self.stats[1], log.as_deref_mut());
-        if let Some(log) = log {
-            log.pass_through(self.data.cycle);
-        }
     }
 
     /// Number of upcoming [`DualRing::step`]s that are *pure rotations*:
@@ -620,17 +564,14 @@ impl<P> DualRing<P> {
     /// Advance time by `k` cycles in one go, where all `k` skipped steps
     /// are pure rotations (the caller must ensure `k <= rotation_steps()`).
     /// Equivalent to `k` calls to [`DualRing::step`]: the clock advances
-    /// and occupied slots rotate, but nothing is injected or ejected (the
-    /// delivery log takes the fused transits the clock passes).
+    /// and occupied slots rotate, but nothing is injected, ejected or
+    /// logged.
     pub fn skip(&mut self, k: u64) {
         debug_assert!(k <= self.rotation_steps(), "ring skip past its horizon");
         let n = self.data.n as u64;
         let r = (if k < n { k } else { k % n }) as usize;
         self.data.skip(k, r);
         self.credit.skip(k, r);
-        if let Some(log) = self.delivery_log.as_deref_mut() {
-            log.pass_through(self.data.cycle);
-        }
     }
 
     /// True when every flit that exists now — or is committed for a future
@@ -648,29 +589,29 @@ impl<P> DualRing<P> {
         self.data.multi_hop_quiet() && self.credit.multi_hop_quiet()
     }
 
-    /// Account a distance-1 data-ring transit of `stream` in closed form:
-    /// the delivery statistics a real flit injected at `at` would have
-    /// produced, without ever occupying a slot. Returns the ejection cycle
+    /// Account a distance-1 data-ring transit in closed form: the delivery
+    /// statistics a real flit injected at `at` would have produced,
+    /// without ever occupying a slot. Returns the ejection cycle
     /// (`at + 1`).
     ///
     /// Only valid while [`DualRing::multi_hop_quiet`] holds: distance-1
     /// transits never stall and never linger in a slot, so `delivered`,
     /// `total_latency` and `max_latency` come out bit-identical to
-    /// stepping the flit through. The statistics count the transit at
-    /// once, ahead of the clock; the delivery log, when on, records it
-    /// when the clock passes its ejection, in ejection order.
-    pub fn fused_data_stats(&mut self, src: NodeId, dst: NodeId, stream: u32, at: u64) -> u64 {
+    /// stepping the flit through. The statistics and the delivery log,
+    /// when on, take the transit at once, ahead of the clock: its ejection
+    /// cycle is fixed at commit.
+    pub fn fused_data_stats(&mut self, src: NodeId, dst: NodeId, at: u64) -> u64 {
         let log = self.delivery_log.as_deref_mut();
         self.data
-            .fused_transit((src, dst, stream), at, &mut self.stats[0], log)
+            .fused_transit(src, dst, at, &mut self.stats[0], log)
     }
 
     /// Account a distance-1 credit-ring transit in closed form (see
     /// [`DualRing::fused_data_stats`]). Returns the ejection cycle.
-    pub fn fused_credit_stats(&mut self, src: NodeId, dst: NodeId, stream: u32, at: u64) -> u64 {
+    pub fn fused_credit_stats(&mut self, src: NodeId, dst: NodeId, at: u64) -> u64 {
         let log = self.delivery_log.as_deref_mut();
         self.credit
-            .fused_transit((src, dst, stream), at, &mut self.stats[1], log)
+            .fused_transit(src, dst, at, &mut self.stats[1], log)
     }
 }
 
@@ -914,7 +855,6 @@ mod tests {
                 cycle: k as u64,
                 src: 0,
                 dst: 1,
-                stream: 0,
             };
             log.record(0, d);
         }
@@ -926,6 +866,33 @@ mod tests {
         // The credit side is independent and untouched.
         assert_eq!(log.credit_dropped, 0);
         assert!(log.credit.is_empty());
+    }
+
+    #[test]
+    fn delivery_log_eviction_sheds_the_oldest_ejections() {
+        // Records in commit order: a fused hop ejecting at (W, 3) is
+        // committed ahead of the real ejections at cycles W − 1 and W.
+        // Crossing the 2 × WINDOW boundary sheds the WINDOW oldest records
+        // by (cycle, dst), cycles 0..W at station 1, and keeps the hop
+        // committed ahead.
+        let w = DeliveryLog::WINDOW as u64;
+        let at = |cycle: u64, dst: NodeId| Delivery { cycle, src: 0, dst };
+        let ahead = at(w, 3);
+        let mut log = DeliveryLog::default();
+        for c in 0..2 * w {
+            if c == w - 1 {
+                log.record(0, ahead);
+            }
+            log.record(0, at(c, 1));
+        }
+        assert_eq!(log.data_dropped, w, "one window shed");
+        assert_eq!(log.data.len() as u64, w + 1);
+        assert!(log.data.contains(&ahead), "the hop committed ahead is kept");
+        assert!(
+            log.data.iter().all(|d| (d.cycle, d.dst) >= (w, 1)),
+            "every retained record is younger than every shed one"
+        );
+        assert_eq!(log.credit_dropped, 0);
     }
 
     #[test]
@@ -948,7 +915,6 @@ mod tests {
                 cycle: 3,
                 src: 0,
                 dst: 3,
-                stream: 7,
             }]
         );
         assert_eq!(
@@ -957,7 +923,6 @@ mod tests {
                 cycle: 3,
                 src: 3,
                 dst: 0,
-                stream: 9,
             }]
         );
         // Delivery cycle minus hop distance reconstructs the path start.
@@ -966,11 +931,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_transits_enter_the_delivery_log_in_ejection_order() {
+    fn fused_transits_log_their_ejections_at_commit() {
         // The same distance-1 flits on two logging rings: one flies them
         // all, the other fuses every second one. Same-cycle ejections at
         // several stations interleave fused and real records, and a clock
-        // jump passes fused ones; logs and statistics must match.
+        // jump passes fused ones. The flown log is in ejection order; the
+        // fused one holds the same records, in that order once sorted by
+        // (cycle, dst), and the statistics match.
         let flits: [(bool, usize, u64); 8] = [
             (true, 4, 3),
             (true, 1, 3),
@@ -990,8 +957,8 @@ mod tests {
                 match (data, fused) {
                     (true, false) => r.data.send(src, (src + 1) % 8, stream, 0, at),
                     (false, false) => r.credit.send(src, (src + 7) % 8, stream, 1, at),
-                    (true, true) => _ = r.fused_data_stats(src, (src + 1) % 8, stream, at),
-                    (false, true) => _ = r.fused_credit_stats(src, (src + 7) % 8, stream, at),
+                    (true, true) => _ = r.fused_data_stats(src, (src + 1) % 8, at),
+                    (false, true) => _ = r.fused_credit_stats(src, (src + 7) % 8, at),
                 }
             }
             while r.cycle() < 12 {
@@ -1008,7 +975,9 @@ mod tests {
             let log = r.delivery_log().unwrap();
             (log.data.clone(), log.credit.clone(), stats)
         };
-        let (flown, fused) = (run(false), run(true));
+        let (flown, mut fused) = (run(false), run(true));
+        fused.0.sort_unstable_by_key(|d| (d.cycle, d.dst));
+        fused.1.sort_unstable_by_key(|d| (d.cycle, d.dst));
         assert_eq!(flown, fused);
         let order: Vec<_> = flown.0.iter().map(|d| (d.cycle, d.dst)).collect();
         assert_eq!(order, [(4, 2), (4, 5), (4, 7), (5, 1), (10, 4)]);
