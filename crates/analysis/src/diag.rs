@@ -407,12 +407,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// The most severe severity present, or `None` when there are no
-    /// diagnostics at all.
-    pub fn worst_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// All diagnostics of a given severity.
     pub fn with_severity(&self, s: Severity) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(move |d| d.severity == s)
@@ -572,12 +566,13 @@ mod tests {
 
     #[test]
     fn severity_ordering_drives_acceptance() {
+        let worst = |r: &Report| r.diagnostics.iter().map(|d| d.severity).max();
         let mut r = sample_report();
         assert!(!r.is_accepted());
-        assert_eq!(r.worst_severity(), Some(Severity::Error));
+        assert_eq!(worst(&r), Some(Severity::Error));
         r.diagnostics.retain(|d| d.severity != Severity::Error);
         assert!(r.is_accepted());
-        assert_eq!(r.worst_severity(), Some(Severity::Warning));
+        assert_eq!(worst(&r), Some(Severity::Warning));
     }
 
     #[test]

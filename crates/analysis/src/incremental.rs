@@ -37,7 +37,10 @@
 
 use crate::diag::Report;
 use crate::profile::monitor_config_for;
-use crate::rules::{assemble_report, transition_delay_bound, AnalysisOptions, Facts, ModeReport};
+use crate::rules::{
+    assemble_report, idle_wait_budget, transition_delay_bound, AnalysisOptions, Facts, ModeReport,
+    IDLE_WAIT_ATTEMPTS,
+};
 use crate::spec::{stream_from_json, stream_kernels, DeploySpec, StreamDeploy};
 use crate::{json, Json};
 use std::cell::Cell;
@@ -506,10 +509,13 @@ pub struct AdmissionOutcome {
     /// Reconfiguration window `[start, end)` of the config-bus splice
     /// transaction, when the delta was admitted and touched the platform.
     pub window: Option<(u64, u64)>,
-    /// C-FIFOs created for an admitted add/retune (input, output).
+    /// C-FIFOs created for an admitted add, retune or mode switch
+    /// (input, output).
     pub fifos: Option<(FifoId, FifoId)>,
-    /// The stream's index in its gateway's table after an admitted
-    /// add/retune splice.
+    /// The stream's index in its gateway's table after an admitted add,
+    /// retune or mode switch: the appended entry's index for an add, the
+    /// unchanged index of the replaced entry for a retune or a switch. It
+    /// is the stream's index in the committed spec's gateway, too.
     pub stream_index: Option<usize>,
     /// Rule A12's predicted worst-case transition delay in cycles
     /// ([`crate::TransitionBound::total`]), for an admitted
@@ -525,23 +531,20 @@ pub struct AdmissionOutcome {
 /// analyzed reconfiguration window, then re-arms the online [`Monitor`]
 /// with the updated bounds.
 ///
-/// Transition-window soundness (DESIGN.md §10): a splice-in is an
-/// append-only stream-table write scheduled inside the pair's A9 bus
-/// slot; it never touches the active block's table entry, the round-robin
-/// cursor or the chain's data path, so every in-flight and co-deployed
-/// stream keeps its τ ≤ τ̂ bound across the transition, and the new
-/// stream's first block pays its full `R_s` through the ordinary
-/// admission path exactly as Eq. 2 charges it. A splice-out additionally
-/// waits for the pair to go idle, so no block is in flight on the
-/// affected pair when its table shrinks. Rejects return before any
-/// platform call — state mutation on the reject path is structurally
-/// impossible.
+/// Transition-window soundness (DESIGN.md §10): an add is an append-only
+/// stream-table write scheduled inside the pair's A9 bus slot; it never
+/// touches the active block's table entry, the round-robin cursor or the
+/// chain's data path, so every in-flight and co-deployed stream keeps its
+/// τ ≤ τ̂ bound across the transition, and the new stream's first block
+/// pays its full `R_s` through the ordinary admission path exactly as
+/// Eq. 2 charges it. A removal, a retune and a mode switch first wait for
+/// the pair to go idle inside its slot, so no block is in flight on the
+/// affected pair when its table changes. A retune and a switch replace
+/// the entry in place, so the running table always lists the committed
+/// spec's streams in the spec's order. Rejects return before any platform
+/// call — state mutation on the reject path is structurally impossible.
 pub struct AdmissionController {
     state: AnalysisState,
-    /// Cycle budget for waiting on an idle pair, as a multiple of the
-    /// committed γ (the analyzer's round bound: every admitted block
-    /// completes within it, so a handful of rounds is ample slack).
-    idle_rounds: u64,
 }
 
 impl AdmissionController {
@@ -555,10 +558,7 @@ impl AdmissionController {
     /// bin's `--analyze` pre-flight already computed — so the full
     /// analysis runs exactly once per process.
     pub fn from_state(state: AnalysisState) -> AdmissionController {
-        AdmissionController {
-            state,
-            idle_rounds: 8,
-        }
+        AdmissionController { state }
     }
 
     /// The underlying incremental analyzer state.
@@ -617,24 +617,33 @@ impl AdmissionController {
         let g = delta.gateway();
         let sysg = *gateway_map.get(g).ok_or(DeltaError::UnknownGateway(g))?;
 
+        // A retune and a mode switch both replace the stream's table entry
+        // in place; they differ only in where the new configuration comes
+        // from and in the A12 bound a switch carries.
+        let in_place = match delta {
+            Delta::RetuneStream { stream, with, .. } => Some((stream, with.clone())),
+            Delta::ModeSwitch { stream, mode, .. } => {
+                Some((stream, self.state.mode_config(g, stream, mode)?))
+            }
+            Delta::AddStream { .. } | Delta::RemoveStream { .. } => None,
+        };
+
         // A12's transition-delay bound is anchored at the *request* cycle
         // (it budgets the drain/alignment waits the splice is about to
         // perform), so capture the clock before any platform interaction.
         let request_cycle = system.cycle();
-        let predicted_delay = match delta {
-            Delta::ModeSwitch { stream, mode, .. } => {
-                let with = self.state.mode_config(g, stream, mode)?;
+        let predicted_delay = match (delta, &in_place) {
+            (Delta::ModeSwitch { .. }, Some((stream, with))) => {
                 let old = self
                     .state
                     .committed_stream(g, stream)
-                    .ok_or_else(|| DeltaError::UnknownStream(g, stream.clone()))?
-                    .clone();
+                    .ok_or_else(|| DeltaError::UnknownStream(g, stream.to_string()))?;
                 Some(
                     transition_delay_bound(
                         self.state.spec(),
                         g,
-                        &old,
-                        &with,
+                        old,
+                        with,
                         self.state.report().gamma,
                         candidate.verdict.report().gamma,
                     )
@@ -644,33 +653,29 @@ impl AdmissionController {
             _ => None,
         };
 
-        let (window, fifos, stream_index) = match delta {
-            Delta::AddStream { stream, .. } => {
+        let (window, fifos, stream_index) = match (delta, &in_place) {
+            // In place over the configuration bus: the table order and the
+            // round-robin cursor survive, so every other stream keeps its
+            // index and its service position through the window.
+            (_, Some((stream, with))) => {
+                let (t, idx) = self.idle_in_slot(system, sysg, g, stream)?;
+                let (i, o, cfg) = self.build_entry(system, sysg, g, with);
+                system.retune_stream(sysg, idx, cfg);
+                (Some((t, t + with.reconfig)), Some((i, o)), Some(idx))
+            }
+            (Delta::AddStream { stream, .. }, None) => {
                 let t = self.align_to_slot(system, g, stream.reconfig);
-                let (i, o, idx) = self.splice_in(system, sysg, g, stream);
+                let (i, o, cfg) = self.build_entry(system, sysg, g, stream);
+                let idx = system.splice_stream(sysg, cfg);
                 (Some((t, t + stream.reconfig)), Some((i, o)), Some(idx))
             }
-            Delta::RemoveStream { stream, .. } => {
+            (Delta::RemoveStream { stream, .. }, None) => {
                 let (t, idx) = self.idle_in_slot(system, sysg, g, stream)?;
                 let removed = system.splice_out_stream(sysg, idx);
                 (Some((t, t + removed.reconfig_cycles)), None, None)
             }
-            Delta::RetuneStream { stream, with, .. } => {
-                let (t, idx) = self.idle_in_slot(system, sysg, g, stream)?;
-                let _removed = system.splice_out_stream(sysg, idx);
-                let (i, o, new_idx) = self.splice_in(system, sysg, g, with);
-                (Some((t, t + with.reconfig)), Some((i, o)), Some(new_idx))
-            }
-            Delta::ModeSwitch { stream, mode, .. } => {
-                // A mode switch is an *in-place* config-bus retune: the
-                // table order and round-robin cursor survive, so every
-                // non-switching stream keeps its index and its service
-                // position through the transition window.
-                let with = self.state.mode_config(g, stream, mode)?;
-                let (t, idx) = self.idle_in_slot(system, sysg, g, stream)?;
-                let (i, o, cfg) = self.build_entry(system, sysg, g, &with);
-                let _old = system.retune_stream(sysg, idx, cfg);
-                (Some((t, t + with.reconfig)), Some((i, o)), Some(idx))
+            (Delta::RetuneStream { .. } | Delta::ModeSwitch { .. }, None) => {
+                unreachable!("a retune or mode switch always has its replacement")
             }
         };
 
@@ -702,7 +707,7 @@ impl AdmissionController {
     /// Create the stream's C-FIFOs (named like the spec builders name
     /// them) and its table entry with passthrough kernels — the same
     /// kernels [`DeploySpec::build_platform`] installs. Shared by the
-    /// append splice and the in-place mode-switch retune.
+    /// append splice and the in-place retune.
     fn build_entry(
         &self,
         system: &mut System,
@@ -739,20 +744,6 @@ impl AdmissionController {
         (i, o, cfg)
     }
 
-    /// [`AdmissionController::build_entry`] plus the append-only table
-    /// splice; returns the new entry's index.
-    fn splice_in(
-        &self,
-        system: &mut System,
-        sysg: usize,
-        g: usize,
-        stream: &StreamDeploy,
-    ) -> (FifoId, FifoId, usize) {
-        let (i, o, cfg) = self.build_entry(system, sysg, g, stream);
-        let idx = system.splice_stream(sysg, cfg);
-        (i, o, idx)
-    }
-
     /// Advance the system to the next cycle inside gateway `g`'s
     /// config-bus slot with at least `r` cycles of slot left (rule A9
     /// guarantees `r` fits any slot the pair declares). Specs without a
@@ -786,9 +777,10 @@ impl AdmissionController {
     /// Bring gateway `sysg` to *idle inside its bus slot*: wait for the
     /// pair to finish its in-flight block ([`System::run_until_idle`]
     /// stops at the same cycle in both engines), then align to the slot,
-    /// re-verifying idleness after the alignment run, with bounded
-    /// retries. Also resolves the target stream's current table index by
-    /// name.
+    /// re-verifying idleness after the alignment run. It makes at most
+    /// `IDLE_WAIT_ATTEMPTS` attempts of `idle_wait_budget(γ)` cycles each,
+    /// the figures rule A12's drain term bounds. Also resolves the target
+    /// stream's current table index by name.
     fn idle_in_slot(
         &self,
         system: &mut System,
@@ -796,9 +788,9 @@ impl AdmissionController {
         g: usize,
         stream: &str,
     ) -> Result<(u64, usize), AdmissionError> {
-        let gamma = self.state.report().gamma.max(1);
-        let budget = self.idle_rounds.saturating_mul(gamma).saturating_add(4000);
-        for _ in 0..8 {
+        let gamma = self.state.report().gamma;
+        let budget = idle_wait_budget(gamma);
+        for _ in 0..IDLE_WAIT_ATTEMPTS {
             let idle = system.gateways[sysg].is_idle() || system.run_until_idle(sysg, budget);
             if !idle {
                 return Err(AdmissionError::Timeout(format!(

@@ -348,6 +348,17 @@ pub(crate) struct ModeFacts {
     pub(crate) candidates: Vec<(PairFacts, RingContrib)>,
 }
 
+/// Attempts the admission controller makes to find a gateway pair idle
+/// inside its configuration-bus slot before it removes, retunes or
+/// switches a stream (`AdmissionController::idle_in_slot`).
+pub(crate) const IDLE_WAIT_ATTEMPTS: u64 = 8;
+
+/// Cycles one idle-wait attempt waits for the pair to fall idle under the
+/// round bound `gamma`: eight rounds plus fill slack.
+pub(crate) fn idle_wait_budget(gamma: u64) -> u64 {
+    gamma.saturating_mul(8).saturating_add(4000)
+}
+
 /// The A12 closed-form worst-case transition-delay bound, decomposed into
 /// the four phases a run-time mode switch passes through. All figures are
 /// cycles; [`TransitionBound::total`] is the bound rule A12 reports and
@@ -356,8 +367,9 @@ pub(crate) struct ModeFacts {
 pub struct TransitionBound {
     /// Drain-to-idle of in-flight blocks under the *old* mode's round
     /// bound: the run-time splice waits for the gateway to fall idle
-    /// inside its configuration slot, retrying up to 8 times with an
-    /// 8-round + fill-slack budget per attempt.
+    /// inside its configuration slot in at most `IDLE_WAIT_ATTEMPTS`
+    /// attempts, each waiting up to `idle_wait_budget(γ_old)` cycles for
+    /// the pair and then up to one bus period for the slot.
     pub drain: u64,
     /// Worst-case wait for the gateway's configuration-bus slot (one full
     /// TDM frame of the config bus; 0 when no bus period is declared).
@@ -405,11 +417,9 @@ pub fn transition_delay_bound(
     // Saturating: a γ near `u64::MAX` (or the saturated γ of a report
     // whose round bound overflows) must not wrap to a small bound.
     TransitionBound {
-        drain: gamma_old
-            .saturating_mul(8)
-            .saturating_add(4000)
+        drain: idle_wait_budget(gamma_old)
             .saturating_add(p)
-            .saturating_mul(8),
+            .saturating_mul(IDLE_WAIT_ATTEMPTS),
         align: p,
         save_restore: old.reconfig.saturating_add(new.reconfig),
         ramp: gamma_new

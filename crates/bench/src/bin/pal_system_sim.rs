@@ -143,13 +143,14 @@ fn print_engine_timing(cycles: u64, (wall_event, ev): (f64, EngineStats), wall_e
 /// `--churn`: online admission control on the two-gateway PAL deployment
 /// (Fig. 10). A running pal2 system, bound monitor armed, takes one
 /// admissible stream join (spliced in mid-run through the incremental
-/// analyzer, inside gateway 1's config-bus slot), one declared mode switch
-/// (retuned in place over the config bus, with the measured transition
-/// delay checked against the A12 bound and a refused reverse edge), and
-/// one infeasible join (rejected by rule A8 before any platform
-/// interaction). The monitor must stay silent across every transition,
-/// and the reject must leave system state and the committed bounds
-/// bit-for-bit untouched.
+/// analyzer, inside gateway 1's config-bus slot), a retune of `ch1-back`
+/// in place (gateway 1's running table must keep the committed spec's
+/// order), one declared mode switch (retuned in place over the config
+/// bus, with the measured transition delay checked against the A12 bound
+/// and a refused reverse edge), and one infeasible join (rejected by rule
+/// A8 before any platform interaction). The monitor must stay silent
+/// across every transition, and the reject must leave system state and
+/// the committed bounds bit-for-bit untouched.
 ///
 /// The deployment is analyzed exactly once: the baseline report and the
 /// admission controller share a single `AnalysisState`, so every request
@@ -259,6 +260,57 @@ fn run_churn_admission(mode: StepMode, cycles: u64) {
     assert!(
         gw1.stream(idx).blocks_done >= 1,
         "spliced stream must run a block"
+    );
+
+    // Retune: ch1-back, first of gw-back's three entries, gets a shorter
+    // reconfiguration window. The entry is replaced in place, so the
+    // running table keeps the committed spec's order and the re-armed
+    // monitor holds every stream to its own τ̂.
+    let back = spec.gateways[1].streams[0].clone();
+    let mut with = back.clone();
+    with.reconfig -= 16;
+    let outcome = ctrl
+        .request(
+            &mut built.system,
+            &built.gateways,
+            &Delta::RetuneStream {
+                gateway: 1,
+                stream: back.name.clone(),
+                with,
+            },
+            Some(&mut monitor),
+        )
+        .expect("well-formed retune");
+    assert!(outcome.verdict.is_admitted(), "ch1-back retune must admit");
+    let idx = outcome.stream_index.expect("retune keeps the table index");
+    let (fin, _fout) = outcome.fifos.expect("retune rebuilt the stream fifos");
+    let gw1 = &built.system.gateways[built.gateways[1]];
+    let running: Vec<String> = (0..gw1.num_streams())
+        .map(|i| gw1.stream(i).name.clone())
+        .collect();
+    let committed: Vec<String> = ctrl.spec().gateways[1]
+        .streams
+        .iter()
+        .map(|s| s.name.clone())
+        .collect();
+    assert_eq!(
+        running, committed,
+        "gw-back's running table must list the committed spec's streams in order"
+    );
+    for k in 0..back.eta_in {
+        let now = built.system.cycle();
+        built.system.fifos[fin.0].try_push((k as f64, 0.0), now);
+    }
+    built.system.run(cycles / 4);
+    assert_eq!(
+        monitor.poll(&built.system.tracer),
+        0,
+        "monitor must stay silent across the retune"
+    );
+    println!(
+        "  retune {} @ gw 1: ADMITTED (in place at index {idx}; table {})",
+        back.name,
+        running.join(", ")
     );
 
     // Mode switch: retune ch1-front to its declared "eco" mode in place
@@ -376,13 +428,17 @@ fn run_churn_admission(mode: StepMode, cycles: u64) {
         "monitor silent after the rejected request"
     );
     println!(
-        "  monitor: {} violation(s) across baseline, admission window and reject",
+        "  monitor: {} violation(s) across baseline, join, retune, switch and reject",
         monitor.violations().len()
     );
 }
 
 fn main() {
     let args = parse_args();
+    if args.cycles == Some(0) {
+        eprintln!("--cycles 0 simulates no stream time, so no real-time verdict can be given");
+        std::process::exit(2);
+    }
     let cfg = PalSystemConfig::scaled_default();
     if args.analyze {
         use streamgate_analysis::ToDeploySpec;

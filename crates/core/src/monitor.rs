@@ -294,11 +294,13 @@ impl Monitor {
         }
     }
 
-    /// Check every armed transition deadline against the current cycle:
-    /// a transition whose deadline has passed with *no* completed block is
-    /// just as overrun as one whose first block drained late. Call with
-    /// `system.cycle()` after polling; returns the number of violations
-    /// raised (expired deadlines are disarmed so each fires once).
+    /// Check every armed transition deadline against cycle `now`: a
+    /// transition whose deadline has passed with *no* completed block is
+    /// just as overrun as one whose first block drained late.
+    /// [`Monitor::poll`] runs it at the latest cycle of the events it
+    /// folded; call it with `system.cycle()` to check a stretch that
+    /// emitted no event. Returns the number of violations raised (expired
+    /// deadlines are disarmed so each fires once).
     pub fn check_transition_deadlines(&mut self, now: u64) -> usize {
         let mut raised = 0;
         for g in 0..self.cfg.gateways.len() {
@@ -338,29 +340,45 @@ impl Monitor {
     }
 
     /// Consume the trace events appended since the last poll (plus the
-    /// tracer's still-open stall windows) and run every check. Returns the
-    /// number of violations detected by *this* poll — so
-    /// `monitor.poll(&s.tracer) > 0` is a ready-made `run_until`
-    /// predicate that stops a run at the first violation.
+    /// tracer's still-open stall windows) and run every check. Armed
+    /// transition deadlines are checked last, against the latest cycle the
+    /// new events carry, so a block that drained within this poll clears
+    /// its deadline first. Returns the number of violations detected by
+    /// *this* poll — so `monitor.poll(&s.tracer) > 0` is a ready-made
+    /// `run_until` predicate that stops a run at the first violation.
     pub fn poll(&mut self, tracer: &Tracer) -> usize {
         let before = self.violations.len();
+        let mut latest = None;
         while let Some(folded) = self.fold.next(tracer) {
-            match folded {
+            let cycle = match folded {
                 Folded::Block { gateway, block } => {
-                    self.on_block_end(gateway, block.stream, block.start, block.drain_end)
+                    self.on_block_end(gateway, block.stream, block.start, block.drain_end);
+                    block.drain_end
                 }
                 Folded::Stall {
                     gateway,
-                    cause: StallCause::ExitFifoFull,
+                    cause,
                     start,
-                    ..
-                } => self.report_wedge(gateway, start),
-                Folded::Event(
-                    &TraceEvent::FifoLevel { fifo, cycle, level }
-                    | &TraceEvent::FifoHighWater { fifo, cycle, level },
-                ) => self.check_fifo(fifo as usize, cycle, level as usize),
-                _ => {}
-            }
+                    end,
+                } => {
+                    if cause == StallCause::ExitFifoFull {
+                        self.report_wedge(gateway, start);
+                    }
+                    end
+                }
+                Folded::Event(e) => {
+                    if let TraceEvent::FifoLevel { fifo, cycle, level }
+                    | TraceEvent::FifoHighWater { fifo, cycle, level } = *e
+                    {
+                        self.check_fifo(fifo as usize, cycle, level as usize);
+                    }
+                    e.cycle()
+                }
+            };
+            latest = latest.max(Some(cycle));
+        }
+        if let Some(now) = latest {
+            self.check_transition_deadlines(now);
         }
         for &(gateway, cause, start, _) in tracer.open_stalls() {
             if cause == StallCause::ExitFifoFull {
@@ -658,6 +676,32 @@ mod tests {
             ViolationKind::TransitionOverrun
         );
         assert_eq!(m2.check_transition_deadlines(502), 0, "fires once");
+    }
+
+    #[test]
+    fn poll_flags_a_deadline_that_expires_without_a_block() {
+        let mut t = Tracer::enabled(0);
+        let mut m = Monitor::new(cfg_one_gateway(None, None));
+        m.arm_transition_deadline(0, "s1", 100);
+        // Another stream keeps completing blocks; s1 never completes one.
+        t.emit(|| block_end(0, 0, 90));
+        assert_eq!(m.poll(&t), 0, "the deadline has not passed yet");
+        t.emit(|| TraceEvent::FifoLevel {
+            fifo: 0,
+            cycle: 100,
+            level: 1,
+        });
+        assert_eq!(m.poll(&t), 0, "cycle 100 still meets the deadline");
+        t.emit(|| block_end(0, 92, 150));
+        assert_eq!(m.poll(&t), 1);
+        let v = &m.violations()[0];
+        assert_eq!(v.kind, ViolationKind::TransitionOverrun);
+        assert_eq!(v.stream_name, "s1");
+        assert_eq!(v.cycle, 150);
+        // One-shot: s1's late first block does not fire it again.
+        t.emit(|| block_end(1, 152, 200));
+        assert_eq!(m.poll(&t), 0);
+        assert_eq!(m.violations().len(), 1);
     }
 
     #[test]

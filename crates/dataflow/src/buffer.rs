@@ -345,35 +345,6 @@ pub fn min_buffers_for_period(
     }
 }
 
-/// Convenience: minimum total capacities to sustain the *maximum* throughput
-/// of the unbounded graph.
-pub fn min_buffers_for_max_throughput(
-    graph: &CsdfGraph,
-    channels: Vec<EdgeId>,
-    reference: crate::graph::ActorId,
-    cap_limit: u64,
-) -> Result<Option<BufferResult>, McmError> {
-    let target = match unbounded_period(graph, reference) {
-        Ok(Some(t)) => t,
-        Ok(None) => Rational::from_int(
-            graph
-                .actor_ids()
-                .map(|a| graph.actor(a).durations.iter().sum::<Time>())
-                .max()
-                .unwrap_or(1) as i128,
-        ),
-        Err(McmError::ZeroDelayCycle) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let p = BufferProblem {
-        graph: graph.clone(),
-        channels,
-        reference,
-        target_period: target,
-    };
-    min_buffers_for_period(&p, cap_limit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +363,23 @@ mod tests {
         let b = g.add_sdf_actor("B", 3);
         let e = g.add_sdf_edge("ab", a, 1, b, 1, 0);
         (g, a, b, e)
+    }
+
+    /// Minimum capacities of `channels` that sustain the unbounded graph's
+    /// period at `reference`.
+    fn at_max_throughput(
+        g: &CsdfGraph,
+        channels: Vec<EdgeId>,
+        reference: crate::graph::ActorId,
+        cap_limit: u64,
+    ) -> BufferResult {
+        let p = BufferProblem {
+            graph: g.clone(),
+            channels,
+            reference,
+            target_period: unbounded_period(g, reference).unwrap().unwrap(),
+        };
+        min_buffers_for_period(&p, cap_limit).unwrap().unwrap()
     }
 
     #[test]
@@ -434,9 +422,7 @@ mod tests {
     #[test]
     fn max_throughput_helper() {
         let (g, _a, b, e) = simple_chain();
-        let r = min_buffers_for_max_throughput(&g, vec![e], b, 64)
-            .unwrap()
-            .unwrap();
+        let r = at_max_throughput(&g, vec![e], b, 64);
         assert_eq!(r.capacities, vec![2]);
         assert_eq!(r.total, 2);
     }
@@ -463,9 +449,7 @@ mod tests {
         let e = g.add_sdf_edge("ab", a, 1, b, 4, 0);
         // Unbounded: B's period = max(5, producer feeding 4 tokens in 4 cycles) = 5.
         assert_eq!(unbounded_period(&g, b).unwrap().unwrap(), rat(5, 1));
-        let r = min_buffers_for_max_throughput(&g, vec![e], b, 256)
-            .unwrap()
-            .unwrap();
+        let r = at_max_throughput(&g, vec![e], b, 256);
         // B needs 4 tokens present; sustaining period 5 needs a little slack
         // for the producer to run ahead while B drains.
         assert!(r.capacities[0] >= 4, "capacity {:?}", r.capacities);
@@ -489,9 +473,7 @@ mod tests {
         let c = g.add_sdf_actor("C", 2);
         let e1 = g.add_sdf_edge("ab", a, 1, b, 1, 0);
         let e2 = g.add_sdf_edge("bc", b, 1, c, 1, 0);
-        let r = min_buffers_for_max_throughput(&g, vec![e1, e2], c, 64)
-            .unwrap()
-            .unwrap();
+        let r = at_max_throughput(&g, vec![e1, e2], c, 64);
         // With equal durations, capacity 2 per channel sustains period 2.
         assert_eq!(r.capacities, vec![2, 2]);
     }

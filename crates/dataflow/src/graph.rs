@@ -268,19 +268,9 @@ impl CsdfGraph {
             .collect()
     }
 
-    /// Look up an actor by name (first match).
-    pub fn actor_by_name(&self, name: &str) -> Option<ActorId> {
-        self.actors.iter().position(|a| a.name == name).map(ActorId)
-    }
-
     /// Look up an edge by name (first match).
     pub fn edge_by_name(&self, name: &str) -> Option<EdgeId> {
         self.edges.iter().position(|e| e.name == name).map(EdgeId)
-    }
-
-    /// True if every actor has exactly one phase (pure SDF).
-    pub fn is_sdf(&self) -> bool {
-        self.actors.iter().all(|a| a.phases() == 1)
     }
 
     /// Structural validation: rate list lengths, dead edges.
@@ -347,10 +337,9 @@ mod tests {
         assert_eq!(g.actor(a).name, "A");
         assert_eq!(g.edge(e).src, a);
         assert_eq!(g.edge(e).dst, b);
-        assert!(g.is_sdf());
-        assert_eq!(g.actor_by_name("B"), Some(b));
+        assert_eq!(g.actor(b).phases(), 1);
         assert_eq!(g.edge_by_name("ab"), Some(e));
-        assert_eq!(g.actor_by_name("Z"), None);
+        assert_eq!(g.edge_by_name("zz"), None);
     }
 
     #[test]
@@ -407,7 +396,6 @@ mod tests {
         assert!(g.validate().is_ok());
         assert_eq!(g.edge(e).production_per_cycle(), 3);
         assert_eq!(g.edge(e).consumption_per_cycle(), 3);
-        assert!(!g.is_sdf());
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 pub mod buffer;
 pub mod graph;
-pub mod latency;
 pub mod mcm;
 pub mod refinement;
 pub mod repetition;
@@ -31,11 +30,10 @@ pub mod simulate;
 
 pub use buffer::{min_buffer_for_period, min_buffers_for_period, BufferProblem, BufferResult};
 pub use graph::{quanta, Actor, ActorId, CsdfGraph, Edge, EdgeId, GraphError, Time};
-pub use latency::{token_latency, LatencyStats};
 pub use mcm::{expand_to_hsdf, max_cycle_ratio, mcm_period, Hsdf, McmError};
 pub use refinement::{
     check_refinement, check_refinement_multi, refines, ArrivalTrace, RefinementOutcome,
 };
-pub use repetition::{is_consistent, repetition_vector, RepetitionVector};
+pub use repetition::{repetition_vector, RepetitionVector};
 pub use schedule::{Gantt, GanttRow, Segment};
 pub use simulate::{simulate, simulate_with, Firing, SimOptions, SimTrace};

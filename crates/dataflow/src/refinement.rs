@@ -46,20 +46,6 @@ impl ArrivalTrace {
     pub fn last(&self) -> Option<Time> {
         self.times.last().copied()
     }
-
-    /// Long-run token rate (tokens per cycle) over the second half of the
-    /// trace, as a float for reporting.
-    pub fn steady_rate(&self) -> Option<f64> {
-        if self.times.len() < 4 {
-            return None;
-        }
-        let mid = self.times.len() / 2;
-        let dt = self.times[self.times.len() - 1].saturating_sub(self.times[mid]);
-        if dt == 0 {
-            return None;
-        }
-        Some((self.times.len() - 1 - mid) as f64 / dt as f64)
-    }
 }
 
 /// Outcome of a refinement comparison.
@@ -194,14 +180,6 @@ mod tests {
         let abs = vec![ArrivalTrace::new(vec![1, 2]), ArrivalTrace::new(vec![3, 4])];
         let err = check_refinement_multi(&imp, &abs).unwrap_err();
         assert_eq!(err.0, 1);
-    }
-
-    #[test]
-    fn steady_rate_estimates() {
-        let t = ArrivalTrace::new(vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        let r = t.steady_rate().unwrap();
-        assert!((r - 0.1).abs() < 1e-9);
-        assert_eq!(ArrivalTrace::new(vec![1, 2]).steady_rate(), None);
     }
 
     #[test]

@@ -146,11 +146,6 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<RepetitionVector, GraphError> 
     })
 }
 
-/// True iff the graph's balance equations admit a positive solution.
-pub fn is_consistent(g: &CsdfGraph) -> bool {
-    repetition_vector(g).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +186,6 @@ mod tests {
         g.add_sdf_edge("ab", a, 2, b, 1, 0);
         g.add_sdf_edge("ba", b, 1, a, 1, 0); // would need b:a = 2:1 AND 1:1
         assert!(repetition_vector(&g).is_err());
-        assert!(!is_consistent(&g));
     }
 
     #[test]
@@ -258,7 +252,6 @@ mod tests {
             repetition_vector(&coprime_chain(100)),
             Err(GraphError::Overflow)
         );
-        assert!(!is_consistent(&coprime_chain(41)));
     }
 
     #[test]

@@ -27,11 +27,11 @@ pub mod fm;
 pub mod nco;
 pub mod pal;
 
-pub use analysis::{rms_error, snr_db, thd_db, tone_power, total_power};
+pub use analysis::{rms_error, snr_db, tone_power, total_power};
 pub use complex::Complex;
 pub use cordic::{fixed_to_radians, radians_to_fixed, wrap_angle, Cordic};
 pub use decimate::{Decimator, DecimatorState};
-pub use fir::{design_bandpass, design_lowpass, magnitude_response, FirFilter, FirState, Window};
+pub use fir::{design_lowpass, magnitude_response, FirFilter, FirState, Window};
 pub use fm::{FmDemodulator, FmModulator};
 pub use nco::{Mixer, Nco};
 pub use pal::{decode_stereo, ChannelDecoder, PalConfig, PalStereoSource};

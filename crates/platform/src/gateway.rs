@@ -277,35 +277,20 @@ impl GatewayPair {
     /// τ ≤ τ̂ guarantee. The new stream is first considered at the next
     /// idle admission scan. Returns the new stream's index.
     pub fn splice_stream(&mut self, s: StreamConfig, tracer: &mut Tracer, now: u64) -> usize {
-        assert_eq!(
-            s.kernels.len(),
-            self.chain.len(),
-            "stream must provide one kernel per chain accelerator"
-        );
-        let idx = self.streams.len();
-        let r = s.reconfig_cycles;
-        self.reconfig_cycles_total += r;
-        let gw = self.trace_id;
-        if r > 0 {
-            tracer.emit(|| TraceEvent::ReconfigWindow {
-                gateway: gw,
-                stream: idx as u32,
-                start: now,
-                end: now + r,
-            });
-        }
-        self.streams.push(s);
+        let idx = self.add_stream(s);
+        self.charge_reconfig(idx, tracer, now);
         idx
     }
 
     /// Online-admission splice-out: remove stream `idx`'s table entry and
-    /// return it. Requires the pair to be *idle* (no block in flight). A
-    /// non-shared pair keeps the last-run stream's kernels installed in
-    /// the accelerators between blocks; if that stream is the one leaving,
-    /// its contexts are saved back over the configuration bus first
-    /// (traced as [`TraceEvent::ConfigSave`]). Stream indices above `idx`
-    /// shift down by one — historical [`BlockRecord`]s and trace events
-    /// keep the indices that were current when they were recorded.
+    /// return it — the one change that shrinks the table. Requires the
+    /// pair to be *idle* (no block in flight). A non-shared pair keeps the
+    /// last-run stream's kernels installed in the accelerators between
+    /// blocks; if that stream is the one leaving, its contexts are saved
+    /// back over the configuration bus first (traced as
+    /// [`TraceEvent::ConfigSave`]). Stream indices above `idx` shift down
+    /// by one — historical [`BlockRecord`]s and trace events keep the
+    /// indices that were current when they were recorded.
     pub fn splice_out_stream(
         &mut self,
         idx: usize,
@@ -318,27 +303,10 @@ impl GatewayPair {
             "splice-out requires an idle gateway pair (no block in flight)"
         );
         assert!(idx < self.streams.len(), "stream index out of range");
-        let gw = self.trace_id;
-        if self.active == Some(idx) {
-            for (slot, acc) in self.chain.iter().enumerate() {
-                let words = accels[acc.0].kernel_state_words() as u32;
-                let k = accels[acc.0]
-                    .remove_kernel()
-                    .expect("last-run stream had kernels installed");
-                self.streams[idx].kernels[slot] = Some(k);
-                tracer.emit(|| TraceEvent::ConfigSave {
-                    gateway: gw,
-                    stream: idx as u32,
-                    accel: acc.0 as u32,
-                    cycle: now,
-                    words,
-                });
-            }
-            self.active = None;
-        } else if let Some(a) = self.active {
-            if a > idx {
-                self.active = Some(a - 1);
-            }
+        match self.active {
+            Some(a) if a == idx => self.save_active(accels, tracer, now),
+            Some(a) if a > idx => self.active = Some(a - 1),
+            _ => {}
         }
         let s = self.streams.remove(idx);
         match self.streams.len() {
@@ -354,15 +322,16 @@ impl GatewayPair {
     }
 
     /// Config-bus retune: replace stream `idx`'s table entry *in place*
-    /// with a new configuration — the mode-switch primitive. Like
-    /// [`GatewayPair::splice_out_stream`] it requires an idle pair and
-    /// saves the leaving configuration's kernel contexts back over the
-    /// configuration bus when they are still installed in the chain
-    /// ([`TraceEvent::ConfigSave`]); like [`GatewayPair::splice_stream`]
-    /// it charges the incoming configuration's `R_s` as a traced
-    /// [`TraceEvent::ReconfigWindow`]. Unlike an out-then-in splice pair
-    /// the table order and the round-robin cursor are untouched, so every
-    /// co-deployed stream keeps both its index and its service position.
+    /// with a new configuration — the one primitive behind both a retune
+    /// and a mode switch. Like [`GatewayPair::splice_out_stream`] it
+    /// requires an idle pair and saves the leaving configuration's kernel
+    /// contexts back over the configuration bus when they are still
+    /// installed in the chain ([`TraceEvent::ConfigSave`]); like
+    /// [`GatewayPair::splice_stream`] it charges the incoming
+    /// configuration's `R_s` as a traced [`TraceEvent::ReconfigWindow`].
+    /// The table order and the round-robin cursor are untouched, so every
+    /// co-deployed stream keeps both its index and its service position,
+    /// and the table keeps the order of the spec it was built from.
     /// Returns the replaced entry.
     pub fn retune_stream(
         &mut self,
@@ -382,26 +351,46 @@ impl GatewayPair {
             self.chain.len(),
             "stream must provide one kernel per chain accelerator"
         );
-        let gw = self.trace_id;
         if self.active == Some(idx) {
-            for (slot, acc) in self.chain.iter().enumerate() {
-                let words = accels[acc.0].kernel_state_words() as u32;
-                let k = accels[acc.0]
-                    .remove_kernel()
-                    .expect("last-run stream had kernels installed");
-                self.streams[idx].kernels[slot] = Some(k);
-                tracer.emit(|| TraceEvent::ConfigSave {
-                    gateway: gw,
-                    stream: idx as u32,
-                    accel: acc.0 as u32,
-                    cycle: now,
-                    words,
-                });
-            }
-            self.active = None;
+            self.save_active(accels, tracer, now);
         }
-        let r = s.reconfig_cycles;
+        let old = std::mem::replace(&mut self.streams[idx], s);
+        self.charge_reconfig(idx, tracer, now);
+        old
+    }
+
+    /// Save the active stream's kernel contexts out of the chain back into
+    /// its table entry over the configuration bus, one
+    /// [`TraceEvent::ConfigSave`] per accelerator, and leave no stream
+    /// active. A no-op when no stream is active.
+    fn save_active(&mut self, accels: &mut [AcceleratorTile], tracer: &mut Tracer, now: u64) {
+        let Some(idx) = self.active.take() else {
+            return;
+        };
+        let gw = self.trace_id;
+        for (slot, acc) in self.chain.iter().enumerate() {
+            let words = accels[acc.0].kernel_state_words() as u32;
+            let k = accels[acc.0]
+                .remove_kernel()
+                .expect("the active stream's kernels are installed in its chain");
+            self.streams[idx].kernels[slot] = Some(k);
+            tracer.emit(|| TraceEvent::ConfigSave {
+                gateway: gw,
+                stream: idx as u32,
+                accel: acc.0 as u32,
+                cycle: now,
+                words,
+            });
+        }
+    }
+
+    /// Charge stream `idx`'s reconfiguration time `R_s`, starting at `now`,
+    /// to [`GatewayPair::reconfig_cycles_total`] and trace it as a
+    /// [`TraceEvent::ReconfigWindow`]. Returns `R_s`.
+    fn charge_reconfig(&mut self, idx: usize, tracer: &mut Tracer, now: u64) -> u64 {
+        let r = self.streams[idx].reconfig_cycles;
         self.reconfig_cycles_total += r;
+        let gw = self.trace_id;
         if r > 0 {
             tracer.emit(|| TraceEvent::ReconfigWindow {
                 gateway: gw,
@@ -410,7 +399,7 @@ impl GatewayPair {
                 end: now + r,
             });
         }
-        std::mem::replace(&mut self.streams[idx], s)
+        r
     }
 
     /// Streams registered.
@@ -525,22 +514,7 @@ impl GatewayPair {
         // Configuration bus: save the previous stream's kernel contexts,
         // restore the next stream's.
         if switching {
-            if let Some(prev) = self.active {
-                for (slot, acc) in self.chain.iter().enumerate() {
-                    let words = accels[acc.0].kernel_state_words() as u32;
-                    let k = accels[acc.0]
-                        .remove_kernel()
-                        .expect("active stream had kernels installed");
-                    self.streams[prev].kernels[slot] = Some(k);
-                    tracer.emit(|| TraceEvent::ConfigSave {
-                        gateway: gw,
-                        stream: prev as u32,
-                        accel: acc.0 as u32,
-                        cycle: now,
-                        words,
-                    });
-                }
-            }
+            self.save_active(accels, tracer, now);
             if self.shared_chain {
                 // Claim: rewire the chain's boundary NI endpoints onto this
                 // pair's links. Safe — the chain is free (asserted in the
@@ -573,24 +547,15 @@ impl GatewayPair {
         self.block_received = 0;
         self.block_dma_stall = 0;
         self.block_exit_stall = 0;
-        // `R_s` is charged per block, even to a block of the stream already
-        // configured, as the analysis charges it.
-        let r = self.streams[idx].reconfig_cycles;
-        self.reconfig_cycles_total += r;
-        self.block_reconfig_end = now + r;
         tracer.emit(|| TraceEvent::BlockStart {
             gateway: gw,
             stream: idx as u32,
             cycle: now,
         });
-        if r > 0 {
-            tracer.emit(|| TraceEvent::ReconfigWindow {
-                gateway: gw,
-                stream: idx as u32,
-                start: now,
-                end: now + r,
-            });
-        }
+        // `R_s` is charged per block, even to a block of the stream already
+        // configured, as the analysis charges it.
+        let r = self.charge_reconfig(idx, tracer, now);
+        self.block_reconfig_end = now + r;
         self.state = GwState::Reconfig { until: now + r };
     }
 
@@ -651,21 +616,7 @@ impl GatewayPair {
             // Release: save the kernels back and free the chain for the
             // next claimant. The next block — whoever admits it — always
             // reinstalls and pays its full R, matching the analysis.
-            for (slot, acc) in self.chain.iter().enumerate() {
-                let words = accels[acc.0].kernel_state_words() as u32;
-                let k = accels[acc.0]
-                    .remove_kernel()
-                    .expect("chain owner had kernels installed");
-                self.streams[active].kernels[slot] = Some(k);
-                tracer.emit(|| TraceEvent::ConfigSave {
-                    gateway: gw,
-                    stream: active as u32,
-                    accel: acc.0 as u32,
-                    cycle: now,
-                    words,
-                });
-            }
-            self.active = None;
+            self.save_active(accels, tracer, now);
         }
         self.state = GwState::Idle;
         self.rescan(fifos);

@@ -288,8 +288,9 @@ impl System {
         gws[gateway].splice_out_stream(idx, accels, tracer, now)
     }
 
-    /// Mode-switch hook: replace stream `idx`'s table entry in place over
-    /// the configuration bus (see [`GatewayPair::retune_stream`]; the pair
+    /// Retune hook, for a retune and a mode switch alike: replace stream
+    /// `idx`'s table entry in place over the configuration bus, so the
+    /// table keeps its order (see [`GatewayPair::retune_stream`]; the pair
     /// must be idle). Call between [`System::run`] calls only.
     pub fn retune_stream(&mut self, gateway: usize, idx: usize, s: StreamConfig) -> StreamConfig {
         let now = self.cycle;

@@ -218,6 +218,28 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// The cycle a lock-step run orders this event at: a point event's
+    /// own cycle, a window's first cycle, and the last cycle of an
+    /// entry-DMA or drain phase or of a completed block. The run has
+    /// always reached it by the time the event is emitted.
+    pub fn cycle(&self) -> u64 {
+        match *self {
+            TraceEvent::BlockStart { cycle, .. }
+            | TraceEvent::ConfigSave { cycle, .. }
+            | TraceEvent::ConfigRestore { cycle, .. }
+            | TraceEvent::FifoHighWater { cycle, .. }
+            | TraceEvent::FifoLevel { cycle, .. }
+            | TraceEvent::RingCounters { cycle, .. } => cycle,
+            TraceEvent::ReconfigWindow { start, .. }
+            | TraceEvent::StallWindow { start, .. }
+            | TraceEvent::AccelActive { start, .. } => start,
+            TraceEvent::DmaPhase { end, .. } | TraceEvent::DrainPhase { end, .. } => end,
+            TraceEvent::BlockEnd { block, .. } => block.drain_end,
+        }
+    }
+}
+
 /// A coalescing accelerator-activity window. While `open`, the
 /// accelerator is still active and `end` is meaningless; once the falling
 /// edge is reported, `end` holds the last active cycle and the window
@@ -274,20 +296,23 @@ impl Emission {
     fn order(&self) -> Order {
         match *self {
             Emission::Stall { gateway, from, .. } => (from, 0, gateway),
-            Emission::Event(e) => match e {
-                TraceEvent::BlockStart { gateway, cycle, .. }
-                | TraceEvent::ConfigSave { gateway, cycle, .. }
-                | TraceEvent::ConfigRestore { gateway, cycle, .. } => (cycle, 0, gateway),
-                TraceEvent::ReconfigWindow { gateway, start, .. }
-                | TraceEvent::StallWindow { gateway, start, .. } => (start, 0, gateway),
-                TraceEvent::DmaPhase { gateway, end, .. }
-                | TraceEvent::DrainPhase { gateway, end, .. } => (end, 0, gateway),
-                TraceEvent::BlockEnd { gateway, block } => (block.drain_end, 0, gateway),
-                TraceEvent::AccelActive { accel, start, .. } => (start, 1, accel),
-                TraceEvent::FifoHighWater { fifo, cycle, .. } => (cycle, 2, fifo),
-                TraceEvent::FifoLevel { fifo, cycle, .. } => (cycle, 3, fifo),
-                TraceEvent::RingCounters { cycle, .. } => (cycle, 4, 0),
-            },
+            Emission::Event(e) => {
+                let (source, index) = match e {
+                    TraceEvent::BlockStart { gateway, .. }
+                    | TraceEvent::ConfigSave { gateway, .. }
+                    | TraceEvent::ConfigRestore { gateway, .. }
+                    | TraceEvent::ReconfigWindow { gateway, .. }
+                    | TraceEvent::StallWindow { gateway, .. }
+                    | TraceEvent::DmaPhase { gateway, .. }
+                    | TraceEvent::DrainPhase { gateway, .. }
+                    | TraceEvent::BlockEnd { gateway, .. } => (0, gateway),
+                    TraceEvent::AccelActive { accel, .. } => (1, accel),
+                    TraceEvent::FifoHighWater { fifo, .. } => (2, fifo),
+                    TraceEvent::FifoLevel { fifo, .. } => (3, fifo),
+                    TraceEvent::RingCounters { .. } => (4, 0),
+                };
+                (e.cycle(), source, index)
+            }
         }
     }
 }
@@ -463,11 +488,6 @@ impl Tracer {
     #[inline]
     pub fn is_full(&self) -> bool {
         self.data.as_ref().is_some_and(|d| d.bound == 0)
-    }
-
-    /// Flight-recorder capacity (0 when disabled or tracing in full).
-    pub fn recorder_bound(&self) -> usize {
-        self.data.as_ref().map_or(0, |d| d.bound)
     }
 
     /// Events evicted from the front of a bounded log (always 0 for a full
@@ -1038,7 +1058,6 @@ mod tests {
     fn flight_recorder_keeps_recent_events_and_counts_drops() {
         let mut t = Tracer::flight_recorder(4);
         assert!(t.is_enabled() && !t.is_full());
-        assert_eq!(t.recorder_bound(), 4);
         for k in 0..20u64 {
             t.emit(|| TraceEvent::BlockStart {
                 gateway: 0,
@@ -1080,7 +1099,6 @@ mod tests {
             });
         }
         assert!(t.is_full());
-        assert_eq!(t.recorder_bound(), 0);
         assert_eq!(t.events_dropped(), 0);
         assert_eq!(t.len(), 1000);
         assert!(!Tracer::disabled().is_full());
