@@ -41,11 +41,11 @@ use crate::rules::{
     assemble_report, idle_wait_budget, transition_delay_bound, AnalysisOptions, Facts, ModeReport,
     IDLE_WAIT_ATTEMPTS,
 };
-use crate::spec::{stream_from_json, stream_kernels, DeploySpec, StreamDeploy};
+use crate::spec::{stream_from_json, DeploySpec, StreamDeploy};
 use crate::{json, Json};
 use std::cell::Cell;
 use streamgate_core::Monitor;
-use streamgate_platform::{CFifo, FifoId, StreamConfig, System};
+use streamgate_platform::{FifoId, System};
 
 /// One stream-churn request against a deployment.
 #[derive(Clone, Debug, PartialEq)]
@@ -659,13 +659,13 @@ impl AdmissionController {
             // index and its service position through the window.
             (_, Some((stream, with))) => {
                 let (t, idx) = self.idle_in_slot(system, sysg, g, stream)?;
-                let (i, o, cfg) = self.build_entry(system, sysg, g, with);
+                let (i, o, cfg) = self.state.spec().stream_entry(system, g, with);
                 system.retune_stream(sysg, idx, cfg);
                 (Some((t, t + with.reconfig)), Some((i, o)), Some(idx))
             }
             (Delta::AddStream { stream, .. }, None) => {
                 let t = self.align_to_slot(system, g, stream.reconfig);
-                let (i, o, cfg) = self.build_entry(system, sysg, g, stream);
+                let (i, o, cfg) = self.state.spec().stream_entry(system, g, stream);
                 let idx = system.splice_stream(sysg, cfg);
                 (Some((t, t + stream.reconfig)), Some((i, o)), Some(idx))
             }
@@ -702,46 +702,6 @@ impl AdmissionController {
             stream_index,
             predicted_delay,
         })
-    }
-
-    /// Create the stream's C-FIFOs (named like the spec builders name
-    /// them) and its table entry with passthrough kernels — the same
-    /// kernels [`DeploySpec::build_platform`] installs. Shared by the
-    /// append splice and the in-place retune.
-    fn build_entry(
-        &self,
-        system: &mut System,
-        sysg: usize,
-        g: usize,
-        stream: &StreamDeploy,
-    ) -> (FifoId, FifoId, StreamConfig) {
-        let spec = self.state.spec();
-        let (in_name, out_name) = if spec.is_multi() {
-            let gw = &spec.gateways[g].name;
-            (
-                format!("{gw}:{}:in", stream.name),
-                format!("{gw}:{}:out", stream.name),
-            )
-        } else {
-            (
-                format!("in:{}", stream.name),
-                format!("out:{}", stream.name),
-            )
-        };
-        let i = system.splice_fifo(CFifo::new(in_name, stream.input_capacity as usize));
-        let o = system.splice_fifo(CFifo::new(out_name, stream.output_capacity as usize));
-        let chain_len = system.gateways[sysg].chain.len();
-        let kernels = stream_kernels(chain_len, stream.eta_in, stream.eta_out);
-        let cfg = StreamConfig::new(
-            stream.name.clone(),
-            i,
-            o,
-            stream.eta_in as usize,
-            stream.eta_out as usize,
-            stream.reconfig,
-            kernels,
-        );
-        (i, o, cfg)
     }
 
     /// Advance the system to the next cycle inside gateway `g`'s

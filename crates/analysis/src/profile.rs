@@ -302,8 +302,7 @@ fn check_hop_domination(
 ///   measured per-hop arrival curve (data and credit) must be dominated by
 ///   the [`RingEnvelope`] prediction at every window size; an escape is an
 ///   Error (the static contention reasoning missed real traffic). A
-///   layout mismatch (the profile came from a differently-shaped build,
-///   e.g. the PAL deployment whose processor tiles share the ring)
+///   layout mismatch (the profile came from a differently-shaped build)
 ///   degrades to an aggregate Info note.
 /// * **A10**: measured input arrival curves refine the latency picture.
 ///   The analytic Fig. 7 fill time assumes arrivals at exactly μ; the

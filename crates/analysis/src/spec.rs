@@ -4,15 +4,21 @@
 //! need to verify a gateway deployment *before* it runs — chain timing
 //! (ε, ρ per stage, δ), NI depth, the check-for-space switch, per-stream
 //! block sizes / rates / FIFO capacities, and the TDM slot tables of the
-//! processor tiles. It deliberately mirrors [`streamgate_core::SystemSpec`]
-//! (the run-time chain description of §IV-B) plus the analysis-only fields
-//! that a support library knows but the built platform no longer exposes
-//! (required rates μ_s, declared TDM periods).
+//! processor tiles. It is also the description the simulation twin is
+//! built from: [`DeploySpec::build_multi_platform`] wires every shape on
+//! [`DeploySpec::ring_layout`], so the platform that runs is the one the
+//! rules checked. Beside the wiring it carries the analysis-only fields a
+//! built platform does not expose (required rates μ_s, declared TDM
+//! periods).
 
 use crate::json::{self, FromJson, Json};
 use streamgate_core::profile::SCHEMA_VERSION;
-use streamgate_core::{GatewayParams, SharingProblem, StreamSpec};
+use streamgate_core::{BuiltSystem, GatewayParams, SharingProblem, StreamSpec};
 use streamgate_ilp::Rational;
+use streamgate_platform::{
+    AccelId, AcceleratorTile, CFifo, DownsampleKernel, FifoId, GatewayPair, PassthroughKernel,
+    StreamConfig, StreamKernel, System,
+};
 
 /// One accelerator stage of the shared chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -279,14 +285,16 @@ impl GatewayView<'_> {
     }
 }
 
-/// The deterministic ring placement of a multi-gateway deployment — the
-/// single wiring truth shared by [`DeploySpec::build_multi_platform`] and
-/// rule A7's path arithmetic.
+/// The ring placement of a deployment of either shape — the single
+/// wiring truth shared by [`DeploySpec::build_multi_platform`] and the
+/// path arithmetic of rules A6 and A7.
 ///
 /// Stations are interleaved the way Fig. 1 draws the system: all entry
 /// gateways first (`0..G`), then every owned chain's accelerators back to
 /// back, then the exit gateways — so distinct pairs' ring paths overlap
-/// and contention is real rather than laid out away. Data flits travel in
+/// and contention is real rather than laid out away. A single-gateway
+/// deployment thus puts its entry on station 0, its `k` accelerators on
+/// `1..=k` and its exit on `k + 1`. Data flits travel in
 /// increasing-station direction; *hop `i`* names the data-ring edge from
 /// station `i` to `i + 1` (mod `nodes`). Credits travel the opposite
 /// rotation; *credit hop `i`* names the edge from station `i` to `i − 1`.
@@ -355,22 +363,24 @@ impl RingLayout {
     }
 }
 
-/// A built multi-gateway platform with handles to its observation points
-/// (the system-scope analogue of [`streamgate_core::BuiltSystem`]).
+/// A built platform with handles to its observation points, indexed by
+/// spec gateway (the system-scope analogue of [`BuiltSystem`]).
 pub struct MultiBuiltSystem {
     /// The simulated MPSoC.
-    pub system: streamgate_platform::System,
+    pub system: System,
     /// Per-spec-gateway index into `system.gateways`.
     pub gateways: Vec<usize>,
     /// Input C-FIFO handles: `inputs[g][s]` for gateway `g`, local stream `s`.
-    pub inputs: Vec<Vec<streamgate_platform::FifoId>>,
+    pub inputs: Vec<Vec<FifoId>>,
     /// Output C-FIFO handles, mirrored.
-    pub outputs: Vec<Vec<streamgate_platform::FifoId>>,
+    pub outputs: Vec<Vec<FifoId>>,
 }
 
-/// Builders that can export the [`DeploySpec`] describing what they wire,
+/// Builders that wire a platform of their own (for kernels a spec cannot
+/// name, such as PAL's DSP) and export the [`DeploySpec`] describing it,
 /// so deployments constructed in code get the same static analysis as
-/// hand-written specs (and the analyzer never drifts from the builder).
+/// hand-written specs. A contract test per implementation compares the
+/// built platform with the exported spec, so the two cannot drift.
 pub trait ToDeploySpec {
     /// The analyzable deployment spec matching this builder's wiring.
     fn to_deploy_spec(&self) -> DeploySpec;
@@ -1020,16 +1030,14 @@ impl DeploySpec {
         DeploySpec::from_pal(&streamgate_core::PalSystemConfig::scaled_default())
     }
 
-    /// A PAL deployment spec matching what
-    /// [`streamgate_core::build_pal_system`] would wire for `cfg`.
+    /// The PAL deployment spec of what [`streamgate_core::build_pal_system`]
+    /// wires for `cfg`: its [`DeploySpec::ring_layout`] is the built ring,
+    /// station for station, and its FIFO capacities are
+    /// [`streamgate_core::PalSystemConfig::fifo_capacities`]. The processor
+    /// tiles' TDM tables are analysed (rule A4) but hold no ring station.
     pub fn from_pal(cfg: &streamgate_core::PalSystemConfig) -> DeploySpec {
         let prob = cfg.sharing_problem();
-        let cap_front = (cfg.etas[0] * 4).max(64);
-        let cap_back = (cfg.etas[2] * 4).max(64);
-        let caps_in = [cap_front, cap_front, cap_back * 2, cap_back * 2];
-        // Front halves feed the back halves' input FIFOs; back halves feed
-        // the audio FIFOs.
-        let caps_out = [cap_back * 2, cap_back * 2, cap_back * 2, cap_back * 2];
+        let caps = cfg.fifo_capacities();
         let streams = prob
             .streams
             .iter()
@@ -1040,8 +1048,8 @@ impl DeploySpec {
                 eta_in: cfg.etas[i],
                 eta_out: cfg.etas[i] / 8,
                 reconfig: s.reconfig,
-                input_capacity: caps_in[i],
-                output_capacity: caps_out[i],
+                input_capacity: caps[i].0,
+                output_capacity: caps[i].1,
                 max_latency: None,
             })
             .collect();
@@ -1207,68 +1215,62 @@ impl DeploySpec {
         Some(s)
     }
 
-    /// Build the cycle-level platform this spec describes — the simulation
-    /// twin the differential tests validate analyzer verdicts against.
-    /// Kernels realize each stream's rate conversion (see
-    /// [`stream_kernels`]). Processor tiles are *not* built; validation
-    /// harnesses pre-fill the input FIFOs instead.
-    pub fn build_platform(&self) -> streamgate_core::BuiltSystem {
-        use streamgate_core::{AccelDef, StreamDef, SystemSpec};
-        let spec = SystemSpec {
-            chain: self
-                .chain
-                .iter()
-                .map(|c| AccelDef::new(c.name.clone(), c.rho))
-                .collect(),
-            epsilon: self.epsilon,
-            delta: self.delta,
-            ni_depth: self.ni_depth,
-            streams: self
-                .streams
-                .iter()
-                .map(|s| StreamDef {
-                    name: s.name.clone(),
-                    eta_in: s.eta_in as usize,
-                    eta_out: s.eta_out as usize,
-                    reconfig: s.reconfig,
-                    kernels: stream_kernels(self.chain.len(), s.eta_in, s.eta_out),
-                    input_capacity: s.input_capacity as usize,
-                    output_capacity: s.output_capacity as usize,
-                })
-                .collect(),
-        };
-        let mut built = streamgate_core::build_shared_system(spec);
-        built.system.gateways[built.gateway].check_for_space = self.check_for_space;
-        built
+    /// The single-gateway platform of [`DeploySpec::build_multi_platform`],
+    /// with its one gateway's handles as a [`BuiltSystem`].
+    ///
+    /// Panics on multi-gateway specs, and where
+    /// [`DeploySpec::build_multi_platform`] does.
+    pub fn build_platform(&self) -> BuiltSystem {
+        assert!(
+            !self.is_multi(),
+            "multi-gateway specs build via build_multi_platform"
+        );
+        let MultiBuiltSystem {
+            system,
+            gateways,
+            mut inputs,
+            mut outputs,
+        } = self.build_multi_platform();
+        BuiltSystem {
+            system,
+            gateway: gateways[0],
+            inputs: inputs.swap_remove(0),
+            outputs: outputs.swap_remove(0),
+        }
     }
 
-    /// Build the cycle-level platform of a **multi-gateway** spec on the
-    /// [`DeploySpec::ring_layout`] placement: one accelerator tile set per
-    /// owned chain, one [`streamgate_platform::GatewayPair`] per gateway
-    /// (with `shared_chain` set on every pair of a multi-pair group), and
-    /// rate-matched kernels per stream (see [`stream_kernels`]) — the
-    /// simulation twin the differential tests validate system-scope
-    /// verdicts against.
+    /// Build the cycle-level platform this spec describes, in either
+    /// shape, on the [`DeploySpec::ring_layout`] placement — the simulation
+    /// twin the differential tests validate verdicts against. It holds one
+    /// accelerator tile set per owned chain, one [`GatewayPair`] per
+    /// gateway (with `shared_chain` set on every pair of a multi-pair
+    /// group), and per stream two C-FIFOs and a table entry, made by the
+    /// same function the admission controller splices streams in with.
+    /// Processor tiles are *not* built; harnesses pre-fill the input FIFOs
+    /// instead.
     ///
-    /// Panics on single-gateway specs (use [`DeploySpec::build_platform`])
-    /// and on structurally invalid gateway sections.
+    /// A single-gateway spec names its pair `gateway` and its tiles after
+    /// the chain stages; a multi-gateway spec names each pair after its
+    /// [`GatewayDeploy::name`] and prefixes its tiles' names with it.
+    ///
+    /// Panics on structurally invalid specs
+    /// ([`DeploySpec::gateway_structure_errors`]) and on an empty chain.
     pub fn build_multi_platform(&self) -> MultiBuiltSystem {
-        use streamgate_platform::{AcceleratorTile, CFifo, GatewayPair, StreamConfig, System};
-        assert!(
-            self.is_multi(),
-            "single-gateway specs build via build_platform"
-        );
-        assert!(
-            self.gateway_structure_errors().is_empty(),
-            "structurally invalid multi-gateway spec: {:?}",
-            self.gateway_structure_errors()
-        );
+        let errors = self.gateway_structure_errors();
+        assert!(errors.is_empty(), "structurally invalid spec: {errors:?}");
         let layout = self.ring_layout();
         let views = self.gateway_views();
+        if let Some(v) = views.iter().find(|v| v.chain.is_empty()) {
+            panic!(
+                "gateway `{}` has an empty accelerator chain: there is nothing to build",
+                v.name
+            );
+        }
+        let multi = self.is_multi();
         let mut sys = System::new(layout.nodes);
         // One tile set per owned chain, initially wired to the owner pair —
         // a shared group's first claim retargets the boundary links anyway.
-        let mut accel_ids: Vec<Vec<streamgate_platform::AccelId>> = vec![Vec::new(); views.len()];
+        let mut accel_ids: Vec<Vec<AccelId>> = vec![Vec::new(); views.len()];
         for v in &views {
             if v.group != v.index {
                 continue;
@@ -1287,8 +1289,13 @@ impl DeploySpec {
                     } else {
                         (nodes[j + 1], layout.mid_links[v.index][j])
                     };
+                    let stage = &v.chain[j].name;
                     sys.add_accel(AcceleratorTile::new(
-                        format!("{}:{}", v.name, v.chain[j].name),
+                        if multi {
+                            format!("{}:{stage}", v.name)
+                        } else {
+                            stage.clone()
+                        },
                         nodes[j],
                         upstream,
                         rx,
@@ -1307,7 +1314,7 @@ impl DeploySpec {
             let nodes = &layout.chain_nodes[v.index];
             let shared = views.iter().filter(|w| w.group == v.group).count() > 1;
             let mut gw = GatewayPair::new(
-                v.name,
+                if multi { v.name } else { "gateway" },
                 layout.entries[v.index],
                 layout.exits[v.index],
                 accel_ids[v.group].clone(),
@@ -1324,23 +1331,8 @@ impl DeploySpec {
             let mut ins = Vec::new();
             let mut outs = Vec::new();
             for s in v.streams {
-                let i = sys.add_fifo(CFifo::new(
-                    format!("{}:{}:in", v.name, s.name),
-                    s.input_capacity as usize,
-                ));
-                let o = sys.add_fifo(CFifo::new(
-                    format!("{}:{}:out", v.name, s.name),
-                    s.output_capacity as usize,
-                ));
-                gw.add_stream(StreamConfig::new(
-                    s.name.clone(),
-                    i,
-                    o,
-                    s.eta_in as usize,
-                    s.eta_out as usize,
-                    s.reconfig,
-                    stream_kernels(v.chain.len(), s.eta_in, s.eta_out),
-                ));
+                let (i, o, entry) = self.stream_entry(&mut sys, v.index, s);
+                gw.add_stream(entry);
                 ins.push(i);
                 outs.push(o);
             }
@@ -1354,6 +1346,47 @@ impl DeploySpec {
             inputs,
             outputs,
         }
+    }
+
+    /// Create `stream`'s two C-FIFOs in `system` and its table entry for
+    /// gateway `g`: the FIFOs are named `in:<stream>` / `out:<stream>` in
+    /// the single-gateway shape and `<gateway>:<stream>:in` / `:out` in the
+    /// multi-gateway shape and sized by the stream's capacities, and the
+    /// entry carries kernels realizing its rate conversion on `g`'s chain
+    /// ([`stream_kernels`]). The builder and the admission controller's
+    /// splices both call it, so a stream admitted at run time is wired as
+    /// a built one.
+    pub(crate) fn stream_entry(
+        &self,
+        system: &mut System,
+        g: usize,
+        stream: &StreamDeploy,
+    ) -> (FifoId, FifoId, StreamConfig) {
+        let (in_name, out_name) = if self.is_multi() {
+            let gw = &self.gateways[g].name;
+            (
+                format!("{gw}:{}:in", stream.name),
+                format!("{gw}:{}:out", stream.name),
+            )
+        } else {
+            (
+                format!("in:{}", stream.name),
+                format!("out:{}", stream.name),
+            )
+        };
+        let i = system.splice_fifo(CFifo::new(in_name, stream.input_capacity as usize));
+        let o = system.splice_fifo(CFifo::new(out_name, stream.output_capacity as usize));
+        let chain_len = self.gateway_views()[g].chain.len();
+        let entry = StreamConfig::new(
+            stream.name.clone(),
+            i,
+            o,
+            stream.eta_in as usize,
+            stream.eta_out as usize,
+            stream.reconfig,
+            stream_kernels(chain_len, stream.eta_in, stream.eta_out),
+        );
+        (i, o, entry)
     }
 }
 
@@ -1370,12 +1403,7 @@ impl DeploySpec {
 /// Panics when a decimating stream's `eta_out` does not divide `eta_in`
 /// (no integer down-sampling factor exists) or when `eta_out > eta_in`
 /// (interpolation is not modelled).
-pub fn stream_kernels(
-    chain_len: usize,
-    eta_in: u64,
-    eta_out: u64,
-) -> Vec<Box<dyn streamgate_platform::StreamKernel>> {
-    use streamgate_platform::{DownsampleKernel, PassthroughKernel};
+fn stream_kernels(chain_len: usize, eta_in: u64, eta_out: u64) -> Vec<Box<dyn StreamKernel>> {
     assert!(
         eta_out > 0 && eta_out <= eta_in && eta_in.is_multiple_of(eta_out),
         "stream rates {eta_in} -> {eta_out} have no integer decimation factor"
@@ -1384,8 +1412,7 @@ pub fn stream_kernels(
     (0..chain_len)
         .map(|j| {
             if j + 1 == chain_len && factor > 1 {
-                Box::new(DownsampleKernel::new(factor))
-                    as Box<dyn streamgate_platform::StreamKernel>
+                Box::new(DownsampleKernel::new(factor)) as Box<dyn StreamKernel>
             } else {
                 Box::new(PassthroughKernel)
             }
@@ -1722,6 +1749,75 @@ mod tests {
             DeploySpec::from_json_text(&spec.to_json_text()).unwrap(),
             spec
         );
+    }
+
+    /// `build_pal_system` wires its own platform for the DSP kernels, so
+    /// this contract pins it to the spec the analyzer checks.
+    #[test]
+    fn build_pal_system_matches_its_deploy_spec() {
+        use super::ToDeploySpec;
+        let cfg = streamgate_core::PalSystemConfig::scaled_default();
+        let spec = cfg.to_deploy_spec();
+        let layout = spec.ring_layout();
+        let pal = streamgate_core::build_pal_system(&cfg);
+        let sys = &pal.system;
+        assert_eq!(sys.ring.num_nodes(), layout.nodes);
+        assert_eq!(sys.gateways.len(), 1);
+        assert_eq!(sys.accels.len(), spec.chain.len());
+        let gw = &sys.gateways[pal.gateway];
+        assert_eq!(gw.entry_node, layout.entries[0]);
+        assert_eq!(gw.exit_node, layout.exits[0]);
+        let stations: Vec<usize> = gw.chain.iter().map(|a| sys.accels[a.0].node).collect();
+        assert_eq!(stations, layout.chain_nodes[0]);
+        for (a, stage) in gw.chain.iter().zip(&spec.chain) {
+            let tile = &sys.accels[a.0];
+            assert_eq!(tile.name, stage.name);
+            assert_eq!(tile.cycles_per_sample, stage.rho);
+            assert_eq!(tile.rx.capacity(), spec.ni_depth, "{}", tile.name);
+            assert_eq!(tile.tx.credits_visible(0), spec.ni_depth, "{}", tile.name);
+        }
+        assert_eq!(gw.dma_cycles_per_sample, spec.epsilon);
+        assert_eq!(gw.exit_cycles_per_sample, spec.delta);
+        assert_eq!(gw.check_for_space, spec.check_for_space);
+        assert_eq!(gw.num_streams(), spec.streams.len());
+        for (sd, &idx) in spec.streams.iter().zip(&pal.streams) {
+            let sc = gw.stream(idx);
+            assert_eq!(sc.name, sd.name);
+            assert_eq!(sc.eta_in as u64, sd.eta_in, "{}", sd.name);
+            assert_eq!(sc.eta_out as u64, sd.eta_out, "{}", sd.name);
+            assert_eq!(sc.reconfig_cycles, sd.reconfig, "{}", sd.name);
+            let cap = |f: FifoId| sys.fifos[f.0].capacity() as u64;
+            assert_eq!(cap(sc.input), sd.input_capacity, "{}", sd.name);
+            assert_eq!(cap(sc.output), sd.output_capacity, "{}", sd.name);
+        }
+        let names: Vec<&str> = sys.processors.iter().map(|p| p.name.as_str()).collect();
+        let declared: Vec<&str> = spec.processors.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, declared);
+    }
+
+    #[test]
+    fn single_gateway_station_map_is_built_as_analysed() {
+        let mut spec = DeploySpec::fig9(true);
+        spec.station_map = Some(StationMap {
+            nodes: 5,
+            entries: vec![3],
+            exits: vec![1],
+            chain_nodes: vec![vec![4]],
+        });
+        assert!(spec.gateway_structure_errors().is_empty());
+        let built = spec.build_platform();
+        let gw = &built.system.gateways[built.gateway];
+        assert_eq!(built.system.ring.num_nodes(), 5);
+        assert_eq!((gw.entry_node, gw.exit_node), (3, 1));
+        assert_eq!(built.system.accels[gw.chain[0].0].node, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "has an empty accelerator chain")]
+    fn empty_chain_is_named_not_indexed() {
+        let mut spec = DeploySpec::fig6();
+        spec.chain.clear();
+        let _ = spec.build_platform();
     }
 
     #[test]

@@ -25,9 +25,7 @@ use streamgate_analysis::{
     analyze_profiled, analyze_with, check_blame_conformance, monitor_for, DeploySpec, RuleId,
     Severity,
 };
-use streamgate_core::{
-    collect_blame, collect_profile, max_round_time, system_metrics, validate_tau_bound,
-};
+use streamgate_core::{collect_blame, collect_profile, system_metrics, validate_tau_bound};
 use streamgate_platform::StepMode;
 
 const ENGINES: [StepMode; 2] = [StepMode::Exhaustive, StepMode::EventDriven];
@@ -78,7 +76,7 @@ fn accepted_topologies_meet_bounds_on_both_engines() {
             // Eq. 4: measured rounds within γ + margin.
             let gamma = report.gamma;
             let metrics = system_metrics(&b.system, b.gateway);
-            if let Some(round) = max_round_time(&metrics) {
+            if let Some(round) = metrics.max_round_time() {
                 assert!(
                     round <= gamma + round_margin(&spec),
                     "case {case} ({mode:?}): round {round} exceeds γ {gamma} (+{})\n{}",
@@ -382,7 +380,7 @@ fn accepted_multi_gateway_topologies_meet_bounds_on_both_engines() {
                 // report's bounds carry γ_g = τ̂ + Ω̂ per stream.
                 let gamma_g = report.bounds[flat].tau_hat + report.bounds[flat].omega_hat;
                 let metrics = system_metrics(&b.system, gw);
-                if let Some(round) = max_round_time(&metrics) {
+                if let Some(round) = metrics.max_round_time() {
                     let margin = margin * v.streams.len() as u64 + 16;
                     assert!(
                         round <= gamma_g + margin,

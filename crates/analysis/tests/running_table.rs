@@ -17,7 +17,7 @@ use streamgate_analysis::{
 };
 use streamgate_core::{collect_blame, Monitor};
 use streamgate_ilp::Rational;
-use streamgate_platform::{StepMode, System};
+use streamgate_platform::{StepMode, System, TraceEvent};
 
 const ENGINES: [StepMode; 2] = [StepMode::EventDriven, StepMode::Exhaustive];
 
@@ -124,10 +124,9 @@ fn feed(system: &mut System) {
     }
 }
 
-#[test]
-fn running_table_mirrors_the_committed_spec() {
-    let base = spec();
-    let probe = StreamDeploy {
+/// A slow η = 8 stream to join and remove on gw-back.
+fn aux_meter() -> StreamDeploy {
+    StreamDeploy {
         name: "aux-meter".into(),
         mu: Rational::new(1, 1_000_000),
         eta_in: 8,
@@ -136,11 +135,16 @@ fn running_table_mirrors_the_committed_spec() {
         input_capacity: 64,
         output_capacity: 64,
         max_latency: None,
-    };
+    }
+}
+
+#[test]
+fn running_table_mirrors_the_committed_spec() {
+    let base = spec();
     let deltas = [
         Delta::AddStream {
             gateway: 1,
-            stream: probe,
+            stream: aux_meter(),
         },
         // ch1-back is first of three on gw-back: not the last entry.
         retuned(&base, 1, "ch1-back", |s| s.reconfig -= 16),
@@ -203,4 +207,69 @@ fn running_table_mirrors_the_committed_spec() {
             );
         }
     }
+}
+
+/// A removal shrinks the table while the log keeps the removed stream's
+/// blocks under the index they ran at: the blame fold must still count
+/// every logged block.
+#[test]
+fn blame_counts_the_blocks_of_a_removed_stream() {
+    let base = DeploySpec::pal2();
+    let mut built = base.build_multi_platform();
+    built.system.enable_tracing(0);
+    let gateways = built.gateways.clone();
+    let back = gateways[1];
+    let mut ctrl = AdmissionController::new(base, fast_options());
+    let mut request = |system: &mut System, delta: Delta| {
+        let outcome = ctrl
+            .request(system, &gateways, &delta, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", delta.describe()));
+        assert!(outcome.verdict.is_admitted(), "{}", delta.describe());
+        outcome
+    };
+    let join = request(
+        &mut built.system,
+        Delta::AddStream {
+            gateway: 1,
+            stream: aux_meter(),
+        },
+    );
+    let idx = join.stream_index.expect("an add reports its index");
+    let mut runs = 0;
+    while built.system.gateways[back].stream(idx).blocks_done < 8 {
+        runs += 1;
+        assert!(runs <= 20, "aux-meter did not complete 8 blocks");
+        feed(&mut built.system);
+        built.system.run(STRETCH);
+    }
+    request(
+        &mut built.system,
+        Delta::RemoveStream {
+            gateway: 1,
+            stream: "aux-meter".into(),
+        },
+    );
+    built.system.run(10_000);
+
+    let blame = collect_blame(&mut built.system, "pal2");
+    let blamed: u64 = blame
+        .streams
+        .iter()
+        .filter(|sb| sb.gateway == back)
+        .map(|sb| sb.blocks)
+        .sum();
+    let ended = built
+        .system
+        .tracer
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::BlockEnd { gateway, .. } if *gateway as usize == back))
+        .count();
+    assert_eq!(blamed, ended as u64);
+    let removed = &blame.streams[blame.streams.len() - 1];
+    assert_eq!((removed.gateway, removed.stream), (back, idx));
+    assert!(
+        removed.name.is_empty() && removed.blocks >= 8,
+        "{removed:?}"
+    );
 }

@@ -23,13 +23,11 @@
 //! wedged stream — render it with `streamgate-analyze --postmortem`.
 
 use std::collections::VecDeque;
+use streamgate_analysis::DeploySpec;
 use streamgate_bench::{parse_args, print_table, write_postmortem, write_trace};
 use streamgate_core::system_metrics;
 use streamgate_dataflow::{check_refinement, ArrivalTrace, RefinementOutcome};
-use streamgate_platform::{
-    AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, StallCause, StepMode, StreamConfig,
-    System,
-};
+use streamgate_platform::{StallCause, StepMode, System};
 
 fn run_shared(slow_cost: u64, horizon: u64) -> ArrivalTrace {
     let mut fifo: VecDeque<(usize, u64)> = VecDeque::new();
@@ -67,49 +65,33 @@ enum Observe {
     Recorder,
 }
 
-/// Two streams over one shared accelerator chain; stream 1's consumer FIFO
-/// is smaller than its block and never drained (an arbitrarily slow
-/// consumer). With the §V-G check-for-space admission test the block never
-/// starts; without it the block wedges in the shared (hardware) FIFO and
-/// head-of-line-blocks stream 0 — exactly Fig. 9 on real machinery.
+/// Two streams over one shared accelerator chain, built from
+/// [`DeploySpec::fig9`]; stream 1's consumer FIFO is smaller than its
+/// block and never drained (an arbitrarily slow consumer). With the §V-G
+/// check-for-space admission test the block never starts; without it the
+/// block wedges in the shared (hardware) FIFO and head-of-line-blocks
+/// stream 0 — exactly Fig. 9 on real machinery.
 fn run_platform(
     check_for_space: bool,
     mode: StepMode,
     cycles: u64,
     observe: Observe,
 ) -> (System, u64, u64) {
-    let mut sys = System::new(4);
-    sys.step_mode = mode;
+    let mut b = DeploySpec::fig9(check_for_space).build_platform();
+    b.system.step_mode = mode;
     match observe {
-        Observe::Profile => sys.enable_profiling(0),
-        Observe::Trace => sys.enable_tracing(0),
+        Observe::Profile => b.system.enable_profiling(0),
+        Observe::Trace => b.system.enable_tracing(0),
         // Production observability: no full event stream, just the bounded
         // ring of recent raw events (and the always-cheap stall counters).
-        Observe::Recorder => sys.enable_flight_recorder(4096),
+        Observe::Recorder => b.system.enable_flight_recorder(4096),
     }
-    let i0 = sys.add_fifo(CFifo::new("i0", 4096));
-    let o0 = sys.add_fifo(CFifo::new("o0", 1 << 16));
-    let i1 = sys.add_fifo(CFifo::new("i1", 4096));
-    let o1 = sys.add_fifo(CFifo::new("o1-slow", 4)); // < η_out, never drained
-    let acc = sys.add_accel(AcceleratorTile::new("acc", 1, 0, 10, 2, 11, 2, 1));
-    let mut gw = GatewayPair::new("gw", 0, 2, vec![acc], 1, 10, 1, 11, 2, 2, 1);
-    gw.check_for_space = check_for_space;
-    for (name, i, o) in [("s0", i0, o0), ("s1", i1, o1)] {
-        gw.add_stream(StreamConfig::new(
-            name,
-            i,
-            o,
-            16,
-            16,
-            10,
-            vec![Box::new(PassthroughKernel)],
-        ));
-    }
-    sys.add_gateway(gw);
     for k in 0..4096 {
-        sys.fifos[i0.0].try_push((k as f64, 0.0), 0);
-        sys.fifos[i1.0].try_push((k as f64, 0.0), 0);
+        for s in 0..b.inputs.len() {
+            b.push_input(s, (k as f64, 0.0));
+        }
     }
+    let mut sys = b.system;
     sys.run(cycles);
     let stalls = sys.tracer.stall_cycles(0, StallCause::ExitFifoFull);
     let s0_blocks = system_metrics(&sys, 0).streams[0].blocks() as u64;
@@ -127,14 +109,8 @@ fn main() {
         // undersized consumer FIFO (A2) — which is exactly the wedge the
         // experiment needs.
         for (label, spec) in [
-            (
-                "check-for-space disabled",
-                streamgate_analysis::DeploySpec::fig9(false),
-            ),
-            (
-                "check-for-space enabled",
-                streamgate_analysis::DeploySpec::fig9(true),
-            ),
+            ("check-for-space disabled", DeploySpec::fig9(false)),
+            ("check-for-space enabled", DeploySpec::fig9(true)),
         ] {
             let report = streamgate_analysis::analyze(&spec);
             println!("== static analysis pre-flight: {label} ==");
@@ -244,7 +220,7 @@ fn main() {
     // attributed: the postmortem's top blame component names head-of-line
     // blocking on the wedged stream (`s1`).
     if let Some(path) = args.postmortem {
-        let spec = streamgate_analysis::DeploySpec::fig9(false);
+        let spec = DeploySpec::fig9(false);
         let report = streamgate_analysis::analyze(&spec);
         let (pm_sys, _, _) = run_platform(false, args.step_mode, cycles, Observe::Recorder);
         let mut monitor = streamgate_analysis::monitor_for(&spec, &report, &pm_sys);

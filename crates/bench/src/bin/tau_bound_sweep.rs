@@ -11,64 +11,62 @@
 
 use streamgate_analysis::{ChainStage, DeploySpec, StreamDeploy};
 use streamgate_bench::{parse_args, print_table, write_trace};
-use streamgate_core::{measure_block_times, GatewayParams, SharingProblem, StreamSpec};
-use streamgate_ilp::{rat, Rational};
-use streamgate_platform::{
-    AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, StepMode, StreamConfig, System,
-};
+use streamgate_core::measure_block_times;
+use streamgate_ilp::Rational;
+use streamgate_platform::{StepMode, System};
 
-fn run_case(
-    eta: usize,
-    epsilon: u64,
-    rho_a: u64,
-    reconfig: u64,
-    mode: StepMode,
-    profiled: bool,
-) -> (u64, u64, f64, System) {
-    let mut sys = System::new(4);
-    sys.step_mode = mode;
-    if profiled {
-        sys.enable_profiling(0); // tracer + ring delivery log + FIFO traces
-    } else {
-        sys.enable_tracing(0); // measurement comes from the tracer's event log
-    }
-    let i0 = sys.add_fifo(CFifo::new("i0", 8192));
-    let o0 = sys.add_fifo(CFifo::new("o0", 1 << 20));
-    let acc = sys.add_accel({
-        let mut a = AcceleratorTile::new("acc", 1, 0, 10, 2, 11, 2, rho_a);
-        a.cycles_per_sample = rho_a;
-        a
-    });
-    let mut gw = GatewayPair::new("gw", 0, 2, vec![acc], 1, 10, 1, 11, 2, epsilon, 1);
-    gw.add_stream(StreamConfig::new(
-        "s0",
-        i0,
-        o0,
-        eta,
-        eta,
-        reconfig,
-        vec![Box::new(PassthroughKernel)],
-    ));
-    sys.add_gateway(gw);
-    for k in 0..8192 {
-        sys.fifos[i0.0].try_push((k as f64, 0.0), 0);
-    }
-    let prob = SharingProblem {
-        params: GatewayParams {
-            epsilon,
-            rho_a,
-            delta: 1,
-        },
-        streams: vec![StreamSpec {
-            name: "s0".into(),
-            mu: rat(1, 1_000_000),
-            reconfig,
+/// One sweep case's deployment: a single stream of block size `eta` over
+/// one accelerator of pace `rho_a`, its input FIFO deep enough to keep the
+/// chain saturated. The `--analyze` pre-flight checks this spec and
+/// [`run_case`] builds it, so the analysed platform is the one that runs.
+fn case_spec(case: usize, eta: u64, epsilon: u64, rho_a: u64, reconfig: u64) -> DeploySpec {
+    DeploySpec {
+        name: format!("tau-sweep-case-{case}"),
+        chain: vec![ChainStage {
+            name: "acc".into(),
+            rho: rho_a,
         }],
-    };
-    sys.run(((reconfig + (eta as u64 + 2) * prob.params.c0()) * 6).max(20_000));
+        epsilon,
+        delta: 1,
+        ni_depth: 2,
+        check_for_space: true,
+        streams: vec![StreamDeploy {
+            name: "s0".into(),
+            mu: Rational::new(1, 1_000_000),
+            eta_in: eta,
+            eta_out: eta,
+            reconfig,
+            input_capacity: 8192,
+            output_capacity: 1 << 20,
+            max_latency: None,
+        }],
+        processors: vec![],
+        gateways: vec![],
+        config_bus_period: None,
+        station_map: None,
+        modes: vec![],
+    }
+}
+
+/// Run `spec`'s platform with its input FIFO full and return the largest
+/// measured block time, τ̂, their ratio and the system.
+fn run_case(spec: &DeploySpec, mode: StepMode, profiled: bool) -> (u64, u64, f64, System) {
+    let mut b = spec.build_platform();
+    b.system.step_mode = mode;
+    if profiled {
+        b.system.enable_profiling(0); // tracer + ring delivery log + FIFO traces
+    } else {
+        b.system.enable_tracing(0); // measurement comes from the tracer's event log
+    }
+    let stream = &spec.streams[0];
+    for k in 0..stream.input_capacity {
+        b.push_input(0, (k as f64, 0.0));
+    }
+    let mut sys = b.system;
+    sys.run(((stream.reconfig + (stream.eta_in + 2) * spec.c0()) * 6).max(20_000));
     let times = measure_block_times(&sys, 0);
     let measured = *times[0].iter().max().unwrap_or(&0);
-    let tau_hat = prob.tau_hat(0, eta as u64);
+    let tau_hat = spec.sharing_problem().tau_hat(0, stream.eta_in);
     (measured, tau_hat, measured as f64 / tau_hat as f64, sys)
 }
 
@@ -91,40 +89,14 @@ fn main() {
     };
     let mut last_sys = None;
     for case in 0..18 {
-        let eta = 2 + (rng() % 48) as usize;
+        let eta = 2 + rng() % 48;
         let epsilon = 1 + rng() % 16;
         let rho_a = 1 + rng() % 8;
         let reconfig = rng() % 500;
+        let spec = case_spec(case, eta, epsilon, rho_a, reconfig);
         if args.analyze {
-            // Pre-flight each randomised case: the deployment below mirrors
-            // run_case's platform exactly, so an analyzer rejection means
+            // Pre-flight each randomised case: an analyzer rejection means
             // the sweep would deadlock or stall rather than measure τ.
-            let spec = DeploySpec {
-                name: format!("tau-sweep-case-{case}"),
-                chain: vec![ChainStage {
-                    name: "acc".into(),
-                    rho: rho_a,
-                }],
-                epsilon,
-                delta: 1,
-                ni_depth: 2,
-                check_for_space: true,
-                streams: vec![StreamDeploy {
-                    name: "s0".into(),
-                    mu: Rational::new(1, 1_000_000),
-                    eta_in: eta as u64,
-                    eta_out: eta as u64,
-                    reconfig,
-                    input_capacity: 8192,
-                    output_capacity: 1 << 20,
-                    max_latency: None,
-                }],
-                processors: vec![],
-                gateways: vec![],
-                config_bus_period: None,
-                station_map: None,
-                modes: vec![],
-            };
             let report = streamgate_analysis::analyze(&spec);
             println!(
                 "case {case}: pre-flight {} ({} diagnostics)",
@@ -140,14 +112,8 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        let (measured, tau_hat, ratio, sys) = run_case(
-            eta,
-            epsilon,
-            rho_a,
-            reconfig,
-            args.step_mode,
-            args.profile.is_some(),
-        );
+        let (measured, tau_hat, ratio, sys) =
+            run_case(&spec, args.step_mode, args.profile.is_some());
         last_sys = Some(sys);
         worst_ratio = worst_ratio.max(ratio);
         let ok = measured <= tau_hat + 8;

@@ -435,13 +435,21 @@ pub fn collect_blame(system: &mut System, deployment: &str) -> BlameReport {
         let g = m.gateway;
         let ring_dist = chain_ring_distance(system, g);
         let gw = &system.gateways[g];
-        let nst = gw.num_streams();
+        // The log keeps each block under the index its stream ran at, and
+        // a `RemoveStream` since then shrinks the table: such rows get no
+        // name.
+        let logged = m.blocks.iter().map(|b| b.stream + 1).max().unwrap_or(0);
+        let nst = gw.num_streams().max(logged);
         let mut per_stream: Vec<StreamBlame> = (0..nst)
             .map(|s| StreamBlame {
                 gateway: g,
                 stream: s,
                 gateway_name: gw.name.clone(),
-                name: gw.stream(s).name.clone(),
+                name: if s < gw.num_streams() {
+                    gw.stream(s).name.clone()
+                } else {
+                    String::new()
+                },
                 blocks: 0,
                 tau_sum: 0,
                 totals: [0; 7],

@@ -18,6 +18,11 @@
 //! and back-half streams as an **FM discriminator**; both halves use the
 //! FIR+8:1 decimator. The entry gateway multiplexes the four streams with
 //! the block sizes computed by Algorithm 1.
+//!
+//! The ring has four stations: entry gateway 0, CORDIC 1, FIR+8:1 2 and
+//! exit gateway 3 — the placement `DeploySpec::from_pal(cfg).ring_layout()`
+//! analyses in `streamgate-analysis`. The FE and consumer processor tiles
+//! reach their C-FIFOs directly, so they hold no station.
 
 use crate::params::SharingProblem;
 use streamgate_dsp::{Complex, Decimator, FmDemodulator, Mixer, PalConfig, PalStereoSource};
@@ -220,6 +225,17 @@ impl PalSystemConfig {
         }
     }
 
+    /// C-FIFO capacities `(input, output)` of the four streams
+    /// `[ch1-front, ch2-front, ch1-back, ch2-back]`, in samples: four
+    /// front blocks (at least 64) for the front inputs, eight back blocks
+    /// (at least 128) for every other FIFO. A front stream's output FIFO
+    /// is its back stream's input, so the two capacities agree.
+    pub fn fifo_capacities(&self) -> [(u64, u64); 4] {
+        let front = (self.etas[0] * 4).max(64);
+        let back = (self.etas[2] * 4).max(64) * 2;
+        [(front, back), (front, back), (back, back), (back, back)]
+    }
+
     /// The sharing problem (for Algorithm 1) matching this configuration.
     pub fn sharing_problem(&self) -> SharingProblem {
         use crate::params::{GatewayParams, StreamSpec};
@@ -279,37 +295,39 @@ impl PalSystem {
     }
 }
 
-/// Build the full Fig. 10 system and return it with handles.
+/// Build the full Fig. 10 system and return it with handles. Its wiring
+/// is the one `DeploySpec::from_pal(cfg)` in `streamgate-analysis`
+/// describes and analyses, station for station (a contract test there
+/// compares the two).
 pub fn build_pal_system(cfg: &PalSystemConfig) -> PalSystem {
-    // Ring stations: 0 FE-processor, 1 entry-gw, 2 CORDIC, 3 FIR+D, 4 exit-gw, 5 consumer.
-    let mut sys = System::new(6);
+    // Ring stations: 0 entry-gw, 1 CORDIC, 2 FIR+D, 3 exit-gw.
+    let mut sys = System::new(4);
     let pal = cfg.pal;
 
     // --- FIFOs ---
-    let cap_front = (cfg.etas[0] * 4).max(64) as usize;
-    let cap_back = (cfg.etas[2] * 4).max(64) as usize;
-    let in_ch1_front = sys.add_fifo(CFifo::new("in:ch1-front", cap_front));
-    let in_ch2_front = sys.add_fifo(CFifo::new("in:ch2-front", cap_front));
-    let in_ch1_back = sys.add_fifo(CFifo::new("in:ch1-back", cap_back * 2));
-    let in_ch2_back = sys.add_fifo(CFifo::new("in:ch2-back", cap_back * 2));
-    let audio_ch1 = sys.add_fifo(CFifo::new("audio:ch1(mono)", cap_back * 2));
-    let audio_ch2 = sys.add_fifo(CFifo::new("audio:ch2(right)", cap_back * 2));
+    let caps = cfg.fifo_capacities().map(|(i, o)| (i as usize, o as usize));
+    let in_ch1_front = sys.add_fifo(CFifo::new("in:ch1-front", caps[0].0));
+    let in_ch2_front = sys.add_fifo(CFifo::new("in:ch2-front", caps[1].0));
+    let in_ch1_back = sys.add_fifo(CFifo::new("in:ch1-back", caps[2].0));
+    let in_ch2_back = sys.add_fifo(CFifo::new("in:ch2-back", caps[3].0));
+    let audio_ch1 = sys.add_fifo(CFifo::new("audio:ch1(mono)", caps[2].1));
+    let audio_ch2 = sys.add_fifo(CFifo::new("audio:ch2(right)", caps[3].1));
     let left_out = sys.add_fifo(CFifo::new("audio:L", 1 << 20));
     let right_out = sys.add_fifo(CFifo::new("audio:R", 1 << 20));
 
     // --- accelerators: ONE CORDIC + ONE FIR+8:1 (the shared pair) ---
-    let cordic = sys.add_accel(AcceleratorTile::new("CORDIC", 2, 1, 10, 3, 11, 2, 1));
-    let fir = sys.add_accel(AcceleratorTile::new("FIR+D", 3, 2, 11, 4, 12, 2, 1));
+    let cordic = sys.add_accel(AcceleratorTile::new("CORDIC", 1, 0, 10, 2, 11, 2, 1));
+    let fir = sys.add_accel(AcceleratorTile::new("FIR+D", 2, 1, 11, 3, 12, 2, 1));
 
     // --- gateway pair over [CORDIC, FIR+D] ---
     let mut gw = GatewayPair::new(
         "gw",
-        1,
-        4,
-        vec![cordic, fir],
-        2,
-        10, // entry DMA -> CORDIC link
+        0,
         3,
+        vec![cordic, fir],
+        1,
+        10, // entry DMA -> CORDIC link
+        2,
         12, // FIR -> exit link
         2,
         cfg.epsilon,
@@ -371,7 +389,7 @@ pub fn build_pal_system(cfg: &PalSystemConfig) -> PalSystem {
     let gateway = sys.add_gateway(gw);
 
     // --- front-end processor ---
-    let mut fe = ProcessorTile::new("FE", 0);
+    let mut fe = ProcessorTile::new("FE");
     fe.add_task(
         Box::new(FrontEndTask::new(
             in_ch1_front.0,
@@ -387,7 +405,7 @@ pub fn build_pal_system(cfg: &PalSystemConfig) -> PalSystem {
     sys.add_processor(fe);
 
     // --- consumer processor: stereo matrix + sinks ---
-    let mut consumer = ProcessorTile::new("consumer", 5);
+    let mut consumer = ProcessorTile::new("consumer");
     consumer.add_task(
         Box::new(StereoMatrixTask::new(
             audio_ch1.0,

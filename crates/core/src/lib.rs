@@ -74,6 +74,6 @@ pub use profile::{
     FifoProfile, GatewayProfile, HopProfile, RunProfile, StallProfile, StreamProfile,
 };
 pub use validate::{
-    max_round_time, measure_block_times, measured_transition_delay, system_metrics,
-    validate_blame_totals, validate_tau_bound, TauValidation,
+    measure_block_times, measured_transition_delay, system_metrics, validate_blame_totals,
+    validate_tau_bound, TauValidation,
 };

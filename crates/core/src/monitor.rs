@@ -35,12 +35,12 @@ use crate::metrics::{BlockFold, Folded};
 use std::fmt;
 use streamgate_platform::{StallCause, System, TraceEvent, Tracer};
 
-/// Default maximum idle gap, in cycles, between consecutive blocks of a
-/// round window for the round-time check to apply. Saturated gateways
-/// admit back to back; once the input side idles (sources pacing, inputs
-/// drained) a "round" spanning the gap measures the workload, not the
-/// gateway, and Eq. 4 says nothing about it.
-pub const DEFAULT_ROUND_GAP: u64 = 8;
+/// Maximum idle gap, in cycles, between consecutive blocks of a round
+/// window for the round-time check to apply. Saturated gateways admit back
+/// to back; once the input side idles (sources pacing, inputs drained) a
+/// "round" spanning the gap measures the workload, not the gateway, and
+/// Eq. 4 says nothing about it.
+const ROUND_GAP: u64 = 8;
 
 /// Per-stream monitoring configuration.
 #[derive(Clone, Debug)]
@@ -86,8 +86,6 @@ pub struct MonitorConfig {
     pub gateways: Vec<GatewayMonitorConfig>,
     /// C-FIFOs, indexed as in the system.
     pub fifos: Vec<FifoMonitorConfig>,
-    /// Maximum inter-block gap for round windows ([`DEFAULT_ROUND_GAP`]).
-    pub round_gap: u64,
 }
 
 impl MonitorConfig {
@@ -120,7 +118,6 @@ impl MonitorConfig {
                     capacity: f.capacity(),
                 })
                 .collect(),
-            round_gap: DEFAULT_ROUND_GAP,
         }
     }
 }
@@ -198,9 +195,9 @@ pub struct Monitor {
     /// The monitor's position in the event log and each gateway's
     /// in-flight block.
     fold: BlockFold,
-    /// Per gateway: `(start, drain_end)` of the most recent completed
-    /// blocks (kept at round-window width).
-    recent: Vec<Vec<(u64, u64)>>,
+    /// Per gateway: `(stream, start, drain_end)` of the most recent
+    /// completed blocks (kept at round-window width).
+    recent: Vec<Vec<(usize, u64, u64)>>,
     /// `(gateway, window start)` of exit-full stalls already reported, so
     /// an open window seen by several polls (and its eventual closing
     /// event) yields exactly one violation.
@@ -448,17 +445,24 @@ impl Monitor {
             self.flag(ViolationKind::TauExceeded, drain_end, g, Some(s), message);
         }
         if let Some(r) = self.recent.get_mut(g) {
-            r.push((start, drain_end));
+            r.push((s, start, drain_end));
             if n_streams > 0 && r.len() > n_streams {
                 r.remove(0);
             }
             if n_streams > 0 && r.len() == n_streams {
                 let contiguous = r
                     .windows(2)
-                    .all(|w| w[1].0.saturating_sub(w[0].1) <= self.cfg.round_gap);
-                let round = r[n_streams - 1].1 - r[0].0;
-                let first = r[0].0;
-                if let Some(bound) = round_bound.filter(|&b| contiguous && round > b) {
+                    .all(|w| w[1].1.saturating_sub(w[0].2) <= ROUND_GAP);
+                // A round serves each stream once. A window that holds a
+                // stream twice saw another sit out (empty input, full
+                // output), and Eq. 3-4 bound no stream's wait by it.
+                let one_each = r
+                    .iter()
+                    .enumerate()
+                    .all(|(i, b)| r[..i].iter().all(|a| a.0 != b.0));
+                let round = r[n_streams - 1].2 - r[0].1;
+                let first = r[0].1;
+                if let Some(bound) = round_bound.filter(|&b| contiguous && one_each && round > b) {
                     let message = format!(
                         "round starting at cycle {first} took {round} > bound {bound} (Eq. 3-4)"
                     );
@@ -533,7 +537,6 @@ mod tests {
                 name: "out".into(),
                 capacity: 4,
             }],
-            round_gap: DEFAULT_ROUND_GAP,
         }
     }
 
@@ -579,6 +582,29 @@ mod tests {
         assert_eq!(m.poll(&t), 1);
         assert_eq!(m.violations()[0].kind, ViolationKind::RoundExceeded);
         assert_eq!(m.violations()[0].cycle, 90);
+    }
+
+    #[test]
+    fn round_window_holds_each_stream_once() {
+        let mut cfg = cfg_one_gateway(None, Some(80));
+        cfg.gateways[0].streams.push(StreamMonitorConfig {
+            name: "s2".into(),
+            tau_bound: None,
+            transition_deadline: None,
+        });
+        let mut t = Tracer::enabled(0);
+        // s2 sits out: s0, s1, s0 back to back span 120 > 80 cycles, but
+        // s0 started again 82 cycles after its first block, no round.
+        t.emit(|| block_end(0, 0, 40));
+        t.emit(|| block_end(1, 42, 80));
+        t.emit(|| block_end(0, 82, 120));
+        let mut m = Monitor::new(cfg);
+        assert_eq!(m.poll(&t), 0, "{:?}", m.violations());
+        // s1, s0, s2: three distinct streams over 120 > 80 cycles.
+        t.emit(|| block_end(2, 122, 162));
+        assert_eq!(m.poll(&t), 1);
+        assert_eq!(m.violations()[0].kind, ViolationKind::RoundExceeded);
+        assert_eq!(m.violations()[0].cycle, 162);
     }
 
     #[test]

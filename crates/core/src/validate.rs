@@ -94,12 +94,6 @@ pub fn validate_tau_bound(
         .collect()
 }
 
-/// Round-time check (Eq. 4): the maximum observed round time — one block
-/// per sharing stream, first admission → last drain — over the traced run.
-pub fn max_round_time(metrics: &GatewayMetrics) -> Option<u64> {
-    metrics.max_round_time()
-}
-
 /// Cross-check the attribution layer against the tracer-derived metrics
 /// this module validates with: for every stream in `blame`, the per-cause
 /// component totals must sum to exactly the same cycles the τ measurement
@@ -278,7 +272,7 @@ mod tests {
         let etas = [32u64, 16u64];
         let gamma = prob.gamma(&etas);
         let metrics = system_metrics(&sys, 0);
-        let max_round = max_round_time(&metrics).unwrap();
+        let max_round = metrics.max_round_time().unwrap();
         // Per-round margin: ring transport per block × streams.
         assert!(
             max_round <= gamma + 32,

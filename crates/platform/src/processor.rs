@@ -13,7 +13,6 @@
 
 use crate::cfifo::CFifo;
 use crate::types::Sample;
-use streamgate_ring::NodeId;
 
 /// How soon a task needs its scheduled processor slots, as reported by
 /// [`SoftwareTask::wake`] — the task-level quiescence contract of the
@@ -75,12 +74,11 @@ pub trait SoftwareTask: Send {
 }
 
 /// A MicroBlaze-like processor tile running tasks under a budget scheduler.
+/// Its tasks read and write C-FIFOs directly (the simplified C-FIFO model
+/// carries no ring traffic), so the tile holds no ring station.
 pub struct ProcessorTile {
     /// Diagnostic name.
     pub name: String,
-    /// Ring station (unused by the simplified C-FIFO model, kept for
-    /// topology reports).
-    pub node: NodeId,
     tasks: Vec<Box<dyn SoftwareTask>>,
     /// Cycle budget per task per period.
     budgets: Vec<u64>,
@@ -94,10 +92,9 @@ pub struct ProcessorTile {
 
 impl ProcessorTile {
     /// New tile; tasks are added with [`ProcessorTile::add_task`].
-    pub fn new(name: impl Into<String>, node: NodeId) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         ProcessorTile {
             name: name.into(),
-            node,
             tasks: Vec::new(),
             budgets: Vec::new(),
             period: 0,
@@ -605,7 +602,7 @@ mod tests {
                 true
             }
         }
-        let mut p = ProcessorTile::new("pt", 0);
+        let mut p = ProcessorTile::new("pt");
         p.add_task(Box::new(Greedy(0)), 3);
         p.add_task(Box::new(Greedy(0)), 1);
         let mut fifos: Vec<CFifo> = vec![];
@@ -640,7 +637,7 @@ mod tests {
                 false
             }
         }
-        let mut p = ProcessorTile::new("pt", 0);
+        let mut p = ProcessorTile::new("pt");
         p.add_task(Box::new(Idle), 3);
         p.add_task(Box::new(Idle), 1);
         p.add_task(Box::new(Idle), 2);
@@ -695,7 +692,7 @@ mod tests {
                 fifos[0].try_push((0.5 + k as f64, 0.0), 0);
                 fifos[1].try_push((0.2, 0.0), 0);
             }
-            let mut p = ProcessorTile::new("pt", 0);
+            let mut p = ProcessorTile::new("pt");
             p.add_task(Box::new(StereoMatrixTask::new(0, 1, 2, 3, 9)), 1);
             // Fire the matrix once so it enters its 8-cycle cooldown.
             p.step(&mut fifos, 0);
@@ -724,7 +721,7 @@ mod tests {
     #[test]
     fn horizon_respects_rate_source_release() {
         let fifos = vec![CFifo::new("f", 1000)];
-        let mut p = ProcessorTile::new("pt", 0);
+        let mut p = ProcessorTile::new("pt");
         p.add_task(
             Box::new(RateSource::new(0, 10, Box::new(|k| (k as f64, 0.0)))),
             1,
@@ -745,7 +742,7 @@ mod tests {
     #[test]
     fn rate_source_produces_at_rate() {
         let mut fifos = vec![CFifo::new("f", 1000)];
-        let mut p = ProcessorTile::new("pt", 0);
+        let mut p = ProcessorTile::new("pt");
         p.add_task(
             Box::new(RateSource::new(0, 10, Box::new(|k| (k as f64, 0.0)))),
             1,

@@ -32,7 +32,7 @@ fn small() -> System {
         vec![Box::new(ScaleKernel::new(2.0))],
     ));
     sys.add_gateway(gw);
-    let mut pt = ProcessorTile::new("pt", 3);
+    let mut pt = ProcessorTile::new("pt");
     pt.add_task(
         Box::new(RateSource::new(input.0, 4, Box::new(|k| (k as f64, 0.0)))),
         1,

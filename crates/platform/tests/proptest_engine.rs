@@ -252,7 +252,7 @@ fn build(t: &Topo) -> System {
     }
 
     // --- front-end processor: one rate source per input ---
-    let mut fe = ProcessorTile::new("FE", 0);
+    let mut fe = ProcessorTile::new("FE");
     for (i, (f, interval, budget)) in all_inputs.iter().enumerate() {
         let base = i as f64;
         let fifo = f.0;
@@ -268,7 +268,7 @@ fn build(t: &Topo) -> System {
     sys.add_processor(fe);
 
     // --- consumer processor: one sink per output (TDM budgets) ---
-    let mut consumer = ProcessorTile::new("consumer", n - 1);
+    let mut consumer = ProcessorTile::new("consumer");
     for f in &all_outputs {
         consumer.add_task(Box::new(SinkTask::new(f.0, t.sink_interval)), t.sink_budget);
     }
