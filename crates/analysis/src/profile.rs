@@ -413,6 +413,13 @@ pub fn analyze_profiled(
         match witness {
             Some(w) => {
                 let measured_upper = w.saturating_add(gamma_g);
+                let measured_tau = match sp.blocks {
+                    0 => "the stream completed no block;".to_string(),
+                    blocks => format!(
+                        "measured tau in [{}, {}] over {blocks} blocks vs",
+                        sp.tau_min, sp.tau_max
+                    ),
+                };
                 let (severity, verdict) = match st.max_latency {
                     Some(budget) if measured_upper > budget => (
                         Severity::Warning,
@@ -431,9 +438,8 @@ pub fn analyze_profiled(
                     message: format!(
                         "measured arrivals fill a block (eta_in = {}) within {w} cycles; \
                          measured-informed end-to-end figure {w} + gamma {gamma_g} = \
-                         {measured_upper} — {verdict} (measured tau in [{}, {}] over {} \
-                         blocks vs tau_hat = {})",
-                        st.eta_in, sp.tau_min, sp.tau_max, sp.blocks, bounds.tau_hat
+                         {measured_upper} — {verdict} ({measured_tau} tau_hat = {})",
+                        st.eta_in, bounds.tau_hat
                     ),
                 });
             }

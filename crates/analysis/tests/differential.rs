@@ -18,8 +18,9 @@
 mod common;
 
 use common::{
-    clean_cycles, fast_options, multi_clean_cycles, multi_tau_margin, random_clean_spec,
-    random_multi_spec, round_margin, run_saturated, run_saturated_multi, tau_margin, Rng,
+    check_golden, clean_cycles, fast_options, multi_clean_cycles, multi_tau_margin,
+    random_clean_spec, random_multi_spec, round_margin, run_saturated, run_saturated_multi,
+    tau_margin, Rng,
 };
 use streamgate_analysis::{
     analyze_profiled, analyze_with, check_blame_conformance, monitor_for, DeploySpec, RuleId,
@@ -484,6 +485,9 @@ fn accepted_multi_gateway_topologies_meet_bounds_on_both_engines() {
 /// `RunProfile` and `BlameReport` on both engines. The suites above
 /// profile with sample interval 0, so this is what pins the order of
 /// events across gateways against periodic FIFO-level and ring samples.
+/// The profile (its `mode` blanked) is also pinned byte-for-byte: pal2's
+/// flits travel several hops, so its hop curves fold lists the ring logged
+/// out of cycle order.
 #[test]
 fn pal2_profiled_with_samples_is_identical_on_both_engines() {
     let spec = DeploySpec::pal2();
@@ -521,6 +525,7 @@ fn pal2_profiled_with_samples_is_identical_on_both_engines() {
     }
     assert_eq!(ex.0.len(), ev.0.len(), "pal2 trace event counts");
     assert_eq!(ex.1, ev.1, "pal2 profiles differ");
+    check_golden("pal2_profile.json", &ex.1);
     assert_eq!(ex.2, ev.2, "pal2 blame reports differ");
 }
 

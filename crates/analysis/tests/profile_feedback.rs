@@ -12,7 +12,7 @@ mod common;
 
 use common::check_golden;
 use streamgate_analysis::{
-    analyze, analyze_profiled, monitor_for, parse_profile, AnalysisOptions, DeploySpec,
+    analyze, analyze_profiled, monitor_for, parse_profile, AnalysisOptions, DeploySpec, RuleId,
 };
 use streamgate_core::{collect_blame, collect_profile, ViolationKind};
 use streamgate_platform::{StallCause, StepMode, System};
@@ -130,6 +130,41 @@ fn monitor_stays_silent_on_fig9_with_space_check() {
         blocks_by_engine[0], blocks_by_engine[1],
         "engines disagree under a monitor-driven run_until"
     );
+}
+
+/// A stream that completed no block has no measured τ. On the Fig. 9 wedge
+/// (check-for-space off) stream s1 never finishes a block, so its A10
+/// figure says so instead of a τ range of [0, 0] over 0 blocks; s0, which
+/// completed one, keeps its measured range.
+#[test]
+fn a10_gives_no_tau_range_for_a_stream_without_blocks() {
+    let spec = DeploySpec::fig9(false);
+    for mode in ENGINES {
+        let mut b = saturated_profiled(&spec, mode);
+        b.system.run(20_000);
+        let profile = collect_profile(&mut b.system, &spec.name);
+        let blocks: Vec<u64> = profile.streams.iter().map(|s| s.blocks).collect();
+        assert_eq!(blocks, [1, 0], "({mode:?}) s1 wedges the chain");
+        let report = analyze_profiled(&spec, &AnalysisOptions::default(), Some(&profile));
+        let a10 = |stream: &str| {
+            let d = report.diagnostics.iter().find(|d| {
+                d.rule == RuleId::A10EndToEndLatency && d.location.to_string().ends_with(stream)
+            });
+            d.unwrap_or_else(|| panic!("({mode:?}) no A10 figure for {stream}"))
+                .message
+                .clone()
+        };
+        let (s0, s1) = (a10("s0"), a10("s1"));
+        assert!(
+            s0.contains("measured tau in [44, 44] over 1 blocks"),
+            "{s0}"
+        );
+        assert!(
+            s1.contains("the stream completed no block; tau_hat"),
+            "{s1}"
+        );
+        assert!(!s1.contains("measured tau"), "({mode:?}) {s1}");
+    }
 }
 
 /// `RunProfile` → JSON → `parse_profile` is the identity, so the analyzer

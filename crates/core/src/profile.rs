@@ -11,7 +11,7 @@
 //!   sliding window of `w` cycles — computed over a log-spaced set of
 //!   window sizes ([`log_windows`]) so curves stay small at any run length;
 //! * per data-/credit-ring **hop**, the curve of flits crossing that hop
-//!   (reconstructed exactly from the ring's delivery log — see
+//!   (the crossing cycles the ring logged per hop — see
 //!   [`crate::profile::collect_profile`]);
 //! * per **stream**, the observed τ distribution, a block-completion
 //!   service curve, and the input C-FIFO's push arrival curve;
@@ -67,19 +67,25 @@ pub fn reservoir_sample(values: Vec<u64>, k: usize, seed: u64) -> Vec<u64> {
     res
 }
 
-/// Curve over a possibly window-bounded event trace. With nothing dropped
-/// this is the exact curve over the whole observation; when the source
-/// shed its oldest entries the curve covers the retained trailing window
-/// (shifted to its own origin) — max counts stay exact over that window
-/// and never over-report, which keeps the analyzer's dominance checks
-/// (predicted envelope ≥ measured) sound.
+/// Curve over a possibly window-bounded event trace, sorted first if it
+/// arrived out of order. With nothing dropped this is the exact curve over
+/// the whole observation; when the source shed its oldest entries the
+/// curve covers the retained trailing window (shifted to its own origin) —
+/// max counts stay exact over that window and never over-report, which
+/// keeps the analyzer's dominance checks (predicted envelope ≥ measured)
+/// sound.
 fn windowed_curve(events: &[u64], dropped: u64, span: u64, windows: &[u64]) -> EmpiricalCurve {
-    if dropped == 0 {
+    if dropped == 0 && events.is_sorted() {
         return EmpiricalCurve::from_events(events, span, windows);
     }
-    let origin = events.first().copied().unwrap_or(span);
-    let shifted: Vec<u64> = events.iter().map(|e| e - origin).collect();
-    EmpiricalCurve::from_events(&shifted, span.saturating_sub(origin).max(1), windows)
+    let mut events = events.to_vec();
+    events.sort_unstable();
+    let origin = match dropped {
+        0 => 0,
+        _ => events.first().copied().unwrap_or(span),
+    };
+    events.iter_mut().for_each(|e| *e -= origin);
+    EmpiricalCurve::from_events(&events, span.saturating_sub(origin).max(1), windows)
 }
 
 /// The log-spaced window sizes used for empirical curves over an
@@ -138,51 +144,47 @@ impl EmpiricalCurve {
     /// Windows are half-open: a window of size `w` starting at `t` counts
     /// events with timestamps in `[t, t + w)`.
     pub fn from_events(events: &[u64], len: u64, windows: &[u64]) -> EmpiricalCurve {
-        debug_assert!(events.windows(2).all(|p| p[0] <= p[1]), "events not sorted");
+        debug_assert!(events.is_sorted(), "events not sorted");
         let len = len.max(1);
         let n = events.len();
+        // Where a minimal window can start: 0, or one past an event (the
+        // count over [t, t+w) only *decreases* as t passes an event).
+        let starts = || std::iter::once(0).chain(events.iter().map(|&e| e + 1));
+        // The longest event-free stretch inside `[0, len)`: a fully
+        // contained window no longer than it holds no event.
+        let ends = events.iter().chain([&len]);
+        let gaps = starts().zip(ends).map(|(t, &e)| e.saturating_sub(t));
+        let gap = gaps.max().unwrap_or(0);
         let mut max_count = Vec::with_capacity(windows.len());
         let mut min_count = Vec::with_capacity(windows.len());
         for &w in windows {
             // Max: slide a window anchored at each event (two-pointer).
-            let mut best = 0u64;
-            let mut j = 0usize;
-            for i in 0..n {
-                while j < n && events[j] < events[i].saturating_add(w) {
-                    j += 1;
+            let (mut max, mut hi) = (0, 0);
+            for (i, &e) in events.iter().enumerate() {
+                while hi < n && events[hi] < e.saturating_add(w) {
+                    hi += 1;
                 }
-                best = best.max((j - i) as u64);
+                max = max.max(hi - i);
             }
-            max_count.push(best);
-            // Min: the count over [t, t+w) can only *decrease* as t passes
-            // an event, so every minimal plateau starts at t = 0 or at
-            // t = e + 1 for some event e; probing those (plus the last
-            // valid start) finds the true minimum. The probes ascend, so
-            // both window edges advance monotonically (two-pointer).
-            if w >= len {
-                min_count.push(n as u64);
-                continue;
-            }
-            let last_start = len - w;
-            let past_events = events
-                .iter()
-                .take_while(|&&e| e < last_start)
-                .map(|&e| e + 1);
-            let (mut lo, mut hi) = (0usize, 0usize);
-            let m = std::iter::once(0)
-                .chain(past_events)
-                .chain(std::iter::once(last_start))
-                .map(|t| {
-                    while lo < n && events[lo] < t {
-                        lo += 1;
-                    }
+            max_count.push(max as u64);
+            // Min: probe the starts in ascending order (two-pointer). The
+            // i-th has at least i events before it, exactly i at the last of
+            // equal events, so `hi - i` counts its window or over-counts.
+            let min = if w >= len {
+                n
+            } else if w <= gap {
+                0
+            } else {
+                let (mut min, mut hi) = (n, 0);
+                for (i, t) in starts().take_while(|&t| t <= len - w).enumerate() {
                     while hi < n && events[hi] < t + w {
                         hi += 1;
                     }
-                    (hi - lo) as u64
-                })
-                .fold(n as u64, u64::min);
-            min_count.push(m);
+                    min = min.min(hi - i);
+                }
+                min
+            };
+            min_count.push(min as u64);
         }
         EmpiricalCurve {
             windows: windows.to_vec(),
@@ -204,8 +206,8 @@ pub struct HopProfile {
     /// Hop index: data hop `i` is the edge station `i → i+1` (mod nodes);
     /// credit hop `i` is the edge `i → i−1`.
     pub hop: usize,
-    /// Flits that crossed the hop (within the delivery log's retained
-    /// window — exact unless the run outgrew the log's bound).
+    /// Flits that crossed the hop: its crossings the delivery log retained
+    /// (every one unless the run outgrew the log's per-hop bound).
     pub flits: u64,
     /// Empirical arrival curve of hop crossings.
     pub curve: EmpiricalCurve,
@@ -323,15 +325,11 @@ pub struct RunProfile {
 
 /// Fold a finished profiled run into a [`RunProfile`].
 ///
-/// Closes open trace windows (`System::finish_trace`) and reconstructs
-/// exact per-hop crossing times from the ring's delivery log: a data flit
-/// delivered at cycle `T` from `src` to `dst` (distance `d`) crossed data
-/// hop `(src + k) mod n` during cycle `T − d + 1 + k` for `k = 0..d−1`,
-/// because the ring moves one hop per cycle and delivery latency equals
-/// hop distance; credits mirror this against the rotation. The log holds
-/// one record per ejection in commit order (a fused hop is logged ahead of
-/// the clock); each hop's crossings are sorted here, so that order never
-/// reaches the profile.
+/// Closes open trace windows (`System::finish_trace`) and folds each hop's
+/// crossing cycles, as the ring's delivery log keeps them, into its curve.
+/// A list that arrived out of order (a multi-hop flit logs its crossings
+/// when it ejects) is sorted first, so commit order never reaches the
+/// profile.
 ///
 /// # Panics
 ///
@@ -350,38 +348,19 @@ pub fn collect_profile(system: &mut System, deployment: &str) -> RunProfile {
     let windows = log_windows(span);
     let n = system.ring.num_nodes();
 
-    // Per-hop crossing cycles, reconstructed from the delivery log.
     let log = system.ring.delivery_log().unwrap();
-    let mut data_cross: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for d in &log.data {
-        let dist = (d.dst + n - d.src) % n;
-        for k in 0..dist {
-            data_cross[(d.src + k) % n].push(d.cycle + 1 + k as u64 - dist as u64);
-        }
-    }
-    let mut credit_cross: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for d in &log.credit {
-        let dist = (d.src + n - d.dst) % n;
-        for k in 0..dist {
-            credit_cross[(d.src + n - k) % n].push(d.cycle + 1 + k as u64 - dist as u64);
-        }
-    }
-    let hop_profiles = |cross: Vec<Vec<u64>>, dropped: u64| -> Vec<HopProfile> {
-        cross
-            .into_iter()
-            .enumerate()
-            .map(|(hop, mut cycles)| {
-                cycles.sort_unstable();
-                HopProfile {
-                    hop,
-                    flits: cycles.len() as u64,
-                    curve: windowed_curve(&cycles, dropped, span, &windows),
-                }
-            })
-            .collect()
+    let hop_profiles = |hops: &[Vec<u64>], dropped: u64| -> Vec<HopProfile> {
+        let hops = hops.iter().enumerate();
+        let curve = |cycles| windowed_curve(cycles, dropped, span, &windows);
+        hops.map(|(hop, cycles)| HopProfile {
+            hop,
+            flits: cycles.len() as u64,
+            curve: curve(cycles),
+        })
+        .collect()
     };
-    let data_hops = hop_profiles(data_cross, log.data_dropped);
-    let credit_hops = hop_profiles(credit_cross, log.credit_dropped);
+    let data_hops = hop_profiles(&log.data.hops, log.data_dropped);
+    let credit_hops = hop_profiles(&log.credit.hops, log.credit_dropped);
 
     let mut streams = Vec::new();
     let mut gateways = Vec::new();

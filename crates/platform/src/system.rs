@@ -204,19 +204,19 @@ impl System {
     }
 
     /// Turn on profiling: structured tracing (as
-    /// [`System::enable_tracing`]) plus the ring's per-delivery log and
+    /// [`System::enable_tracing`]) plus the ring's per-hop crossing log and
     /// push-timestamp traces on every already-added C-FIFO — the raw
     /// material a `streamgate_core::profile::RunProfile` is folded from
     /// after the run. Call after construction, before the first
     /// [`System::step`].
     ///
-    /// Every source is event-exact: the delivery log takes a hop committed
-    /// in closed form by chain fusion at commit, with its ejection cycle,
+    /// Every source is event-exact: the crossing log takes a hop committed
+    /// in closed form by chain fusion at commit, with its crossing cycle,
     /// and the FIFOs log pushes where they happen, so profiled data is
     /// bit-identical between [`StepMode::Exhaustive`] and
     /// [`StepMode::EventDriven`] — the same contract the tracer upholds,
-    /// with delivery records equal once sorted into ejection order — and
-    /// a profiled run keeps chain fusion.
+    /// with each hop's crossings equal once sorted — and a profiled run
+    /// keeps chain fusion.
     pub fn enable_profiling(&mut self, sample_interval: u64) {
         self.enable_tracing(sample_interval);
         self.ring.enable_delivery_log();

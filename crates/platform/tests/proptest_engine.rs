@@ -34,7 +34,6 @@ use streamgate_platform::{
     AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, ProcessorTile, RateSource, ScaleKernel,
     SinkTask, StallCause, StepMode, StreamConfig, StreamKernel, System, TraceEvent,
 };
-use streamgate_ring::Delivery;
 
 #[derive(Clone, Debug)]
 struct Topo {
@@ -409,25 +408,43 @@ fn assert_identical(mut ex: System, mut ev: System) -> Result<(), TestCaseError>
     let (la, lb) = (ex.ring.delivery_log(), ev.ring.delivery_log());
     prop_assert_eq!(la.is_some(), lb.is_some(), "delivery log on");
     if let (Some(la), Some(lb)) = (la, lb) {
-        // The lock-step engine logs in ejection order; the event engine logs
-        // a fused hop at commit, ahead of the clock, so its records match
-        // once sorted by the ejection key `(cycle, dst)`.
+        // Both engines log the same crossings per hop. Either list may be
+        // out of cycle order: a multi-hop flit logs its crossings when it
+        // ejects, and the event engine logs a fused hop at commit, ahead of
+        // the clock. So they are compared sorted; one slot leaves a station
+        // per cycle, so a sorted list rises strictly.
         for (ring, a, b) in [(0, &la.data, &lb.data), (1, &la.credit, &lb.credit)] {
-            let key = |d: &Delivery| (d.cycle, d.dst);
-            let unordered = a.windows(2).position(|w| key(&w[0]) >= key(&w[1]));
-            prop_assert_eq!(unordered, None, "ring {} exhaustive log out of order", ring);
-            let mut b = b.clone();
-            b.sort_unstable_by_key(key);
-            if let Some(d) = a.iter().zip(b.iter()).position(|(x, y)| x != y) {
-                prop_assert_eq!(a[d], b[d], "ring {} delivery log divergence at {}", ring, d);
+            prop_assert_eq!(a.hops.len(), b.hops.len(), "ring {} hops", ring);
+            for (hop, (a, b)) in a.hops.iter().zip(&b.hops).enumerate() {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                a.sort_unstable();
+                b.sort_unstable();
+                let twice = a.windows(2).position(|w| w[0] >= w[1]);
+                prop_assert_eq!(
+                    twice,
+                    None,
+                    "ring {} hop {}: two crossings in a cycle",
+                    ring,
+                    hop
+                );
+                if let Some(d) = a.iter().zip(&b).position(|(x, y)| x != y) {
+                    prop_assert_eq!(
+                        a[d],
+                        b[d],
+                        "ring {} hop {} crossing {} differs",
+                        ring,
+                        hop,
+                        d
+                    );
+                }
+                prop_assert_eq!(a.len(), b.len(), "ring {} hop {} crossings", ring, hop);
             }
-            prop_assert_eq!(a.len(), b.len(), "ring {} delivery records", ring);
         }
-        prop_assert_eq!(la.data_dropped, lb.data_dropped, "data deliveries dropped");
+        prop_assert_eq!(la.data_dropped, lb.data_dropped, "data crossings dropped");
         prop_assert_eq!(
             la.credit_dropped,
             lb.credit_dropped,
-            "credit deliveries dropped"
+            "credit crossings dropped"
         );
     }
     Ok(())

@@ -31,5 +31,5 @@ pub mod network;
 pub mod ni;
 
 pub use flit::{Flit, NodeId};
-pub use network::{Delivery, DeliveryLog, DualRing, Ring, RingStats};
+pub use network::{Crossings, DeliveryLog, DualRing, Ring, RingStats};
 pub use ni::{CreditRx, CreditTx};

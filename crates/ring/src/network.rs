@@ -34,70 +34,74 @@ pub struct RingStats {
     pub injection_stalls: u64,
 }
 
-/// One ejected flit, as recorded by the optional [`DeliveryLog`].
-///
-/// With the inject→rotate→eject step order a flit's delivery latency equals
-/// its hop distance, so the record reconstructs the full path: a data flit
-/// delivered at `cycle` crossed hop `(src + k) mod n` (the edge from that
-/// station to its successor) during cycle `cycle − d + 1 + k` for
-/// `k = 0..d−1`, where `d` is the data-ring hop distance; credit flits
-/// mirror this against the rotation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Delivery {
-    /// Cycle the flit was ejected at its destination.
-    pub cycle: u64,
-    /// Source station.
-    pub src: NodeId,
-    /// Destination station.
-    pub dst: NodeId,
+/// One ring's part of the [`DeliveryLog`]. Hop `i` is the edge from station
+/// `i` to `i + 1` on the data ring, to `i − 1` on the credit ring (mod `n`).
+#[derive(Clone, Debug, Default)]
+pub struct Crossings {
+    /// Each hop's retained crossing cycles, in commit order.
+    pub hops: Vec<Vec<u64>>,
 }
 
-/// Log of delivered flits on both rings, kept only when a profiler asked
-/// for it ([`DualRing::enable_delivery_log`]). It holds one record per
-/// ejection, appended where the ejection is fixed: a ring step logs the
-/// flits it ejects, and a transit committed in closed form
-/// ([`DualRing::fused_data_stats`]) logs its ejection at commit, ahead of
-/// the clock. Only one slot reaches a station per cycle, so `(cycle, dst)`
-/// is unique on each ring and sorting a list by it gives ejection order.
-/// The exhaustive and the event-driven engines, fused or not, log the same
-/// records.
+impl Crossings {
+    /// Crossings retained over all hops.
+    pub fn len(&self) -> usize {
+        self.hops.iter().map(Vec::len).sum()
+    }
+
+    /// True when no crossing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.hops.iter().all(Vec::is_empty)
+    }
+}
+
+/// Hop crossings on both rings, kept only when a profiler asked for them
+/// ([`DualRing::enable_delivery_log`]). A flit moves one hop per cycle and
+/// is always accepted, so one ejecting at cycle `T` after `d` hops from
+/// `src` made its `k`-th crossing (`k = 0..d`) on hop `src + k` (data) or
+/// `src − k` (credit) at cycle `T − d + 1 + k`. All `d` are logged where
+/// the ejection is fixed: by the ring step that ejects the flit, or at
+/// commit, ahead of the clock, for a transit taken in closed form
+/// ([`DualRing::fused_data_stats`]). So a list is in cycle order where
+/// every flit travels one hop, but a longer flit logs all its crossings
+/// after shorter ones that crossed later. Both engines, fused or not, log
+/// the same crossings per hop, equal once sorted; one slot leaves a
+/// station per cycle, so a sorted list rises strictly.
 ///
-/// Each direction retains a bounded trailing window (at least
-/// [`DeliveryLog::WINDOW`] records, at most twice that — eviction sorts
-/// the buffer by `(cycle, dst)` and drains its oldest half at once); the
-/// `*_dropped` counters report how many of the oldest records were shed,
-/// so profiles of arbitrarily long runs stay bounded without silently
-/// pretending to be complete.
+/// Each hop keeps a trailing window: at `2 ×` [`DeliveryLog::WINDOW`]
+/// crossings its list is sorted and sheds its oldest `WINDOW`, counted in
+/// `*_dropped`. A hop takes at most one crossing per delivery on its ring,
+/// so no run of up to `2 × WINDOW` deliveries per ring sheds any. A list
+/// holds at most 16 MiB, a ring of `n` stations `32 n` MiB both ways.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryLog {
-    /// Data-ring deliveries, in commit order (trailing window).
-    pub data: Vec<Delivery>,
-    /// Credit-ring deliveries, in commit order (trailing window).
-    pub credit: Vec<Delivery>,
-    /// Oldest data-ring records evicted from the window.
+    /// Data-ring crossings per hop (trailing windows).
+    pub data: Crossings,
+    /// Credit-ring crossings per hop (trailing windows).
+    pub credit: Crossings,
+    /// Oldest data-ring crossings evicted from the windows.
     pub data_dropped: u64,
-    /// Oldest credit-ring records evicted from the window.
+    /// Oldest credit-ring crossings evicted from the windows.
     pub credit_dropped: u64,
 }
 
 impl DeliveryLog {
-    /// Minimum number of most-recent records retained per ring direction.
+    /// Minimum number of most-recent crossings retained per hop.
     pub const WINDOW: usize = 1 << 20;
 
-    /// Append a delivery on ring `r` (0 = data, 1 = credit), evicting the
-    /// oldest window if full. A fused hop committed ahead of the clock may
-    /// precede older ejections, so eviction sorts the buffer first.
-    fn record(&mut self, r: usize, d: Delivery) {
-        let (list, dropped) = match r {
+    /// Append a crossing of `hop` at `cycle` on ring `r` (0 = data,
+    /// 1 = credit), evicting the hop's oldest window if full.
+    fn record(&mut self, r: usize, hop: NodeId, cycle: u64) {
+        let (ring, dropped) = match r {
             0 => (&mut self.data, &mut self.data_dropped),
             _ => (&mut self.credit, &mut self.credit_dropped),
         };
+        let list = &mut ring.hops[hop];
         if list.len() >= 2 * Self::WINDOW {
-            list.sort_unstable_by_key(|d| (d.cycle, d.dst));
+            list.sort_unstable();
             list.drain(..Self::WINDOW);
             *dropped += Self::WINDOW as u64;
         }
-        list.push(d);
+        list.push(cycle);
     }
 }
 
@@ -354,8 +358,7 @@ impl<B, const FORWARD: bool> Ring<B, FORWARD> {
             stats.total_latency += lat;
             stats.max_latency = stats.max_latency.max(lat);
             if let Some(log) = log.as_deref_mut() {
-                let (cycle, src) = (self.cycle, f.src);
-                log.record(Self::INDEX, Delivery { cycle, src, dst });
+                self.log_crossings(log, f.src, dst, self.cycle);
             }
             self.rx[dst].push_back(f);
         }
@@ -369,6 +372,20 @@ impl<B, const FORWARD: bool> Ring<B, FORWARD> {
         self.rot += r;
         if self.rot >= self.n {
             self.rot -= self.n;
+        }
+    }
+
+    /// Log a flit from `src` ejected at `dst` at `cycle`, one crossing per
+    /// hop (see [`DeliveryLog`]); out of line, as only profiled runs log.
+    #[inline(never)]
+    fn log_crossings(&self, log: &mut DeliveryLog, src: NodeId, dst: NodeId, cycle: u64) {
+        let mut hop = src;
+        for t in cycle + 1 - self.distance(src, dst) as u64..=cycle {
+            log.record(Self::INDEX, hop, t);
+            hop += if FORWARD { 1 } else { self.n - 1 };
+            if hop >= self.n {
+                hop -= self.n;
+            }
         }
     }
 
@@ -435,7 +452,7 @@ impl<B, const FORWARD: bool> Ring<B, FORWARD> {
         stats.max_latency = stats.max_latency.max(dist);
         let cycle = at + dist;
         if let Some(log) = log {
-            log.record(Self::INDEX, Delivery { cycle, src, dst });
+            self.log_crossings(log, src, dst, cycle);
         }
         cycle
     }
@@ -453,7 +470,7 @@ pub struct DualRing<P> {
     pub credit: Ring<u32, false>,
     /// Statistics (index 0 = data ring, 1 = credit ring).
     pub stats: [RingStats; 2],
-    /// Per-delivery log, kept only while profiling.
+    /// Per-hop crossing log, kept only while profiling.
     delivery_log: Option<Box<DeliveryLog>>,
 }
 
@@ -474,12 +491,13 @@ impl<P> DualRing<P> {
         self.data.n
     }
 
-    /// Start recording every delivered flit (both rings) into a
-    /// [`DeliveryLog`]. Costs one `Vec` push per delivery; leave disabled
-    /// (the default) outside profiled runs.
+    /// Start recording every hop crossing (both rings) into a
+    /// [`DeliveryLog`]. Costs one `u64` push per hop a delivered flit
+    /// crossed; leave disabled (the default) outside profiled runs.
     pub fn enable_delivery_log(&mut self) {
-        if self.delivery_log.is_none() {
-            self.delivery_log = Some(Box::default());
+        let log = self.delivery_log.get_or_insert_with(Box::default);
+        for ring in [&mut log.data, &mut log.credit] {
+            ring.hops.resize(self.data.n, Vec::new());
         }
     }
 
@@ -499,7 +517,8 @@ impl<P> DualRing<P> {
     /// the clock advances, and then per ring, data first: (1) stations
     /// inject into their local slot register if it is empty, (2) all slots
     /// shift one hop, (3) the slot arriving at its destination is ejected
-    /// (guaranteed acceptance), and the delivery log, when on, records it.
+    /// (guaranteed acceptance), and the delivery log, when on, records its
+    /// hop crossings.
     /// With this order a flit's delivery latency equals its hop distance.
     ///
     /// Injection scans run only while a TX queue is non-empty, the shift is
@@ -846,52 +865,58 @@ mod tests {
         assert_eq!(r.stats[0].max_latency, 3, "latency unaffected by the skip");
     }
 
+    /// An empty log of a ring with `n` stations, as
+    /// [`DualRing::enable_delivery_log`] starts it.
+    fn empty_log(n: usize) -> DeliveryLog {
+        let mut r: DualRing<u64> = DualRing::new(n);
+        r.enable_delivery_log();
+        *r.delivery_log.expect("just enabled")
+    }
+
     #[test]
     fn delivery_log_window_evicts_oldest() {
-        let mut log = DeliveryLog::default();
-        let n = 2 * DeliveryLog::WINDOW + 5;
+        let w = DeliveryLog::WINDOW;
+        let mut log = empty_log(3);
+        let n = 2 * w + 5;
         for k in 0..n {
-            let d = Delivery {
-                cycle: k as u64,
-                src: 0,
-                dst: 1,
-            };
-            log.record(0, d);
+            log.record(0, 1, k as u64);
         }
-        assert_eq!(log.data_dropped, DeliveryLog::WINDOW as u64);
-        assert_eq!(log.data.len(), DeliveryLog::WINDOW + 5);
-        // Trailing window: oldest retained record follows the evicted ones.
-        assert_eq!(log.data[0].cycle, DeliveryLog::WINDOW as u64);
-        assert_eq!(log.data.last().unwrap().cycle, n as u64 - 1);
-        // The credit side is independent and untouched.
+        assert_eq!(log.data_dropped, w as u64);
+        assert_eq!(log.data.len(), w + 5);
+        // Trailing window: oldest retained crossing follows the evicted ones.
+        let hop = &log.data.hops[1];
+        assert_eq!(hop[0], w as u64);
+        assert_eq!(*hop.last().unwrap(), n as u64 - 1);
+        // The other hops and the credit side are independent and untouched.
+        assert!(log.data.hops[0].is_empty() && log.data.hops[2].is_empty());
         assert_eq!(log.credit_dropped, 0);
         assert!(log.credit.is_empty());
     }
 
     #[test]
-    fn delivery_log_eviction_sheds_the_oldest_ejections() {
-        // Records in commit order: a fused hop ejecting at (W, 3) is
-        // committed ahead of the real ejections at cycles W − 1 and W.
-        // Crossing the 2 × WINDOW boundary sheds the WINDOW oldest records
-        // by (cycle, dst), cycles 0..W at station 1, and keeps the hop
-        // committed ahead.
+    fn delivery_log_eviction_sheds_the_oldest_crossings() {
+        // Crossings of one hop in commit order, out of cycle order both
+        // ways: a fused hop at 2W is committed ahead, before cycle W − 1,
+        // and cycle 5 comes late, as the first hop of a long flit logged
+        // when it ejects. Crossing the 2 × WINDOW boundary sorts the list
+        // and sheds the WINDOW oldest, cycles 0..W: the late crossing goes,
+        // the one committed ahead stays.
         let w = DeliveryLog::WINDOW as u64;
-        let at = |cycle: u64, dst: NodeId| Delivery { cycle, src: 0, dst };
-        let ahead = at(w, 3);
-        let mut log = DeliveryLog::default();
-        for c in 0..2 * w {
+        let mut log = empty_log(3);
+        for c in (0..2 * w - 1).filter(|&c| c != 5) {
             if c == w - 1 {
-                log.record(0, ahead);
+                log.record(0, 1, 2 * w);
             }
-            log.record(0, at(c, 1));
+            log.record(0, 1, c);
         }
+        log.record(0, 1, 5);
+        assert_eq!(log.data_dropped, 0, "2 × WINDOW crossings fit");
+        log.record(0, 1, 2 * w - 1);
         assert_eq!(log.data_dropped, w, "one window shed");
-        assert_eq!(log.data.len() as u64, w + 1);
-        assert!(log.data.contains(&ahead), "the hop committed ahead is kept");
-        assert!(
-            log.data.iter().all(|d| (d.cycle, d.dst) >= (w, 1)),
-            "every retained record is younger than every shed one"
-        );
+        let mut kept = log.data.hops[1].clone();
+        assert!(!kept.is_sorted(), "the newest crossing follows the drain");
+        kept.sort_unstable();
+        assert_eq!(kept, (w..=2 * w).collect::<Vec<_>>());
         assert_eq!(log.credit_dropped, 0);
     }
 
@@ -901,52 +926,43 @@ mod tests {
         assert!(ring.delivery_log().is_none(), "off by default");
         ring.enable_delivery_log();
         ring.data.send(0, 3, 7, 1, 0); // 3 hops
+        ring.data.send(1, 2, 8, 5, 2); // 1 hop, behind the long flit
         ring.credit.send(3, 0, 9, 2, 0); // 3 hops the other way
-        ring.step(); // inject both
+        ring.step(); // inject both long flits
         let idle = ring.rotation_steps();
         assert!(idle > 0);
         ring.skip(idle); // pure rotations: nothing may be logged
         assert!(ring.delivery_log().unwrap().data.is_empty());
-        ring.step(); // ejection
+        ring.step(); // all three eject
         let log = ring.delivery_log().unwrap();
-        assert_eq!(
-            log.data,
-            vec![Delivery {
-                cycle: 3,
-                src: 0,
-                dst: 3,
-            }]
-        );
-        assert_eq!(
-            log.credit,
-            vec![Delivery {
-                cycle: 3,
-                src: 3,
-                dst: 0,
-            }]
-        );
-        // Delivery cycle minus hop distance reconstructs the path start.
-        let d = ring.data.distance(log.data[0].src, log.data[0].dst) as u64;
-        assert_eq!(log.data[0].cycle - d + 1, 1, "first hop crossed at cycle 1");
+        // The long flit crossed hops 0, 1, 2 at cycles 1, 2, 3 and logs
+        // them as it ejects, after the short flit it preceded on hop 1
+        // (same-cycle ejections log in station order).
+        let data: [&[u64]; 6] = [&[1], &[3, 2], &[3], &[], &[], &[]];
+        assert_eq!(log.data.hops, data);
+        let credit: [&[u64]; 6] = [&[], &[3], &[2], &[1], &[], &[]];
+        assert_eq!(log.credit.hops, credit);
+        assert_eq!((log.data.len(), log.credit.len()), (4, 3));
     }
 
     #[test]
-    fn fused_transits_log_their_ejections_at_commit() {
+    fn fused_transits_log_their_crossings_at_commit() {
         // The same distance-1 flits on two logging rings: one flies them
-        // all, the other fuses every second one. Same-cycle ejections at
-        // several stations interleave fused and real records, and a clock
-        // jump passes fused ones. The flown log is in ejection order; the
-        // fused one holds the same records, in that order once sorted by
-        // (cycle, dst), and the statistics match.
+        // all, the other fuses every second one. A fused hop is logged at
+        // commit, ahead of the clock, so hop 4 of the data ring and hop 5
+        // of the credit ring log a later crossing before earlier ones, and
+        // a clock jump passes fused ones. The flown lists are in cycle
+        // order; the fused ones hold the same crossings, in that order once
+        // sorted, and the statistics match.
         let flits: [(bool, usize, u64); 8] = [
             (true, 4, 3),
-            (true, 1, 3),
+            (true, 4, 6),
             (false, 5, 3),
             (true, 6, 3),
-            (false, 2, 4),
+            (false, 5, 4),
             (true, 0, 4),
             (true, 3, 9),
-            (false, 7, 9),
+            (false, 5, 9),
         ];
         let run = |fuse: bool| {
             let mut r: DualRing<u64> = DualRing::new(8);
@@ -973,14 +989,128 @@ mod tests {
                 .map(|s| (s.delivered, s.total_latency, s.max_latency))
                 .collect();
             let log = r.delivery_log().unwrap();
-            (log.data.clone(), log.credit.clone(), stats)
+            (log.data.hops.clone(), log.credit.hops.clone(), stats)
         };
         let (flown, mut fused) = (run(false), run(true));
-        fused.0.sort_unstable_by_key(|d| (d.cycle, d.dst));
-        fused.1.sort_unstable_by_key(|d| (d.cycle, d.dst));
+        let data: [&[u64]; 8] = [&[5], &[], &[], &[10], &[4, 7], &[], &[4], &[]];
+        assert_eq!(flown.0, data);
+        let credit: [&[u64]; 8] = [&[], &[], &[], &[], &[], &[4, 5, 10], &[], &[]];
+        assert_eq!(flown.1, credit);
+        assert_eq!(
+            (&fused.0[4][..], &fused.1[5][..]),
+            (&[7, 4][..], &[10, 4, 5][..])
+        );
+        fused
+            .0
+            .iter_mut()
+            .chain(&mut fused.1)
+            .for_each(|h| h.sort_unstable());
         assert_eq!(flown, fused);
-        let order: Vec<_> = flown.0.iter().map(|d| (d.cycle, d.dst)).collect();
-        assert_eq!(order, [(4, 2), (4, 5), (4, 7), (5, 1), (10, 4)]);
+    }
+
+    /// Flits waiting in each station's RX queue.
+    fn rx_lens<B, const F: bool>(r: &Ring<B, F>) -> Vec<usize> {
+        r.rx.iter().map(VecDeque::len).collect()
+    }
+
+    /// The hops crossed in the step just taken, read off the slot
+    /// registers: the slot now at station `j` crossed the hop into `j`, and
+    /// so did a flit ejected at `j` (its RX queue grew past `rx_before`).
+    fn scan_crossings<B, const F: bool>(
+        r: &Ring<B, F>,
+        rx_before: &[usize],
+        seen: &mut [Vec<u64>],
+    ) {
+        for (j, before) in rx_before.iter().enumerate() {
+            let hop = if F {
+                (j + r.n - 1) % r.n
+            } else {
+                (j + 1) % r.n
+            };
+            let crossed = usize::from(r.slots[r.phys(j)].is_some()) + r.rx[j].len() - before;
+            assert!(crossed <= 1, "one slot crosses a hop per cycle");
+            if crossed == 1 {
+                seen[hop].push(r.cycle);
+            }
+        }
+    }
+
+    #[test]
+    fn logged_crossings_match_a_per_cycle_scan_of_the_slots() {
+        // Seeded traffic on both rings of 5 stations, stepped cycle by
+        // cycle: multi-hop sends, at once and committed ahead, then
+        // distance-1 stretches with fused transits while the rings are
+        // multi-hop quiet. Every hop's log must equal, once sorted, what a
+        // scan of the slot registers saw cross it (a fused transit crosses
+        // its one hop at its ejection cycle, without a slot).
+        const N: usize = 5;
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut ring: DualRing<u64> = DualRing::new(N);
+        ring.enable_delivery_log();
+        let mut seen = [vec![Vec::new(); N], vec![Vec::new(); N]];
+        let mut fused = 0;
+        while ring.cycle() < 3000 || ring.rotation_steps() != u64::MAX {
+            let now = ring.cycle();
+            let one_hop = (now / 200) % 2 == 1;
+            for r in 0..2 {
+                if now >= 3000 || below(100) >= 35 {
+                    continue;
+                }
+                let src = below(N as u64) as usize;
+                let d = if one_hop {
+                    1
+                } else {
+                    1 + below(N as u64 - 1) as usize
+                };
+                let at = now + below(3);
+                if r == 0 {
+                    ring.data.send(src, (src + d) % N, 0, 0, at);
+                } else {
+                    ring.credit.send(src, (src + N - d) % N, 0, 0, at);
+                }
+            }
+            if one_hop && now < 3000 && ring.multi_hop_quiet() && below(2) == 0 {
+                let (src, at) = (below(N as u64) as usize, now + below(4));
+                let arrival = ring.fused_data_stats(src, (src + 1) % N, at);
+                seen[0][src].push(arrival);
+                let dst = (src + 1) % N;
+                seen[1][dst].push(ring.fused_credit_stats(dst, src, arrival));
+                fused += 1;
+            }
+            let (data_rx, credit_rx) = (rx_lens(&ring.data), rx_lens(&ring.credit));
+            ring.step();
+            scan_crossings(&ring.data, &data_rx, &mut seen[0]);
+            scan_crossings(&ring.credit, &credit_rx, &mut seen[1]);
+        }
+        assert!(fused > 20, "{fused} fused transits");
+        let log = ring.delivery_log().unwrap();
+        let mut out_of_order = 0;
+        for (r, logged) in [&log.data, &log.credit].into_iter().enumerate() {
+            for (hop, (logged, seen)) in logged.hops.iter().zip(&mut seen[r]).enumerate() {
+                out_of_order += usize::from(!logged.is_sorted());
+                let mut logged = logged.clone();
+                logged.sort_unstable();
+                seen.sort_unstable();
+                assert_eq!(&logged, seen, "ring {r} hop {hop}");
+            }
+        }
+        assert!(
+            out_of_order > 0,
+            "multi-hop traffic logs out of cycle order"
+        );
+        for r in 0..2 {
+            let logged = [log.data.len(), log.credit.len()][r] as u64;
+            assert!(
+                logged > ring.stats[r].delivered,
+                "ring {r}: multi-hop flits"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! `rotation_steps`. Only the NI endpoints and the ring's clock, horizon
 //! and fused-transit calls drive it. The pinned values are the ring's
 //! recorded behaviour, so a change to its semantics (statistics, delivery
-//! order, horizons, log records) moves one of them.
+//! order, horizons, logged hop crossings) moves one of them.
 
-use streamgate_ring::{CreditRx, CreditTx, Delivery, DualRing};
+use streamgate_ring::{CreditRx, CreditTx, Crossings, DualRing};
 
 const NODES: usize = 7;
 /// Cycles of generated traffic; the drain afterwards runs until idle.
@@ -67,16 +67,17 @@ impl Digest {
         }
     }
 
-    /// `(cycle, src, dst)` of every record, in ejection order: sorted by
-    /// `(cycle, dst)`, the order the log's contract defines.
-    fn deliveries(log: &[Delivery]) -> u64 {
-        let mut sorted = log.to_vec();
-        sorted.sort_unstable_by_key(|r| (r.cycle, r.dst));
+    /// `(hop, cycle)` of every logged crossing, hop by hop, each hop's
+    /// crossings in cycle order (the log keeps them in commit order).
+    fn crossings(log: &Crossings) -> u64 {
         let mut d = Digest::new();
-        for r in sorted {
-            d.word(r.cycle);
-            d.word(r.src as u64);
-            d.word(r.dst as u64);
+        for (hop, cycles) in log.hops.iter().enumerate() {
+            let mut sorted = cycles.clone();
+            sorted.sort_unstable();
+            for cycle in sorted {
+                d.word(hop as u64);
+                d.word(cycle);
+            }
         }
         d.0
     }
@@ -88,7 +89,7 @@ struct Outcome {
     /// `(delivered, total_latency, max_latency, injection_stalls)` of the
     /// data and the credit ring.
     stats: [(u64, u64, u64, u64); 2],
-    /// Records and digest of the data and the credit delivery logs.
+    /// Crossings and digest of the data and the credit delivery logs.
     log: [(usize, u64); 2],
     /// Digest of every pop: cycle, link and payload, in pop order.
     rx: u64,
@@ -246,8 +247,8 @@ fn run(seed: u64) -> Outcome {
     Outcome {
         stats: [stats(0), stats(1)],
         log: [
-            (log.data.len(), Digest::deliveries(&log.data)),
-            (log.credit.len(), Digest::deliveries(&log.credit)),
+            (log.data.len(), Digest::crossings(&log.data)),
+            (log.credit.len(), Digest::crossings(&log.credit)),
         ],
         rx: rx_digest.0,
         horizons: horizons.0,
@@ -263,7 +264,7 @@ fn seeded_traffic_matches_the_pinned_ring_behaviour() {
             1,
             Outcome {
                 stats: [(10228, 59119, 175, 4325), (10228, 30697, 45, 1717)],
-                log: [(10228, 12365340219162510940), (10228, 14335060323302057880)],
+                log: [(17067, 7125803292021014521), (17067, 6334867200902640646)],
                 rx: 17068358949603093768,
                 horizons: 10701574721557986737,
                 end: 12004,
@@ -274,7 +275,7 @@ fn seeded_traffic_matches_the_pinned_ring_behaviour() {
             7,
             Outcome {
                 stats: [(10435, 48057, 123, 3946), (10435, 29515, 41, 1711)],
-                log: [(10435, 13423036601297478231), (10435, 9350226255513530807)],
+                log: [(17391, 15381293644757753445), (17391, 15891148172760581975)],
                 rx: 8332087903068196515,
                 horizons: 4134018439031855858,
                 end: 12006,
