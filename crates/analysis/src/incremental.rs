@@ -274,17 +274,7 @@ impl AnalysisState {
     fn candidate_spec(&self, delta: &Delta) -> Result<(DeploySpec, usize), DeltaError> {
         let mut spec = self.spec.clone();
         let g = delta.gateway();
-        let streams: &mut Vec<StreamDeploy> = if spec.gateways.is_empty() {
-            if g != 0 {
-                return Err(DeltaError::UnknownGateway(g));
-            }
-            &mut spec.streams
-        } else {
-            match spec.gateways.get_mut(g) {
-                Some(gw) => &mut gw.streams,
-                None => return Err(DeltaError::UnknownGateway(g)),
-            }
-        };
+        let streams = spec.streams_mut(g).ok_or(DeltaError::UnknownGateway(g))?;
         match delta {
             Delta::AddStream { stream, .. } => {
                 if streams.iter().any(|s| s.name == stream.name) {
@@ -347,15 +337,8 @@ impl AnalysisState {
 
     /// The committed configuration of the named stream, when present.
     fn committed_stream(&self, g: usize, name: &str) -> Option<&StreamDeploy> {
-        let streams = if self.spec.gateways.is_empty() {
-            if g != 0 {
-                return None;
-            }
-            &self.spec.streams
-        } else {
-            &self.spec.gateways.get(g)?.streams
-        };
-        streams.iter().find(|s| s.name == name)
+        let views = self.spec.gateway_views();
+        views.get(g)?.streams.iter().find(|s| s.name == name)
     }
 
     /// The named declared mode's configuration with the stream's name

@@ -49,7 +49,7 @@ use streamgate_platform::System;
 pub fn tau_margin(spec: &DeploySpec) -> u64 {
     let k = spec.chain.len() as u64;
     k.saturating_sub(1)
-        .saturating_mul(spec.c0())
+        .saturating_mul(spec.gateway_views()[0].c0())
         .saturating_add(16 + 8 * k)
 }
 

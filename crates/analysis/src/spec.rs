@@ -393,12 +393,6 @@ impl ToDeploySpec for streamgate_core::PalSystemConfig {
 }
 
 impl DeploySpec {
-    /// Worst-case per-sample accelerator time over the chain,
-    /// ρ_A = max stage ρ.
-    pub fn rho_a(&self) -> u64 {
-        self.chain.iter().map(|s| s.rho).max().unwrap_or(0)
-    }
-
     /// Whether this spec uses the multi-gateway shape.
     pub fn is_multi(&self) -> bool {
         !self.gateways.is_empty()
@@ -415,8 +409,14 @@ impl DeploySpec {
     }
 
     /// Uniform per-gateway views over both shapes. A single-gateway spec
-    /// yields exactly one view built from the top-level fields.
+    /// yields exactly one view built from the top-level fields. A view's
+    /// ρ_A is the maximum stage ρ of its chain.
     pub fn gateway_views(&self) -> Vec<GatewayView<'_>> {
+        let params = |chain: &[ChainStage]| GatewayParams {
+            epsilon: self.epsilon,
+            rho_a: chain.iter().map(|s| s.rho).max().unwrap_or(0),
+            delta: self.delta,
+        };
         if self.gateways.is_empty() {
             return vec![GatewayView {
                 index: 0,
@@ -425,7 +425,7 @@ impl DeploySpec {
                 group: 0,
                 streams: &self.streams,
                 config_slot: None,
-                params: self.gateway_params(),
+                params: params(&self.chain),
             }];
         }
         self.gateways
@@ -441,14 +441,21 @@ impl DeploySpec {
                     group,
                     streams: &g.streams,
                     config_slot: g.config_slot,
-                    params: GatewayParams {
-                        epsilon: self.epsilon,
-                        rho_a: chain.iter().map(|s| s.rho).max().unwrap_or(0),
-                        delta: self.delta,
-                    },
+                    params: params(chain),
                 }
             })
             .collect()
+    }
+
+    /// Gateway `gateway`'s stream list in either shape (a single-gateway
+    /// spec's top-level streams are gateway 0's); `None` when there is no
+    /// such gateway.
+    pub fn streams_mut(&mut self, gateway: usize) -> Option<&mut Vec<StreamDeploy>> {
+        if self.gateways.is_empty() {
+            (gateway == 0).then_some(&mut self.streams)
+        } else {
+            self.gateways.get_mut(gateway).map(|g| &mut g.streams)
+        }
     }
 
     /// Flat `(gateway index, stream)` enumeration across all pairs, in
@@ -621,41 +628,6 @@ impl DeploySpec {
             out_links,
             mid_links,
         }
-    }
-
-    /// `c0 = max(ε, ρ_A, δ)` (Eq. 8).
-    pub fn c0(&self) -> u64 {
-        self.gateway_params().c0()
-    }
-
-    /// The chain timing parameters.
-    pub fn gateway_params(&self) -> GatewayParams {
-        GatewayParams {
-            epsilon: self.epsilon,
-            rho_a: self.rho_a(),
-            delta: self.delta,
-        }
-    }
-
-    /// The Eq. 5–9 sharing problem this deployment instantiates.
-    pub fn sharing_problem(&self) -> SharingProblem {
-        SharingProblem {
-            params: self.gateway_params(),
-            streams: self
-                .streams
-                .iter()
-                .map(|s| StreamSpec {
-                    name: s.name.clone(),
-                    mu: s.mu,
-                    reconfig: s.reconfig,
-                })
-                .collect(),
-        }
-    }
-
-    /// The configured block sizes, in stream order.
-    pub fn etas(&self) -> Vec<u64> {
-        self.streams.iter().map(|s| s.eta_in).collect()
     }
 
     /// Serialise to a JSON tree (machine-readable spec interchange). Keys
@@ -1200,14 +1172,7 @@ impl DeploySpec {
     ) -> Option<DeploySpec> {
         let mut s = self.clone();
         s.modes = Vec::new();
-        let streams = if s.gateways.is_empty() {
-            if gateway != 0 {
-                return None;
-            }
-            &mut s.streams
-        } else {
-            &mut s.gateways.get_mut(gateway)?.streams
-        };
+        let streams = s.streams_mut(gateway)?;
         let i = streams.iter().position(|x| x.name == stream)?;
         let mut cfg = config.clone();
         cfg.name = stream.to_string();
@@ -1824,7 +1789,8 @@ mod tests {
     fn pal_spec_matches_sharing_problem() {
         let cfg = streamgate_core::PalSystemConfig::scaled_default();
         let spec = DeploySpec::from_pal(&cfg);
-        let prob = spec.sharing_problem();
+        let view = &spec.gateway_views()[0];
+        let prob = view.sharing_problem();
         let reference = cfg.sharing_problem();
         assert_eq!(prob.params, reference.params);
         assert_eq!(prob.streams.len(), 4);
@@ -1832,19 +1798,20 @@ mod tests {
             assert_eq!(a.mu, b.mu);
             assert_eq!(a.reconfig, b.reconfig);
         }
-        assert_eq!(spec.etas(), cfg.etas.to_vec());
+        assert_eq!(view.etas(), cfg.etas.to_vec());
     }
 
     #[test]
     fn c0_is_chain_maximum() {
         let mut s = DeploySpec::fig6();
-        assert_eq!(s.c0(), 3);
+        assert_eq!(s.gateway_views()[0].c0(), 3);
         s.chain.push(ChainStage {
             name: "slow".into(),
             rho: 9,
         });
-        assert_eq!(s.c0(), 9);
-        assert_eq!(s.rho_a(), 9);
+        let view = &s.gateway_views()[0];
+        assert_eq!(view.c0(), 9);
+        assert_eq!(view.params.rho_a, 9);
     }
 
     #[test]

@@ -305,7 +305,8 @@ pub fn run_saturated(spec: &DeploySpec, mode: StepMode, cycles: u64) -> BuiltSys
 /// Cycle budget that lets a clean saturated run complete its six prefilled
 /// blocks per stream with slack.
 pub fn clean_cycles(spec: &DeploySpec) -> u64 {
-    let gamma = spec.sharing_problem().gamma(&spec.etas());
+    let view = &spec.gateway_views()[0];
+    let gamma = view.sharing_problem().gamma(&view.etas());
     8 * gamma + 4_000
 }
 

@@ -43,8 +43,8 @@ fn accepted_topologies_meet_bounds_on_both_engines() {
             report.render_text()
         );
 
-        let prob = spec.sharing_problem();
-        let etas = spec.etas();
+        let view = &spec.gateway_views()[0];
+        let (prob, etas) = (view.sharing_problem(), view.etas());
         let cycles = clean_cycles(&spec);
         let mut blocks_by_engine = Vec::new();
         let mut profiles = Vec::new();

@@ -138,8 +138,8 @@ proptest! {
             .unwrap()
             .min(3);
         let cycles = clean_cycles(&spec);
-        let prob = spec.sharing_problem();
-        let etas = spec.etas();
+        let view = &spec.gateway_views()[0];
+        let (prob, etas) = (view.sharing_problem(), view.etas());
         let mut per_engine = Vec::new();
         for mode in [StepMode::Exhaustive, StepMode::EventDriven] {
             let b = run_saturated(&spec, mode, cycles);

@@ -15,7 +15,7 @@ use streamgate_analysis::{
     check_blame_conformance, monitor_config_for, monitor_for, multi_tau_margin,
     AdmissionController, Delta, DeploySpec, Report, StreamDeploy, StreamMode, StreamModes,
 };
-use streamgate_core::{collect_blame, Monitor};
+use streamgate_core::{collect_blame, validate_blame_totals, Monitor};
 use streamgate_ilp::Rational;
 use streamgate_platform::{StepMode, System, TraceEvent};
 
@@ -272,4 +272,7 @@ fn blame_counts_the_blocks_of_a_removed_stream() {
         removed.name.is_empty() && removed.blocks >= 8,
         "{removed:?}"
     );
+    // The removed stream's blocks, too, sum to what the tracer measured.
+    let failures = validate_blame_totals(&blame, &built.system);
+    assert!(failures.is_empty(), "{failures:#?}");
 }

@@ -62,11 +62,12 @@ fn run_case(spec: &DeploySpec, mode: StepMode, profiled: bool) -> (u64, u64, f64
     for k in 0..stream.input_capacity {
         b.push_input(0, (k as f64, 0.0));
     }
+    let view = &spec.gateway_views()[0];
     let mut sys = b.system;
-    sys.run(((stream.reconfig + (stream.eta_in + 2) * spec.c0()) * 6).max(20_000));
+    sys.run(((stream.reconfig + (stream.eta_in + 2) * view.c0()) * 6).max(20_000));
     let times = measure_block_times(&sys, 0);
     let measured = *times[0].iter().max().unwrap_or(&0);
-    let tau_hat = spec.sharing_problem().tau_hat(0, stream.eta_in);
+    let tau_hat = view.sharing_problem().tau_hat(0, stream.eta_in);
     (measured, tau_hat, measured as f64 / tau_hat as f64, sys)
 }
 

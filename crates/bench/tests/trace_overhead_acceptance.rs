@@ -30,7 +30,7 @@ const MAX_OVERHEAD: f64 = 1.35;
 /// production, so it may not cost more than 5 % — it keeps the event-driven
 /// engine's span fast path and only bounds the event buffer.
 const MAX_RECORDER_OVERHEAD: f64 = 1.05;
-/// On the per-cycle engines the recorder observes every cycle, and that
+/// On the lock-step loop a full trace observes every cycle, and that
 /// observation must not grow with FIFOs nobody touches: a run with this
 /// many idle FIFOs added (an admission session that has spliced streams
 /// in and out keeps their FIFOs) may cost at most `MAX_IDLE_FIFO_RATIO`
@@ -110,15 +110,16 @@ fn time_run(observe: Observe) -> f64 {
 }
 
 /// Time `PAL_CYCLES` cycles of the PAL system on the exhaustive engine
-/// with the flight recorder on, after adding `idle` FIFOs.
-fn time_pal_recorder(idle: usize) -> f64 {
+/// under a full trace without samples, after adding `idle` FIFOs: each
+/// cycle is observed, and the FIFO marks are read when one grew.
+fn time_pal_traced(idle: usize) -> f64 {
     let mut pal = build_pal_system(&PalSystemConfig::scaled_default());
     let sys = &mut pal.system;
     for k in 0..idle {
         sys.add_fifo(CFifo::new(format!("idle{k}"), 64));
     }
     sys.step_mode = StepMode::Exhaustive;
-    sys.enable_flight_recorder(4096);
+    sys.enable_tracing(0);
     let start = Instant::now();
     sys.run(PAL_CYCLES);
     let elapsed = start.elapsed().as_secs_f64();
@@ -200,19 +201,19 @@ fn flight_recorder_overhead_within_acceptance_threshold() {
 }
 
 /// Observation cost follows changes, not the number of components: the
-/// exhaustive engine with the recorder on runs the PAL system plus
+/// exhaustive engine under a full trace runs the PAL system plus
 /// `IDLE_FIFOS` idle FIFOs within `MAX_IDLE_FIFO_RATIO` of PAL alone.
 #[test]
 #[ignore = "timing acceptance; run in release via CI"]
-fn recorder_cost_on_the_exhaustive_engine_ignores_idle_fifos() {
+fn full_trace_cost_on_the_exhaustive_engine_ignores_idle_fifos() {
     let _alone = timing_alone();
-    time_pal_recorder(0);
-    time_pal_recorder(IDLE_FIFOS);
+    time_pal_traced(0);
+    time_pal_traced(IDLE_FIFOS);
     let mut plain = Vec::with_capacity(RUNS);
     let mut wide = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
-        plain.push(time_pal_recorder(0));
-        wide.push(time_pal_recorder(IDLE_FIFOS));
+        plain.push(time_pal_traced(0));
+        wide.push(time_pal_traced(IDLE_FIFOS));
     }
     let ratio = median_ratio(&wide, &plain);
     let (p, w) = (median(plain), median(wide));
@@ -226,7 +227,7 @@ fn recorder_cost_on_the_exhaustive_engine_ignores_idle_fifos() {
     );
     assert!(
         ratio <= MAX_IDLE_FIFO_RATIO,
-        "{IDLE_FIFOS} idle FIFOs cost {ratio:.3}x on the exhaustive engine with the recorder on, \
+        "{IDLE_FIFOS} idle FIFOs cost {ratio:.3}x on the exhaustive engine under a full trace, \
          above the {MAX_IDLE_FIFO_RATIO}x threshold (median of {RUNS} pair ratios; medians \
          {p:.6}s and {w:.6}s)"
     );

@@ -102,19 +102,22 @@ pub fn validate_tau_bound(
 /// validation measures would make the blame report unfalsifiable.
 ///
 /// Returns one description per mismatch; empty means the two measurement
-/// paths agree block-for-block.
+/// paths agree block-for-block. A stream's blocks are counted from every
+/// logged block of its gateway, so a stream removed since (whose index the
+/// current table no longer has) is checked too.
 pub fn validate_blame_totals(blame: &crate::attribution::BlameReport, sys: &System) -> Vec<String> {
     let metrics = fold_system(sys);
     let mut failures = Vec::new();
     for s in &blame.streams {
-        let m = &metrics[s.gateway].streams[s.stream];
-        let tau_sum: u64 = m.taus.iter().sum();
-        if s.blocks != m.blocks() as u64 {
+        let (blocks, tau_sum) = metrics[s.gateway]
+            .blocks
+            .iter()
+            .filter(|b| b.stream == s.stream)
+            .fold((0u64, 0u64), |(n, sum), b| (n + 1, sum + b.tau()));
+        if s.blocks != blocks {
             failures.push(format!(
-                "stream `{}`: blame attributes {} block(s) but the tracer measured {}",
-                s.name,
-                s.blocks,
-                m.blocks()
+                "stream `{}`: blame attributes {} block(s) but the tracer measured {blocks}",
+                s.name, s.blocks
             ));
         }
         if s.tau_sum != tau_sum {

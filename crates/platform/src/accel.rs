@@ -186,24 +186,27 @@ impl AcceleratorTile {
         }
 
         // Accept a new sample only when the previous output has left.
-        if self.pending_out.is_some() {
-            return;
-        }
-        let Some(kernel) = self.kernel.as_mut() else {
-            return;
-        };
-        if self.rx.is_empty() {
+        if self.pending_out.is_some() || self.kernel.is_none() || self.rx.is_empty() {
             return;
         }
         let s = self.rx.pop_at(ring, now).expect("non-empty rx");
-        self.samples_in += 1;
-        self.busy_until = now + self.cycles_per_sample;
         self.busy_cycles += 1;
-        if let Some(out) = kernel.process(s) {
-            // Output becomes available when the firing completes; we hold it
-            // in pending_out and the forward happens on/after busy_until.
-            self.pending_out = Some(out);
-        }
+        // Output becomes available when the firing completes; we hold it
+        // in pending_out and the forward happens on/after busy_until.
+        self.pending_out = self.fire(s, now);
+    }
+
+    /// Fire the installed kernel on `s`, consumed at `at`: count the
+    /// sample, start the firing's busy window and return the kernel's
+    /// output. Busy-cycle accrual is the caller's, which differs between
+    /// a stepped consume, a span and a fused cascade.
+    fn fire(&mut self, s: Sample, at: u64) -> Option<Sample> {
+        self.samples_in += 1;
+        self.busy_until = at + self.cycles_per_sample;
+        self.kernel
+            .as_mut()
+            .expect("a firing needs an installed kernel")
+            .process(s)
     }
 
     /// Interval execution: perform every action [`AcceleratorTile::step`]
@@ -232,10 +235,8 @@ impl AcceleratorTile {
         if self.pending_out.is_some() {
             if self.tx.credits() == 0 {
                 // Blocked: this invocation is exactly the per-cycle step at
-                // `from` — busy accounting, then poll again next cycle.
-                if from < self.busy_until {
-                    self.busy_cycles += 1;
-                }
+                // `from`, then a poll again next cycle.
+                self.step(ring, from);
                 return (from + 1, from + 1);
             }
             let out = self.pending_out.take().expect("pending output");
@@ -261,11 +262,8 @@ impl AcceleratorTile {
                 self.busy_cycles += self.busy_until - t;
             }
             let s = self.rx.pop_at(ring, c).expect("non-empty rx");
-            self.samples_in += 1;
-            self.busy_until = c + self.cycles_per_sample;
             self.busy_cycles += 1;
-            let kernel = self.kernel.as_mut().expect("kernel checked above");
-            if let Some(out) = kernel.process(s) {
+            if let Some(out) = self.fire(s, c) {
                 // First forward attempt is the step after the consume. When
                 // that step falls outside this window (`c + 1 == to`, e.g.
                 // the end of the run), hold the output so the attempt is
@@ -353,17 +351,11 @@ impl AcceleratorTile {
         );
         debug_assert!(self.busy_until <= arrival, "fused consume mid-firing");
         self.fused_prior_busy.get_or_insert(self.busy_until);
-        self.samples_in += 1;
-        self.busy_until = arrival + self.cycles_per_sample;
+        let out = self.fire(s, arrival);
         // Per-cycle accrual: +1 on the consume cycle, +1 per busy-wait
         // cycle until `busy_until` — `ρ` total, or 1 for a 0-cycle kernel.
         self.busy_cycles += self.cycles_per_sample.max(1);
         self.fused_covered = self.fused_covered.max((arrival + 1).max(self.busy_until));
-        let out = self
-            .kernel
-            .as_mut()
-            .expect("fused consume without a kernel")
-            .process(s);
         if let Some(log) = &mut self.fused_log {
             let fall = match out {
                 Some(_) => self.busy_until.max(arrival + 1),

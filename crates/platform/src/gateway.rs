@@ -622,9 +622,121 @@ impl GatewayPair {
         self.rescan(fifos);
     }
 
+    /// The exit copy at `now` (due when [`GatewayPair::next_exit`] says so):
+    /// the oldest sample in the exit NI goes to the active stream's output
+    /// C-FIFO, the next copy `δ` later. Returns `false` when the FIFO is
+    /// full, which only a disabled check-for-space test allows (Fig. 9):
+    /// the sample stays wedged in the NI buffer, back-pressuring the whole
+    /// shared chain (head-of-line blocking), and the cycle is an exit-full
+    /// stall.
+    fn exit_copy(
+        &mut self,
+        ring: &mut DualRing<Sample>,
+        fifos: &mut [CFifo],
+        tracer: &mut Tracer,
+        now: u64,
+    ) -> bool {
+        let active = self.active.expect("an exit copy implies an active block");
+        let out_fifo = self.streams[active].output.0;
+        if fifos[out_fifo].space() == 0 {
+            assert!(
+                !self.check_for_space,
+                "exit gateway found no space — the check-for-space admission is broken"
+            );
+            self.block_exit_stall += 1;
+            tracer.stall_cycle(self.trace_id, StallCause::ExitFifoFull, now);
+            return false;
+        }
+        let s = self.exit_rx.pop_at(ring, now).expect("non-empty exit rx");
+        let ok = fifos[out_fifo].try_push(s, now);
+        debug_assert!(ok, "space was checked above");
+        self.block_received += 1;
+        self.streams[active].samples_out += 1;
+        self.exit_next = now + self.exit_cycles_per_sample;
+        true
+    }
+
+    /// The entry DMA's send at `now` over the wire of the next sample of
+    /// `in_fifo`, gated by hardware credits. Returns `false` when none is
+    /// left: the chain is back-pressuring (the accelerator-stall path of
+    /// §IV-B), and the cycle is a DMA-credit stall.
+    fn wire_send(
+        &mut self,
+        ring: &mut DualRing<Sample>,
+        fifos: &mut [CFifo],
+        tracer: &mut Tracer,
+        in_fifo: usize,
+        now: u64,
+    ) -> bool {
+        if self.dma_tx.credits() == 0 {
+            self.block_dma_stall += 1;
+            tracer.stall_cycle(self.trace_id, StallCause::DmaNoCredit, now);
+            return false;
+        }
+        let s = fifos[in_fifo]
+            .pop()
+            .expect("admission guaranteed a full block");
+        let ok = self.dma_tx.send_at(ring, s, now);
+        debug_assert!(ok);
+        self.chain_fed += 1;
+        true
+    }
+
+    /// End the DMA phase at `now`, the step after the block's last send:
+    /// trace it and start draining.
+    fn end_dma_phase(&mut self, tracer: &mut Tracer, now: u64) {
+        let active = self.active.expect("streaming implies active");
+        self.block_stream_end = now;
+        let (gw, start) = (self.trace_id, self.block_dma_start);
+        let samples = self.streams[active].eta_in as u32;
+        tracer.emit(|| TraceEvent::DmaPhase {
+            gateway: gw,
+            stream: active as u32,
+            start,
+            end: now,
+            samples,
+        });
+        self.state = GwState::Draining;
+    }
+
+    /// The cycle, at or after `t`, of the next exit copy (or its stall on a
+    /// full output FIFO): `exit_next` while a sample of the active block
+    /// waits in the exit NI, else `u64::MAX`.
+    fn next_exit(&self, t: u64) -> u64 {
+        match self.active {
+            Some(a)
+                if self.block_received < self.streams[a].eta_out && !self.exit_rx.is_empty() =>
+            {
+                self.exit_next.max(t)
+            }
+            _ => u64::MAX,
+        }
+    }
+
+    /// The cycle, at or after `t`, of the next entry action of
+    /// `Streaming { sent, next_send }`: the DMA send at `next_send`, or
+    /// once every sample is sent the flip to `Draining`, anchored one step
+    /// after the last send, so a re-invocation at an earlier cycle (inside
+    /// already-committed territory) cannot flip early.
+    fn next_entry(&self, sent: usize, next_send: u64, t: u64) -> u64 {
+        let active = self.active.expect("streaming implies active");
+        if sent == self.streams[active].eta_in {
+            (next_send + 1)
+                .saturating_sub(self.dma_cycles_per_sample)
+                .max(t)
+        } else {
+            // If the send then stalls on credits, the horizon collapses to
+            // per-cycle stepping, keeping stall accounting exact.
+            next_send.max(t)
+        }
+    }
+
     /// One clock cycle of the gateway controller. Structured events (block
     /// phases, stalls) are emitted into `tracer`; pass a disabled tracer for
-    /// an untraced run (one branch per emission site).
+    /// an untraced run (one branch per emission site). Check-for-space idle
+    /// cycles are attributed only under a full trace, as
+    /// [`GatewayPair::skip`] attributes deferred ones, so a flight recorder
+    /// holds the same events on every path.
     pub fn step(
         &mut self,
         ring: &mut DualRing<Sample>,
@@ -634,34 +746,10 @@ impl GatewayPair {
         now: u64,
     ) {
         debug_assert_eq!(ring.cycle(), now, "lock-step tile off the ring clock");
-        let gw = self.trace_id;
         // ---- exit gateway side: drain the chain into the output FIFO ----
         self.exit_rx.poll_data(ring);
-        if let Some(active) = self.active {
-            if self.block_received < self.streams[active].eta_out
-                && now >= self.exit_next
-                && !self.exit_rx.is_empty()
-            {
-                let out_fifo = self.streams[active].output;
-                if fifos[out_fifo.0].space() == 0 {
-                    assert!(
-                        !self.check_for_space,
-                        "exit gateway found no space — the check-for-space admission is broken"
-                    );
-                    // Fig. 9: with the admission test disabled the sample
-                    // stays wedged in the NI buffer and back-pressures the
-                    // whole shared chain (head-of-line blocking).
-                    self.block_exit_stall += 1;
-                    tracer.stall_cycle(gw, StallCause::ExitFifoFull, now);
-                } else {
-                    let s = self.exit_rx.pop_at(ring, now).expect("non-empty exit rx");
-                    let ok = fifos[out_fifo.0].try_push(s, now);
-                    debug_assert!(ok, "space was checked above");
-                    self.block_received += 1;
-                    self.streams[active].samples_out += 1;
-                    self.exit_next = now + self.exit_cycles_per_sample;
-                }
-            }
+        if self.next_exit(now) == now {
+            self.exit_copy(ring, fifos, tracer, now);
         }
 
         // ---- entry gateway side ----
@@ -669,6 +757,7 @@ impl GatewayPair {
         match self.state {
             GwState::Idle => {
                 let (mut picked, space_blocked) = self.admission_scan(fifos);
+                self.space_blocked = space_blocked;
                 if self.shared_chain && picked.is_some() && !self.chain_free(accels, now) {
                     // Another pair owns the chain: wait. The horizon keeps
                     // this gateway stepping per-cycle (an admissible stream
@@ -679,8 +768,8 @@ impl GatewayPair {
                 match picked {
                     None => {
                         self.idle_cycles += 1;
-                        if space_blocked {
-                            tracer.stall_cycle(gw, StallCause::CheckForSpace, now);
+                        if space_blocked && tracer.is_full() {
+                            tracer.stall_cycle(self.trace_id, StallCause::CheckForSpace, now);
                         }
                     }
                     Some(idx) => self.admit_block(accels, tracer, idx, now),
@@ -698,35 +787,16 @@ impl GatewayPair {
             GwState::Streaming { sent, next_send } => {
                 let active = self.active.expect("streaming implies active");
                 if sent == self.streams[active].eta_in {
-                    self.block_stream_end = now;
-                    tracer.emit(|| TraceEvent::DmaPhase {
-                        gateway: gw,
-                        stream: active as u32,
-                        start: self.block_dma_start,
-                        end: now,
-                        samples: self.streams[active].eta_in as u32,
-                    });
-                    self.state = GwState::Draining;
+                    self.end_dma_phase(tracer, now);
                 } else if now >= next_send {
                     // ε cycles per sample, gated by hardware credits.
-                    if self.dma_tx.credits() > 0 {
-                        let in_fifo = self.streams[active].input;
-                        let s = fifos[in_fifo.0]
-                            .pop()
-                            .expect("admission guaranteed a full block");
-                        let ok = self.dma_tx.send_at(ring, s, now);
-                        debug_assert!(ok);
-                        self.chain_fed += 1;
+                    let in_fifo = self.streams[active].input.0;
+                    if self.wire_send(ring, fifos, tracer, in_fifo, now) {
                         self.dma_busy_cycles += self.dma_cycles_per_sample;
                         self.state = GwState::Streaming {
                             sent: sent + 1,
                             next_send: now + self.dma_cycles_per_sample,
                         };
-                    } else {
-                        // Out of credits — the chain is back-pressuring;
-                        // wait (this is the accelerator-stall path of §IV-B).
-                        self.block_dma_stall += 1;
-                        tracer.stall_cycle(gw, StallCause::DmaNoCredit, now);
                     }
                 }
             }
@@ -757,12 +827,7 @@ impl GatewayPair {
     pub fn horizon(&self, fifos: &[CFifo], accels: &[AcceleratorTile], next: u64) -> u64 {
         // Exit side: a buffered sample is copied out at `exit_next` (or
         // stalls per-cycle on a full FIFO, which also needs stepping).
-        let mut h = u64::MAX;
-        if let Some(active) = self.active {
-            if self.block_received < self.streams[active].eta_out && !self.exit_rx.is_empty() {
-                h = self.exit_next.max(next);
-            }
-        }
+        let h = self.next_exit(next);
         // Entry side, by state.
         let eh = match self.state {
             GwState::Idle => {
@@ -776,21 +841,7 @@ impl GatewayPair {
                 }
             }
             GwState::Reconfig { until } => until.max(next),
-            GwState::Streaming { sent, next_send } => {
-                let active = self.active.expect("streaming implies active");
-                if sent == self.streams[active].eta_in {
-                    // Transition to Draining, anchored one step after the
-                    // last send (`next` once the clock has passed it).
-                    (next_send + 1)
-                        .saturating_sub(self.dma_cycles_per_sample)
-                        .max(next)
-                } else {
-                    // Next DMA send at `next_send`; if it then stalls on
-                    // credits the horizon collapses to per-cycle stepping,
-                    // keeping stall accounting exact.
-                    next_send.max(next)
-                }
-            }
+            GwState::Streaming { sent, next_send } => self.next_entry(sent, next_send, next),
             GwState::Draining => {
                 let active = self.active.expect("draining implies active");
                 let drained = self.block_received == self.streams[active].eta_out
@@ -834,8 +885,9 @@ impl GatewayPair {
     /// check-for-space stall cycles. Those reuse the verdict of the latest
     /// admission scan instead of re-running it (the replay is lazy, so
     /// later pushes may already be visible): the engine wakes the pair
-    /// whenever another tile changes a FIFO the scan reads. The flight
-    /// recorder does not attribute deferred cycles (DESIGN §12).
+    /// whenever another tile changes a FIFO the scan reads. A flight
+    /// recorder attributes no check-for-space cycle, deferred or stepped
+    /// (DESIGN §12).
     pub fn skip(&mut self, tracer: &mut Tracer, from: u64, to: u64) {
         debug_assert!(to > from);
         if self.state == GwState::Idle {
@@ -879,7 +931,10 @@ impl GatewayPair {
     /// span stops early — degrading to per-cycle semantics — at state
     /// transitions, stalls, and after any cycle that mutated a FIFO some
     /// other tile watches (`watched`), so cross-tile reactions happen on
-    /// their exact cycles.
+    /// their exact cycles. `Idle` and `Reconfig` cover one cycle, the
+    /// lock-step [`GatewayPair::step`] at `from`: an idle cycle (its
+    /// admission scan also refreshes the verdict [`GatewayPair::skip`]
+    /// replays), an admission, or the start of the DMA.
     #[allow(clippy::too_many_arguments)]
     pub fn run_span(
         &mut self,
@@ -893,41 +948,16 @@ impl GatewayPair {
         watched: &[bool],
     ) -> (u64, u64) {
         debug_assert!(from < to);
-        let gw = self.trace_id;
+        if let GwState::Idle | GwState::Reconfig { .. } = self.state {
+            self.step(ring, fifos, accels, tracer, from);
+            return (from + 1, self.horizon(fifos, accels, from + 1));
+        }
         self.exit_rx.poll_data(ring);
         self.dma_tx.poll_credits(ring);
-        match self.state {
-            GwState::Idle => {
-                let (mut picked, space_blocked) = self.admission_scan(fifos);
-                self.space_blocked = space_blocked;
-                if self.shared_chain && picked.is_some() && !self.chain_free(accels, from) {
-                    picked = None;
-                }
-                match picked {
-                    None => {
-                        self.idle_cycles += 1;
-                        if space_blocked {
-                            tracer.stall_cycle(gw, StallCause::CheckForSpace, from);
-                        }
-                    }
-                    Some(idx) => self.admit_block(accels, tracer, idx, from),
-                }
-                (from + 1, self.horizon(fifos, accels, from + 1))
-            }
-            GwState::Reconfig { until } => {
-                if from >= until {
-                    self.block_dma_start = from;
-                    self.state = GwState::Streaming {
-                        sent: 0,
-                        next_send: from,
-                    };
-                }
-                (from + 1, self.horizon(fifos, accels, from + 1))
-            }
-            GwState::Streaming { .. } => {
-                self.stream_span(ring, fifos, accels, tracer, from, to, hard_end, watched)
-            }
-            GwState::Draining => self.drain_span(ring, fifos, accels, tracer, from, to, watched),
+        if self.state == GwState::Draining {
+            self.drain_span(ring, fifos, accels, tracer, from, to, watched)
+        } else {
+            self.stream_span(ring, fifos, accels, tracer, from, to, hard_end, watched)
         }
     }
 
@@ -1056,10 +1086,8 @@ impl GatewayPair {
         hard_end: u64,
         watched: &[bool],
     ) -> (u64, u64) {
-        let gw = self.trace_id;
         let active = self.active.expect("streaming implies active");
         let eta_in = self.streams[active].eta_in;
-        let eta_out = self.streams[active].eta_out;
         let in_fifo = self.streams[active].input.0;
         let out_fifo = self.streams[active].output.0;
         let eps = self.dma_cycles_per_sample;
@@ -1072,20 +1100,8 @@ impl GatewayPair {
         };
         let mut t = from;
         loop {
-            let e = if self.block_received < eta_out && !self.exit_rx.is_empty() {
-                self.exit_next.max(t)
-            } else {
-                u64::MAX
-            };
-            // The flip to Draining happens one per-cycle step after the
-            // last send — anchor it there, so a delivery-driven
-            // re-invocation at an earlier cycle (inside already-committed
-            // territory) cannot flip early.
-            let s_t = if sent == eta_in {
-                (next_send + 1).saturating_sub(eps).max(t)
-            } else {
-                next_send.max(t)
-            };
+            let e = self.next_exit(t);
+            let s_t = self.next_entry(sent, next_send, t);
             let tau = e.min(s_t);
             if tau >= to {
                 break;
@@ -1094,67 +1110,38 @@ impl GatewayPair {
             let mut stalled = false;
             // Exit copy first — per-cycle step order within a cycle.
             if e == tau {
-                if fifos[out_fifo].space() == 0 {
-                    assert!(
-                        !self.check_for_space,
-                        "exit gateway found no space — the check-for-space admission is broken"
-                    );
-                    self.block_exit_stall += 1;
-                    tracer.stall_cycle(gw, StallCause::ExitFifoFull, tau);
-                    stalled = true;
-                } else {
-                    let s = self.exit_rx.pop_at(ring, tau).expect("non-empty exit rx");
-                    let ok = fifos[out_fifo].try_push(s, tau);
-                    debug_assert!(ok, "space was checked above");
-                    self.block_received += 1;
-                    self.streams[active].samples_out += 1;
-                    self.exit_next = tau + self.exit_cycles_per_sample;
+                if self.exit_copy(ring, fifos, tracer, tau) {
                     mutated |= watched[out_fifo];
+                } else {
+                    stalled = true;
                 }
             }
             if s_t == tau {
                 if sent == eta_in {
-                    // The step after the last send flips to Draining.
-                    self.block_stream_end = tau;
-                    tracer.emit(|| TraceEvent::DmaPhase {
-                        gateway: gw,
-                        stream: active as u32,
-                        start: self.block_dma_start,
-                        end: tau,
-                        samples: eta_in as u32,
-                    });
-                    self.state = GwState::Draining;
+                    self.end_dma_phase(tracer, tau);
                     return (tau + 1, self.horizon(fifos, accels, tau + 1));
                 }
-                if self.fuse_ok && self.try_fused_send(ring, fifos, accels, in_fifo, tau, hard_end)
-                {
-                    // Whole cascade committed in closed form; only the
-                    // shared send bookkeeping remains.
-                } else {
-                    if self.dma_tx.credits() == 0 {
-                        // Back-pressure. The credit counter was polled at
-                        // `from` and this window's own sends can already
-                        // have turned into returning credits by `tau` — so
-                        // the stall may only be committed with a fresh
-                        // poll. At `tau > from` end the span instead; the
-                        // engine re-invokes with the ring synced to `tau`,
-                        // and if the counter is still 0 the stall commits
-                        // then, exactly per-cycle.
-                        if tau > from {
-                            self.state = GwState::Streaming { sent, next_send };
-                            return (tau, tau);
-                        }
-                        self.block_dma_stall += 1;
-                        tracer.stall_cycle(gw, StallCause::DmaNoCredit, tau);
+                // A fused send commits the whole cascade in closed form;
+                // only the shared send bookkeeping remains.
+                let fused = self.fuse_ok
+                    && self.try_fused_send(ring, fifos, accels, in_fifo, tau, hard_end);
+                if !fused {
+                    // Back-pressure. The credit counter was polled at
+                    // `from` and this window's own sends can already have
+                    // turned into returning credits by `tau` — so the stall
+                    // may only be committed with a fresh poll. At
+                    // `tau > from` end the span instead; the engine
+                    // re-invokes with the ring synced to `tau`, and if the
+                    // counter is still 0 the stall commits then, exactly
+                    // per-cycle.
+                    if tau > from && self.dma_tx.credits() == 0 {
+                        self.state = GwState::Streaming { sent, next_send };
+                        return (tau, tau);
+                    }
+                    if !self.wire_send(ring, fifos, tracer, in_fifo, tau) {
                         self.state = GwState::Streaming { sent, next_send };
                         return (tau + 1, tau + 1);
                     }
-                    let s = fifos[in_fifo]
-                        .pop()
-                        .expect("admission guaranteed a full block");
-                    let ok = self.dma_tx.send_at(ring, s, tau);
-                    debug_assert!(ok);
-                    self.chain_fed += 1;
                 }
                 self.dma_busy_cycles += eps;
                 sent += 1;
@@ -1190,9 +1177,7 @@ impl GatewayPair {
         to: u64,
         watched: &[bool],
     ) -> (u64, u64) {
-        let gw = self.trace_id;
         let active = self.active.expect("draining implies active");
-        let eta_out = self.streams[active].eta_out;
         let out_fifo = self.streams[active].output.0;
         let last = self.chain[self.chain.len() - 1].0;
         let mut t = from;
@@ -1200,24 +1185,11 @@ impl GatewayPair {
             if self.shared_chain {
                 accels[last].tx.poll_credits(ring);
             }
-            let copy_due = self.block_received < eta_out && !self.exit_rx.is_empty();
             let mut mutated = false;
-            if copy_due && self.exit_next <= t {
-                if fifos[out_fifo].space() == 0 {
-                    assert!(
-                        !self.check_for_space,
-                        "exit gateway found no space — the check-for-space admission is broken"
-                    );
-                    self.block_exit_stall += 1;
-                    tracer.stall_cycle(gw, StallCause::ExitFifoFull, t);
+            if self.next_exit(t) == t {
+                if !self.exit_copy(ring, fifos, tracer, t) {
                     return (t + 1, t + 1);
                 }
-                let s = self.exit_rx.pop_at(ring, t).expect("non-empty exit rx");
-                let ok = fifos[out_fifo].try_push(s, t);
-                debug_assert!(ok, "space was checked above");
-                self.block_received += 1;
-                self.streams[active].samples_out += 1;
-                self.exit_next = t + self.exit_cycles_per_sample;
                 mutated = watched[out_fifo];
             }
             // Completion check at cycle `t` (after the copy, matching the
@@ -1234,10 +1206,7 @@ impl GatewayPair {
             // cycle, so those need no replay; once no copy fits the window,
             // the horizon (flip pin / per-cycle collapse / external wait)
             // takes over.
-            if self.block_received >= eta_out || self.exit_rx.is_empty() {
-                return (t + 1, self.horizon(fifos, accels, t + 1));
-            }
-            let nxt = self.exit_next.max(t + 1);
+            let nxt = self.next_exit(t + 1);
             if nxt >= to {
                 return (t + 1, self.horizon(fifos, accels, t + 1));
             }

@@ -20,9 +20,10 @@
 //!   alone or rotated in bulk until the next delivery wakes a tile.
 //!
 //! The two modes are cycle-exact equivalents: identical block schedules,
-//! FIFO contents, counters and — under a full trace — event logs. A full
-//! trace is observed by the components that change (see `span_run`), so
-//! an observed run stays on the fast engine.
+//! FIFO contents, counters and — under a full trace — event logs; a flight
+//! recorder holds each gateway's committed events in the same order on
+//! both. A full trace is observed by the components that change (see
+//! `span_run`), so an observed run stays on the fast engine.
 //! [`System::run_until`] evaluates a closure every cycle and therefore
 //! steps the lock-step loop on both modes.
 
@@ -89,10 +90,11 @@ pub struct EngineStats {
     /// gateways), traced or not; every other send took the wire. A full
     /// trace refuses only the cascades that would cross a sample point.
     pub fused_sends: u64,
-    /// Lock-step observed cycles that read every FIFO's high-water mark:
-    /// one per cycle in which a mark grew, the FIFO set changed or the
-    /// tracer was replaced, not one per observed cycle. (The span engine
-    /// reads the marks the FIFOs stamp instead.)
+    /// Lock-step cycles under a full trace that read every FIFO's
+    /// high-water mark: one per cycle in which a mark grew, the FIFO set
+    /// changed or the tracer was replaced, not one per observed cycle. (The
+    /// span engine reads the marks the FIFOs stamp instead; a flight
+    /// recorder reads none.)
     pub high_water_scans: u64,
 }
 
@@ -230,9 +232,10 @@ impl System {
     /// Turn on the always-affordable flight recorder: the block-lifecycle
     /// and stall events of [`System::enable_tracing`], but only the most
     /// recent `capacity` are retained (see [`Tracer::flight_recorder`]).
-    /// Running stall totals stay exact regardless of eviction. The span
-    /// engine records for it only what its tiles emit as they commit —
-    /// no observation, no reordering — so leaving it on costs almost
+    /// Running stall totals stay exact regardless of eviction. Both
+    /// engines record for it only what the tiles emit as they commit —
+    /// no observation, no check-for-space idle cycles, no reordering — so
+    /// it holds the same events on either, and leaving it on costs almost
     /// nothing. That is the point: when a `Monitor` flags a violation
     /// mid-run, the recent history needed for a postmortem is already
     /// there.
@@ -317,7 +320,10 @@ impl System {
         self.processors.len() - 1
     }
 
-    /// Advance one clock cycle.
+    /// Advance one clock cycle. Under a full trace the system then
+    /// observes the cycle: accelerator activity, FIFO high-water marks and
+    /// samples. A flight recorder, as on the span engine, records only
+    /// what the tiles commit.
     pub fn step(&mut self) {
         let now = self.cycle;
         self.engine_stats.full_steps += 1;
@@ -338,14 +344,14 @@ impl System {
         }
         self.ring.step();
         // System-level observation (accelerator activity, FIFO levels, ring
-        // counters) — one branch per cycle when tracing is off.
-        if self.tracer.is_enabled() {
+        // counters) — one branch per cycle without a full trace.
+        if self.tracer.is_full() {
             self.observe(now);
         }
         self.cycle += 1;
     }
 
-    /// Record system-wide observations for cycle `now` (tracing enabled).
+    /// Record system-wide observations for cycle `now` (full trace on).
     /// Change-driven: accelerator activity and high-water marks are
     /// emitted only when they actually changed, which also makes skipped
     /// intervals (where state is provably frozen) observation-free.
@@ -998,9 +1004,8 @@ impl System {
     /// the wait runs up to that bound as [`System::run`] does — on the span
     /// engine when event-driven — and steps the lock-step loop of
     /// [`System::run_until`], testing the pair, only for the rest (the
-    /// drain of the in-flight block, a few cycles). The bounded stretch
-    /// records what [`System::run`] records: under the flight recorder, no
-    /// check-for-space idle windows (DESIGN §12).
+    /// drain of the in-flight block, a few cycles). Both stretches record
+    /// what [`System::run`] records (DESIGN §12).
     pub fn run_until_idle(&mut self, gateway: usize, max_cycles: u64) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
         let bound = self.gateways[gateway].earliest_idle(self.cycle).min(end);

@@ -10,10 +10,11 @@
 //! * the **gateway pair** emits block start/end, reconfiguration windows
 //!   (`R_s`), configuration-bus save/restore per accelerator, the entry-DMA
 //!   (`ε`) and exit-drain (`δ`) phases, and per-cause stall cycles;
-//! * the **system** samples C-FIFO occupancy (including high-water marks
-//!   kept by [`crate::cfifo::CFifo`]), accelerator activity windows, and
-//!   dual-ring delivery/stall counters — per cycle in the lock-step loop,
-//!   from what the components stamp on the span engine;
+//! * under a full trace, the **system** samples C-FIFO occupancy
+//!   (including high-water marks kept by [`crate::cfifo::CFifo`]),
+//!   accelerator activity windows, and dual-ring delivery/stall counters —
+//!   per cycle in the lock-step loop, from what the components stamp on
+//!   the span engine;
 //! * consumers (e.g. `streamgate-core`'s metrics/validation) read the
 //!   event log back and derive per-stream `τ` distributions, round times
 //!   and stall breakdowns.
@@ -26,12 +27,14 @@
 //! this module enforces behavioural equality.
 //!
 //! Between "off" and "full" sits the **flight recorder**
-//! ([`Tracer::flight_recorder`]): the same emission sites feed a bounded
-//! ring of the most recent events, so a production run that is not being
-//! profiled still retains enough recent history to explain a bound
-//! violation after the fact (see `streamgate-core`'s postmortem support).
-//! Evicted events are counted ([`Tracer::events_dropped`]) so consumers
-//! can tell a truncated log from a complete one.
+//! ([`Tracer::flight_recorder`]): the gateways' emission sites feed a
+//! bounded ring of the most recent events, so a production run that is
+//! not being profiled still retains enough recent history to explain a
+//! bound violation after the fact (see `streamgate-core`'s postmortem
+//! support). It records what the tiles commit and nothing the system
+//! observes, so it holds the same events on both engines. Evicted events
+//! are counted ([`Tracer::events_dropped`]) so consumers can tell a
+//! truncated log from a complete one.
 //!
 //! [`chrome_trace_json`] renders an event log in the Chrome trace-event
 //! format, viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -460,11 +463,13 @@ impl Tracer {
     /// [`Tracer::enabled`], but only the most recent `capacity` events are
     /// retained (older ones are evicted and counted by
     /// [`Tracer::events_dropped`]). Cheap enough to leave on in production
-    /// runs: on the event-driven engine it records what the tiles emit as
-    /// they commit, in commit order, without the observation a full trace
-    /// adds (accelerator windows, high-water marks, samples, deferred
-    /// check-for-space cycles), and the ring never grows past
-    /// `2 × capacity` entries.
+    /// runs: on either engine it records what the tiles emit as they
+    /// commit — block lifecycle, configuration bus, DMA-credit and
+    /// exit-full stalls — without the observation a full trace adds
+    /// (accelerator windows, high-water marks, samples, check-for-space
+    /// idle cycles), and the ring never grows past `2 × capacity` entries.
+    /// The span engine records in commit order, so each gateway's events
+    /// come in the lock-step order, and its stall totals are exact.
     pub fn flight_recorder(capacity: usize) -> Self {
         Tracer {
             data: Some(Box::new(TraceData {

@@ -1,13 +1,14 @@
 //! FIFO high-water marks are read only when one can have grown.
 //!
-//! `System::observe` skips its read of the FIFO marks unless a push raised
-//! a mark, the FIFO set changed or the tracer was replaced since the
-//! tracer's last read. The emitted `FifoHighWater` events must be exactly
-//! those of a full read on every observed cycle. These tests keep that
-//! full read as a reference: a shadow tracer fed every FIFO's mark after
-//! each exhaustive step. They cover the ways a mark or the FIFO set can
-//! change outside the engine, compare the event engine with the
-//! exhaustive one, and pin the number of reads as a work counter.
+//! Under a full trace, `System::observe` skips its read of the FIFO marks
+//! unless a push raised a mark, the FIFO set changed or the tracer was
+//! replaced since the tracer's last read. The emitted `FifoHighWater`
+//! events must be exactly those of a full read on every observed cycle.
+//! These tests keep that full read as a reference: a shadow tracer fed
+//! every FIFO's mark after each exhaustive step under a full trace (a
+//! flight recorder observes nothing). They cover the ways a mark or the
+//! FIFO set can change outside the engine, compare the event engine with
+//! the exhaustive one, and pin the number of reads as a work counter.
 
 use streamgate_core::{build_pal_system, PalSystemConfig};
 use streamgate_platform::{
@@ -141,50 +142,53 @@ fn swaps_tracer(act: Act) -> bool {
     matches!(act, Act::Recorder | Act::Trace | Act::Profile | Act::Assign)
 }
 
-/// One step of `sys`, with `shadow` fed every FIFO's mark afterwards.
+/// One step of `sys`, with `shadow` fed every FIFO's mark afterwards
+/// while a full trace is on: the observation a full read would make.
 fn step_with_reference(sys: &mut System, shadow: &mut Tracer) {
     let now = sys.cycle();
     sys.step();
-    for (i, f) in sys.fifos.iter().enumerate() {
-        shadow.fifo_high_water(i, f.high_water(), now);
+    if sys.tracer.is_full() {
+        for (i, f) in sys.fifos.iter().enumerate() {
+            shadow.fifo_high_water(i, f.high_water(), now);
+        }
     }
 }
 
 /// Run the script on the exhaustive engine, one `step` at a time, beside a
-/// shadow tracer fed every FIFO's mark after every step. Returns the
-/// system's and the shadow's `FifoHighWater` events over all tracers.
-fn exhaustive_with_reference() -> (Vec<TraceEvent>, Vec<TraceEvent>) {
+/// shadow tracer fed every FIFO's mark after every step under a full
+/// trace. Returns the system's and the shadow's `FifoHighWater` events of
+/// each tracer the script installs, the initial disabled one first.
+fn exhaustive_with_reference() -> Vec<(Vec<TraceEvent>, Vec<TraceEvent>)> {
     let mut sys = small();
-    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let mut logs = Vec::new();
     let mut shadow = Tracer::enabled(0);
     for &act in SCRIPT {
         if let Act::Run(n) = act {
             for _ in 0..n {
-                if sys.tracer.is_enabled() {
-                    step_with_reference(&mut sys, &mut shadow);
-                } else {
-                    sys.step();
-                }
+                step_with_reference(&mut sys, &mut shadow);
             }
             continue;
         }
         if swaps_tracer(act) && !(matches!(act, Act::Recorder) && sys.tracer.is_full()) {
-            got.extend(marks(sys.tracer.events()));
-            want.extend(marks(shadow.events()));
+            logs.push((marks(sys.tracer.events()), marks(shadow.events())));
             shadow = Tracer::enabled(0);
         }
         apply(&mut sys, act);
     }
-    got.extend(marks(sys.tracer.events()));
-    want.extend(marks(shadow.events()));
-    (got, want)
+    logs.push((marks(sys.tracer.events()), marks(shadow.events())));
+    logs
 }
 
 #[test]
 fn exhaustive_marks_match_a_full_read_every_cycle() {
-    let (got, want) = exhaustive_with_reference();
-    assert!(want.len() > 20, "the script must raise marks: {want:?}");
-    assert_eq!(got, want);
+    let logs = exhaustive_with_reference();
+    // The initial disabled tracer and the flight recorder read no mark;
+    // each of the three full traces after them must raise some.
+    assert_eq!(logs.len(), 5);
+    for (k, (got, want)) in logs.iter().enumerate() {
+        assert_eq!(want.is_empty(), k < 2, "tracer {k}: {want:?}");
+        assert_eq!(got, want, "tracer {k}");
+    }
 }
 
 /// The full event log of each tracer the script installs, run with
@@ -296,10 +300,12 @@ fn each_change_outside_the_engine_is_read_once_at_the_next_observation() {
         for _ in 0..3 {
             step_with_reference(&mut sys, &mut shadow);
         }
+        // A flight recorder observes nothing, so it reads no mark.
+        let reads = u64::from(sys.tracer.is_full());
         assert_eq!(
             sys.engine_stats.high_water_scans,
-            scans + 1,
-            "{what}: one read at the next observation"
+            scans + reads,
+            "{what}: {reads} read(s) at the next observation"
         );
     }
     got.extend(marks(sys.tracer.events()));

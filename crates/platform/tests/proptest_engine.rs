@@ -16,6 +16,11 @@
 //! multiple streams per gateway (round-robin reconfiguration), and TDM
 //! processors with non-trivial budgets (bulk slot replay).
 //!
+//! Under a flight recorder, which records what the tiles commit and no
+//! observation, both engines must hold each gateway's events in the same
+//! order, on the random topologies and on a stream the check-for-space
+//! test holds back.
+//!
 //! The same topologies check the typed idle wait: `System::run_until_idle`
 //! against the `run_until` closure it replaces, and
 //! `GatewayPair::earliest_idle` as a lower bound on the idle cycle. The
@@ -858,6 +863,152 @@ fn space_verdict_follows_fifos_fed_between_runs() {
         end: 1_199,
     };
     assert!(logs[0].contains(&window), "{:?}", logs[0]);
+}
+
+/// The gateway a trace event belongs to, `None` for what the system
+/// observes (accelerator windows, high-water marks, samples).
+fn gateway_of(e: &TraceEvent) -> Option<u32> {
+    match *e {
+        TraceEvent::BlockStart { gateway, .. }
+        | TraceEvent::ReconfigWindow { gateway, .. }
+        | TraceEvent::ConfigSave { gateway, .. }
+        | TraceEvent::ConfigRestore { gateway, .. }
+        | TraceEvent::DmaPhase { gateway, .. }
+        | TraceEvent::DrainPhase { gateway, .. }
+        | TraceEvent::BlockEnd { gateway, .. }
+        | TraceEvent::StallWindow { gateway, .. } => Some(gateway),
+        TraceEvent::AccelActive { .. }
+        | TraceEvent::FifoHighWater { .. }
+        | TraceEvent::FifoLevel { .. }
+        | TraceEvent::RingCounters { .. } => None,
+    }
+}
+
+/// `sys` built, put on `mode` and run for `cycles` cycles under a flight
+/// recorder too large to evict anything, its stall windows closed.
+fn recorded(mut sys: System, mode: StepMode, cycles: u64) -> System {
+    sys.step_mode = mode;
+    sys.enable_flight_recorder(1 << 30);
+    sys.run(cycles);
+    let now = sys.cycle();
+    sys.tracer.finish(now);
+    sys
+}
+
+/// Both engines' flight recorders hold only what the gateways commit,
+/// none of it evicted: per gateway the same events in the same order, and
+/// the same stall totals per cause. (The span engine records in commit
+/// order, so gateways may interleave differently.)
+fn assert_same_recording(ex: &System, ev: &System) -> Result<(), TestCaseError> {
+    for sys in [ex, ev] {
+        prop_assert_eq!(sys.tracer.events_dropped(), 0);
+        let observed = sys.tracer.events().iter().find(|e| gateway_of(e).is_none());
+        prop_assert_eq!(
+            observed,
+            None,
+            "{:?} recorded an observation",
+            sys.step_mode
+        );
+    }
+    for g in 0..ex.gateways.len() {
+        let of = |sys: &System| -> Vec<TraceEvent> {
+            let events = sys.tracer.events().iter();
+            events
+                .filter(|e| gateway_of(e) == Some(g as u32))
+                .cloned()
+                .collect()
+        };
+        let (a, b) = (of(ex), of(ev));
+        if let Some(d) = a.iter().zip(&b).position(|(x, y)| x != y) {
+            prop_assert_eq!(&a[d], &b[d], "gateway {} event {}", g, d);
+        }
+        prop_assert_eq!(a.len(), b.len(), "gateway {} events", g);
+        for cause in StallCause::ALL {
+            prop_assert_eq!(
+                ex.tracer.stall_cycles(g, cause),
+                ev.tracer.stall_cycles(g, cause),
+                "gateway {} {} stall cycles",
+                g,
+                cause
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flight recorder keeps one log: the lock-step loop records what
+    /// the span engine records, and neither observes.
+    #[test]
+    fn flight_recorder_holds_the_same_log_on_both_engines(t in topo_strategy()) {
+        prop_assume!(accepted_by_analyzer(&t));
+        let ex = recorded(build(&t), StepMode::Exhaustive, t.cycles);
+        let ev = recorded(build(&t), StepMode::EventDriven, t.cycles);
+        assert_same_recording(&ex, &ev)?;
+    }
+}
+
+/// One stream held back by the check-for-space test most of the time: a
+/// source every 4 cycles fills `in` (256), one gateway with one
+/// accelerator runs blocks of η 16/16 with R 20 into `out` (24), and a
+/// sink drains `out` every 97 cycles, so `out` seldom has room for a
+/// block.
+fn space_blocked_probe() -> System {
+    let mut sys = System::new(4);
+    let input = sys.add_fifo(CFifo::new("in", 256));
+    let output = sys.add_fifo(CFifo::new("out", 24));
+    let acc = sys.add_accel(AcceleratorTile::new("acc", 1, 0, 10, 2, 11, 2, 1));
+    let mut gw = GatewayPair::new("gw", 0, 2, vec![acc], 1, 10, 1, 11, 2, 2, 1);
+    gw.add_stream(StreamConfig::new(
+        "s0",
+        input,
+        output,
+        16,
+        16,
+        20,
+        vec![Box::new(ScaleKernel::new(2.0))],
+    ));
+    sys.add_gateway(gw);
+    let mut pt = ProcessorTile::new("pt");
+    pt.add_task(
+        Box::new(RateSource::new(input.0, 4, Box::new(|k| (k as f64, 0.0)))),
+        1,
+    );
+    pt.add_task(Box::new(SinkTask::new(output.0, 97)), 1);
+    sys.add_processor(pt);
+    sys
+}
+
+/// Check-for-space idle cycles are what a full trace observes of a
+/// space-blocked pair, on both engines; the flight recorder attributes
+/// none on either, so its two logs agree where the exhaustive engine's
+/// used to count every such cycle and the event engine's only the ones
+/// it stepped.
+#[test]
+fn space_blocked_stream_keeps_one_recorder_log() {
+    const CYCLES: u64 = 20_000;
+    let engines = [StepMode::Exhaustive, StepMode::EventDriven];
+    let [ex, ev] = engines.map(|mode| recorded(space_blocked_probe(), mode, CYCLES));
+    match assert_same_recording(&ex, &ev) {
+        Ok(()) => {}
+        Err(TestCaseError::Fail(msg)) => panic!("{msg}"),
+        Err(TestCaseError::Reject) => unreachable!(),
+    }
+    assert_eq!(ex.tracer.events(), ev.tracer.events());
+    let [full_ex, full_ev] = engines.map(|mode| {
+        let mut sys = space_blocked_probe();
+        sys.step_mode = mode;
+        sys.enable_tracing(0);
+        sys.run(CYCLES);
+        sys
+    });
+    let space = |sys: &System| sys.tracer.stall_cycles(0, StallCause::CheckForSpace);
+    assert!(space(&full_ex) > CYCLES / 2, "{}", space(&full_ex));
+    assert_eq!(space(&full_ex), space(&full_ev));
+    assert_eq!((space(&ex), space(&ev)), (0, 0));
+    assert!(ex.gateways[0].blocks.len() > 10);
 }
 
 /// Named pinned configurations for the engine's historical failure modes.
